@@ -1,10 +1,40 @@
 #!/usr/bin/env bash
 # Repo CI: formatting, lints, and the tier-1 test suite.
 #
-#   ./ci.sh          fmt + clippy + build + tests
-#   ./ci.sh --quick  the above plus a bench --json smoke run at tiny scale
+#   ./ci.sh                fmt + clippy + build + tests
+#   ./ci.sh --quick        the above plus bench --json smoke runs at tiny
+#                          scale and a traced smoke run of every bench_suite
+#                          workload
+#   ./ci.sh --bench-gates  only the four full traced bench_suite runs (about a
+#                          minute each); every check of every run must pass
 set -euo pipefail
 cd "$(dirname "$0")"
+
+workloads="ingest_firehose standing_fanout oneshot_under_ingest cluster8_mix"
+
+# One traced bench_suite run of workload $1 (further arguments are passed
+# on): fails unless the result line says correct and the workload still
+# stresses the layers it exists for — a smoke run skips that last check, a
+# full run does not.
+bench_run() {
+    local workload="$1" log
+    shift
+    log="$(mktemp)"
+    cargo run --release --offline --quiet --manifest-path benchmarks/Cargo.toml -- \
+        run --workload "$workload" --trace 1 "$@" | tee "$log" | grep -E '^check '
+    tail -n 1 "$log" | grep -q '"correct":true'
+    grep -q '^check stresses_its_layers: ok' "$log"
+    rm -f "$log"
+}
+
+if [[ "${1:-}" == "--bench-gates" ]]; then
+    for workload in $workloads; do
+        echo "== bench gates: $workload"
+        bench_run "$workload"
+    done
+    echo "bench gates green"
+    exit 0
+fi
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -110,6 +140,14 @@ if [[ "${1:-}" == "--quick" ]]; then
         > "$out/trace_render.txt"
     grep -q 'trace_dump: trigger quarantine' "$out/trace_render.txt"
     echo "trace OK: $out/trace.json"
+
+    # The benchmark crate builds against the workspace's public API and
+    # checks seed 42's result digests: an API break or a changed result
+    # shows here, before the benchmark driver finds it.
+    for workload in $workloads; do
+        echo "== bench_suite smoke: $workload"
+        bench_run "$workload" --smoke
+    done
 fi
 
 echo "CI green"

@@ -4,12 +4,19 @@
 //! timestamps, graph-exploration execution, and fabric cost charging.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::{rngs::StdRng, Rng, SeedableRng};
+use wukong_core::access::NodeAccess;
+use wukong_core::cluster::Cluster;
+use wukong_core::EngineConfig;
 use wukong_net::{Fabric, NetworkProfile, NodeId, TaskTimer};
-use wukong_query::exec::{ExecContext, GraphAccess, PatternSource};
-use wukong_query::{execute, parse_query, plan_query};
-use wukong_rdf::{Dir, Key, Pid, StringServer, Triple, Vid};
+use wukong_query::exec::{ExecContext, GraphAccess, NoLiterals, PatternSource, WindowInstance};
+use wukong_query::{execute, execute_step, finalize, parse_query, plan_query, BindingTable};
+use wukong_query::{GraphName, Query};
+use wukong_rdf::{Dir, Key, Pid, StreamId, StreamTuple, StringServer, Triple, Vid};
 use wukong_store::{BaseStore, IndexBatch, PersistentShard, SnapshotId, StreamIndex};
-use wukong_stream::{SnVtsPlanner, StalenessBound, Vts};
+use wukong_stream::{
+    dispatch, Batch, Injector, NodeStreamStore, SnVtsPlanner, StalenessBound, StreamSchema, Vts,
+};
 
 fn bench_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("store");
@@ -183,6 +190,127 @@ fn bench_executor(c: &mut Criterion) {
     });
 }
 
+/// The read path every firing and one-shot shares, layer by layer:
+/// one key over a window of N batches and one stored key (both through
+/// `NodeAccess`, i.e. cluster → shard → cell), an index-scan step that
+/// expands 100 K edges, and `finalize` over 100 K binding rows.
+fn bench_read_path(c: &mut Criterion) {
+    const USERS: u64 = 20_000;
+    let li = Pid(3);
+    let fo = Pid(2);
+
+    // 100 batches of 400 likes by 20 K users; stored: 12 follows each.
+    let cluster = Cluster::new(&EngineConfig::single_node());
+    let mut rng = StdRng::seed_from_u64(42);
+    for u in 1..=USERS {
+        for _ in 0..12 {
+            let v = rng.gen_range(1..=USERS);
+            cluster.load_base_triple(Triple::new(Vid(u), fo, Vid(v)));
+        }
+    }
+    let sidx = cluster.add_stream(StreamSchema::timeless(StreamId(0), "L", 100));
+    let stream = cluster.stream(sidx);
+    let mut node_store = NodeStreamStore::new(1 << 20);
+    for b in 1..=100u64 {
+        let tuples = (0..400)
+            .map(|_| {
+                let u = rng.gen_range(1..=USERS);
+                let post = rng.gen_range(1_000_000..1_050_000u64);
+                StreamTuple::timeless(Triple::new(Vid(u), li, Vid(post)), b * 100 - 1)
+            })
+            .collect();
+        let batch = Batch::sealed(StreamId(0), b * 100, tuples, 0);
+        let subs = dispatch(&batch, cluster.shard_map());
+        let (ib, _) = Injector.apply(
+            cluster.shard(0),
+            &mut node_store,
+            &subs[0],
+            b * 100,
+            SnapshotId(b),
+        );
+        stream.indexes[0].write().push_batch(ib);
+    }
+    let probes: Vec<Vid> = (0..1_024).map(|_| Vid(rng.gen_range(1..=USERS))).collect();
+    let access = NodeAccess::new(&cluster, NodeId(0));
+
+    let mut g = c.benchmark_group("window_lookup");
+    for batches in [10u64, 50, 100] {
+        let ctx = ExecContext {
+            sn: SnapshotId(100),
+            windows: vec![WindowInstance {
+                stream: StreamId(0),
+                lo: (100 - batches) * 100 + 1,
+                hi: 10_000,
+            }],
+        };
+        let mut i = 0;
+        let mut out = Vec::new();
+        g.bench_function(format!("{batches}_batches"), |b| {
+            b.iter(|| {
+                i = (i + 1) % probes.len();
+                out.clear();
+                let mut timer = TaskTimer::start();
+                let key = Key::new(probes[i], li, Dir::Out);
+                access.neighbors(key, GraphName::Stream(0), &ctx, &mut timer, &mut out);
+                black_box(out.len())
+            })
+        });
+    }
+    g.finish();
+
+    let stored_ctx = ExecContext::stored(SnapshotId(100));
+    let mut i = 0;
+    let mut out = Vec::new();
+    c.bench_function("stored_lookup", |b| {
+        b.iter(|| {
+            i = (i + 1) % probes.len();
+            out.clear();
+            let mut timer = TaskTimer::start();
+            let key = Key::new(probes[i], fo, Dir::Out);
+            access.neighbors(key, GraphName::Stored, &stored_ctx, &mut timer, &mut out);
+            black_box(out.len())
+        })
+    });
+
+    // `?X ht ?T` over 100 K tagged posts: one index scan, 100 K expansions.
+    let ss = StringServer::new();
+    let ht = ss.intern_predicate("ht").unwrap();
+    let mut st = BaseStore::new();
+    for i in 0..100_000u64 {
+        st.insert_base(Triple::new(Vid(10 + i), ht, Vid(500_000 + i % 64)));
+    }
+    let q: Query = parse_query(&ss, "SELECT ?X ?T WHERE { ?X ht ?T }").unwrap();
+    let local = LocalAccess(&st);
+    let ctx = ExecContext::stored(SnapshotId::BASE);
+    let plan = plan_query(&q, &local, &ctx);
+    let seed_table = BindingTable::seed(q.var_count as usize);
+    c.bench_function("index_scan_expand/100k", |b| {
+        b.iter(|| {
+            let mut timer = TaskTimer::start();
+            let out = execute_step(&plan.steps[0], &seed_table, &ctx, &local, &mut timer);
+            black_box(out.len())
+        })
+    });
+
+    let mut g = c.benchmark_group("finalize");
+    let mut timer = TaskTimer::start();
+    let sorted = execute_step(&plan.steps[0], &seed_table, &ctx, &local, &mut timer);
+    let mut shuffled = BindingTable::empty(sorted.width());
+    let mut order: Vec<usize> = (0..sorted.len()).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, rng.gen_range(0..=i));
+    }
+    for i in order {
+        shuffled.push_row(sorted.row(i));
+    }
+    for (name, table) in [("sorted_100k", &sorted), ("shuffled_100k", &shuffled)] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(finalize(&q, table.clone(), &[], &NoLiterals).rows.len()))
+        });
+    }
+    g.finish();
+}
+
 fn bench_fabric(c: &mut Criterion) {
     let mut g = c.benchmark_group("fabric");
     let rdma = Fabric::new(8, NetworkProfile::rdma());
@@ -201,6 +329,7 @@ criterion_group!(
     bench_stream_index,
     bench_consistency,
     bench_executor,
+    bench_read_path,
     bench_fabric
 );
 criterion_main!(benches);

@@ -664,4 +664,15 @@ mod tests {
         assert_eq!(fmt_ms(1984.4), "1,984");
         assert_eq!(fmt_ms(155.0), "155");
     }
+
+    #[test]
+    fn design_md_documents_the_current_schema_version() {
+        let design = include_str!("../../../DESIGN.md");
+        let heading = format!("### JSON report schema (version {JSON_SCHEMA_VERSION})");
+        let example = format!("\"schema_version\": {JSON_SCHEMA_VERSION},");
+        assert!(
+            design.contains(&heading) && design.contains(&example),
+            "DESIGN.md §7 lags JSON_SCHEMA_VERSION = {JSON_SCHEMA_VERSION}"
+        );
+    }
 }

@@ -21,7 +21,7 @@ use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::Arc;
 use wukong_net::{Fabric, NodeId, TaskTimer, WorkerPool};
-use wukong_rdf::{Key, StringServer, Triple, Vid};
+use wukong_rdf::{Key, StringServer, Timestamp, Triple, Vid};
 use wukong_store::{PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientStore};
 use wukong_stream::StreamSchema;
 
@@ -81,7 +81,10 @@ pub struct Cluster {
     shard_map: ShardMap,
     fabric: Fabric,
     strings: Arc<StringServer>,
-    streams: RwLock<Vec<Arc<StreamState>>>,
+    /// Registered streams, republished as a fresh slice on every
+    /// registration so a query takes the whole table with one lock and
+    /// one reference-count bump ([`Cluster::streams`]).
+    streams: RwLock<Arc<[Arc<StreamState>]>>,
     transient_budget: usize,
     /// Whether stream indexes replicate to subscriber nodes (§4.2).
     pub replicate_indexes: bool,
@@ -165,7 +168,7 @@ impl Cluster {
             shard_map: ShardMap::new(config.nodes as u16),
             fabric,
             strings,
-            streams: RwLock::new(Vec::new()),
+            streams: RwLock::new(Arc::from([])),
             transient_budget: config.transient_budget_bytes,
             replicate_indexes: config.replicate_stream_indexes,
             obs,
@@ -246,11 +249,12 @@ impl Cluster {
     pub fn add_stream(&self, schema: StreamSchema) -> usize {
         let mut streams = self.streams.write();
         let idx = streams.len();
-        streams.push(Arc::new(StreamState::new(
+        let state = Arc::new(StreamState::new(
             schema,
             self.nodes(),
             self.transient_budget,
-        )));
+        ));
+        *streams = streams.iter().cloned().chain([state]).collect();
         idx
     }
 
@@ -268,14 +272,44 @@ impl Cluster {
         self.streams.read().len()
     }
 
-    /// Snapshot of all stream states.
-    pub fn streams(&self) -> Vec<Arc<StreamState>> {
-        self.streams.read().clone()
+    /// Snapshot of all stream states, indexed like [`Cluster::stream`].
+    pub fn streams(&self) -> Arc<[Arc<StreamState>]> {
+        Arc::clone(&self.streams.read())
     }
 
-    /// Reads the stored-graph neighbours of `key` at `sn` for a task on
-    /// `home`, charging remote access as two one-sided reads (key lookup +
-    /// value read, §5).
+    /// Visits the stored-graph neighbours of `key` at `sn` for a task on
+    /// `home`, segment by segment, charging remote access as two one-sided
+    /// reads (key lookup + value read, §5).
+    ///
+    /// The owner partition's read lock is taken and the key's cell looked
+    /// up once; `visit` runs under that lock.
+    pub fn for_each_stored_slice(
+        &self,
+        home: NodeId,
+        key: Key,
+        sn: SnapshotId,
+        timer: &mut TaskTimer,
+        mut visit: impl FnMut(&[Vid]),
+    ) {
+        let owner = self.owner(key);
+        let mut read = 0;
+        self.shards[owner.idx()].with_cell(key, |cell| {
+            for seg in cell.into_iter().flat_map(|c| c.slices_at(sn)) {
+                read += seg.len();
+                visit(seg);
+            }
+        });
+        if owner != home {
+            // Lookup read (key + fat pointer) …
+            self.fabric.charge_read(home, owner, 24, timer);
+            // … then the value read.
+            let bytes = read * std::mem::size_of::<Vid>();
+            self.fabric.charge_read(home, owner, bytes.max(8), timer);
+        }
+    }
+
+    /// Reads the stored-graph neighbours of `key` at `sn` into `out`
+    /// (see [`Cluster::for_each_stored_slice`]).
     pub fn stored_neighbors(
         &self,
         home: NodeId,
@@ -284,16 +318,7 @@ impl Cluster {
         timer: &mut TaskTimer,
         out: &mut Vec<Vid>,
     ) {
-        let owner = self.owner(key);
-        let before = out.len();
-        self.shards[owner.idx()].for_each_neighbor(key, sn, |v| out.push(v));
-        if owner != home {
-            let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
-            // Lookup read (key + fat pointer) …
-            self.fabric.charge_read(home, owner, 24, timer);
-            // … then the value read.
-            self.fabric.charge_read(home, owner, bytes.max(8), timer);
-        }
+        self.for_each_stored_slice(home, key, sn, timer, |seg| out.extend_from_slice(seg));
     }
 
     /// Stored-graph cardinality of `key` at `sn` (planner oracle — metadata
@@ -302,25 +327,32 @@ impl Cluster {
         self.shards[self.owner(key).idx()].len_at(key, sn)
     }
 
-    /// Reads the streaming-data neighbours of `key` for stream `stream_idx`
-    /// within `[lo, hi]`: timeless tuples through the stream index,
-    /// timing tuples from the transient ring.
+    /// Visits the streaming-data neighbours of `key` in `stream` within
+    /// `[lo, hi]`, run by run with each run's batch timestamp: timeless
+    /// tuples through the stream index, timing tuples from the transient
+    /// ring.
+    ///
+    /// One call takes the owner's index lock, and — only once an in-window
+    /// batch turns out to have touched `key` — the owner partition's read
+    /// lock and the key's value cell, exactly once; every in-window fat
+    /// pointer is then served from that cell.
     ///
     /// With index replication the index itself is local; only remote
     /// *values* cost a read. Without replication, a non-owner node charges
-    /// an additional read for the index lookup (§4.2).
+    /// an additional read for the index lookup (§4.2). The timestamps ride
+    /// along with index metadata that is already replicated (or already
+    /// paid for by that extra read), so they add no fabric traffic.
     #[allow(clippy::too_many_arguments)]
-    pub fn stream_neighbors(
+    pub fn for_each_stream_slice(
         &self,
         home: NodeId,
-        stream_idx: usize,
+        stream: &StreamState,
         key: Key,
-        lo: u64,
-        hi: u64,
+        lo: Timestamp,
+        hi: Timestamp,
         timer: &mut TaskTimer,
-        out: &mut Vec<Vid>,
+        mut visit: impl FnMut(Timestamp, &[Vid]),
     ) {
-        let stream = self.stream(stream_idx);
         let owner = self.owner(key);
         let remote = owner != home;
 
@@ -336,47 +368,76 @@ impl Cluster {
             // whole cluster). The indexes are locally replicated, so the
             // scan itself costs no fabric reads; vertices whose first
             // `p`-edge predates the window are still found because every
-            // append touches the vertex's own key.
+            // append touches the vertex's own key. A scan yields vertices,
+            // not edges, so its runs carry the window end as timestamp.
             for index in &stream.indexes {
-                index.read().vertices_in(key.pid(), key.dir(), lo, hi, out);
+                index
+                    .read()
+                    .for_each_vertex_in(key.pid(), key.dir(), lo, hi, |v| visit(hi, &[v]));
             }
         } else {
             // Timeless: stream index → fat pointers → persistent values.
-            let before = out.len();
-            {
-                let index = stream.indexes[owner.idx()].read();
-                let shard = &self.shards[owner.idx()];
-                index.for_each_pointer_in(key, lo, hi, |fp| {
-                    shard.read_range(key, fp.start, fp.len, out);
+            let mut read = 0;
+            let index = stream.indexes[owner.idx()].read();
+            let mut pointers = index.pointers_in(key, lo, hi).peekable();
+            if pointers.peek().is_some() {
+                self.shards[owner.idx()].with_cell(key, |cell| {
+                    let Some(cell) = cell else { return };
+                    for (ts, fp) in pointers {
+                        for part in cell.range_slices(fp.start, fp.len) {
+                            read += part.len();
+                            visit(ts, part);
+                        }
+                    }
                 });
             }
-            if remote && out.len() > before {
-                let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
+            if remote && read > 0 {
+                let bytes = read * std::mem::size_of::<Vid>();
                 self.fabric.charge_read(home, owner, bytes, timer);
             }
         }
 
         // Timing: transient ring on the owner (index keys included — the
         // per-slice predicate index lives with the index key's owner).
-        let before = out.len();
-        {
-            let transient = stream.transients[owner.idx()].read();
-            transient.for_each_slice_in(lo, hi, |s| out.extend_from_slice(s.neighbors(key)));
-        }
-        if remote && out.len() > before {
-            let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
+        // Each slice is one batch, tagged with the batch timestamp.
+        let mut read = 0;
+        stream.transients[owner.idx()]
+            .read()
+            .for_each_slice_in(lo, hi, |s| {
+                let run = s.neighbors(key);
+                if !run.is_empty() {
+                    read += run.len();
+                    visit(s.timestamp, run);
+                }
+            });
+        if remote && read > 0 {
+            let bytes = read * std::mem::size_of::<Vid>();
             self.fabric.charge_read(home, owner, bytes, timer);
         }
+    }
+
+    /// Reads the streaming-data neighbours of `key` in `stream` within
+    /// `[lo, hi]` into `out` (see [`Cluster::for_each_stream_slice`]).
+    #[allow(clippy::too_many_arguments)]
+    pub fn stream_neighbors(
+        &self,
+        home: NodeId,
+        stream: &StreamState,
+        key: Key,
+        lo: Timestamp,
+        hi: Timestamp,
+        timer: &mut TaskTimer,
+        out: &mut Vec<Vid>,
+    ) {
+        self.for_each_stream_slice(home, stream, key, lo, hi, timer, |_, run| {
+            out.extend_from_slice(run)
+        });
     }
 
     /// Reads the streaming-data neighbours of `key` within `[lo, hi]`
     /// *with* each edge's contributing batch timestamp, for the
     /// delta-maintenance path: the tag is what lets a maintained firing
-    /// later retract exactly the rows whose support expired. Costs are
-    /// charged like [`Cluster::stream_neighbors`] — the timestamps ride
-    /// along with index metadata that is already replicated (or already
-    /// paid for by the extra index read without replication), so no
-    /// additional fabric traffic is modelled.
+    /// later retract exactly the rows whose support expired.
     ///
     /// Index keys are not supported: the incremental executor enumerates
     /// index subjects untimed and tags only their expansion edges.
@@ -384,79 +445,42 @@ impl Cluster {
     pub fn stream_neighbors_timed(
         &self,
         home: NodeId,
-        stream_idx: usize,
+        stream: &StreamState,
         key: Key,
-        lo: u64,
-        hi: u64,
+        lo: Timestamp,
+        hi: Timestamp,
         timer: &mut TaskTimer,
-        out: &mut Vec<(Vid, wukong_rdf::Timestamp)>,
+        out: &mut Vec<(Vid, Timestamp)>,
     ) {
         debug_assert!(
             !key.is_index(),
             "timed scans enumerate edges, not index vertices"
         );
-        let stream = self.stream(stream_idx);
-        let owner = self.owner(key);
-        let remote = owner != home;
-
-        if remote && !self.replicate_indexes {
-            // The index lives only with the owner: one extra read.
-            self.fabric.charge_read(home, owner, 24, timer);
-        }
-
-        // Timeless: stream index → timestamped fat pointers → values.
-        let before = out.len();
-        {
-            let index = stream.indexes[owner.idx()].read();
-            let shard = &self.shards[owner.idx()];
-            let mut vals = Vec::new();
-            index.for_each_pointer_timed_in(key, lo, hi, |ts, fp| {
-                vals.clear();
-                shard.read_range(key, fp.start, fp.len, &mut vals);
-                out.extend(vals.iter().map(|&v| (v, ts)));
-            });
-        }
-        if remote && out.len() > before {
-            let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
-            self.fabric.charge_read(home, owner, bytes, timer);
-        }
-
-        // Timing: each transient slice is one batch, tagged with the
-        // batch timestamp.
-        let before = out.len();
-        {
-            let transient = stream.transients[owner.idx()].read();
-            transient.for_each_slice_in(lo, hi, |s| {
-                let ts = s.timestamp;
-                out.extend(s.neighbors(key).iter().map(|&v| (v, ts)));
-            });
-        }
-        if remote && out.len() > before {
-            let bytes = (out.len() - before) * std::mem::size_of::<Vid>();
-            self.fabric.charge_read(home, owner, bytes, timer);
-        }
+        self.for_each_stream_slice(home, stream, key, lo, hi, timer, |ts, run| {
+            out.extend(run.iter().map(|&v| (v, ts)))
+        });
     }
 
     /// Streaming-data cardinality estimate for the planner (uncharged).
-    pub fn stream_len(&self, stream_idx: usize, key: Key, lo: u64, hi: u64) -> usize {
-        let stream = self.stream(stream_idx);
+    pub fn stream_len(
+        &self,
+        stream: &StreamState,
+        key: Key,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> usize {
         let owner = self.owner(key);
-        let idx_count = if key.is_index() {
-            let mut v = Vec::new();
+        let mut n = 0;
+        if key.is_index() {
             for index in &stream.indexes {
                 index
                     .read()
-                    .vertices_in(key.pid(), key.dir(), lo, hi, &mut v);
+                    .for_each_vertex_in(key.pid(), key.dir(), lo, hi, |_| n += 1);
             }
-            v.len()
         } else {
-            stream.indexes[owner.idx()].read().count_in(key, lo, hi)
-        };
-        let timing_count = stream.transients[owner.idx()]
-            .read()
-            .neighbors_in(key, lo, hi)
-            .len();
-        idx_count + timing_count
+            n += stream.indexes[owner.idx()].read().count_in(key, lo, hi);
+        }
+        n + stream.transients[owner.idx()].read().count_in(key, lo, hi)
     }
 
     /// Total persistent-store bytes across shards.
@@ -542,5 +566,105 @@ mod tests {
         let s = c.stream(0);
         assert_eq!(s.transients.len(), 2);
         assert_eq!(s.indexes.len(), 2);
+    }
+
+    #[test]
+    fn lock_once_window_reads_match_the_store_layer_index() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        use wukong_store::{BaseStore, IndexBatch};
+        // The same batches go into a plain `BaseStore` + `StreamIndex`
+        // (read pointer by pointer through `StreamIndex::neighbors_in`)
+        // and into a cluster (read through the lock-once, cell-once
+        // path): in time order first, then as catch-up replays that
+        // `insert_batch` slots between batches already pushed, with a
+        // consolidation in between so ranges straddle base and intervals.
+        let c = Cluster::new(&config(1));
+        let sidx = c.add_stream(StreamSchema::timeless(StreamId(0), "S", 100));
+        let stream = c.stream(sidx);
+        let mut base = BaseStore::new();
+        let mut reference = StreamIndex::new();
+
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut next = move |n: u64| rng.gen_range(0..n);
+        let mut sn = 0u64;
+        let mut feed = |ts: u64, replay: bool, next: &mut dyn FnMut(u64) -> u64| {
+            sn += 1;
+            let triples: Vec<Triple> = (0..next(12))
+                .map(|_| Triple::new(Vid(next(6) + 1), Pid(next(2) + 1), Vid(next(9) + 20)))
+                .collect();
+            let mut receipts = Vec::new();
+            for &t in &triples {
+                base.insert_at(t, SnapshotId(sn), &mut receipts);
+            }
+            let mirrored = c.shard(0).inject_batch(&triples, SnapshotId(sn));
+            assert_eq!(mirrored, receipts, "both stores append at the same offsets");
+            let mut index = stream.indexes[0].write();
+            if replay {
+                reference.insert_batch(IndexBatch::from_receipts(ts, &receipts));
+                index.insert_batch(IndexBatch::from_receipts(ts, &mirrored));
+            } else {
+                reference.push_batch(IndexBatch::from_receipts(ts, &receipts));
+                index.push_batch(IndexBatch::from_receipts(ts, &mirrored));
+            }
+            if sn == 12 {
+                base.consolidate(SnapshotId(8));
+                c.shard(0).consolidate(SnapshotId(8));
+            }
+        };
+        for b in 1..=20u64 {
+            feed(b * 100, false, &mut next);
+        }
+        for ts in [250, 250, 1_000, 1_950, 2_000] {
+            feed(ts, true, &mut next);
+        }
+
+        let mut timer = TaskTimer::start();
+        for v in 1..=6 {
+            for p in 1..=2 {
+                for dir in [Dir::Out, Dir::In] {
+                    let key = Key::new(Vid(v), Pid(p), dir);
+                    for _ in 0..20 {
+                        let lo = next(2_200);
+                        let hi = lo + next(1_200);
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        c.stream_neighbors(NodeId(0), &stream, key, lo, hi, &mut timer, &mut got);
+                        reference.neighbors_in(&base, key, lo, hi, &mut want);
+                        assert_eq!(got, want, "{key:?} in [{lo}, {hi}]");
+                        assert_eq!(c.stream_len(&stream, key, lo, hi), want.len());
+
+                        let mut timed = Vec::new();
+                        c.stream_neighbors_timed(
+                            NodeId(0),
+                            &stream,
+                            key,
+                            lo,
+                            hi,
+                            &mut timer,
+                            &mut timed,
+                        );
+                        let mut timed_want = Vec::new();
+                        reference.neighbors_timed_in(&base, key, lo, hi, &mut timed_want);
+                        assert_eq!(timed, timed_want, "{key:?} in [{lo}, {hi}], timed");
+                    }
+                }
+            }
+        }
+        // A window scan of the index vertex sees every touched subject.
+        let mut got = Vec::new();
+        let index_key = Key::index(Pid(1), Dir::Out);
+        c.stream_neighbors(
+            NodeId(0),
+            &stream,
+            index_key,
+            0,
+            2_000,
+            &mut timer,
+            &mut got,
+        );
+        let mut want = Vec::new();
+        reference.vertices_in(Pid(1), Dir::Out, 0, 2_000, &mut want);
+        assert_eq!(got, want);
+        assert_eq!(c.stream_len(&stream, index_key, 0, 2_000), want.len());
+        assert!(!want.is_empty());
     }
 }

@@ -2250,7 +2250,7 @@ impl WukongS {
         let mut stream_index_bytes = 0;
         let mut transient_bytes = 0;
         let mut raw_stream_bytes = 0;
-        for s in self.cluster.streams() {
+        for s in self.cluster.streams().iter() {
             stream_index_bytes += s.index_bytes();
             transient_bytes += s.transient_bytes();
             raw_stream_bytes += *s.raw_bytes.read() as usize;

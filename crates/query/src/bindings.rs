@@ -84,16 +84,35 @@ impl BindingTable {
         self.rows[start + var as usize] = value;
     }
 
-    /// Retains only rows for which `keep` returns true.
+    /// Appends `base` with two distinct slots replaced.
+    pub fn push_bound2(&mut self, base: &[Vid], a: (u8, Vid), b: (u8, Vid)) {
+        let start = self.rows.len();
+        self.rows.extend_from_slice(base);
+        self.rows[start + a.0 as usize] = a.1;
+        self.rows[start + b.0 as usize] = b.1;
+    }
+
+    /// Drops every row, keeping the allocation — lets a caller reuse one
+    /// table as the output of step after step.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+    }
+
+    /// Retains only rows for which `keep` returns true, compacting in
+    /// place.
     pub fn retain(&mut self, mut keep: impl FnMut(&[Vid]) -> bool) {
         let width = self.width;
-        let mut out = Vec::with_capacity(self.rows.len());
-        for chunk in self.rows.chunks_exact(width) {
-            if keep(chunk) {
-                out.extend_from_slice(chunk);
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let at = i * width;
+            if keep(&self.rows[at..at + width]) {
+                if kept != at {
+                    self.rows.copy_within(at..at + width, kept);
+                }
+                kept += width;
             }
         }
-        self.rows = out;
+        self.rows.truncate(kept);
     }
 
     /// Iterates over rows.
@@ -108,17 +127,15 @@ impl BindingTable {
     /// projection makes row order, float-aggregation order, and
     /// `LIMIT` truncation identical across all of them.
     pub fn sort_rows(&mut self) {
-        let width = self.width;
-        if self.rows.len() <= width {
+        // Exploration from a sorted subject list over append-ordered
+        // values very often arrives sorted already; one linear pass then
+        // replaces the sort and the copy.
+        if self.iter().zip(self.iter().skip(1)).all(|(a, b)| a <= b) {
             return;
         }
-        let mut chunks: Vec<&[Vid]> = self.rows.chunks_exact(width).collect();
+        let mut chunks: Vec<&[Vid]> = self.rows.chunks_exact(self.width).collect();
         chunks.sort_unstable();
-        let mut out = Vec::with_capacity(self.rows.len());
-        for c in chunks {
-            out.extend_from_slice(c);
-        }
-        self.rows = out;
+        self.rows = chunks.concat();
     }
 
     /// Approximate wire size when shipped between nodes (fork-join cost).
@@ -170,6 +187,101 @@ mod tests {
     fn wrong_width_panics() {
         let mut t = BindingTable::empty(2);
         t.push_row(&[Vid(1)]);
+    }
+
+    /// A cheap deterministic sequence for the random tables below.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
+    }
+
+    /// A `rows`-row table over a small value domain (so whole rows
+    /// repeat) with [`UNBOUND`] mixed in.
+    fn random_table(seed: &mut u64, width: usize, rows: usize) -> BindingTable {
+        let mut t = BindingTable::empty(width);
+        for _ in 0..rows {
+            let row: Vec<Vid> = (0..width)
+                .map(|_| match lcg(seed) % 5 {
+                    0 => UNBOUND,
+                    v => Vid(v),
+                })
+                .collect();
+            t.push_row(&row);
+        }
+        t
+    }
+
+    /// The pre-rewrite `sort_rows`: always sorts row references and
+    /// gathers them into a fresh buffer.
+    fn sort_rows_oracle(t: &BindingTable) -> BindingTable {
+        let mut chunks: Vec<&[Vid]> = t.rows.chunks_exact(t.width).collect();
+        chunks.sort_unstable();
+        BindingTable::from_flat(t.width, chunks.concat())
+    }
+
+    /// The pre-rewrite `retain`: copies the kept rows into a fresh buffer.
+    fn retain_oracle(t: &BindingTable, mut keep: impl FnMut(&[Vid]) -> bool) -> BindingTable {
+        let mut out = BindingTable::empty(t.width);
+        for row in t.iter().filter(|r| keep(r)) {
+            out.push_row(row);
+        }
+        out
+    }
+
+    #[test]
+    fn sort_rows_matches_the_full_sort() {
+        // Every table is also re-sorted once sorted (the early return).
+        let mut seed = 7;
+        for width in 1..=4 {
+            for rows in [0, 1, 2, 3, 17, 200] {
+                let mut t = random_table(&mut seed, width, rows);
+                let want = sort_rows_oracle(&t);
+                t.sort_rows();
+                assert_eq!(t, want, "width {width}, {rows} rows");
+                t.sort_rows();
+                assert_eq!(t, want, "width {width}, {rows} rows, already sorted");
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_retain_matches_the_copying_one() {
+        let mut seed = 11;
+        for width in 1..=4 {
+            for rows in [0, 1, 2, 50] {
+                let t = random_table(&mut seed, width, rows);
+                type Keep = fn(&[Vid]) -> bool;
+                let predicates: [Keep; 4] = [
+                    |_| true,
+                    |_| false,
+                    |r| r[0] != UNBOUND,
+                    |r| r.iter().map(|v| v.0 % 7).sum::<u64>() % 2 == 0,
+                ];
+                for (i, keep) in predicates.into_iter().enumerate() {
+                    let mut got = t.clone();
+                    got.retain(keep);
+                    assert_eq!(got, retain_oracle(&t, keep), "width {width}, predicate {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_bound2_replaces_two_slots() {
+        let mut t = BindingTable::empty(3);
+        t.push_bound2(&[UNBOUND, Vid(5), UNBOUND], (2, Vid(9)), (0, Vid(1)));
+        assert_eq!(t.row(0), &[Vid(1), Vid(5), Vid(9)]);
+    }
+
+    #[test]
+    fn clear_keeps_the_width() {
+        let mut t = BindingTable::seed(2);
+        t.clear();
+        assert!(t.is_empty());
+        t.push_row(&[Vid(1), Vid(2)]);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]

@@ -108,6 +108,15 @@ pub(crate) fn concrete(term: Term, row: &[Vid]) -> Option<Vid> {
     }
 }
 
+/// Buffers [`execute_step_into`] reuses from step to step; owned by the
+/// caller (one per execution), so repeated steps stop allocating once the
+/// buffers have grown to the step's fan-out.
+#[derive(Debug, Default)]
+pub struct StepScratch {
+    neighbors: Vec<Vid>,
+    subjects: Vec<Vid>,
+}
+
 /// Executes one step, producing the expanded binding table.
 pub fn execute_step(
     step: &Step,
@@ -117,8 +126,27 @@ pub fn execute_step(
     timer: &mut TaskTimer,
 ) -> BindingTable {
     let mut out = BindingTable::empty(input.width());
+    let mut scratch = StepScratch::default();
+    execute_step_into(step, input, ctx, access, timer, &mut scratch, &mut out);
+    out
+}
+
+/// [`execute_step`] into a caller-owned table: `out` is cleared, then
+/// filled with the expanded rows, keeping whatever capacity it (and
+/// `scratch`) already had.
+pub fn execute_step_into(
+    step: &Step,
+    input: &BindingTable,
+    ctx: &ExecContext,
+    access: &impl GraphAccess,
+    timer: &mut TaskTimer,
+    scratch: &mut StepScratch,
+    out: &mut BindingTable,
+) {
+    debug_assert_eq!(out.width(), input.width(), "step output width mismatch");
+    out.clear();
     let p = &step.pattern;
-    let mut buf: Vec<Vid> = Vec::new();
+    let buf = &mut scratch.neighbors;
 
     match step.mode {
         StepMode::FromSubject | StepMode::FromObject => {
@@ -144,8 +172,8 @@ pub fn execute_step(
                     None => {
                         let var = target_term.var().expect("non-concrete term is a var");
                         buf.clear();
-                        access.neighbors(key, p.graph, ctx, timer, &mut buf);
-                        for &n in &buf {
+                        access.neighbors(key, p.graph, ctx, timer, buf);
+                        for &n in buf.iter() {
                             out.push_bound(row, var, n);
                         }
                     }
@@ -157,55 +185,49 @@ pub fn execute_step(
             // each subject to its objects. The index is duplicate-free on
             // the persistent store but only per-slice on transient
             // windows, so deduplicate before expanding.
-            let mut subjects: Vec<Vid> = Vec::new();
-            access.neighbors(
-                Key::index(p.p, Dir::Out),
-                p.graph,
-                ctx,
-                timer,
-                &mut subjects,
-            );
+            let subjects = &mut scratch.subjects;
+            subjects.clear();
+            access.neighbors(Key::index(p.p, Dir::Out), p.graph, ctx, timer, subjects);
             subjects.sort_unstable();
             subjects.dedup();
             let s_var = p.s.var();
             for row in input.iter() {
-                for &s in &subjects {
-                    // If the pattern subject is a bound var, honour it.
-                    if let Some(bound_s) = concrete(p.s, row) {
-                        if bound_s != s {
-                            continue;
-                        }
-                    }
+                // A subject variable a previous step already bound keeps
+                // only that subject — found by bisection, not by walking
+                // the whole list; an unbound one takes the enumerated value.
+                let (candidates, bind_s) = match concrete(p.s, row) {
+                    Some(bound) => match subjects.binary_search(&bound) {
+                        Ok(i) => (&subjects[i..=i], None),
+                        Err(_) => continue,
+                    },
+                    None => (subjects.as_slice(), s_var),
+                };
+                let bound_o = concrete(p.o, row);
+                for &s in candidates {
                     let key = Key::new(s, p.p, Dir::Out);
-                    match concrete(p.o, row) {
+                    match bound_o {
                         Some(t) => {
                             for _ in 0..access.count_occurrences(key, t, p.graph, ctx, timer) {
-                                match s_var {
-                                    Some(v) if row[v as usize] == UNBOUND => {
-                                        out.push_bound(row, v, s)
-                                    }
-                                    _ => out.push_row(row),
+                                match bind_s {
+                                    Some(v) => out.push_bound(row, v, s),
+                                    None => out.push_row(row),
                                 }
                             }
                         }
                         None => {
                             let o_var = p.o.var().expect("non-concrete term is a var");
                             buf.clear();
-                            access.neighbors(key, p.graph, ctx, timer, &mut buf);
-                            for &n in &buf {
-                                let mut tmp = row.to_vec();
-                                if let Some(v) = s_var {
-                                    if tmp[v as usize] == UNBOUND {
-                                        tmp[v as usize] = s;
+                            access.neighbors(key, p.graph, ctx, timer, buf);
+                            // Repeated variable (`?X p ?X`): both positions
+                            // must agree, and the subject has the slot.
+                            let o_is_s = s_var == Some(o_var);
+                            for &n in buf.iter().filter(|&&n| !o_is_s || n == s) {
+                                match bind_s {
+                                    Some(v) if v != o_var => {
+                                        out.push_bound2(row, (v, s), (o_var, n))
                                     }
+                                    _ => out.push_bound(row, o_var, n),
                                 }
-                                // Repeated variable (`?X p ?X`): both
-                                // positions must agree.
-                                if s_var == Some(o_var) && tmp[o_var as usize] != n {
-                                    continue;
-                                }
-                                tmp[o_var as usize] = n;
-                                out.push_row(&tmp);
                             }
                         }
                     }
@@ -213,7 +235,79 @@ pub fn execute_step(
             }
         }
     }
-    out
+}
+
+/// A binding table stepped in place: each step writes into the spare
+/// table and the two swap, so a chain of steps allocates only while the
+/// pair and the scratch are still growing.
+struct StepRunner {
+    table: BindingTable,
+    spare: BindingTable,
+    scratch: StepScratch,
+}
+
+impl StepRunner {
+    fn new(table: BindingTable) -> Self {
+        StepRunner {
+            spare: BindingTable::empty(table.width()),
+            table,
+            scratch: StepScratch::default(),
+        }
+    }
+
+    fn step(
+        &mut self,
+        step: &Step,
+        ctx: &ExecContext,
+        access: &impl GraphAccess,
+        timer: &mut TaskTimer,
+    ) {
+        execute_step_into(
+            step,
+            &self.table,
+            ctx,
+            access,
+            timer,
+            &mut self.scratch,
+            &mut self.spare,
+        );
+        std::mem::swap(&mut self.table, &mut self.spare);
+    }
+
+    fn into_table(self) -> BindingTable {
+        self.table
+    }
+
+    /// Runs `steps` until one leaves no rows; returns the resulting table.
+    fn steps(
+        &mut self,
+        steps: &[Step],
+        ctx: &ExecContext,
+        access: &impl GraphAccess,
+        timer: &mut TaskTimer,
+    ) -> &BindingTable {
+        for step in steps {
+            self.step(step, ctx, access, timer);
+            if self.table.is_empty() {
+                break;
+            }
+        }
+        &self.table
+    }
+
+    /// [`Self::steps`] starting from the single row `row`.
+    fn steps_from_row(
+        &mut self,
+        row: &[Vid],
+        steps: &[Step],
+        ctx: &ExecContext,
+        access: &impl GraphAccess,
+        timer: &mut TaskTimer,
+    ) -> &BindingTable {
+        self.table.clear();
+        self.table.push_row(row);
+        self.steps(steps, ctx, access, timer)
+    }
 }
 
 /// Applies every not-yet-applied filter whose variable is now bound.
@@ -436,15 +530,9 @@ pub fn apply_optional(
     let plan = crate::planner::plan_patterns(&query.optional, &bound, access, ctx);
 
     let mut out = BindingTable::empty(table.width());
+    let mut run = StepRunner::new(BindingTable::empty(table.width()));
     for row in table.iter() {
-        let mut sub = BindingTable::empty(table.width());
-        sub.push_row(row);
-        for step in &plan.steps {
-            sub = execute_step(step, &sub, ctx, access, timer);
-            if sub.is_empty() {
-                break;
-            }
-        }
+        let sub = run.steps_from_row(row, &plan.steps, ctx, access, timer);
         if sub.is_empty() {
             out.push_row(row);
         } else {
@@ -479,14 +567,8 @@ pub fn apply_union(
     let mut out = BindingTable::empty(table.width());
     for group in &query.union_groups {
         let plan = crate::planner::plan_patterns(group, &bound, access, ctx);
-        let mut branch = table.clone();
-        for step in &plan.steps {
-            branch = execute_step(step, &branch, ctx, access, timer);
-            if branch.is_empty() {
-                break;
-            }
-        }
-        for row in branch.iter() {
+        let mut run = StepRunner::new(table.clone());
+        for row in run.steps(&plan.steps, ctx, access, timer).iter() {
             out.push_row(row);
         }
     }
@@ -524,17 +606,13 @@ pub fn apply_not_exists(
         .collect();
 
     let mut out = BindingTable::empty(table.width());
+    let mut run = StepRunner::new(BindingTable::empty(table.width()));
     'rows: for row in table.iter() {
         for plan in &plans {
-            let mut sub = BindingTable::empty(table.width());
-            sub.push_row(row);
-            for step in &plan.steps {
-                sub = execute_step(step, &sub, ctx, access, timer);
-                if sub.is_empty() {
-                    break;
-                }
-            }
-            if !sub.is_empty() {
+            if !run
+                .steps_from_row(row, &plan.steps, ctx, access, timer)
+                .is_empty()
+            {
                 continue 'rows; // a witness exists: the row is filtered out
             }
         }
@@ -592,7 +670,7 @@ pub fn execute_with_fanout(
     trace: &mut StageTrace,
     fanout: &mut Vec<(u64, u64)>,
 ) -> ResultSet {
-    let mut table = BindingTable::seed(query.var_count as usize);
+    let mut run = StepRunner::new(BindingTable::seed(query.var_count as usize));
     let mut applied = vec![false; query.filters.len()];
     let t0 = timer.total_ns();
 
@@ -600,14 +678,16 @@ pub fn execute_with_fanout(
     fanout.clear();
     fanout.resize(plan.steps.len(), (0, 0));
     for (si, step) in plan.steps.iter().enumerate() {
-        let in_rows = table.len() as u64;
-        table = execute_step(step, &table, ctx, access, timer);
-        fanout[si] = (in_rows, table.len() as u64);
-        apply_ready_filters(&mut table, &query.filters, &mut applied, lit);
-        if table.is_empty() {
+        let in_rows = run.table.len() as u64;
+        run.step(step, ctx, access, timer);
+        fanout[si] = (in_rows, run.table.len() as u64);
+        apply_ready_filters(&mut run.table, &query.filters, &mut applied, lit);
+        if run.table.is_empty() {
             break;
         }
     }
+    // Frees the spare table and the scratch before projection allocates.
+    let mut table = run.into_table();
 
     table = apply_union(query, table, ctx, access, timer);
     apply_ready_filters(&mut table, &query.filters, &mut applied, lit);
@@ -973,6 +1053,179 @@ mod tests {
         st.insert_base(Triple::new(b, p, b));
         let rs = run(&ss, &st, "SELECT ?X WHERE { ?X p ?X }");
         assert_eq!(rs.rows, vec![vec![b]]);
+    }
+
+    /// The pre-rewrite index-scan arm of `execute_step`: walks every
+    /// subject for every input row and builds each output row in a
+    /// temporary `Vec`. Kept as the oracle the rewritten arm is compared
+    /// against.
+    fn index_scan_oracle(
+        step: &Step,
+        input: &BindingTable,
+        ctx: &ExecContext,
+        access: &impl GraphAccess,
+        timer: &mut TaskTimer,
+    ) -> BindingTable {
+        let mut out = BindingTable::empty(input.width());
+        let p = &step.pattern;
+        let mut buf: Vec<Vid> = Vec::new();
+        let mut subjects: Vec<Vid> = Vec::new();
+        access.neighbors(
+            Key::index(p.p, Dir::Out),
+            p.graph,
+            ctx,
+            timer,
+            &mut subjects,
+        );
+        subjects.sort_unstable();
+        subjects.dedup();
+        let s_var = p.s.var();
+        for row in input.iter() {
+            for &s in &subjects {
+                if let Some(bound_s) = concrete(p.s, row) {
+                    if bound_s != s {
+                        continue;
+                    }
+                }
+                let key = Key::new(s, p.p, Dir::Out);
+                match concrete(p.o, row) {
+                    Some(t) => {
+                        for _ in 0..access.count_occurrences(key, t, p.graph, ctx, timer) {
+                            match s_var {
+                                Some(v) if row[v as usize] == UNBOUND => out.push_bound(row, v, s),
+                                _ => out.push_row(row),
+                            }
+                        }
+                    }
+                    None => {
+                        let o_var = p.o.var().expect("non-concrete term is a var");
+                        buf.clear();
+                        access.neighbors(key, p.graph, ctx, timer, &mut buf);
+                        for &n in &buf {
+                            let mut tmp = row.to_vec();
+                            if let Some(v) = s_var {
+                                if tmp[v as usize] == UNBOUND {
+                                    tmp[v as usize] = s;
+                                }
+                            }
+                            if s_var == Some(o_var) && tmp[o_var as usize] != n {
+                                continue;
+                            }
+                            tmp[o_var as usize] = n;
+                            out.push_row(&tmp);
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn index_scan_arm_matches_the_row_copying_one() {
+        use crate::ast::TriplePattern;
+        // A small graph with duplicate edges and self-loops over
+        // vertices 1..=6, scanned with every subject/object term shape
+        // from input rows that leave the terms' variables unbound, bind
+        // them to present vertices, and bind them to absent ones.
+        let p = wukong_rdf::Pid(1);
+        let mut st = BaseStore::new();
+        let mut seed = 3u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            Vid((seed >> 33) % 6 + 1)
+        };
+        for _ in 0..30 {
+            st.insert_base(Triple::new(next(), p, next()));
+        }
+        let access = LocalAccess(&st);
+        let ctx = ExecContext::stored(SnapshotId::BASE);
+
+        let mut input = BindingTable::empty(3);
+        for a in [UNBOUND, Vid(2), Vid(5), Vid(99)] {
+            for b in [UNBOUND, Vid(1), Vid(5), Vid(42)] {
+                input.push_row(&[a, b, Vid(7)]);
+            }
+        }
+        let terms = [
+            Term::Var(0),
+            Term::Var(1),
+            Term::Const(Vid(5)),
+            Term::Const(Vid(77)),
+        ];
+        for s in terms {
+            for o in terms {
+                let step = Step {
+                    pattern: TriplePattern {
+                        s,
+                        p,
+                        o,
+                        graph: PatternSource::Stored,
+                    },
+                    mode: StepMode::IndexScan,
+                    estimate: 0,
+                };
+                let mut timer = TaskTimer::start();
+                let got = execute_step(&step, &input, &ctx, &access, &mut timer);
+                let want = index_scan_oracle(&step, &input, &ctx, &access, &mut timer);
+                assert_eq!(got, want, "pattern {s:?} p {o:?}");
+            }
+        }
+        // `?X p ?X` from unbound rows binds exactly the self-loops.
+        let step = Step {
+            pattern: TriplePattern {
+                s: Term::Var(0),
+                p,
+                o: Term::Var(0),
+                graph: PatternSource::Stored,
+            },
+            mode: StepMode::IndexScan,
+            estimate: 0,
+        };
+        let mut timer = TaskTimer::start();
+        let seed_row = BindingTable::seed(3);
+        let got = execute_step(&step, &seed_row, &ctx, &access, &mut timer);
+        assert!(!got.is_empty(), "the graph has self-loops");
+        assert!(got.iter().all(|r| st.exists_at(r[0], p, r[0], ctx.sn)));
+    }
+
+    #[test]
+    fn stepping_into_a_reused_table_matches_fresh_tables() {
+        // One output table and one scratch reused across steps and across
+        // executions must not leak rows or neighbours between them.
+        let ss = StringServer::new();
+        let st = x_lab(&ss);
+        let access = LocalAccess(&st);
+        let ctx = ExecContext::stored(SnapshotId::BASE);
+        let mut scratch = StepScratch::default();
+        let mut out = BindingTable::empty(3);
+        for text in [
+            "SELECT ?X ?Y WHERE { ?X fo ?Y . ?Y po ?Z . ?Z ht #sosp17 }",
+            "SELECT ?X ?Y WHERE { ?X fo ?Y . ?Y fo ?X }",
+            "SELECT ?X WHERE { Thor po ?X }",
+        ] {
+            let q = parse_query(&ss, text).unwrap();
+            let plan = plan_query(&q, &access, &ctx);
+            let mut fresh = BindingTable::seed(3);
+            let mut reused = BindingTable::seed(3);
+            let mut timer = TaskTimer::start();
+            for step in &plan.steps {
+                fresh = execute_step(step, &fresh, &ctx, &access, &mut timer);
+                execute_step_into(
+                    step,
+                    &reused,
+                    &ctx,
+                    &access,
+                    &mut timer,
+                    &mut scratch,
+                    &mut out,
+                );
+                std::mem::swap(&mut reused, &mut out);
+                assert_eq!(reused, fresh, "{text}");
+            }
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ use crate::executor::{concrete, finalize, ResultSet};
 use crate::plan::{Plan, Step, StepMode};
 use wukong_net::TaskTimer;
 use wukong_obs::{Stage, StageTrace};
-use wukong_rdf::{Dir, Key, Timestamp, Vid};
+use wukong_rdf::{Dir, Key, KeyMap, Timestamp, Vid};
 
 /// Death of a row no stream edge has contributed to yet (never expires).
 pub const NO_DEATH: Timestamp = Timestamp::MAX;
@@ -264,7 +264,7 @@ fn step_ctx(base: &ExecContext, g: usize, lo: Timestamp, hi: Timestamp) -> ExecC
 /// per input row, never deduplicated.
 #[derive(Default)]
 struct ScanMemo {
-    map: std::collections::HashMap<Key, (usize, usize)>,
+    map: KeyMap<(usize, usize)>,
     arena: Vec<(Vid, Timestamp)>,
 }
 

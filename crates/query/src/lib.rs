@@ -47,7 +47,8 @@ pub use error::QueryError;
 pub use exec::{GraphAccess, LiteralResolver, PatternSource, TimedGraphAccess};
 pub use executor::{
     apply_not_exists, apply_optional, apply_ready_filters, apply_union, execute, execute_step,
-    execute_traced, execute_with_fanout, finalize, Degraded, ResultSet,
+    execute_step_into, execute_traced, execute_with_fanout, finalize, Degraded, ResultSet,
+    StepScratch,
 };
 pub use incremental::{incrementalizable, DeltaState, DeltaStats};
 pub use parser::parse_query;

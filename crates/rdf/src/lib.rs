@@ -17,6 +17,7 @@
 
 pub mod error;
 pub mod id;
+pub mod keymap;
 pub mod ntriples;
 pub mod string_server;
 pub mod triple;
@@ -24,6 +25,7 @@ pub mod tuple;
 
 pub use error::RdfError;
 pub use id::{Dir, Key, Pid, Vid, INDEX_VID, MAX_PID, MAX_VID};
+pub use keymap::{KeyHasher, KeyMap, KeySet};
 pub use string_server::StringServer;
 pub use triple::Triple;
 pub use tuple::{StreamId, StreamTuple, Timestamp, TupleKind};

@@ -14,8 +14,7 @@
 //! rely on (§4.2).
 
 use crate::snapshot::SnapshotId;
-use std::collections::HashMap;
-use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
+use wukong_rdf::{Dir, Key, KeyMap, Pid, Triple, Vid};
 
 /// One key's value: the base segment plus bounded snapshot intervals.
 #[derive(Debug, Default, Clone)]
@@ -84,46 +83,50 @@ impl ValueCell {
         self.intervals.len()
     }
 
+    /// The segments visible at snapshot `sn`, in logical order: the base
+    /// segment, then every interval with snapshot ≤ `sn`.
+    pub fn slices_at(&self, sn: SnapshotId) -> impl Iterator<Item = &[Vid]> {
+        std::iter::once(self.base.as_slice()).chain(
+            self.intervals
+                .iter()
+                .take_while(move |(s, _)| *s <= sn)
+                .map(|(_, seg)| seg.as_slice()),
+        )
+    }
+
     /// Visits the neighbours visible at snapshot `sn`.
     pub fn for_each_at(&self, sn: SnapshotId, mut f: impl FnMut(Vid)) {
-        for &v in &self.base {
-            f(v);
-        }
-        for (s, seg) in &self.intervals {
-            if *s > sn {
-                break;
-            }
-            for &v in seg {
-                f(v);
-            }
+        for seg in self.slices_at(sn) {
+            seg.iter().copied().for_each(&mut f);
         }
     }
 
-    /// Copies the logical range `[start, start + len)` into `out`.
+    /// The parts of the logical range `[start, start + len)`, segment by
+    /// segment, in logical order.
     ///
     /// Ranges come from stream-index fat pointers and always lie within the
     /// already-written part of the cell; out-of-range requests are clipped.
+    pub fn range_slices(&self, start: u32, len: u32) -> impl Iterator<Item = &[Vid]> {
+        let mut skip = start as usize;
+        let mut take = len as usize;
+        std::iter::once(self.base.as_slice())
+            .chain(self.intervals.iter().map(|(_, seg)| seg.as_slice()))
+            .map_while(move |seg| {
+                if take == 0 {
+                    return None;
+                }
+                let from = skip.min(seg.len());
+                skip -= from;
+                let part = &seg[from..(from + take).min(seg.len())];
+                take -= part.len();
+                Some(part)
+            })
+    }
+
+    /// Copies the logical range `[start, start + len)` into `out`.
     pub fn read_range(&self, start: u32, len: u32, out: &mut Vec<Vid>) {
-        let mut remaining_skip = start as usize;
-        let mut remaining_take = len as usize;
-        let mut segs: Vec<&[Vid]> = Vec::with_capacity(1 + self.intervals.len());
-        segs.push(&self.base);
-        for (_, seg) in &self.intervals {
-            segs.push(seg);
-        }
-        for seg in segs {
-            if remaining_take == 0 {
-                break;
-            }
-            if remaining_skip >= seg.len() {
-                remaining_skip -= seg.len();
-                continue;
-            }
-            let avail = &seg[remaining_skip..];
-            let take = avail.len().min(remaining_take);
-            out.extend_from_slice(&avail[..take]);
-            remaining_take -= take;
-            remaining_skip = 0;
+        for part in self.range_slices(start, len) {
+            out.extend_from_slice(part);
         }
     }
 
@@ -156,7 +159,7 @@ pub struct AppendReceipt {
 /// The in-memory key/value graph store of one shard (or partition).
 #[derive(Debug, Default)]
 pub struct BaseStore {
-    map: HashMap<Key, ValueCell>,
+    map: KeyMap<ValueCell>,
     triple_count: u64,
 }
 
@@ -268,6 +271,13 @@ impl BaseStore {
         for (k, c) in &self.map {
             f(*k, c);
         }
+    }
+
+    /// The value cell of `key`, if the store holds one — the one hash
+    /// probe a read needs; every range or snapshot view is then served
+    /// from the cell.
+    pub fn cell(&self, key: Key) -> Option<&ValueCell> {
+        self.map.get(&key)
     }
 
     /// Visits the neighbours of `key` visible at snapshot `sn`.
@@ -469,6 +479,94 @@ mod tests {
         st.insert_at(t(1, 2, 3), SnapshotId(5), &mut rc);
         assert!(!st.exists_at(Vid(1), Pid(2), Vid(3), SnapshotId(4)));
         assert!(st.exists_at(Vid(1), Pid(2), Vid(3), SnapshotId(5)));
+    }
+
+    /// The pre-rewrite `read_range`: collects the segments into a `Vec`
+    /// first. Kept as the oracle the slice walk is compared against.
+    fn read_range_oracle(cell: &ValueCell, start: u32, len: u32, out: &mut Vec<Vid>) {
+        let mut remaining_skip = start as usize;
+        let mut remaining_take = len as usize;
+        let mut segs: Vec<&[Vid]> = Vec::with_capacity(1 + cell.intervals.len());
+        segs.push(&cell.base);
+        for (_, seg) in &cell.intervals {
+            segs.push(seg);
+        }
+        for seg in segs {
+            if remaining_take == 0 {
+                break;
+            }
+            if remaining_skip >= seg.len() {
+                remaining_skip -= seg.len();
+                continue;
+            }
+            let avail = &seg[remaining_skip..];
+            let take = avail.len().min(remaining_take);
+            out.extend_from_slice(&avail[..take]);
+            remaining_take -= take;
+            remaining_skip = 0;
+        }
+    }
+
+    /// The pre-rewrite `for_each_at`: one closure call per element.
+    fn for_each_at_oracle(cell: &ValueCell, sn: SnapshotId, mut f: impl FnMut(Vid)) {
+        for &v in &cell.base {
+            f(v);
+        }
+        for (s, seg) in &cell.intervals {
+            if *s > sn {
+                break;
+            }
+            for &v in seg {
+                f(v);
+            }
+        }
+    }
+
+    #[test]
+    fn slice_walks_match_the_old_segment_vector() {
+        // A cell with a base segment and intervals of uneven length
+        // (including an empty base before the first consolidation), probed
+        // at every (start, len) — across every segment boundary, past the
+        // end — and at every snapshot, before and after consolidation.
+        let mut next = 100u64;
+        for base_len in [0usize, 1, 3] {
+            let mut cell = ValueCell::default();
+            for _ in 0..base_len {
+                cell.append(Vid(next), SnapshotId::BASE);
+                next += 1;
+            }
+            cell.consolidate(SnapshotId::BASE);
+            for (sn, n) in [(1u64, 2usize), (2, 1), (4, 4), (5, 1)] {
+                for _ in 0..n {
+                    cell.append(Vid(next), SnapshotId(sn));
+                    next += 1;
+                }
+            }
+            for consolidate_upto in [None, Some(1u64), Some(3), Some(5)] {
+                if let Some(upto) = consolidate_upto {
+                    cell.consolidate(SnapshotId(upto));
+                }
+                let total = cell.total_len() as u32;
+                for start in 0..=total + 1 {
+                    for len in 0..=total + 2 {
+                        let (mut got, mut want) = (Vec::new(), Vec::new());
+                        cell.read_range(start, len, &mut got);
+                        read_range_oracle(&cell, start, len, &mut want);
+                        assert_eq!(got, want, "range ({start}, {len})");
+                    }
+                }
+                for sn in 0..=6u64 {
+                    let (mut got, mut want) = (Vec::new(), Vec::new());
+                    cell.for_each_at(SnapshotId(sn), |v| got.push(v));
+                    for_each_at_oracle(&cell, SnapshotId(sn), |v| want.push(v));
+                    assert_eq!(got, want, "snapshot {sn}");
+                    assert_eq!(got.len(), cell.len_at(SnapshotId(sn)));
+                    let joined: Vec<Vid> =
+                        cell.slices_at(SnapshotId(sn)).flatten().copied().collect();
+                    assert_eq!(joined, want, "slices at snapshot {sn}");
+                }
+            }
+        }
     }
 
     #[test]

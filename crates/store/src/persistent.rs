@@ -12,7 +12,7 @@
 //! multiple threads may call [`PersistentShard::inject_triple`] on
 //! disjoint triples.
 
-use crate::base::{AppendReceipt, BaseStore};
+use crate::base::{AppendReceipt, BaseStore, ValueCell};
 use crate::snapshot::SnapshotId;
 use parking_lot::{Mutex, RwLock};
 use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
@@ -165,6 +165,13 @@ impl PersistentShard {
             self.inject_triple_merging(t, sn, merge_upto, &mut receipts);
         }
         receipts
+    }
+
+    /// Runs `f` on `key`'s value cell under its partition's read lock:
+    /// one lock and one hash probe, however many snapshot views or
+    /// fat-pointer ranges `f` then reads from the cell.
+    pub fn with_cell<R>(&self, key: Key, f: impl FnOnce(Option<&ValueCell>) -> R) -> R {
+        f(self.parts[self.part_of(key)].read().cell(key))
     }
 
     /// Collects the neighbours of `key` visible at snapshot `sn`.

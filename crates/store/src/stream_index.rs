@@ -15,8 +15,8 @@
 //! even across snapshot consolidation, which gives the same O(1) range
 //! access without unsafe memory.
 
-use std::collections::{HashMap, VecDeque};
-use wukong_rdf::{Key, Timestamp, Vid};
+use std::collections::VecDeque;
+use wukong_rdf::{Dir, Key, KeyMap, Pid, Timestamp, Vid};
 
 use crate::base::{AppendReceipt, BaseStore};
 
@@ -34,7 +34,7 @@ pub struct FatPointer {
 pub struct IndexBatch {
     /// Batch timestamp.
     pub timestamp: Timestamp,
-    entries: HashMap<Key, FatPointer>,
+    entries: KeyMap<FatPointer>,
 }
 
 impl IndexBatch {
@@ -44,7 +44,7 @@ impl IndexBatch {
     /// logical sequence (the key partition is single-writer), so receipts
     /// coalesce into one fat pointer per key.
     pub fn from_receipts(timestamp: Timestamp, receipts: &[AppendReceipt]) -> Self {
-        let mut entries: HashMap<Key, FatPointer> = HashMap::new();
+        let mut entries: KeyMap<FatPointer> = KeyMap::default();
         for r in receipts {
             let e = entries.entry(r.key).or_insert(FatPointer {
                 start: r.offset,
@@ -57,7 +57,7 @@ impl IndexBatch {
             e.len += 1;
         }
         if cfg!(debug_assertions) {
-            let mut spans: HashMap<Key, (u32, u32)> = HashMap::new();
+            let mut spans: KeyMap<(u32, u32)> = KeyMap::default();
             for r in receipts {
                 let s = spans.entry(r.key).or_insert((r.offset, r.offset));
                 s.0 = s.0.min(r.offset);
@@ -155,8 +155,59 @@ impl StreamIndex {
         n
     }
 
-    /// Collects `key`'s neighbours appended by batches in `[lo, hi]`,
-    /// reading the ranges out of `store` via the fat pointers.
+    /// The batches whose timestamp lies in `[lo, hi]`, oldest first.
+    fn batches_in(&self, lo: Timestamp, hi: Timestamp) -> impl Iterator<Item = &IndexBatch> {
+        let start = self.batches.partition_point(|b| b.timestamp < lo);
+        self.batches
+            .range(start..)
+            .take_while(move |b| b.timestamp <= hi)
+    }
+
+    /// The fat pointers of `key` for batches in `[lo, hi]`, each with its
+    /// batch timestamp.
+    ///
+    /// This is the delta-scan primitive of the incremental execution
+    /// mode: a firing over a window that overlaps its predecessor asks
+    /// only for the inserted suffix `(prev_end, new_end]` and the
+    /// expired prefix `[prev_start, new_start)`, and tags every binding
+    /// row with the timestamps of its contributing edges so expired rows
+    /// can later be retracted without a rescan.
+    pub fn pointers_in(
+        &self,
+        key: Key,
+        lo: Timestamp,
+        hi: Timestamp,
+    ) -> impl Iterator<Item = (Timestamp, FatPointer)> + '_ {
+        self.batches_in(lo, hi)
+            .filter_map(move |b| Some((b.timestamp, b.get(key)?)))
+    }
+
+    /// Visits what `key` gained in `[lo, hi]`, run by run with each run's
+    /// batch timestamp, reading the ranges out of `store` via the fat
+    /// pointers. Only a key some in-window batch touched costs the store
+    /// probe, and it costs one: every pointer reads from the same cell.
+    fn for_each_run_in(
+        &self,
+        store: &BaseStore,
+        key: Key,
+        lo: Timestamp,
+        hi: Timestamp,
+        mut visit: impl FnMut(Timestamp, &[Vid]),
+    ) {
+        let mut pointers = self.pointers_in(key, lo, hi).peekable();
+        if pointers.peek().is_none() {
+            return;
+        }
+        if let Some(cell) = store.cell(key) {
+            for (ts, fp) in pointers {
+                for part in cell.range_slices(fp.start, fp.len) {
+                    visit(ts, part);
+                }
+            }
+        }
+    }
+
+    /// Collects `key`'s neighbours appended by batches in `[lo, hi]`.
     pub fn neighbors_in(
         &self,
         store: &BaseStore,
@@ -165,47 +216,7 @@ impl StreamIndex {
         hi: Timestamp,
         out: &mut Vec<Vid>,
     ) {
-        self.for_each_pointer_in(key, lo, hi, |fp| {
-            store.read_range(key, fp.start, fp.len, out);
-        });
-    }
-
-    /// Visits the fat pointers of `key` for batches in `[lo, hi]`.
-    pub fn for_each_pointer_in(
-        &self,
-        key: Key,
-        lo: Timestamp,
-        hi: Timestamp,
-        mut f: impl FnMut(FatPointer),
-    ) {
-        self.for_each_pointer_timed_in(key, lo, hi, |_, fp| f(fp));
-    }
-
-    /// Visits the fat pointers of `key` for batches in `[lo, hi]`,
-    /// handing each pointer's batch timestamp to the callback.
-    ///
-    /// This is the delta-scan primitive of the incremental execution
-    /// mode: a firing over a window that overlaps its predecessor asks
-    /// only for the inserted suffix `(prev_end, new_end]` and the
-    /// expired prefix `[prev_start, new_start)`, and tags every binding
-    /// row with the timestamps of its contributing edges so expired rows
-    /// can later be retracted without a rescan.
-    pub fn for_each_pointer_timed_in(
-        &self,
-        key: Key,
-        lo: Timestamp,
-        hi: Timestamp,
-        mut f: impl FnMut(Timestamp, FatPointer),
-    ) {
-        let start = self.batches.partition_point(|b| b.timestamp < lo);
-        for b in self.batches.iter().skip(start) {
-            if b.timestamp > hi {
-                break;
-            }
-            if let Some(fp) = b.get(key) {
-                f(b.timestamp, fp);
-            }
-        }
+        self.for_each_run_in(store, key, lo, hi, |_, run| out.extend_from_slice(run));
     }
 
     /// Collects `key`'s neighbours appended in `[lo, hi]` together with
@@ -218,49 +229,54 @@ impl StreamIndex {
         hi: Timestamp,
         out: &mut Vec<(Vid, Timestamp)>,
     ) {
-        let mut tmp = Vec::new();
-        self.for_each_pointer_timed_in(key, lo, hi, |ts, fp| {
-            tmp.clear();
-            store.read_range(key, fp.start, fp.len, &mut tmp);
-            out.extend(tmp.iter().map(|&v| (v, ts)));
+        self.for_each_run_in(store, key, lo, hi, |ts, run| {
+            out.extend(run.iter().map(|&v| (v, ts)))
         });
     }
 
     /// Total neighbours `key` gained in `[lo, hi]` (for planner costs).
     pub fn count_in(&self, key: Key, lo: Timestamp, hi: Timestamp) -> usize {
-        let mut n = 0;
-        self.for_each_pointer_in(key, lo, hi, |fp| n += fp.len as usize);
-        n
+        self.pointers_in(key, lo, hi)
+            .map(|(_, fp)| fp.len as usize)
+            .sum()
     }
 
-    /// Collects the vertices that gained a `pid` edge in direction `dir`
+    /// Visits the vertices that gained a `pid` edge in direction `dir`
     /// during `[lo, hi]` — the window equivalent of an index-vertex scan.
     ///
     /// Enumerating touched keys, rather than following the index vertex's
     /// own fat pointers, is what makes window scans *complete*: a vertex
     /// whose first `pid` edge predates the window never re-enters the
     /// persistent index, but its key is touched by every batch that
-    /// appends to it. Callers should deduplicate (a vertex may act in
-    /// several batches of one window).
+    /// appends to it. A vertex acting in several batches of one window is
+    /// visited once per batch; callers deduplicate.
+    pub fn for_each_vertex_in(
+        &self,
+        pid: Pid,
+        dir: Dir,
+        lo: Timestamp,
+        hi: Timestamp,
+        mut f: impl FnMut(Vid),
+    ) {
+        for b in self.batches_in(lo, hi) {
+            b.for_each_key(|k| {
+                if !k.is_index() && k.pid() == pid && k.dir() == dir {
+                    f(k.vid());
+                }
+            });
+        }
+    }
+
+    /// Collects what [`Self::for_each_vertex_in`] visits.
     pub fn vertices_in(
         &self,
-        pid: wukong_rdf::Pid,
-        dir: wukong_rdf::Dir,
+        pid: Pid,
+        dir: Dir,
         lo: Timestamp,
         hi: Timestamp,
         out: &mut Vec<Vid>,
     ) {
-        let start = self.batches.partition_point(|b| b.timestamp < lo);
-        for b in self.batches.iter().skip(start) {
-            if b.timestamp > hi {
-                break;
-            }
-            b.for_each_key(|k| {
-                if !k.is_index() && k.pid() == pid && k.dir() == dir {
-                    out.push(k.vid());
-                }
-            });
-        }
+        self.for_each_vertex_in(pid, dir, lo, hi, |v| out.push(v));
     }
 
     /// Number of live batches.
@@ -283,7 +299,7 @@ impl StreamIndex {
 mod tests {
     use super::*;
     use crate::snapshot::SnapshotId;
-    use wukong_rdf::{Dir, Pid, Triple};
+    use wukong_rdf::Triple;
 
     fn t(s: u64, p: u64, o: u64) -> Triple {
         Triple::new(Vid(s), Pid(p), Vid(o))
@@ -429,9 +445,8 @@ mod tests {
             &[t(1, 2, 9), t(3, 2, 9), t(4, 2, 9)],
         );
         let key = Key::new(Vid(9), Pid(2), Dir::In);
-        let mut ptrs = Vec::new();
-        idx.for_each_pointer_in(key, 100, 100, |fp| ptrs.push(fp));
-        assert_eq!(ptrs, vec![FatPointer { start: 0, len: 3 }]);
+        let ptrs: Vec<_> = idx.pointers_in(key, 100, 100).collect();
+        assert_eq!(ptrs, vec![(100, FatPointer { start: 0, len: 3 })]);
     }
 
     #[test]
@@ -504,8 +519,7 @@ mod tests {
         let k1 = Key::new(Vid(1), Pid(2), Dir::Out);
         let k5 = Key::new(Vid(5), Pid(2), Dir::Out);
         // Per-batch pointers are contiguous per key…
-        let mut ptrs = Vec::new();
-        idx.for_each_pointer_timed_in(k1, 0, 999, |ts, fp| ptrs.push((ts, fp)));
+        let ptrs: Vec<_> = idx.pointers_in(k1, 0, 999).collect();
         assert_eq!(
             ptrs,
             vec![

@@ -8,8 +8,8 @@
 //! slice carries a small per-batch adjacency index so window lookups are
 //! key-addressed rather than scans.
 
-use std::collections::{HashMap, VecDeque};
-use wukong_rdf::{Key, StreamTuple, Timestamp, Vid};
+use std::collections::VecDeque;
+use wukong_rdf::{Key, KeyMap, KeySet, StreamTuple, Timestamp, Vid};
 
 /// The timing data of one stream batch.
 #[derive(Debug, Clone, Default)]
@@ -17,7 +17,7 @@ pub struct TransientSlice {
     /// Batch timestamp (the Adaptor groups tuples by timestamp, §3).
     pub timestamp: Timestamp,
     /// Per-batch adjacency: key → neighbours, both edge directions.
-    adj: HashMap<Key, Vec<Vid>>,
+    adj: KeyMap<Vec<Vid>>,
     tuples: usize,
 }
 
@@ -40,10 +40,10 @@ impl TransientSlice {
         tuples: &[StreamTuple],
         owns: impl Fn(Key) -> bool,
     ) -> Self {
-        let mut adj: HashMap<Key, Vec<Vid>> = HashMap::new();
+        let mut adj: KeyMap<Vec<Vid>> = KeyMap::default();
         // Per-slice dedup of index entries, independent of which data
         // keys this node owns.
-        let mut seen: std::collections::HashSet<Key> = std::collections::HashSet::new();
+        let mut seen = KeySet::default();
         for t in tuples {
             debug_assert!(!t.is_timeless(), "timeless tuple routed to transient store");
             let out_key = t.triple.out_key();
@@ -203,6 +203,14 @@ impl TransientStore {
         let mut out = Vec::new();
         self.for_each_slice_in(lo, hi, |s| out.extend_from_slice(s.neighbors(key)));
         out
+    }
+
+    /// How many neighbours `key` has across every batch in `[lo, hi]`
+    /// (for planner costs).
+    pub fn count_in(&self, key: Key, lo: Timestamp, hi: Timestamp) -> usize {
+        let mut n = 0;
+        self.for_each_slice_in(lo, hi, |s| n += s.neighbors(key).len());
+        n
     }
 
     /// Number of live slices.

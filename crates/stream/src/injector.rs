@@ -226,9 +226,9 @@ mod tests {
         let key = Key::new(Vid(1), Pid(2), Dir::Out);
         let mut out = Vec::new();
         // The replica path reads through the shard's partitions.
-        store.index.for_each_pointer_in(key, 150, 250, |fp| {
+        for (_, fp) in store.index.pointers_in(key, 150, 250) {
             shard.read_range(key, fp.start, fp.len, &mut out);
-        });
+        }
         assert_eq!(out, vec![Vid(11)]);
     }
 

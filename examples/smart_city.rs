@@ -91,7 +91,7 @@ fn main() {
     // The transient store stayed bounded: GC swept expired slices.
     let mut live = 0usize;
     let mut evicted = 0u64;
-    for s in engine.cluster().streams() {
+    for s in engine.cluster().streams().iter() {
         for t in &s.transients {
             let t = t.read();
             live += t.slice_count();
