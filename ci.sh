@@ -15,13 +15,17 @@ workloads="ingest_firehose standing_fanout oneshot_under_ingest cluster8_mix"
 # One traced bench_suite run of workload $1 (further arguments are passed
 # on): fails unless the result line says correct and the workload still
 # stresses the layers it exists for — a smoke run skips that last check, a
-# full run does not.
+# full run does not. Prints every check (the `stresses_its_layers` line
+# carries the measured share and its floor) and the traced pass's
+# round-loop shares per engine call, so the margin to each floor is in
+# the log.
 bench_run() {
     local workload="$1" log
     shift
     log="$(mktemp)"
     cargo run --release --offline --quiet --manifest-path benchmarks/Cargo.toml -- \
-        run --workload "$workload" --trace 1 "$@" | tee "$log" | grep -E '^check '
+        run --workload "$workload" --trace 1 "$@" | tee "$log" |
+        grep -E '^check |^traced pass: .* round loop '
     tail -n 1 "$log" | grep -q '"correct":true'
     grep -q '^check stresses_its_layers: ok' "$log"
     rm -f "$log"
@@ -140,6 +144,18 @@ if [[ "${1:-}" == "--quick" ]]; then
         > "$out/trace_render.txt"
     grep -q 'trace_dump: trigger quarantine' "$out/trace_render.txt"
     echo "trace OK: $out/trace.json"
+
+    # Table 6 reports injection and indexing as separate columns; the
+    # install path times them as two phases, and neither may read zero.
+    echo "== Table 6 injection/indexing split smoke (tiny scale)"
+    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
+        --bin table6_injection -- --json "$out/table6.json"
+    [[ "$(grep -cE '/(inject|index)_ms_per_batch": ' "$out/table6.json")" -eq 10 ]]
+    if grep -E '/(inject|index)_ms_per_batch": 0,?$' "$out/table6.json"; then
+        echo "Table 6: a column reads zero"
+        exit 1
+    fi
+    echo "table6 OK: $out/table6.json"
 
     # The benchmark crate builds against the workspace's public API and
     # checks seed 42's result digests: an API break or a changed result

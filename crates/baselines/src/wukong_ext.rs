@@ -78,7 +78,8 @@ impl WukongExt {
     pub fn ingest(&self, _stream: StreamId, triple: Triple, ts: Timestamp) {
         // The data enters the persistent store (all visible: Wukong/Ext
         // has no snapshot machinery either).
-        for n in self.cluster.shard_map().nodes_of_triple(&triple) {
+        let (owners, len) = self.cluster.shard_map().owners_of_triple(&triple);
+        for &n in &owners[..len] {
             self.cluster.shard(n).load_base(triple);
         }
         // The timestamps couple into per-key logs on the owning nodes.

@@ -13,9 +13,12 @@ use wukong_query::exec::{ExecContext, GraphAccess, NoLiterals, PatternSource, Wi
 use wukong_query::{execute, execute_step, finalize, parse_query, plan_query, BindingTable};
 use wukong_query::{GraphName, Query};
 use wukong_rdf::{Dir, Key, Pid, StreamId, StreamTuple, StringServer, Triple, Vid};
-use wukong_store::{BaseStore, IndexBatch, PersistentShard, SnapshotId, StreamIndex};
+use wukong_store::base::AppendReceipt;
+use wukong_store::{BaseStore, IndexBatch, PersistentShard, ShardMap, SnapshotId, StreamIndex};
+use wukong_stream::adaptor::payload_checksum;
 use wukong_stream::{
-    dispatch, Batch, Injector, NodeStreamStore, SnVtsPlanner, StalenessBound, StreamSchema, Vts,
+    apply_index_updates, dispatch, install_sub_batch, Batch, Injector, Installed, NodeStreamStore,
+    SnVtsPlanner, StalenessBound, StreamSchema, Vts,
 };
 
 fn bench_store(c: &mut Criterion) {
@@ -311,6 +314,96 @@ fn bench_read_path(c: &mut Criterion) {
     g.finish();
 }
 
+/// The write path of one sealed mini-batch, step by step, on a batch the
+/// size `ingest_firehose` seals per stream and round (1 335 tuples, one in
+/// seven timing): checksum, dispatch, the two-phase install on 1 and 8
+/// nodes, and the stream-index build from a batch's receipts.
+fn bench_write_path(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(7);
+    let tuples: Vec<StreamTuple> = (0..1_335)
+        .map(|i| {
+            let t = Triple::new(
+                Vid(rng.gen_range(1..=10_000)),
+                Pid(rng.gen_range(1..=6)),
+                Vid(rng.gen_range(20_000..120_000)),
+            );
+            if i % 7 == 0 {
+                StreamTuple::timing(t, 99)
+            } else {
+                StreamTuple::timeless(t, 99)
+            }
+        })
+        .collect();
+    let batch = Batch::sealed(StreamId(0), 100, tuples, 0);
+
+    c.bench_function("payload_checksum/1335", |b| {
+        b.iter(|| black_box(payload_checksum(black_box(&batch.tuples))))
+    });
+
+    let mut g = c.benchmark_group("dispatch");
+    for nodes in [1u16, 8] {
+        let map = ShardMap::new(nodes);
+        g.bench_function(format!("{nodes}_nodes/1335"), |b| {
+            b.iter(|| black_box(dispatch(&batch, &map).len()))
+        });
+    }
+    g.finish();
+
+    // Every iteration installs the batch again under the next snapshot,
+    // so appends mostly extend existing cells, as in a running engine.
+    let mut g = c.benchmark_group("install_sub_batch");
+    for nodes in [1u16, 8] {
+        let map = ShardMap::new(nodes);
+        let subs = dispatch(&batch, &map);
+        let shards: Vec<PersistentShard> = (0..nodes).map(|_| PersistentShard::new(8)).collect();
+        let delivered = vec![true; nodes as usize];
+        let mut sn = 0u64;
+        g.bench_function(format!("{nodes}_nodes/1335"), |b| {
+            b.iter(|| {
+                sn += 1;
+                let merge = sn.checked_sub(2).map(SnapshotId);
+                let mut installed: Vec<Installed> = subs
+                    .iter()
+                    .map(|sub| {
+                        let owns = map.owner_filter(sub.node);
+                        let shard = &shards[sub.node as usize];
+                        let ts = sn * 100;
+                        install_sub_batch(shard, owns, &sub.tuples, ts, SnapshotId(sn), merge).0
+                    })
+                    .collect();
+                apply_index_updates(
+                    &map,
+                    |n| &shards[n as usize],
+                    &mut installed,
+                    &delivered,
+                    SnapshotId(sn),
+                    merge,
+                );
+                black_box(installed.len())
+            })
+        });
+    }
+    g.finish();
+
+    // 3 000 receipts over ~1 550 keys (a stream batch's repeat rate),
+    // offsets contiguous per key.
+    let mut next = std::collections::HashMap::new();
+    let receipts: Vec<AppendReceipt> = (0..3_000)
+        .map(|_| {
+            let key = Key::new(Vid(rng.gen_range(1..=2_000)), Pid(3), Dir::Out);
+            let offset = next.entry(key).or_insert(0u32);
+            *offset += 1;
+            AppendReceipt {
+                key,
+                offset: *offset - 1,
+            }
+        })
+        .collect();
+    c.bench_function("index_batch_build/3k_receipts", |b| {
+        b.iter(|| black_box(IndexBatch::from_receipts(100, &receipts).entry_count()))
+    });
+}
+
 fn bench_fabric(c: &mut Criterion) {
     let mut g = c.benchmark_group("fabric");
     let rdma = Fabric::new(8, NetworkProfile::rdma());
@@ -330,6 +423,7 @@ criterion_group!(
     bench_consistency,
     bench_executor,
     bench_read_path,
+    bench_write_path,
     bench_fabric
 );
 criterion_main!(benches);

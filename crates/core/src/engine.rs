@@ -28,8 +28,8 @@ use wukong_rdf::{Dir, Key, StreamId, StringServer, Timestamp, Triple};
 use wukong_store::{gc, StatsEpoch};
 use wukong_stream::window::StreamWindow;
 use wukong_stream::{
-    dispatch, Adaptor, Batch, Coordinator, InjectStats, ShedRecord, Shedder, StreamSchema, Vts,
-    WindowState,
+    apply_index_updates, dispatch, install_sub_batch, Adaptor, Batch, Coordinator, InjectStats,
+    Installed, ShedRecord, Shedder, StreamSchema, Vts, WindowState,
 };
 
 /// Handle of a registered continuous query.
@@ -405,15 +405,16 @@ impl WukongS {
                                  // term carries its namespace IRI (LSBench's raw data averages
                                  // ~174 B/triple: 3.75 B triples = 653 GB raw, 6.1).
         const IRI_PREFIX: u64 = 30;
-        let ss = self.strings();
+        // Both name tables locked once for the batch; lengths only.
+        let names = self.strings().name_lens();
+        let len = |l: Option<usize>| l.map_or(8, |l| l as u64);
         batch
             .tuples
             .iter()
             .map(|t| {
-                let len = |r: Result<String, _>| r.map(|s| s.len() as u64).unwrap_or(8);
-                len(ss.entity_name(t.triple.s))
-                    + len(ss.predicate_name(t.triple.p))
-                    + len(ss.entity_name(t.triple.o))
+                len(names.entity(t.triple.s))
+                    + len(names.predicate(t.triple.p))
+                    + len(names.entity(t.triple.o))
                     + 3 * IRI_PREFIX
                     + FRAMING
             })
@@ -551,6 +552,7 @@ impl WukongS {
         let mut scratch = TaskTimer::start();
         let mut replayed = 0u64;
         let mut touched: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        let everywhere = vec![true; nodes];
         for (stream_id, ts, tuples) in retained {
             let s = stream_id.0 as usize;
             touched.insert(s);
@@ -560,72 +562,40 @@ impl WukongS {
             *stream.raw_bytes.write() += self.textual_bytes(&batch);
             let subs = dispatch(&batch, self.cluster.shard_map());
             let entry = NodeId((s % nodes) as u16);
-            let mut receipts: Vec<Vec<wukong_store::base::AppendReceipt>> = vec![Vec::new(); nodes];
-            let mut index_updates: Vec<(wukong_rdf::Key, wukong_rdf::Vid)> = Vec::new();
+            let mut installed = Vec::with_capacity(nodes);
             for sub in &subs {
                 let node = sub.node;
                 if node as usize != entry.0 as usize && !sub.tuples.is_empty() {
                     fabric.charge_message(entry, NodeId(node), sub.wire_bytes(), &mut scratch);
                 }
-                let owns = self.cluster.shard_map().owner_filter(node);
-                let shard = self.cluster.shard(node);
-                for t in sub.tuples.iter().filter(|t| t.is_timeless()) {
-                    let tr = t.triple;
-                    let out_key = tr.out_key();
-                    if owns(out_key) {
-                        shard.count_triple();
-                        let (off, first) = shard.append_owned(out_key, tr.o, sn, merge);
-                        receipts[node as usize].push(wukong_store::base::AppendReceipt {
-                            key: out_key,
-                            offset: off,
-                        });
-                        if first {
-                            index_updates
-                                .push((wukong_rdf::Key::index(tr.p, wukong_rdf::Dir::Out), tr.s));
-                        }
-                    }
-                    let in_key = tr.in_key();
-                    if owns(in_key) {
-                        let (off, first) = shard.append_owned(in_key, tr.s, sn, merge);
-                        receipts[node as usize].push(wukong_store::base::AppendReceipt {
-                            key: in_key,
-                            offset: off,
-                        });
-                        if first {
-                            index_updates
-                                .push((wukong_rdf::Key::index(tr.p, wukong_rdf::Dir::In), tr.o));
-                        }
-                    }
-                }
+                let (inst, slice) = install_sub_batch(
+                    self.cluster.shard(node),
+                    self.cluster.shard_map().owner_filter(node),
+                    &sub.tuples,
+                    ts,
+                    sn,
+                    merge,
+                );
                 // Timing tuples re-enter the transient ring *in time
                 // order* — the ring normally only appends at the tail,
                 // so replay uses the order-preserving insertion path.
-                let timing: Vec<wukong_rdf::StreamTuple> = sub
-                    .tuples
-                    .iter()
-                    .filter(|t| !t.is_timeless())
-                    .copied()
-                    .collect();
-                if !timing.is_empty() {
-                    stream.transients[node as usize].write().insert_slice(
-                        wukong_store::TransientSlice::from_batch_filtered(ts, &timing, &owns),
-                    );
+                if inst.stats.timing > 0 {
+                    stream.transients[node as usize].write().insert_slice(slice);
                 }
+                installed.push(inst);
             }
-            // Index-vertex updates land on their owners (phase 2 of the
-            // normal injection path).
-            for (key, v) in index_updates {
-                let node = self.cluster.shard_map().node_of_key(key);
-                let (off, _) = self.cluster.shard(node).append_owned(key, v, sn, merge);
-                receipts[node as usize]
-                    .push(wukong_store::base::AppendReceipt { key, offset: off });
-            }
-            for (node, rc) in receipts.iter().enumerate() {
-                if rc.is_empty() {
-                    continue;
+            apply_index_updates(
+                self.cluster.shard_map(),
+                |n| self.cluster.shard(n),
+                &mut installed,
+                &everywhere,
+                sn,
+                merge,
+            );
+            for (node, inst) in installed.into_iter().enumerate() {
+                if inst.index.entry_count() > 0 {
+                    stream.indexes[node].write().insert_batch(inst.index);
                 }
-                let ib = wukong_store::IndexBatch::from_receipts(ts, rc);
-                stream.indexes[node].write().insert_batch(ib);
             }
         }
 
@@ -911,126 +881,65 @@ impl WukongS {
             }
         }
         let inject_span = tracer.span(Stage::Injection, FiringId::NONE, bid);
-        let applied = self.cluster.pool(entry).map(
+        let mut installed = self.cluster.pool(entry).map(
             subs.iter().collect::<Vec<&wukong_stream::SubBatch>>(),
             |_, sub| {
                 let node = sub.node;
                 if !delivered[node as usize] {
-                    return None;
+                    return Installed::default();
                 }
-                let owns = self.cluster.shard_map().owner_filter(node);
-                let shard = self.cluster.shard(node);
-                let mut receipts: Vec<wukong_store::base::AppendReceipt> = Vec::new();
-                let mut stats = InjectStats::default();
-                let mut index_updates: Vec<(wukong_rdf::Key, wukong_rdf::Vid)> = Vec::new();
-                let t0 = std::time::Instant::now();
-                for t in sub.tuples.iter().filter(|t| t.is_timeless()) {
-                    let tr = t.triple;
-                    let out_key = tr.out_key();
-                    if owns(out_key) {
-                        shard.count_triple();
-                        stats.timeless += 1;
-                        let (off, first) = shard.append_owned(out_key, tr.o, sn, merge);
-                        receipts.push(wukong_store::base::AppendReceipt {
-                            key: out_key,
-                            offset: off,
-                        });
-                        if first {
-                            index_updates
-                                .push((wukong_rdf::Key::index(tr.p, wukong_rdf::Dir::Out), tr.s));
-                        }
-                    }
-                    let in_key = tr.in_key();
-                    if owns(in_key) {
-                        let (off, first) = shard.append_owned(in_key, tr.s, sn, merge);
-                        receipts.push(wukong_store::base::AppendReceipt {
-                            key: in_key,
-                            offset: off,
-                        });
-                        if first {
-                            index_updates
-                                .push((wukong_rdf::Key::index(tr.p, wukong_rdf::Dir::In), tr.o));
-                        }
-                    }
-                }
-                // Timing tuples into the transient ring (owned entries
-                // only). Only this task writes this node's ring.
-                let timing: Vec<wukong_rdf::StreamTuple> = sub
-                    .tuples
-                    .iter()
-                    .filter(|t| !t.is_timeless())
-                    .copied()
-                    .collect();
-                stats.timing += timing.len();
-                stream.transients[node as usize].write().push_batch(
-                    wukong_store::TransientSlice::from_batch_filtered(ts, &timing, &owns),
+                let (inst, slice) = install_sub_batch(
+                    self.cluster.shard(node),
+                    self.cluster.shard_map().owner_filter(node),
+                    &sub.tuples,
+                    ts,
+                    sn,
+                    merge,
                 );
-                stats.inject_ns += t0.elapsed().as_nanos() as u64;
-                Some((receipts, stats, index_updates))
+                // Only this task writes this node's ring.
+                stream.transients[node as usize].write().push_batch(slice);
+                inst
             },
         );
-        let mut receipts: Vec<Vec<wukong_store::base::AppendReceipt>> = vec![Vec::new(); nodes];
-        let mut stats: Vec<InjectStats> = vec![InjectStats::default(); nodes];
-        let mut index_updates: Vec<(wukong_rdf::Key, wukong_rdf::Vid)> = Vec::new();
-        for (sub, applied) in subs.iter().zip(applied) {
-            if let Some((rc, st, iu)) = applied {
-                let node = sub.node as usize;
-                receipts[node] = rc;
-                stats[node] = st;
-                index_updates.extend(iu);
-            }
-        }
-
-        // Phase 2: apply index-vertex updates on their owners. An owner
-        // that did not receive the batch misses the update too — recovery
-        // replays the whole batch, regenerating it.
-        for (key, v) in index_updates {
-            let node = self.cluster.shard_map().node_of_key(key);
-            if !delivered[node as usize] {
-                continue;
-            }
-            let t0 = std::time::Instant::now();
-            let (off, _) = self.cluster.shard(node).append_owned(key, v, sn, merge);
-            receipts[node as usize].push(wukong_store::base::AppendReceipt { key, offset: off });
-            stats[node as usize].inject_ns += t0.elapsed().as_nanos() as u64;
-        }
+        // Phase 2: index-vertex updates land on their owners.
+        let phase2_ns = apply_index_updates(
+            self.cluster.shard_map(),
+            |n| self.cluster.shard(n),
+            &mut installed,
+            &delivered,
+            sn,
+            merge,
+        );
         drop(inject_span);
 
-        // Build and install each node's stream-index batch.
+        // Move each node's stream-index batch into place, keeping only
+        // what the replication charge needs of it.
         let index_span = tracer.span(Stage::StreamIndex, FiringId::NONE, bid);
-        let results: Vec<(wukong_store::IndexBatch, InjectStats)> = receipts
-            .iter()
-            .zip(stats.iter())
-            .enumerate()
-            .map(|(node, (rc, st))| {
-                let t0 = std::time::Instant::now();
-                let ib = wukong_store::IndexBatch::from_receipts(ts, rc);
-                if delivered[node] {
-                    stream.indexes[node].write().push_batch(ib.clone());
-                }
-                let mut st = *st;
-                st.index_ns += t0.elapsed().as_nanos() as u64;
-                (ib, st)
-            })
-            .collect();
+        let push_start = std::time::Instant::now();
+        let mut total = InjectStats::default();
+        let mut replicated = Vec::with_capacity(nodes);
+        for (node, inst) in installed.into_iter().enumerate() {
+            replicated.push((inst.index.entry_count(), inst.index.heap_bytes()));
+            if delivered[node] {
+                total.add(&inst.stats);
+                stream.indexes[node].write().push_batch(inst.index);
+            }
+        }
+        total.inject_ns += phase2_ns;
+        total.index_ns += push_start.elapsed().as_nanos() as u64;
         drop(index_span);
 
         // Replication of index batches to subscriber nodes (§4.2): one
         // message per (origin, subscriber) pair carrying the entries.
         if self.cluster.replicate_indexes {
             let subscribers = stream.subscribers.read().clone();
-            for (m, (ib, _)) in results.iter().enumerate() {
-                if ib.entry_count() == 0 {
+            for (m, &(entries, bytes)) in replicated.iter().enumerate() {
+                if entries == 0 {
                     continue;
                 }
                 for &q in &subscribers {
                     if q as usize != m && fabric.is_up(NodeId(q)) {
-                        fabric.charge_message(
-                            NodeId(m as u16),
-                            NodeId(q),
-                            ib.heap_bytes(),
-                            &mut scratch,
-                        );
+                        fabric.charge_message(NodeId(m as u16), NodeId(q), bytes, &mut scratch);
                     }
                 }
             }
@@ -1046,14 +955,8 @@ impl WukongS {
         } else {
             0
         };
-        batch_trace.add(
-            Stage::Injection,
-            logged_ns + results.iter().map(|(_, st)| st.inject_ns).sum::<u64>(),
-        );
-        batch_trace.add(
-            Stage::StreamIndex,
-            results.iter().map(|(_, st)| st.index_ns).sum::<u64>(),
-        );
+        batch_trace.add(Stage::Injection, logged_ns + total.inject_ns);
+        batch_trace.add(Stage::StreamIndex, total.index_ns);
         self.cluster
             .obs()
             .record_stream(&stream.schema.name, &batch_trace);
@@ -1062,11 +965,8 @@ impl WukongS {
         // that never received the batch reports nothing — its local VTS
         // stalls, the stable VTS (elementwise min) stalls with it, and
         // visibility correctly excludes the partial insertion.
-        for (node, (_, stats)) in results.into_iter().enumerate() {
-            if !delivered[node] {
-                continue;
-            }
-            pl.inject_stats[s].add(&stats);
+        pl.inject_stats[s].add(&total);
+        for node in (0..nodes).filter(|&n| delivered[n]) {
             let ev = pl.coordinator.on_batch_inserted(node, s, ts);
             if let Some(upto) = ev.consolidate_upto {
                 pl.merge_upto = Some(upto);

@@ -26,6 +26,6 @@ pub mod tuple;
 pub use error::RdfError;
 pub use id::{Dir, Key, Pid, Vid, INDEX_VID, MAX_PID, MAX_VID};
 pub use keymap::{KeyHasher, KeyMap, KeySet};
-pub use string_server::StringServer;
+pub use string_server::{NameLens, StringServer};
 pub use triple::Triple;
 pub use tuple::{StreamId, StreamTuple, Timestamp, TupleKind};

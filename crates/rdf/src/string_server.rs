@@ -13,7 +13,7 @@
 
 use crate::error::RdfError;
 use crate::id::{Pid, Vid, MAX_PID, MAX_VID};
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
 
 #[derive(Default)]
@@ -64,6 +64,26 @@ impl Space {
 pub struct StringServer {
     entities: RwLock<Space>,
     predicates: RwLock<Space>,
+}
+
+/// Both ID spaces held under their read locks: resolves name *lengths*
+/// for a whole batch of IDs with two lock acquisitions and no allocation
+/// (see [`StringServer::name_lens`]).
+pub struct NameLens<'a> {
+    entities: RwLockReadGuard<'a, Space>,
+    predicates: RwLockReadGuard<'a, Space>,
+}
+
+impl NameLens<'_> {
+    /// Byte length of an entity's string, `None` for an unknown ID.
+    pub fn entity(&self, vid: Vid) -> Option<usize> {
+        self.entities.resolve(vid.0).map(str::len)
+    }
+
+    /// Byte length of a predicate's string, `None` for an unknown ID.
+    pub fn predicate(&self, pid: Pid) -> Option<usize> {
+        self.predicates.resolve(pid.0).map(str::len)
+    }
 }
 
 impl Default for StringServer {
@@ -138,6 +158,15 @@ impl StringServer {
             .ok_or(RdfError::UnknownId(pid.0))
     }
 
+    /// Length-only resolution for many IDs at once: each space's read
+    /// guard is taken here, once, and released when the value drops.
+    pub fn name_lens(&self) -> NameLens<'_> {
+        NameLens {
+            entities: self.entities.read(),
+            predicates: self.predicates.read(),
+        }
+    }
+
     /// Number of distinct entities interned so far.
     pub fn entity_count(&self) -> usize {
         self.entities.read().reverse.len()
@@ -177,6 +206,29 @@ mod tests {
         assert!(ss.predicate_id("nope").is_err());
         assert!(ss.entity_name(Vid(5)).is_err());
         assert!(ss.predicate_name(Pid(5)).is_err());
+    }
+
+    #[test]
+    fn name_lens_match_the_cloning_accessors() {
+        let ss = StringServer::new();
+        for i in 0..200 {
+            ss.intern_entity(&"e".repeat(i % 17 + 1)).unwrap();
+            ss.intern_predicate(&"p".repeat(i % 5 + 1)).unwrap();
+        }
+        let lens = ss.name_lens();
+        // Every interned ID, the reserved slot 0, and IDs past the end.
+        for id in (0..40).chain([MAX_VID, u64::MAX]) {
+            assert_eq!(
+                lens.entity(Vid(id)),
+                ss.entity_name(Vid(id)).ok().map(|s| s.len()),
+                "entity {id}"
+            );
+            assert_eq!(
+                lens.predicate(Pid(id)),
+                ss.predicate_name(Pid(id)).ok().map(|s| s.len()),
+                "predicate {id}"
+            );
+        }
     }
 
     #[test]

@@ -220,7 +220,12 @@ impl BaseStore {
     /// Bumps the triple counter (the shard layer counts a triple once even
     /// though its key updates may span partitions).
     pub fn note_triple(&mut self) {
-        self.triple_count += 1;
+        self.note_triples(1);
+    }
+
+    /// Counts `n` triples at once (a whole sub-batch's worth).
+    pub fn note_triples(&mut self, n: u64) {
+        self.triple_count += n;
     }
 
     /// Inserts a triple under snapshot `sn`, pushing append receipts.

@@ -167,6 +167,50 @@ impl PersistentShard {
         receipts
     }
 
+    /// The batch-granular append path: applies the data-key updates of
+    /// `triples` that `owns` selects, pushing one receipt per append and
+    /// one `(index key, vertex)` pair per first-edge event for the caller
+    /// to route to the index key's owner. Returns the triples counted
+    /// here (a triple counts on its subject key's owner).
+    ///
+    /// Once per call instead of once per tuple: the batch lock (installs
+    /// on one shard are serialised, so per-key appends of one batch stay
+    /// contiguous) and the triple count. Each append still takes its
+    /// partition's write lock on its own, so concurrent readers wait for
+    /// one append at most.
+    pub fn install_owned(
+        &self,
+        triples: impl Iterator<Item = Triple>,
+        owns: impl Fn(Key) -> bool,
+        sn: SnapshotId,
+        merge_upto: Option<SnapshotId>,
+        receipts: &mut Vec<AppendReceipt>,
+        index_updates: &mut Vec<(Key, Vid)>,
+    ) -> usize {
+        let _batch = self.batch_lock.lock();
+        let mut counted = 0;
+        for t in triples {
+            for (key, v, idx_v, dir) in [
+                (t.out_key(), t.o, t.s, Dir::Out),
+                (t.in_key(), t.s, t.o, Dir::In),
+            ] {
+                if !owns(key) {
+                    continue;
+                }
+                counted += usize::from(dir == Dir::Out);
+                let (offset, first) = self.append_owned(key, v, sn, merge_upto);
+                receipts.push(AppendReceipt { key, offset });
+                if first {
+                    index_updates.push((Key::index(t.p, dir), idx_v));
+                }
+            }
+        }
+        if counted > 0 {
+            self.parts[0].write().note_triples(counted as u64);
+        }
+        counted
+    }
+
     /// Runs `f` on `key`'s value cell under its partition's read lock:
     /// one lock and one hash probe, however many snapshot views or
     /// fat-pointer ranges `f` then reads from the cell.

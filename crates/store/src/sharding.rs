@@ -7,7 +7,7 @@
 //! (§4.1). A key lives on the node that owns its vertex; index-vertex keys
 //! are hashed by predicate so the index load spreads across the cluster.
 
-use wukong_rdf::{Key, Triple, Vid};
+use wukong_rdf::{Dir, Key, Triple, Vid};
 
 /// Deterministic assignment of vertices (and keys) to cluster nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,20 +59,37 @@ impl ShardMap {
         move |k| self.node_of_key(k) == node
     }
 
-    /// The nodes a triple's four potential key updates land on.
+    /// The nodes a triple's four potential key updates land on, sorted
+    /// and deduplicated, without allocating: the first `len` entries of
+    /// the returned array (1 ≤ `len` ≤ 4).
     ///
     /// Injection must route one triple to every node that owns one of its
-    /// keys; this returns the deduplicated set (at most 4 nodes).
-    pub fn nodes_of_triple(&self, t: &Triple) -> Vec<u16> {
-        let mut nodes = vec![
+    /// keys; dispatch calls this once per tuple.
+    pub fn owners_of_triple(&self, t: &Triple) -> ([u16; 4], usize) {
+        if self.nodes == 1 {
+            return ([0; 4], 1);
+        }
+        let mut nodes = [
             self.node_of_key(t.out_key()),
             self.node_of_key(t.in_key()),
-            self.node_of_key(Key::index(t.p, wukong_rdf::Dir::Out)),
-            self.node_of_key(Key::index(t.p, wukong_rdf::Dir::In)),
+            self.node_of_key(Key::index(t.p, Dir::Out)),
+            self.node_of_key(Key::index(t.p, Dir::In)),
         ];
         nodes.sort_unstable();
-        nodes.dedup();
-        nodes
+        let mut len = 1;
+        for i in 1..4 {
+            if nodes[i] != nodes[len - 1] {
+                nodes[len] = nodes[i];
+                len += 1;
+            }
+        }
+        (nodes, len)
+    }
+
+    /// [`ShardMap::owners_of_triple`] as a `Vec`.
+    pub fn nodes_of_triple(&self, t: &Triple) -> Vec<u16> {
+        let (nodes, len) = self.owners_of_triple(t);
+        nodes[..len].to_vec()
     }
 }
 
@@ -83,7 +100,7 @@ fn fib_hash(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wukong_rdf::{Dir, Pid};
+    use wukong_rdf::Pid;
 
     #[test]
     fn single_node_owns_everything() {
@@ -130,6 +147,33 @@ mod tests {
         assert!(nodes.contains(&m.node_of_key(t.in_key())));
         assert!(nodes.contains(&m.node_of_key(Key::index(Pid(2), Dir::In))));
         assert!(nodes.len() <= 4);
+    }
+
+    /// The allocating implementation `owners_of_triple` replaced.
+    fn nodes_of_triple_oracle(m: &ShardMap, t: &Triple) -> Vec<u16> {
+        let mut nodes = vec![
+            m.node_of_key(t.out_key()),
+            m.node_of_key(t.in_key()),
+            m.node_of_key(Key::index(t.p, Dir::Out)),
+            m.node_of_key(Key::index(t.p, Dir::In)),
+        ];
+        nodes.sort_unstable();
+        nodes.dedup();
+        nodes
+    }
+
+    #[test]
+    fn owners_of_triple_matches_the_allocating_oracle() {
+        for nodes in 1..=9u16 {
+            let m = ShardMap::new(nodes);
+            for i in 0..2_000u64 {
+                let t = Triple::new(Vid(i * 7 + 1), Pid(i % 11 + 1), Vid(i * 13 + 5));
+                let want = nodes_of_triple_oracle(&m, &t);
+                let (owners, len) = m.owners_of_triple(&t);
+                assert_eq!(&owners[..len], want.as_slice(), "{nodes} nodes, {t:?}");
+                assert_eq!(m.nodes_of_triple(&t), want);
+            }
+        }
     }
 
     #[test]

@@ -44,17 +44,20 @@ impl IndexBatch {
     /// logical sequence (the key partition is single-writer), so receipts
     /// coalesce into one fat pointer per key.
     pub fn from_receipts(timestamp: Timestamp, receipts: &[AppendReceipt]) -> Self {
-        let mut entries: KeyMap<FatPointer> = KeyMap::default();
+        let mut batch = IndexBatch {
+            timestamp,
+            entries: KeyMap::default(),
+        };
+        // A timeless tuple leaves two receipts and stream batches repeat
+        // keys, so about half the receipts name a new key: reserved for
+        // that many, the map usually fills without rehashing and ends no
+        // larger than growing from empty would leave it (index batches
+        // stay resident for as long as a window reaches back; reserving
+        // for every receipt measured +1 % `rss_peak_mb` and a slower
+        // build, the table's fresh pages costing more than the rehashes).
+        batch.entries.reserve(receipts.len() / 2);
         for r in receipts {
-            let e = entries.entry(r.key).or_insert(FatPointer {
-                start: r.offset,
-                len: 0,
-            });
-            // Receipts of one key may arrive out of order when multiple
-            // injector threads split a batch, but the offsets still form a
-            // contiguous range; track the minimum start and the count.
-            e.start = e.start.min(r.offset);
-            e.len += 1;
+            batch.record(*r);
         }
         if cfg!(debug_assertions) {
             let mut spans: KeyMap<(u32, u32)> = KeyMap::default();
@@ -64,7 +67,7 @@ impl IndexBatch {
                 s.1 = s.1.max(r.offset);
             }
             for (k, (lo, hi)) in spans {
-                let e = entries[&k];
+                let e = batch.entries[&k];
                 debug_assert_eq!(
                     hi - lo + 1,
                     e.len,
@@ -72,7 +75,23 @@ impl IndexBatch {
                 );
             }
         }
-        IndexBatch { timestamp, entries }
+        batch
+    }
+
+    /// Folds one more append receipt of this batch into its key's fat
+    /// pointer (the index-vertex appends of a distributed install land
+    /// after the data-key receipts were folded).
+    ///
+    /// Receipts of one key may arrive out of order when multiple injector
+    /// threads split a batch, but the offsets still form a contiguous
+    /// range; track the minimum start and the count.
+    pub fn record(&mut self, r: AppendReceipt) {
+        let e = self.entries.entry(r.key).or_insert(FatPointer {
+            start: r.offset,
+            len: 0,
+        });
+        e.start = e.start.min(r.offset);
+        e.len += 1;
     }
 
     /// The fat pointer for `key`, if this batch appended to it.

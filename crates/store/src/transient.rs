@@ -35,17 +35,21 @@ impl TransientSlice {
     /// Like [`TransientSlice::from_batch`], keeping only entries whose key
     /// satisfies `owns` — the distributed path routes each key's entries
     /// to its owner node, so no node stores another node's slice data.
-    pub fn from_batch_filtered(
+    /// Takes any run of timing tuples: the install path feeds it a
+    /// sub-batch's timing tuples straight from a filter.
+    pub fn from_batch_filtered<'a>(
         timestamp: Timestamp,
-        tuples: &[StreamTuple],
+        tuples: impl IntoIterator<Item = &'a StreamTuple>,
         owns: impl Fn(Key) -> bool,
     ) -> Self {
         let mut adj: KeyMap<Vec<Vid>> = KeyMap::default();
         // Per-slice dedup of index entries, independent of which data
         // keys this node owns.
         let mut seen = KeySet::default();
+        let mut count = 0;
         for t in tuples {
             debug_assert!(!t.is_timeless(), "timeless tuple routed to transient store");
+            count += 1;
             let out_key = t.triple.out_key();
             let in_key = t.triple.in_key();
             if owns(out_key) {
@@ -66,7 +70,7 @@ impl TransientSlice {
         TransientSlice {
             timestamp,
             adj,
-            tuples: tuples.len(),
+            tuples: count,
         }
     }
 

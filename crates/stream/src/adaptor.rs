@@ -39,24 +39,20 @@ impl StreamSchema {
     }
 }
 
-/// FNV-1a over a tuple slice's logical 33-byte encoding (s, p, o,
-/// timestamp, kind). Any single-bit difference between two equal-length
-/// payloads changes the hash — each step is xor-then-multiply-by-odd,
-/// both bijections on `u64` — so a flipped bit anywhere between sealing
-/// and install is always detected (DESIGN.md §13).
+/// Word-wise FNV-1a over a tuple slice: one xor-multiply step per `u64`
+/// of (s, p, o, timestamp, kind). Any single-bit difference between two
+/// equal-length payloads changes the hash — each step is
+/// xor-then-multiply-by-odd, both bijections on `u64` — so a flipped bit
+/// anywhere between sealing and install is always detected (DESIGN.md
+/// §13). The value never leaves the process (checkpoints carry their own
+/// section checksums).
 pub fn payload_checksum(tuples: &[StreamTuple]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut byte = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    };
     for t in tuples {
-        for word in [t.triple.s.0, t.triple.p.0, t.triple.o.0, t.timestamp] {
-            for b in word.to_le_bytes() {
-                byte(b);
-            }
+        let kind = u64::from(!t.is_timeless());
+        for word in [t.triple.s.0, t.triple.p.0, t.triple.o.0, t.timestamp, kind] {
+            h = (h ^ word).wrapping_mul(0x1_0000_01b3);
         }
-        byte(if t.is_timeless() { 0 } else { 1 });
     }
     h
 }
@@ -335,6 +331,83 @@ mod tests {
             timing_predicates: [Pid(9)].into_iter().collect(),
             relevant_predicates: Some([Pid(4), Pid(9)].into_iter().collect()),
             batch_interval_ms: 100,
+        }
+    }
+
+    /// The byte-wise FNV-1a over the logical 33-byte encoding that the
+    /// word-wise `payload_checksum` replaced: the oracle for *what must
+    /// be told apart*, not for the value.
+    fn bytewise_checksum(tuples: &[StreamTuple]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut byte = |b: u8| {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x1_0000_01b3);
+        };
+        for t in tuples {
+            for word in [t.triple.s.0, t.triple.p.0, t.triple.o.0, t.timestamp] {
+                for b in word.to_le_bytes() {
+                    byte(b);
+                }
+            }
+            byte(if t.is_timeless() { 0 } else { 1 });
+        }
+        h
+    }
+
+    #[test]
+    fn checksum_tells_apart_every_single_bit_flip_kind_flip_and_length_change() {
+        let mut rng = proptest::TestRng::for_test("checksum_bit_flips");
+        for _ in 0..20 {
+            let n = rng.usize_in(1, 12);
+            let tuples: Vec<StreamTuple> = (0..n)
+                .map(|_| StreamTuple {
+                    triple: Triple::new(
+                        Vid(rng.next_u64()),
+                        Pid(rng.next_u64()),
+                        Vid(rng.next_u64()),
+                    ),
+                    timestamp: rng.next_u64(),
+                    kind: if rng.chance(1, 2) {
+                        TupleKind::Timing
+                    } else {
+                        TupleKind::Timeless
+                    },
+                })
+                .collect();
+            let sealed = payload_checksum(&tuples);
+            let differs = |other: &[StreamTuple], what: &str| {
+                assert_ne!(
+                    bytewise_checksum(other),
+                    bytewise_checksum(&tuples),
+                    "{what}"
+                );
+                assert_ne!(payload_checksum(other), sealed, "{what}");
+            };
+            for i in 0..n {
+                for field in 0..4 {
+                    for bit in 0..64 {
+                        let mut flipped = tuples.clone();
+                        let t = &mut flipped[i];
+                        *[
+                            &mut t.triple.s.0,
+                            &mut t.triple.p.0,
+                            &mut t.triple.o.0,
+                            &mut t.timestamp,
+                        ][field] ^= 1 << bit;
+                        differs(&flipped, &format!("tuple {i} field {field} bit {bit}"));
+                    }
+                }
+                let mut flipped = tuples.clone();
+                flipped[i].kind = match flipped[i].kind {
+                    TupleKind::Timing => TupleKind::Timeless,
+                    TupleKind::Timeless => TupleKind::Timing,
+                };
+                differs(&flipped, &format!("tuple {i} kind"));
+            }
+            differs(&tuples[..n - 1], "truncated");
+            let mut extended = tuples.clone();
+            extended.push(tuples[0]);
+            differs(&extended, "extended");
         }
     }
 

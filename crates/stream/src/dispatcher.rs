@@ -44,11 +44,28 @@ impl SubBatch {
 /// Every node receives a (possibly empty) sub-batch so that empty batches
 /// still advance every node's local VTS.
 pub fn dispatch(batch: &Batch, shards: &ShardMap) -> Vec<SubBatch> {
+    let id = batch.id();
+    let nodes = shards.nodes() as usize;
+    if nodes == 1 {
+        // One node owns every key: the sub-batch *is* the batch, so it
+        // is one copy and carries the batch's own checksum (same payload;
+        // a batch corrupted after sealing still fails `SubBatch::verify`).
+        return vec![SubBatch {
+            batch: id,
+            node: 0,
+            tuples: batch.tuples.clone(),
+            checksum: batch.checksum,
+        }];
+    }
+    // A tuple reaches at most four nodes.
+    let reserve = (batch.tuples.len() * 4)
+        .div_ceil(nodes)
+        .min(batch.tuples.len());
     let mut subs: Vec<SubBatch> = (0..shards.nodes())
         .map(|n| SubBatch {
-            batch: batch.id(),
+            batch: id,
             node: n,
-            tuples: Vec::new(),
+            tuples: Vec::with_capacity(reserve),
             checksum: 0,
         })
         .collect();
@@ -57,7 +74,8 @@ pub fn dispatch(batch: &Batch, shards: &ShardMap) -> Vec<SubBatch> {
         // timeless tuples update index vertices in the persistent store,
         // timing tuples maintain the per-slice predicate index in the
         // transient store (both live with the index key's owner).
-        for n in shards.nodes_of_triple(&tup.triple) {
+        let (owners, len) = shards.owners_of_triple(&tup.triple);
+        for &n in &owners[..len] {
             subs[n as usize].tuples.push(*tup);
         }
     }
@@ -74,6 +92,54 @@ mod tests {
 
     fn batch(tuples: Vec<StreamTuple>) -> Batch {
         Batch::sealed(StreamId(0), 100, tuples, 0)
+    }
+
+    /// The general per-tuple routing `dispatch` used before its
+    /// single-node shortcut and allocation-free owner lookup.
+    fn dispatch_oracle(batch: &Batch, shards: &ShardMap) -> Vec<(u16, Vec<StreamTuple>)> {
+        let mut subs: Vec<(u16, Vec<StreamTuple>)> =
+            (0..shards.nodes()).map(|n| (n, Vec::new())).collect();
+        for tup in &batch.tuples {
+            for n in shards.nodes_of_triple(&tup.triple) {
+                subs[n as usize].1.push(*tup);
+            }
+        }
+        subs
+    }
+
+    #[test]
+    fn dispatch_matches_general_routing_at_every_cluster_size() {
+        let mut rng = proptest::TestRng::for_test("dispatch_routing");
+        for nodes in 1..=8u16 {
+            let shards = ShardMap::new(nodes);
+            for _ in 0..8 {
+                let tuples: Vec<StreamTuple> = (0..rng.usize_in(0, 300))
+                    .map(|_| {
+                        let t = Triple::new(
+                            Vid(rng.below(40) + 1),
+                            Pid(rng.below(6) + 1),
+                            Vid(rng.below(40) + 100),
+                        );
+                        if rng.chance(1, 4) {
+                            StreamTuple::timing(t, 90)
+                        } else {
+                            StreamTuple::timeless(t, 90)
+                        }
+                    })
+                    .collect();
+                let b = batch(tuples);
+                let subs = dispatch(&b, &shards);
+                let want = dispatch_oracle(&b, &shards);
+                assert_eq!(subs.len(), want.len());
+                for (sub, (node, tuples)) in subs.iter().zip(&want) {
+                    assert_eq!(sub.node, *node);
+                    assert_eq!(&sub.tuples, tuples, "{nodes} nodes, node {node}");
+                    assert_eq!(sub.batch, b.id());
+                    // Holds for the single node's reused batch checksum too.
+                    assert_eq!(sub.checksum, payload_checksum(&sub.tuples));
+                }
+            }
+        }
     }
 
     #[test]

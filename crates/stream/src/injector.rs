@@ -1,22 +1,27 @@
 //! The per-node Injector (§3, §4.1).
 //!
-//! Applies one sub-batch to the node's slice of the hybrid store. This
-//! module is the *single-shard* injection path (every key owned
-//! locally), used by single-node deployments, tests and baselines; the
-//! distributed engine routes each key update to its owner shard itself
-//! (see `wukong-core`'s batch-processing path) because one triple's four
-//! key updates may live on three different nodes.
-//!
+//! Applies one sub-batch to the node's slice of the hybrid store.
 //! Timeless tuples go into the persistent shard (their timestamps dropped,
 //! their append receipts becoming a stream-index batch), timing tuples go
 //! into the stream's transient ring. Injection and indexing times are
 //! kept separate because Table 6 reports them separately.
+//!
+//! There is one install path, in two phases (DESIGN.md §5, "The write
+//! path"). [`install_sub_batch`] applies the data-key updates one node
+//! owns; its first-edge events become index-vertex updates that
+//! [`apply_index_updates`] lands on the index keys' owners, because one
+//! triple's four key updates may live on three different nodes. The
+//! distributed engine (`wukong-core`'s batch processing and catch-up
+//! replay) runs phase 1 per node and phase 2 across nodes;
+//! [`Injector::apply_split`] is the same two calls with every key owned
+//! locally, for single-node deployments, tests and baselines.
 
 use crate::dispatcher::SubBatch;
 use std::time::Instant;
-use wukong_rdf::{StreamTuple, Timestamp};
+use wukong_rdf::{Key, StreamTuple, Timestamp, Vid};
+use wukong_store::base::AppendReceipt;
 use wukong_store::{
-    IndexBatch, PersistentShard, SnapshotId, StreamIndex, TransientSlice, TransientStore,
+    IndexBatch, PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientSlice, TransientStore,
 };
 
 /// Per-stream stores of one node (transient ring + stream index).
@@ -66,6 +71,97 @@ impl InjectStats {
         self.inject_ns += other.inject_ns;
         self.index_ns += other.index_ns;
     }
+}
+
+/// What phase 1 of an install leaves behind for one node.
+#[derive(Debug, Default)]
+pub struct Installed {
+    /// The node's stream-index batch: its data-key appends, plus the
+    /// index-vertex appends [`apply_index_updates`] lands on it.
+    pub index: IndexBatch,
+    /// Volume and the two timed phases of this node's share.
+    pub stats: InjectStats,
+    /// First-edge events of this node's appends, in append order: the
+    /// index-vertex updates phase 2 routes to their owners.
+    pub index_updates: Vec<(Key, Vid)>,
+}
+
+/// Phase 1 of a batch install on one node: appends the timeless tuples'
+/// data keys that `owns` selects to `shard` under snapshot `sn`
+/// (consolidating touched cells up to `merge_upto`), builds the node's
+/// stream-index batch from the append receipts, and builds the transient
+/// slice of the timing tuples' owned entries. The caller moves the slice
+/// and — after phase 2 — the index batch into the stream's structures.
+///
+/// What costs once per sub-batch, not per tuple: the shard's batch lock
+/// and the triple count ([`PersistentShard::install_owned`]), one
+/// receipts buffer sized up front, one reserved fat-pointer map, and one
+/// clock read per timed phase (injection, then indexing — Table 6's
+/// columns).
+pub fn install_sub_batch(
+    shard: &PersistentShard,
+    owns: impl Fn(Key) -> bool,
+    tuples: &[StreamTuple],
+    ts: Timestamp,
+    sn: SnapshotId,
+    merge_upto: Option<SnapshotId>,
+) -> (Installed, TransientSlice) {
+    let mut inst = Installed::default();
+    let t0 = Instant::now();
+    let timeless = tuples.iter().filter(|t| t.is_timeless());
+    // Two data-key appends per timeless tuple at most — exact when this
+    // node owns every key.
+    let mut receipts = Vec::with_capacity(2 * timeless.clone().count());
+    inst.stats.timeless = shard.install_owned(
+        timeless.map(|t| t.triple),
+        &owns,
+        sn,
+        merge_upto,
+        &mut receipts,
+        &mut inst.index_updates,
+    );
+    let timing = tuples.iter().filter(|t| !t.is_timeless());
+    let slice = TransientSlice::from_batch_filtered(ts, timing, &owns);
+    inst.stats.timing = slice.tuple_count();
+    let t1 = Instant::now();
+    inst.stats.inject_ns = (t1 - t0).as_nanos() as u64;
+
+    inst.index = IndexBatch::from_receipts(ts, &receipts);
+    inst.stats.index_ns = t1.elapsed().as_nanos() as u64;
+    (inst, slice)
+}
+
+/// Phase 2 of a batch install: lands every node's first-edge
+/// index-vertex updates on the index key's owner, in node order (the
+/// order fixes the index vertices' neighbour order), folding each append
+/// into the owner's index batch. An owner with `delivered[node]` unset
+/// never received the batch and misses the update too — recovery replays
+/// the whole batch, regenerating it. `installed[n]` is node `n`'s phase-1
+/// result. Callers install one batch at a time (the engine's pipeline
+/// lock), which keeps a batch's appends to an index key contiguous.
+/// Returns the nanoseconds spent.
+pub fn apply_index_updates<'a>(
+    shards: &ShardMap,
+    shard_of: impl Fn(u16) -> &'a PersistentShard,
+    installed: &mut [Installed],
+    delivered: &[bool],
+    sn: SnapshotId,
+    merge_upto: Option<SnapshotId>,
+) -> u64 {
+    let t0 = Instant::now();
+    for from in 0..installed.len() {
+        for (key, v) in std::mem::take(&mut installed[from].index_updates) {
+            let owner = shards.node_of_key(key);
+            if !delivered[owner as usize] {
+                continue;
+            }
+            let (offset, _) = shard_of(owner).append_owned(key, v, sn, merge_upto);
+            installed[owner as usize]
+                .index
+                .record(AppendReceipt { key, offset });
+        }
+    }
+    t0.elapsed().as_nanos() as u64
 }
 
 /// The injector of one node.
@@ -128,37 +224,24 @@ impl Injector {
         sn: SnapshotId,
         merge_upto: Option<SnapshotId>,
     ) -> (IndexBatch, InjectStats) {
-        let mut stats = InjectStats::default();
+        let (mut inst, slice) = install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, merge_upto);
+        transient.push_batch(slice);
+        inst.stats.inject_ns += apply_index_updates(
+            &ShardMap::new(1),
+            |_| shard,
+            std::slice::from_mut(&mut inst),
+            &[true],
+            sn,
+            merge_upto,
+        );
 
-        // Persistent store: timeless tuples only.
-        let timeless: Vec<_> = sub
-            .tuples
-            .iter()
-            .filter(|t| t.is_timeless())
-            .map(|t| t.triple)
-            .collect();
-        let t0 = Instant::now();
-        let receipts = shard.inject_batch_merging(&timeless, sn, merge_upto);
-        stats.timeless = timeless.len();
-
-        // Transient store: timing tuples.
-        let timing: Vec<StreamTuple> = sub
-            .tuples
-            .iter()
-            .filter(|t| !t.is_timeless())
-            .copied()
-            .collect();
-        stats.timing = timing.len();
-        transient.push_batch(TransientSlice::from_batch(ts, &timing));
-        stats.inject_ns = t0.elapsed().as_nanos() as u64;
-
-        // Stream index from the persistent appends.
+        // The caller gets the batch back (it is what replication ships),
+        // so this convenience path pays the one copy the engine avoids.
         let t1 = Instant::now();
-        let batch = IndexBatch::from_receipts(ts, &receipts);
-        index.push_batch(batch.clone());
-        stats.index_ns = t1.elapsed().as_nanos() as u64;
+        index.push_batch(inst.index.clone());
+        inst.stats.index_ns += t1.elapsed().as_nanos() as u64;
 
-        (batch, stats)
+        (inst.index, inst.stats)
     }
 
     /// Replays a replicated index batch from another node (the replica
@@ -207,6 +290,128 @@ mod tests {
                 .neighbors_in(Key::new(Vid(4), Pid(5), Dir::Out), 100, 100),
             vec![Vid(6)]
         );
+    }
+
+    /// The install path against the per-tuple primitives it replaced:
+    /// one `BaseStore::insert_at` per timeless tuple,
+    /// `IndexBatch::from_receipts` over all of a batch's receipts and one
+    /// owner-filtered `TransientSlice` per node.
+    #[test]
+    fn install_matches_the_per_tuple_primitives() {
+        use crate::{dispatch, Batch};
+        use wukong_rdf::StreamId;
+        use wukong_store::BaseStore;
+
+        let mut rng = proptest::TestRng::for_test("install_vs_primitives");
+        for nodes in [1u16, 4, 8] {
+            for merging in [false, true] {
+                let map = ShardMap::new(nodes);
+                let shards: Vec<PersistentShard> =
+                    (0..nodes).map(|_| PersistentShard::new(4)).collect();
+                let mut oracle = BaseStore::new();
+                let mut keys: Vec<Key> = Vec::new();
+                for round in 1..=6u64 {
+                    let (ts, sn) = (round * 100, SnapshotId(round));
+                    let merge = (merging && round > 2).then(|| SnapshotId(round - 2));
+                    // Few vertices and predicates: keys repeat within and
+                    // across batches, and first-edge events thin out.
+                    let tuples: Vec<StreamTuple> = (0..rng.usize_in(0, 120))
+                        .map(|_| {
+                            let (s, p, o) =
+                                (rng.below(12) + 1, rng.below(4) + 1, rng.below(12) + 20);
+                            if rng.chance(1, 3) {
+                                timing(s, p, o, ts)
+                            } else {
+                                timeless(s, p, o, ts)
+                            }
+                        })
+                        .collect();
+                    let batch = Batch::sealed(StreamId(0), ts, tuples, 0);
+
+                    let mut receipts = Vec::new();
+                    for t in batch.timeless() {
+                        oracle.insert_at(t.triple, sn, &mut receipts);
+                    }
+                    let want_index = IndexBatch::from_receipts(ts, &receipts);
+                    let timing: Vec<StreamTuple> = batch.timing().copied().collect();
+
+                    let (mut installed, slices): (Vec<Installed>, Vec<TransientSlice>) =
+                        dispatch(&batch, &map)
+                            .iter()
+                            .map(|sub| {
+                                install_sub_batch(
+                                    &shards[sub.node as usize],
+                                    map.owner_filter(sub.node),
+                                    &sub.tuples,
+                                    ts,
+                                    sn,
+                                    merge,
+                                )
+                            })
+                            .unzip();
+                    apply_index_updates(
+                        &map,
+                        |n| &shards[n as usize],
+                        &mut installed,
+                        &vec![true; nodes as usize],
+                        sn,
+                        merge,
+                    );
+
+                    // Same fat pointers, each on its key's owner only.
+                    let got_entries: usize = installed.iter().map(|i| i.index.entry_count()).sum();
+                    assert_eq!(got_entries, want_index.entry_count());
+                    want_index.for_each_key(|k| {
+                        let owner = map.node_of_key(k) as usize;
+                        assert_eq!(installed[owner].index.get(k), want_index.get(k), "{k:?}");
+                        keys.push(k);
+                    });
+                    // Same volume, every tuple counted on exactly one node.
+                    let timeless: usize = installed.iter().map(|i| i.stats.timeless).sum();
+                    assert_eq!(timeless, batch.timeless().count());
+                    // Same transient neighbours, per owner.
+                    for (n, slice) in slices.iter().enumerate() {
+                        let want = TransientSlice::from_batch_filtered(
+                            ts,
+                            &timing,
+                            map.owner_filter(n as u16),
+                        );
+                        for t in &timing {
+                            for k in [
+                                t.triple.out_key(),
+                                t.triple.in_key(),
+                                Key::index(t.triple.p, Dir::Out),
+                                Key::index(t.triple.p, Dir::In),
+                            ] {
+                                assert_eq!(slice.neighbors(k), want.neighbors(k), "{k:?}");
+                            }
+                        }
+                    }
+
+                    // Same cells. Injection-time merging only moves *when*
+                    // an old snapshot's appends become visible to older
+                    // readers, so merged runs compare the current view;
+                    // index vertices of a multi-node install hold the same
+                    // vertices in node order rather than tuple order.
+                    keys.sort_unstable();
+                    keys.dedup();
+                    let views = if merging { sn.0..=sn.0 } else { 0..=sn.0 };
+                    for at in views.map(SnapshotId) {
+                        for &k in &keys {
+                            let mut got = shards[map.node_of_key(k) as usize].neighbors_at(k, at);
+                            let mut want = oracle.neighbors_at(k, at);
+                            if k.is_index() && nodes > 1 {
+                                got.sort_unstable();
+                                want.sort_unstable();
+                            }
+                            assert_eq!(got, want, "{k:?} at {at:?}, {nodes} nodes");
+                        }
+                    }
+                }
+                let counted: u64 = shards.iter().map(PersistentShard::triple_count).sum();
+                assert_eq!(counted, oracle.triple_count());
+            }
+        }
     }
 
     #[test]

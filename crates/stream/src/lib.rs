@@ -32,7 +32,9 @@ pub mod window;
 pub use adaptor::{Adaptor, Batch, StreamSchema};
 pub use coordinator::Coordinator;
 pub use dispatcher::{dispatch, SubBatch};
-pub use injector::{InjectStats, Injector, NodeStreamStore};
+pub use injector::{
+    apply_index_updates, install_sub_batch, InjectStats, Injector, Installed, NodeStreamStore,
+};
 pub use scalarize::{SnVtsPlanner, StalenessBound};
 pub use shed::{IngestBudget, ShedPolicy, ShedRecord, Shedder};
 pub use vts::Vts;

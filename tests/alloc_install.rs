@@ -1,0 +1,129 @@
+//! Allocation guard for the batch install path (DESIGN.md §5, "The write
+//! path: per-batch, not per-tuple").
+//!
+//! One `advance_time` seals a round's batches and installs them. What it
+//! allocates may scale with the *distinct keys* the round touches (new
+//! cells, per-snapshot intervals, transient adjacency lists) but not
+//! with the number of tuples: raw-bytes accounting, dispatch and the
+//! checksum checks allocate nothing per tuple. A `to_owned()` put back on
+//! that path fails here before a benchmark run finds it.
+//!
+//! This file holds one test on purpose: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use wukong_bench::workload::ls_workload_with;
+use wukong_bench::Scale;
+use wukong_benchdata::LsBenchConfig;
+use wukong_core::{EngineConfig, WukongS};
+use wukong_rdf::{Dir, Key, Timestamp};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const BATCH_MS: Timestamp = 100;
+const WARM_UP_ROUNDS: u64 = 8;
+
+/// Allocations of the measured call at the parent of the install-path
+/// rewrite (three name clones and an owner `Vec` per tuple, a collected
+/// `Vec` per tuple family, an index-batch clone), on this exact workload.
+const BEFORE_THE_REWRITE: u64 = 4_198;
+
+#[test]
+fn advance_time_allocates_per_key_not_per_tuple() {
+    // Tiny LSBench population at a firehose-like rate: few users, so a
+    // round's tuples keep hitting the same keys.
+    let w = ls_workload_with(
+        LsBenchConfig {
+            rate_scale: 0.05,
+            ..Scale::Tiny.ls_config()
+        },
+        (WARM_UP_ROUNDS + 1) * BATCH_MS,
+    );
+    let engine = WukongS::with_strings(EngineConfig::single_node(), Arc::clone(&w.strings));
+    engine.load_base(w.stored.iter().copied());
+    for schema in w.schemas() {
+        engine.register_stream(schema);
+    }
+
+    // Every round's tuples stay inside their open batches until the
+    // round's `advance_time` seals and installs them all.
+    let round = |k: u64| {
+        let (lo, hi) = (k * BATCH_MS, (k + 1) * BATCH_MS);
+        w.timeline
+            .iter()
+            .filter(move |t| (lo..hi).contains(&t.timestamp))
+    };
+    for k in 0..WARM_UP_ROUNDS {
+        for t in round(k) {
+            engine.ingest(t.stream, t.triple, t.timestamp);
+        }
+        engine.advance_time((k + 1) * BATCH_MS);
+    }
+
+    let mut tuples = 0u64;
+    let mut keys: HashSet<Key> = HashSet::new();
+    for t in round(WARM_UP_ROUNDS) {
+        engine.ingest(t.stream, t.triple, t.timestamp);
+        tuples += 1;
+        keys.extend([
+            t.triple.out_key(),
+            t.triple.in_key(),
+            Key::index(t.triple.p, Dir::Out),
+            Key::index(t.triple.p, Dir::In),
+        ]);
+    }
+    let stored_before = engine.stats().stored_triples;
+    let before = ALLOCS.load(Ordering::Relaxed);
+    engine.advance_time((WARM_UP_ROUNDS + 1) * BATCH_MS);
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let installed = engine.stats().stored_triples - stored_before;
+
+    let keys = keys.len() as u64;
+    println!(
+        "{tuples} tuples ({installed} timeless) on {keys} distinct keys: {allocs} allocations"
+    );
+    assert!(installed > 500, "the round must install a real batch");
+    assert!(
+        tuples > 2 * keys / 3,
+        "the workload must repeat keys, or per-key and per-tuple costs look alike"
+    );
+    // A touched key costs a cell or a new snapshot interval, its first
+    // segment, and some growth; everything else is per batch. One more
+    // allocation per tuple (668 here) does not fit under this.
+    assert!(
+        allocs <= 2 * keys + 200,
+        "{allocs} allocations for {keys} keys: something allocates per tuple again"
+    );
+    assert!(
+        allocs < BEFORE_THE_REWRITE,
+        "{allocs} allocations, {BEFORE_THE_REWRITE} before the install-path rewrite"
+    );
+}
