@@ -53,7 +53,9 @@ cargo test -q
 # Execution-mode matrix: the equivalence suites must pass at both the
 # serial baseline and a wide pool, with delta maintenance off and on and
 # adaptive re-planning off and on — incremental and adaptive firings are
-# required to be byte-identical to static recompute at every point.
+# required to be byte-identical to static recompute at every point. The
+# CONSTRUCT-pipeline watchdog test rides along: a lock-order regression
+# fails there instead of hanging.
 for workers in 1 4; do
     for inc in 0 1; do
         for adaptive in 0 1; do
@@ -61,7 +63,8 @@ for workers in 1 4; do
             WUKONG_WORKERS=$workers WUKONG_INCREMENTAL=$inc WUKONG_ADAPTIVE=$adaptive \
                 cargo test -q -p wukong-bench \
                 --test differential --test integration_parallel \
-                --test props_incremental --test props_planner --test regression_replan
+                --test props_incremental --test props_planner --test regression_replan \
+                --test integration_engine
         done
     done
 done
@@ -86,76 +89,43 @@ for trace in 0 1; do
 done
 
 if [[ "${1:-}" == "--quick" ]]; then
-    echo "== bench JSON smoke (tiny scale)"
+    # One --json smoke run per line: bin | extra args (OUT = the scratch
+    # directory) | patterns the report must contain (`;`-separated).
+    smokes='table2_latency_single||"schema_version": 8
+exp_recovery_drill|--quick|"all_match": 1
+exp_worker_scaling|--quick|"all_match": 1;"pool"
+exp_incremental|--quick|"all_match": 1;"incremental"
+exp_overload|--quick|"all_match": 1;"overload"
+exp_adaptive|--quick|"all_match": 1;"plan"
+exp_chaos|--quick|"all_pass": 1;"integrity"
+exp_trace|--quick --dump OUT/trace_dump.json|"all_pass": 1;"trace"
+table6_injection||'
     out="$(mktemp -d)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin table2_latency_single -- --json "$out/table2.json"
-    grep -q '"schema_version": 8' "$out/table2.json"
-    echo "smoke OK: $out/table2.json"
+    while IFS='|' read -r bin args patterns; do
+        echo "== smoke: $bin (tiny scale)"
+        # shellcheck disable=SC2086  # the args are a word list
+        WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
+            --bin "$bin" -- ${args//OUT/$out} --json "$out/$bin.json"
+        IFS=';' read -ra required <<<"$patterns"
+        for pattern in "${required[@]}"; do
+            grep -q -- "$pattern" "$out/$bin.json"
+        done
+        echo "smoke OK: $out/$bin.json"
+    done <<<"$smokes"
 
-    echo "== recovery drill smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_recovery_drill -- --quick --json "$out/drill.json"
-    grep -q '"all_match": 1' "$out/drill.json"
-    echo "drill OK: $out/drill.json"
-
-    echo "== worker scaling smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_worker_scaling -- --quick --json "$out/scaling.json"
-    grep -q '"all_match": 1' "$out/scaling.json"
-    grep -q '"pool"' "$out/scaling.json"
-    echo "scaling OK: $out/scaling.json"
-
-    echo "== incremental overlap smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_incremental -- --quick --json "$out/incremental.json"
-    grep -q '"all_match": 1' "$out/incremental.json"
-    grep -q '"incremental"' "$out/incremental.json"
-    echo "incremental OK: $out/incremental.json"
-
-    echo "== overload drill smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_overload -- --quick --json "$out/overload.json"
-    grep -q '"all_match": 1' "$out/overload.json"
-    grep -q '"overload"' "$out/overload.json"
-    echo "overload OK: $out/overload.json"
-
-    echo "== adaptive re-planning smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_adaptive -- --quick --json "$out/adaptive.json"
-    grep -q '"all_match": 1' "$out/adaptive.json"
-    grep -q '"plan"' "$out/adaptive.json"
-    echo "adaptive OK: $out/adaptive.json"
-
-    echo "== composed-fault chaos smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_chaos -- --quick --json "$out/chaos.json"
-    grep -q '"all_pass": 1' "$out/chaos.json"
-    grep -q '"integrity"' "$out/chaos.json"
-    echo "chaos OK: $out/chaos.json"
-
-    echo "== trace fidelity smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin exp_trace -- --quick --json "$out/trace.json" --dump "$out/trace_dump.json"
-    grep -q '"all_pass": 1' "$out/trace.json"
-    grep -q '"trace"' "$out/trace.json"
+    # The quarantine dump must load and render through the inspector.
     grep -q '"kind": "trace_dump"' "$out/trace_dump.json"
     cargo run -q --release -p wukong-bench --bin wukong-trace -- "$out/trace_dump.json" \
         > "$out/trace_render.txt"
     grep -q 'trace_dump: trigger quarantine' "$out/trace_render.txt"
-    echo "trace OK: $out/trace.json"
 
     # Table 6 reports injection and indexing as separate columns; the
     # install path times them as two phases, and neither may read zero.
-    echo "== Table 6 injection/indexing split smoke (tiny scale)"
-    WUKONG_SCALE=tiny cargo run -q --release -p wukong-bench \
-        --bin table6_injection -- --json "$out/table6.json"
-    [[ "$(grep -cE '/(inject|index)_ms_per_batch": ' "$out/table6.json")" -eq 10 ]]
-    if grep -E '/(inject|index)_ms_per_batch": 0,?$' "$out/table6.json"; then
+    [[ "$(grep -cE '/(inject|index)_ms_per_batch": ' "$out/table6_injection.json")" -eq 10 ]]
+    if grep -E '/(inject|index)_ms_per_batch": 0,?$' "$out/table6_injection.json"; then
         echo "Table 6: a column reads zero"
         exit 1
     fi
-    echo "table6 OK: $out/table6.json"
 
     # The benchmark crate builds against the workspace's public API and
     # checks seed 42's result digests: an API break or a changed result

@@ -38,7 +38,7 @@
 use std::sync::Arc;
 use wukong_bench::{fmt_ms, print_header, print_row, BenchJson};
 use wukong_core::{EngineConfig, WukongS};
-use wukong_obs::PlanSnapshot;
+use wukong_obs::{Fnv64, PlanSnapshot};
 use wukong_rdf::{StreamId, StringServer, Triple, Vid};
 use wukong_stream::StreamSchema;
 
@@ -78,22 +78,6 @@ impl Rng {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
-    }
-}
-
-/// FNV-1a over the canonical firing stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
     }
 }
 
@@ -210,7 +194,7 @@ fn run(w: &Workload, adaptive: bool) -> RunOutcome {
     let mut total_ms = 0.0;
     let mut firings = 0u64;
     let mut rows = 0u64;
-    let mut hash = Fnv::new();
+    let mut hash = Fnv64::new();
     for tick in (INTERVAL_MS..=w.duration).step_by(INTERVAL_MS as usize) {
         while fed < w.timeline.len() && w.timeline[fed].1 <= tick {
             engine.ingest(s, w.timeline[fed].0, w.timeline[fed].1);
@@ -349,7 +333,7 @@ fn main() {
         last_counters = adap.counters;
     }
 
-    jr.plan(&last_counters);
+    jr.section("plan", last_counters.entries());
     jr.counter("drift_gain", drift_gain);
     jr.counter("all_match", if all_match { 1.0 } else { 0.0 });
     jr.finish();

@@ -420,7 +420,7 @@ fn main() {
 
     if let Some(out) = &last {
         jr.recovery(&out.report);
-        jr.integrity(&out.integrity);
+        jr.section("integrity", out.integrity.entries());
     }
     jr.counter("schedules", schedules as f64);
     jr.counter("marked_firings", marked_total as f64);

@@ -46,7 +46,7 @@
 use std::sync::Arc;
 use wukong_bench::{fmt_ms, print_header, print_row, BenchJson};
 use wukong_core::{EngineConfig, WukongS};
-use wukong_obs::IncrementalSnapshot;
+use wukong_obs::{Fnv64, IncrementalSnapshot};
 use wukong_rdf::{StreamId, StringServer, Triple, Vid};
 use wukong_stream::StreamSchema;
 
@@ -75,22 +75,6 @@ impl Rng {
 
     fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
-    }
-}
-
-/// FNV-1a over the canonical firing stream.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
     }
 }
 
@@ -174,7 +158,7 @@ fn run(w: &Workload, range_ms: u64, incremental: bool) -> RunOutcome {
     let mut total_ms = 0.0;
     let mut firings = 0u64;
     let mut rows = 0u64;
-    let mut hash = Fnv::new();
+    let mut hash = Fnv64::new();
     for tick in (INTERVAL_MS..=w.duration).step_by(INTERVAL_MS as usize) {
         while fed < w.timeline.len() && w.timeline[fed].1 <= tick {
             engine.ingest(s, w.timeline[fed].0, w.timeline[fed].1);
@@ -300,7 +284,7 @@ fn main() {
             if matches { 1.0 } else { 0.0 },
         );
         if range_ms == regimes.last().expect("non-empty").0 {
-            jr.incremental(&inc.counters);
+            jr.section("incremental", inc.counters.entries());
         }
     }
 

@@ -30,6 +30,7 @@ use wukong_bench::{ls_workload, print_header, print_row, BenchJson, LsWorkload, 
 use wukong_benchdata::{lsbench, TimedTuple};
 use wukong_core::{EngineConfig, Firing, OverloadState, WukongS};
 use wukong_net::{FaultPlan, NodeId};
+use wukong_obs::Fnv64;
 use wukong_rdf::Timestamp;
 use wukong_stream::{IngestBudget, ShedPolicy};
 
@@ -44,23 +45,6 @@ const QUIET_MS: u64 = 300;
 
 type FiringKey = (usize, Timestamp);
 type FiringMap = BTreeMap<FiringKey, Vec<Vec<wukong_rdf::Vid>>>;
-
-/// FNV-1a over a canonical u64 stream (same hash across runs ⇔ the
-/// hashed stream is byte-identical).
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
 
 /// The spiked timeline: inside `[from, until)` every tuple is repeated
 /// `AMP`× — a deterministic rate spike, identical for every engine.
@@ -156,7 +140,7 @@ fn run(w: &LsWorkload, timeline: &[TimedTuple], until: Timestamp, cfg: EngineCon
     engine.advance_time(w.duration);
     collect(engine.fire_ready(), &mut after, &mut markers);
 
-    let mut log_hash = Fnv::new();
+    let mut log_hash = Fnv64::new();
     for r in engine.shed_log() {
         log_hash.push(r.stream.0 as u64);
         log_hash.push(r.batch_ts);
@@ -332,7 +316,7 @@ fn main() {
     jr.counter("clean/pass", if clean_ok { 1.0 } else { 0.0 });
 
     if let Some(snap) = last_snap {
-        jr.overload(&snap);
+        jr.section("overload", snap.entries());
     }
     jr.counter("cells", (policies.len() + 1) as f64);
     jr.counter("all_match", if all_match { 1.0 } else { 0.0 });

@@ -305,7 +305,7 @@ fn main() {
             },
         ]);
         if workers == 4 {
-            jr.trace(&on.trace);
+            jr.section("trace", on.trace.entries());
             jr.counter("overhead_ratio", ratio);
             jr.counter("modeled_ms_on", on.total_ms);
             jr.counter("modeled_ms_off", off.total_ms);

@@ -32,7 +32,7 @@ use std::time::Instant;
 use wukong_bench::{fmt_ms, ls_workload, print_header, print_row, BenchJson, Scale};
 use wukong_benchdata::lsbench;
 use wukong_core::{EngineConfig, WukongS};
-use wukong_obs::PoolSnapshot;
+use wukong_obs::{Fnv64, PoolSnapshot};
 
 /// Continuous registrations per query class: firing regions then carry
 /// `classes x variants` windows per fire, enough work to fill 8 lanes.
@@ -50,24 +50,6 @@ struct RunOutcome {
     rows: u64,
     hash: u64,
     pool: PoolSnapshot,
-}
-
-/// FNV-1a over the canonical firing stream: registration index, window
-/// end, and every row in engine order. Byte-identical output across
-/// worker counts ⇒ identical hash.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
 }
 
 fn run_at(w: &wukong_bench::LsWorkload, nodes: usize, workers: usize) -> RunOutcome {
@@ -110,7 +92,7 @@ fn run_at(w: &wukong_bench::LsWorkload, nodes: usize, workers: usize) -> RunOutc
     let wall_ns = t0.elapsed().as_nanos() as u64;
     let pool = before.delta(&engine.cluster().obs().pool().snapshot());
 
-    let mut hash = Fnv::new();
+    let mut hash = Fnv64::new();
     let mut rows = 0u64;
     for f in &firings {
         let qi = ids
@@ -265,7 +247,7 @@ fn main() {
             if matches { 1.0 } else { 0.0 },
         );
         if workers == *widths.last().expect("non-empty sweep") {
-            jr.pool(&out.pool);
+            jr.section("pool", out.pool.entries());
         }
         if baseline.is_none() {
             baseline = Some((out_modeled, out.pool.serial_busy_ns, out.hash));

@@ -11,48 +11,11 @@
 //! average latency. Paper shape: ~4.2× throughput from 2 to 8 nodes,
 //! ~1 M q/s peak, sub-ms median latency.
 
-use wukong_bench::{feed_engine, fmt_ms, ls_workload, print_header, print_row, BenchJson, Scale};
-use wukong_benchdata::lsbench;
-use wukong_core::{EngineConfig, LatencyRecorder, WukongS};
-
-const WORKERS_PER_NODE: f64 = 16.0;
-
-/// Builds the per-class latency recorders for a class mix.
-pub fn measure_mix(
-    engine: &WukongS,
-    bench: &wukong_benchdata::LsBench,
-    classes: &[usize],
-    variants: usize,
-    runs_per_variant: usize,
-) -> Vec<LatencyRecorder> {
-    classes
-        .iter()
-        .map(|&class| {
-            let mut rec = LatencyRecorder::new();
-            for v in 0..variants {
-                let id = engine
-                    .register_continuous(&lsbench::continuous_query(bench, class, v))
-                    .expect("register");
-                let _ = engine.execute_registered(id); // plan warm-up
-                for _ in 0..runs_per_variant {
-                    let (_, ms) = engine.execute_registered(id);
-                    rec.record(ms);
-                }
-            }
-            rec
-        })
-        .collect()
-}
-
-/// Mix throughput by Little's law with reciprocal-latency class weights.
-pub fn mix_throughput(recs: &[LatencyRecorder], nodes: usize) -> (f64, f64) {
-    let lats: Vec<f64> = recs.iter().map(|r| r.mean().expect("samples")).collect();
-    let inv_sum: f64 = lats.iter().map(|l| 1.0 / l).sum();
-    // Weighted mean latency of the mix = k / Σ(1/L).
-    let mean_ms = lats.len() as f64 / inv_sum;
-    let thr = WORKERS_PER_NODE * nodes as f64 / (mean_ms / 1_000.0);
-    (thr, mean_ms)
-}
+use wukong_bench::{
+    feed_engine, fmt_ms, ls_workload, measure_mix, mix_throughput, print_header, print_row,
+    BenchJson, Scale,
+};
+use wukong_core::EngineConfig;
 
 fn main() {
     let mut jr = BenchJson::from_env("fig14_throughput_mix3");

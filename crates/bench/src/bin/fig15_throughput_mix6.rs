@@ -6,45 +6,11 @@
 //! scaling (~5× from 2 to 8 nodes) because the group II queries
 //! themselves get faster on more nodes.
 
-use wukong_bench::{feed_engine, fmt_ms, ls_workload, print_header, print_row, BenchJson, Scale};
-use wukong_benchdata::lsbench;
-use wukong_core::{EngineConfig, LatencyRecorder, WukongS};
-
-const WORKERS_PER_NODE: f64 = 16.0;
-
-fn measure_mix(
-    engine: &WukongS,
-    bench: &wukong_benchdata::LsBench,
-    classes: &[usize],
-    variants: usize,
-    runs_per_variant: usize,
-) -> Vec<LatencyRecorder> {
-    classes
-        .iter()
-        .map(|&class| {
-            let mut rec = LatencyRecorder::new();
-            for v in 0..variants {
-                let id = engine
-                    .register_continuous(&lsbench::continuous_query(bench, class, v))
-                    .expect("register");
-                let _ = engine.execute_registered(id);
-                for _ in 0..runs_per_variant {
-                    let (_, ms) = engine.execute_registered(id);
-                    rec.record(ms);
-                }
-            }
-            rec
-        })
-        .collect()
-}
-
-fn mix_throughput(recs: &[LatencyRecorder], nodes: usize) -> (f64, f64) {
-    let lats: Vec<f64> = recs.iter().map(|r| r.mean().expect("samples")).collect();
-    let inv_sum: f64 = lats.iter().map(|l| 1.0 / l).sum();
-    let mean_ms = lats.len() as f64 / inv_sum;
-    let thr = WORKERS_PER_NODE * nodes as f64 / (mean_ms / 1_000.0);
-    (thr, mean_ms)
-}
+use wukong_bench::{
+    feed_engine, fmt_ms, ls_workload, measure_mix, mix_throughput, print_header, print_row,
+    BenchJson, Scale,
+};
+use wukong_core::EngineConfig;
 
 fn main() {
     let mut jr = BenchJson::from_env("fig15_throughput_mix6");

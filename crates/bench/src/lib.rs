@@ -21,6 +21,6 @@ pub mod workload;
 pub use report::{fmt_ms, print_header, print_row, BenchJson, JSON_SCHEMA_VERSION};
 pub use workload::{
     city_workload, city_workload_seeded, feed_composite, feed_engine, feed_spark, feed_wukong_ext,
-    ls_workload, ls_workload_seeded, sample_composite, sample_continuous, seed_from_env,
-    CityWorkload, LsWorkload, Scale,
+    ls_workload, ls_workload_seeded, measure_mix, mix_throughput, sample_composite,
+    sample_continuous, seed_from_env, CityWorkload, LsWorkload, Scale,
 };

@@ -5,10 +5,7 @@ use std::path::PathBuf;
 
 use wukong_core::metrics::LatencyRecorder;
 use wukong_core::{RecoveryReport, WukongS};
-use wukong_obs::{
-    FaultSnapshot, HistogramSnapshot, IncrementalSnapshot, IntegritySnapshot, Json,
-    OverloadSnapshot, PlanSnapshot, PoolSnapshot, RegistrySnapshot, TraceSnapshot,
-};
+use wukong_obs::{HistogramSnapshot, Json, RegistrySnapshot};
 
 /// Version stamped into every JSON report as `schema_version`. Bump when
 /// the document layout changes incompatibly.
@@ -77,7 +74,7 @@ pub const JSON_SCHEMA_VERSION: u64 = 8;
 /// }
 /// ```
 ///
-/// `faults` carries every [`FaultSnapshot`] counter (all zero in a
+/// `faults` carries every [`wukong_obs::FaultSnapshot`] counter (all zero in a
 /// fault-free run); `recovery` stays an empty object unless the
 /// experiment performed a recovery and called [`BenchJson::recovery`];
 /// `pool` carries the worker-pool counters of the captured engine (all
@@ -220,79 +217,18 @@ impl BenchJson {
         self.member("counters").set(name, Json::from(value));
     }
 
-    /// Records the fault-injection counters (usually an interval delta).
-    pub fn faults(&mut self, snap: &FaultSnapshot) {
+    /// Records one counter-family section (`faults`, `pool`,
+    /// `incremental`, `overload`, `plan`, `integrity`, `trace`) from a
+    /// snapshot's `entries()` — usually an interval delta.
+    pub fn section(&mut self, name: &str, entries: impl IntoIterator<Item = (&'static str, u64)>) {
         if !self.active() {
             return;
         }
         let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
+        for (key, v) in entries {
+            o.set(key, Json::from(v));
         }
-        *self.member("faults") = o;
-    }
-
-    /// Records the worker-pool counters (usually an interval delta).
-    pub fn pool(&mut self, snap: &PoolSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("pool") = o;
-    }
-
-    /// Records the delta-maintenance counters (usually an interval
-    /// delta).
-    pub fn incremental(&mut self, snap: &IncrementalSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("incremental") = o;
-    }
-
-    /// Records the bounded-ingest / load-shedding counters (usually an
-    /// interval delta).
-    pub fn overload(&mut self, snap: &OverloadSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("overload") = o;
-    }
-
-    /// Records the adaptive-planning counters (usually an interval
-    /// delta).
-    pub fn plan(&mut self, snap: &PlanSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("plan") = o;
-    }
-
-    /// Records the state-integrity counters (usually an interval delta).
-    pub fn integrity(&mut self, snap: &IntegritySnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("integrity") = o;
+        *self.member(name) = o;
     }
 
     /// Records a recovery's replay metrics.
@@ -323,18 +259,6 @@ impl BenchJson {
         *self.member("recovery") = o;
     }
 
-    /// Records the flight-recorder counters (engine-lifetime totals).
-    pub fn trace(&mut self, snap: &TraceSnapshot) {
-        if !self.active() {
-            return;
-        }
-        let mut o = Json::object();
-        for (name, v) in snap.entries() {
-            o.set(name, Json::from(v));
-        }
-        *self.member("trace") = o;
-    }
-
     /// Captures an engine's fabric counters, operational counters, and
     /// staged latency breakdown.
     pub fn engine(&mut self, engine: &WukongS) {
@@ -362,13 +286,22 @@ impl BenchJson {
         ] {
             self.counter(name, v);
         }
-        self.faults(&engine.handle().fault_counters());
-        self.pool(&engine.handle().obs().pool().snapshot());
-        self.incremental(&engine.handle().obs().incremental().snapshot());
-        self.overload(&engine.handle().obs().overload().snapshot());
-        self.plan(&engine.handle().obs().plan().snapshot());
-        self.integrity(&engine.handle().obs().integrity().snapshot());
-        self.trace(&engine.handle().trace_snapshot());
+        self.section("faults", engine.handle().fault_counters().entries());
+        self.section("pool", engine.handle().obs().pool().snapshot().entries());
+        self.section(
+            "incremental",
+            engine.handle().obs().incremental().snapshot().entries(),
+        );
+        self.section(
+            "overload",
+            engine.handle().obs().overload().snapshot().entries(),
+        );
+        self.section("plan", engine.handle().obs().plan().snapshot().entries());
+        self.section(
+            "integrity",
+            engine.handle().obs().integrity().snapshot().entries(),
+        );
+        self.section("trace", engine.handle().trace_snapshot().entries());
         *self.member("stages") = stages_json(&engine.handle().obs_snapshot());
     }
 
@@ -394,6 +327,10 @@ impl BenchJson {
 #[cfg(test)]
 mod bench_json_tests {
     use super::*;
+    use wukong_obs::{
+        FaultSnapshot, IncrementalSnapshot, IntegritySnapshot, OverloadSnapshot, PlanSnapshot,
+        PoolSnapshot,
+    };
 
     #[test]
     fn inactive_sink_is_a_noop() {
@@ -452,7 +389,7 @@ mod bench_json_tests {
             mode_forkjoin: 5,
             edges_traversed: 7_000,
         };
-        j.plan(&snap);
+        j.section("plan", snap.entries());
         let p = j.document().get("plan").unwrap();
         assert_eq!(p.get("cache_hits").and_then(Json::as_u64), Some(12));
         assert_eq!(p.get("cache_misses").and_then(Json::as_u64), Some(3));
@@ -482,7 +419,7 @@ mod bench_json_tests {
             degraded_firings: 9,
             ..Default::default()
         };
-        j.overload(&snap);
+        j.section("overload", snap.entries());
         let o = j.document().get("overload").unwrap();
         assert_eq!(o.get("sheds_drop_oldest").and_then(Json::as_u64), Some(4));
         assert_eq!(o.get("tuples_shed").and_then(Json::as_u64), Some(320));
@@ -508,7 +445,7 @@ mod bench_json_tests {
             rows_recomputed: 120,
             rows_retracted: 110,
         };
-        j.incremental(&snap);
+        j.section("incremental", snap.entries());
         let i = j.document().get("incremental").unwrap();
         assert_eq!(
             i.get("incremental_firings").and_then(Json::as_u64),
@@ -533,7 +470,7 @@ mod bench_json_tests {
             modeled_busy_ns: 300,
             region_wall_ns: 1_200,
         };
-        j.pool(&snap);
+        j.section("pool", snap.entries());
         let p = j.document().get("pool").unwrap();
         assert_eq!(p.get("tasks").and_then(Json::as_u64), Some(40));
         assert_eq!(p.get("regions").and_then(Json::as_u64), Some(5));
@@ -552,7 +489,7 @@ mod bench_json_tests {
             retransmits: 7,
             ..Default::default()
         };
-        j.faults(&snap);
+        j.section("faults", snap.entries());
         let rep = RecoveryReport {
             recovery_ms: 1.25,
             replayed_batches: 40,
@@ -598,7 +535,7 @@ mod bench_json_tests {
             rebuilds: 3,
             rebuild_ns: 42_000,
         };
-        j.integrity(&snap);
+        j.section("integrity", snap.entries());
         let i = j.document().get("integrity").unwrap();
         assert_eq!(i.get("checksum_fail_batch").and_then(Json::as_u64), Some(1));
         assert_eq!(

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use wukong_baselines::{
     Composite, CompositePlan, CompositeProfile, ExecBreakdown, SparkLike, SparkMode, WukongExt,
 };
-use wukong_benchdata::{CityBench, CityBenchConfig, LsBench, LsBenchConfig, TimedTuple};
+use wukong_benchdata::{lsbench, CityBench, CityBenchConfig, LsBench, LsBenchConfig, TimedTuple};
 use wukong_core::{EngineConfig, LatencyRecorder, WukongS};
 use wukong_rdf::{StringServer, Timestamp, Triple};
 use wukong_stream::StreamSchema;
@@ -269,6 +269,44 @@ pub fn sample_continuous(engine: &WukongS, id: usize, runs: usize) -> LatencyRec
         rec.record(ms);
     }
     rec
+}
+
+/// Worker threads per node the throughput figures model (§6.6).
+const WORKERS_PER_NODE: f64 = 16.0;
+
+/// Builds the per-class latency recorders for a class mix (Fig. 14/15).
+pub fn measure_mix(
+    engine: &WukongS,
+    bench: &LsBench,
+    classes: &[usize],
+    variants: usize,
+    runs_per_variant: usize,
+) -> Vec<LatencyRecorder> {
+    classes
+        .iter()
+        .map(|&class| {
+            let mut rec = LatencyRecorder::new();
+            for v in 0..variants {
+                let id = engine
+                    .register_continuous(&lsbench::continuous_query(bench, class, v))
+                    .expect("register");
+                for &ms in sample_continuous(engine, id, runs_per_variant).samples() {
+                    rec.record(ms);
+                }
+            }
+            rec
+        })
+        .collect()
+}
+
+/// Mix throughput by Little's law with reciprocal-latency class weights.
+pub fn mix_throughput(recs: &[LatencyRecorder], nodes: usize) -> (f64, f64) {
+    let lats: Vec<f64> = recs.iter().map(|r| r.mean().expect("samples")).collect();
+    let inv_sum: f64 = lats.iter().map(|l| 1.0 / l).sum();
+    // Weighted mean latency of the mix = k / Σ(1/L).
+    let mean_ms = lats.len() as f64 / inv_sum;
+    let thr = WORKERS_PER_NODE * nodes as f64 / (mean_ms / 1_000.0);
+    (thr, mean_ms)
 }
 
 /// Samples a composite query `runs` times; returns latencies and the mean

@@ -84,6 +84,9 @@ pub enum CheckpointError {
     ChecksumMismatch(&'static str),
     /// Bytes remain after the final section.
     TrailingGarbage,
+    /// A logged continuous query no longer registers on recovery (its
+    /// text fails to parse, or names a stream the rebuild lacks).
+    BadQuery(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -98,6 +101,9 @@ impl std::fmt::Display for CheckpointError {
             }
             CheckpointError::TrailingGarbage => {
                 write!(f, "checkpoint has trailing bytes after the final section")
+            }
+            CheckpointError::BadQuery(why) => {
+                write!(f, "checkpointed query does not re-register: {why}")
             }
         }
     }

@@ -1,0 +1,992 @@
+//! The ingest pipeline: the [`Pipeline`] and everything that runs under its
+//! lock — adaptor sealing, bounded-ingest shedding, catch-up replay,
+//! dispatch → install → index, coordinator bookkeeping and GC.
+//!
+//! The query side is consulted through three named questions only
+//! (answered in `firing`): `min_assigned_sn`, `widest_range` and
+//! `drop_delta_reading`.
+
+use super::{OverloadState, WukongS};
+use crate::checkpoint::LoggedBatch;
+use crate::scrub::ScrubViolation;
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
+use wukong_net::{NodeId, TaskTimer};
+use wukong_obs::trace::{self, BatchId, FiringId, Marker};
+use wukong_obs::{Stage, StageTrace};
+use wukong_rdf::{StreamId, Timestamp, Triple};
+use wukong_store::{gc, SnapshotId};
+use wukong_stream::{
+    apply_index_updates, dispatch, install_sub_batch, Adaptor, Batch, Coordinator, InjectStats,
+    Installed, ShedRecord, Shedder, StreamSchema,
+};
+
+/// Simulated per-batch logging delay under fault tolerance (§6.8 measures
+/// ≈ 0.3 ms per batch on the paper's testbed).
+const LOGGING_DELAY_NS: u64 = 300_000;
+
+/// How many processed batches of one stream advance the statistics epoch
+/// (the plan cache's freshness key). Batch processing is deterministic,
+/// so epoch advancement — and therefore every cache hit/miss and re-plan
+/// point — replays identically under the same workload.
+const STATS_EPOCH_BATCHES: u64 = 32;
+
+/// The streaming pipeline's state, guarded by one mutex on [`WukongS`].
+pub(super) struct Pipeline {
+    adaptors: Vec<Adaptor>,
+    /// The SN-VTS coordinator; sibling modules read visibility, the
+    /// stable VTS and the snapshot plan off it.
+    pub(super) coordinator: Coordinator,
+    /// Stalled batches per stream, FIFO (injection order within a stream
+    /// is a consistency requirement, §4.3).
+    pending: Vec<VecDeque<Batch>>,
+    /// Coalesced clock jumps per stream, FIFO: `(after, to)` pairs from
+    /// the adaptor, applied to the coordinator once the batch ending
+    /// `after` is inserted on every node (see `drain_pending`).
+    clock_jumps: Vec<VecDeque<(Timestamp, Timestamp)>>,
+    batches_done: Vec<u64>,
+    inject_stats: Vec<InjectStats>,
+    /// Injection-time consolidation horizon (stable SN − 1).
+    merge_upto: Option<SnapshotId>,
+    /// Batches logged since the last checkpoint (fault tolerance).
+    log: Vec<LoggedBatch>,
+    /// Bounded-ingest shedder (inert while `ingest_budget` is `None`).
+    pub(super) shedder: Shedder,
+    /// Degradation state machine (DESIGN.md §11).
+    pub(super) overload: OverloadState,
+    /// Consecutive continuous firings over the latency budget.
+    miss_streak: u32,
+    /// Stream time when a latency-miss streak tripped the state machine
+    /// (shed-driven trips anchor on the shedder's `last_shed_ts`).
+    tripped_at: Option<Timestamp>,
+    /// Per-node quarantine flags (DESIGN.md §13): a node whose sub-batch
+    /// failed its install-site checksum stops installing and reporting —
+    /// its local VTS pins exactly like a dead node's, so no firing ever
+    /// advances past the poisoned point — until rebuild-from-checkpoint.
+    quarantined: Vec<bool>,
+    /// Conservation ledger, ingest side: tuples that entered the
+    /// pipeline (scrubber invariant, DESIGN.md §13).
+    ledger_in: u64,
+    /// Conservation ledger, egress side: tuples handed to per-node
+    /// install (or consumed by dedup/rejection) by `process_batch`.
+    ledger_installed: u64,
+    /// Per-node local VTS entries at the previous scrub pass, for the
+    /// monotonicity check.
+    scrub_last: Vec<Vec<Timestamp>>,
+}
+
+impl Pipeline {
+    /// An empty pipeline for a deployment configured by `cfg`.
+    pub(super) fn new(cfg: &crate::config::EngineConfig) -> Self {
+        Pipeline {
+            adaptors: Vec::new(),
+            coordinator: Coordinator::new(cfg.nodes, Vec::new(), cfg.staleness),
+            pending: Vec::new(),
+            clock_jumps: Vec::new(),
+            batches_done: Vec::new(),
+            inject_stats: Vec::new(),
+            merge_upto: None,
+            log: Vec::new(),
+            shedder: Shedder::new(cfg.shed_policy, cfg.shed_seed),
+            overload: OverloadState::Normal,
+            miss_streak: 0,
+            tripped_at: None,
+            quarantined: vec![false; cfg.nodes],
+            ledger_in: 0,
+            ledger_installed: 0,
+            scrub_last: vec![Vec::new(); cfg.nodes],
+        }
+    }
+
+    /// Adds the per-stream pipeline state for a newly registered stream.
+    pub(super) fn add_stream(&mut self, schema: StreamSchema) {
+        self.coordinator.add_stream(schema.batch_interval_ms);
+        self.adaptors.push(Adaptor::new(schema));
+        self.pending.push(Default::default());
+        self.clock_jumps.push(Default::default());
+        self.batches_done.push(0);
+        self.inject_stats.push(InjectStats::default());
+    }
+
+    /// Stream batches processed in total.
+    pub(super) fn batches_processed(&self) -> u64 {
+        self.batches_done.iter().sum()
+    }
+
+    /// Shards currently in quarantine, ascending.
+    pub(super) fn quarantined_nodes(&self) -> Vec<u16> {
+        self.quarantined
+            .iter()
+            .enumerate()
+            .filter(|(_, &q)| q)
+            .map(|(n, _)| n as u16)
+            .collect()
+    }
+
+    /// The batches logged since the last drained checkpoint; `drain`
+    /// empties the log (a durable checkpoint), otherwise it is copied.
+    pub(super) fn logged(&mut self, drain: bool) -> Vec<LoggedBatch> {
+        if drain {
+            std::mem::take(&mut self.log)
+        } else {
+            self.log.clone()
+        }
+    }
+
+    /// The pipeline half of [`WukongS::scrub`]: VTS monotonicity since
+    /// the previous pass, stable ≤ min-local, tuple conservation.
+    pub(super) fn check_invariants(&mut self, out: &mut Vec<ScrubViolation>) {
+        let nodes = self.coordinator.nodes();
+        for n in 0..nodes {
+            let now = self.coordinator.local_vts(n).entries().to_vec();
+            for (s, (&was, &cur)) in self.scrub_last[n].iter().zip(&now).enumerate() {
+                if cur < was {
+                    out.push(ScrubViolation::VtsRegression {
+                        node: n as u16,
+                        stream: s as u16,
+                        was,
+                        now: cur,
+                    });
+                }
+            }
+            self.scrub_last[n] = now;
+        }
+        for s in 0..self.coordinator.streams() {
+            let stable = self.coordinator.stable_vts().get(s);
+            let min_local = (0..nodes)
+                .map(|n| self.coordinator.local_vts(n).get(s))
+                .min()
+                .unwrap_or(stable);
+            if stable > min_local {
+                out.push(ScrubViolation::StableAhead {
+                    stream: s as u16,
+                    stable,
+                    min_local,
+                });
+            }
+        }
+        let pending: u64 = self
+            .pending
+            .iter()
+            .flat_map(|q| q.iter())
+            .map(|b| b.tuples.len() as u64)
+            .sum();
+        let shed = self.shedder.total_shed();
+        if self.ledger_in != self.ledger_installed + pending + shed {
+            out.push(ScrubViolation::ConservationMismatch {
+                ingested: self.ledger_in,
+                installed: self.ledger_installed,
+                pending,
+                shed,
+            });
+        }
+    }
+
+    /// Adaptors resume strictly after the batches a recovery replayed.
+    pub(super) fn resume_adaptors(&mut self) {
+        for (i, a) in self.adaptors.iter_mut().enumerate() {
+            a.fast_forward(self.coordinator.stable_vts().get(i));
+        }
+    }
+}
+
+impl WukongS {
+    /// Feeds one raw tuple into a stream, pumping any batches it seals.
+    ///
+    /// Streams share one time axis: observing time `ts` on any stream
+    /// also heartbeats every other stream up to `ts` minus one of its
+    /// batch intervals (the skew allowance), so quiet streams — e.g. a
+    /// derived stream that has not emitted yet — keep sealing empty
+    /// batches and never stall the SN-VTS plan (Fig. 11's injector
+    /// stall). Tuples arriving within the allowance still land in an
+    /// open batch.
+    pub fn ingest(&self, stream: StreamId, triple: Triple, ts: Timestamp) {
+        // Observed time drives the fault schedule: kills/restarts planned
+        // at or before `ts` apply before this tuple's batches dispatch.
+        self.cluster.fabric().advance_clock(ts);
+        let mut pl = self.pipeline.lock();
+        let mut sealed = pl.adaptors[stream.0 as usize].push(triple, ts);
+        for (i, a) in pl.adaptors.iter_mut().enumerate() {
+            if i != stream.0 as usize {
+                let horizon = ts.saturating_sub(a.schema().batch_interval_ms);
+                sealed.extend(a.advance_to(horizon));
+            }
+        }
+        self.pump(&mut pl, sealed);
+    }
+
+    /// The shared tail of `ingest` and `advance_time`: enqueue what sealed
+    /// in cross-stream time order (snapshot assignment depends on it) and
+    /// drive the pipeline until no stream can make progress.
+    fn pump(&self, pl: &mut Pipeline, mut sealed: Vec<Batch>) {
+        self.drain_adaptor_work(pl);
+        sealed.sort_by_key(|b| b.timestamp);
+        for b in sealed {
+            self.enqueue_batch(pl, b);
+        }
+        self.drain_pending(pl);
+        self.maybe_catch_up(pl);
+    }
+
+    /// Drains each adaptor's accumulated windowing/sealing time into its
+    /// stream's `Adaptor` stage histogram, and its coalesced clock-jump
+    /// count into the stream's injection stats.
+    fn drain_adaptor_work(&self, pl: &mut Pipeline) {
+        for i in 0..pl.adaptors.len() {
+            let ns = pl.adaptors[i].take_work_ns();
+            pl.inject_stats[i].clock_anomalies += pl.adaptors[i].take_clock_anomalies();
+            let jumps = pl.adaptors[i].take_clock_jumps();
+            pl.clock_jumps[i].extend(jumps);
+            if ns > 0 {
+                let name = pl.adaptors[i].schema().name.clone();
+                self.cluster
+                    .obs()
+                    .record_stream_stage(&name, Stage::Adaptor, ns);
+            }
+        }
+    }
+
+    /// Advances every stream's clock to `ts`, sealing quiet batches (the
+    /// heartbeat that keeps the VTS — and therefore visibility — moving).
+    pub fn advance_time(&self, ts: Timestamp) {
+        self.cluster.fabric().advance_clock(ts);
+        let mut pl = self.pipeline.lock();
+        let mut sealed = Vec::new();
+        for a in &mut pl.adaptors {
+            sealed.extend(a.advance_to(ts));
+        }
+        self.pump(&mut pl, sealed);
+    }
+
+    /// Raw arrival volume of a batch in its textual RDF form (Table 7
+    /// compares the index against the data as it arrives on the wire:
+    /// N-Triples-style lines with IRI framing and a timestamp).
+    fn textual_bytes(&self, batch: &Batch) -> u64 {
+        const FRAMING: u64 = 24; // brackets, separators, timestamp digits
+                                 // Workload generators intern short local names; on the wire each
+                                 // term carries its namespace IRI (LSBench's raw data averages
+                                 // ~174 B/triple: 3.75 B triples = 653 GB raw, 6.1).
+        const IRI_PREFIX: u64 = 30;
+        // Both name tables locked once for the batch; lengths only.
+        let names = self.strings().name_lens();
+        let len = |l: Option<usize>| l.map_or(8, |l| l as u64);
+        batch
+            .tuples
+            .iter()
+            .map(|t| {
+                len(names.entity(t.triple.s))
+                    + len(names.predicate(t.triple.p))
+                    + len(names.entity(t.triple.o))
+                    + 3 * IRI_PREFIX
+                    + FRAMING
+            })
+            .sum()
+    }
+
+    fn enqueue_batch(&self, pl: &mut Pipeline, batch: Batch) {
+        let s = batch.stream.0 as usize;
+        // First causal appearance of this batch's ID: a zero-width
+        // Adaptor span marking seal → pipeline entry.
+        let _seal_span = self
+            .tracer()
+            .span(Stage::Adaptor, FiringId::NONE, batch.id());
+        // Log on arrival, not on processing: a batch stalled behind a
+        // dead node's VTS entry must already be in the durable log, or a
+        // crash during the outage loses it (§5 logs each batch as it
+        // enters the pipeline).
+        if self.cfg.fault_tolerance {
+            pl.log.push(LoggedBatch {
+                stream: s as u16,
+                timestamp: batch.timestamp,
+                tuples: batch.tuples.clone(),
+            });
+            pl.inject_stats[s].inject_ns += LOGGING_DELAY_NS;
+        }
+        pl.ledger_in += batch.tuples.len() as u64;
+        pl.pending[s].push_back(batch);
+
+        // Bounded ingest: enforce the per-stream budget over the pending
+        // queue. Shed decisions are a pure function of queue occupancy
+        // and the configured seed — never wall-clock latency — so the
+        // shed log and every degraded marker are byte-identical across
+        // runs and worker counts (DESIGN.md §11).
+        let Some(budget) = self.cfg.ingest_budget else {
+            return;
+        };
+        let t0 = std::time::Instant::now();
+        let shed_log_before = pl.shedder.log().len();
+        let shed = pl.shedder.enforce(&mut pl.pending[s], &budget);
+        if shed > 0 {
+            let overload = self.cluster.obs().overload();
+            match pl.shedder.policy() {
+                wukong_stream::ShedPolicy::DropOldestWindow => overload.inc_shed_drop_oldest(),
+                wukong_stream::ShedPolicy::SampleWithinBatch => overload.inc_shed_sampled(),
+            }
+            overload.add_tuples_shed(shed);
+            // Every shed event is a point marker joined on the victim
+            // batch's causal ID; the episode *start* (the Normal →
+            // Shedding transition) is the anomaly that freezes the
+            // recorder into a black-box dump.
+            let tracer = self.tracer();
+            for rec in &pl.shedder.log()[shed_log_before..] {
+                tracer.marker(Marker::Shed, FiringId::NONE, rec.batch, rec.tuples_shed);
+            }
+            if pl.overload == OverloadState::Normal {
+                pl.overload = OverloadState::Shedding;
+                overload.inc_state_transition();
+                let first = pl.shedder.log()[shed_log_before..]
+                    .first()
+                    .map(|r| r.batch)
+                    .unwrap_or(BatchId::NONE);
+                tracer.anomaly(Marker::Shed, FiringId::NONE, first, shed);
+            }
+            let name = self.cluster.stream(s).schema.name.clone();
+            self.cluster.obs().record_stream_stage(
+                &name,
+                Stage::Shed,
+                t0.elapsed().as_nanos() as u64,
+            );
+        }
+    }
+
+    /// The engine-wide stream time: the furthest any stream's stable VTS
+    /// entry has reached. Drives the deterministic catch-up trigger.
+    fn stream_now(pl: &Pipeline) -> Timestamp {
+        pl.coordinator
+            .stable_vts()
+            .entries()
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Leaves `Shedding` once the overload subsides: when stream time
+    /// passes the last shed (or latency trip) by the configured quiet
+    /// period and every node is reachable, replay the retained shed
+    /// suffix and return to `Normal`. The trigger reads only stream time
+    /// and shedder state, so it fires at the same point in every run.
+    fn maybe_catch_up(&self, pl: &mut Pipeline) {
+        if self.cfg.ingest_budget.is_none() || pl.overload != OverloadState::Shedding {
+            return;
+        }
+        let now = Self::stream_now(pl);
+        // The later of the last shed and the latency trip; a tripped
+        // state without a recorded cause cannot linger.
+        let anchor = pl.shedder.last_shed_ts().max(pl.tripped_at).unwrap_or(0);
+        if now < anchor.saturating_add(self.cfg.overload.catchup_quiet_ms) {
+            return;
+        }
+        // A replay inserts on every node; a dead or unreachable node
+        // would miss its share, so wait the outage out.
+        let fabric = self.cluster.fabric();
+        if (0..self.cluster.nodes()).any(|n| !fabric.is_up(NodeId(n as u16))) {
+            return;
+        }
+        self.catch_up(pl);
+    }
+
+    /// Shed-then-catch-up recovery: re-inserts every retained shed tuple
+    /// at its original timestamp, directly into the hybrid store at the
+    /// current stable snapshot. The coordinator, its at-least-once dedup,
+    /// and the durable log are all bypassed — these batches already
+    /// passed the pipeline once; this is repair, not re-ingestion. After
+    /// the replay, windows covering the shed suffix are whole again:
+    /// their firings byte-match a never-overloaded run (DESIGN.md §11).
+    fn catch_up(&self, pl: &mut Pipeline) {
+        let t0 = std::time::Instant::now();
+        let _span = self
+            .tracer()
+            .span(Stage::CatchUp, FiringId::NONE, BatchId::NONE);
+        let overload = self.cluster.obs().overload();
+        pl.overload = OverloadState::CatchUp;
+        overload.inc_state_transition();
+
+        let retained = pl.shedder.take_retained();
+        let sn = pl.coordinator.stable_sn();
+        let merge = self.clamped_merge(pl);
+        let nodes = self.cluster.nodes();
+        let fabric = self.cluster.fabric();
+        let mut scratch = TaskTimer::start();
+        let mut replayed = 0u64;
+        let mut touched: BTreeSet<usize> = BTreeSet::new();
+        let everywhere = vec![true; nodes];
+        for (stream_id, ts, tuples) in retained {
+            let s = stream_id.0 as usize;
+            touched.insert(s);
+            replayed += tuples.len() as u64;
+            let batch = Batch::sealed(stream_id, ts, tuples, 0);
+            let stream = self.cluster.stream(s);
+            *stream.raw_bytes.write() += self.textual_bytes(&batch);
+            let subs = dispatch(&batch, self.cluster.shard_map());
+            let entry = NodeId((s % nodes) as u16);
+            let mut installed = Vec::with_capacity(nodes);
+            for sub in &subs {
+                let node = sub.node;
+                if node as usize != entry.0 as usize && !sub.tuples.is_empty() {
+                    fabric.charge_message(entry, NodeId(node), sub.wire_bytes(), &mut scratch);
+                }
+                let (inst, slice) = install_sub_batch(
+                    self.cluster.shard(node),
+                    self.cluster.shard_map().owner_filter(node),
+                    &sub.tuples,
+                    ts,
+                    sn,
+                    merge,
+                );
+                // Timing tuples re-enter the transient ring *in time
+                // order* — the ring normally only appends at the tail,
+                // so replay uses the order-preserving insertion path.
+                if inst.stats.timing > 0 {
+                    stream.transients[node as usize].write().insert_slice(slice);
+                }
+                installed.push(inst);
+            }
+            apply_index_updates(
+                self.cluster.shard_map(),
+                |n| self.cluster.shard(n),
+                &mut installed,
+                &everywhere,
+                sn,
+                merge,
+            );
+            for (node, inst) in installed.into_iter().enumerate() {
+                if inst.index.entry_count() > 0 {
+                    stream.indexes[node].write().insert_batch(inst.index);
+                }
+            }
+        }
+
+        // A replay rewrites window history behind any maintained query
+        // reading a replayed stream: its retained delta rows were derived
+        // from the shed (incomplete) windows. Drop the state so the next
+        // firing rebuilds from the now-complete store — recompute and
+        // incremental stay byte-identical across the shed gap.
+        if self.cfg.incremental {
+            for _ in 0..self.drop_delta_reading(&touched) {
+                overload.inc_incremental_rebuild();
+            }
+        }
+
+        overload.inc_catchup_replay();
+        overload.add_replayed_tuples(replayed);
+        pl.overload = OverloadState::Normal;
+        pl.miss_streak = 0;
+        pl.tripped_at = None;
+        overload.inc_state_transition();
+        self.cluster.obs().record_stream_stage(
+            "catch-up",
+            Stage::CatchUp,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+
+    /// The consolidation horizon actually applied to installs: the raw
+    /// stable-SN horizon, clamped at every un-fired window's *assigned*
+    /// snapshot. Consolidation merges snapshot intervals into the
+    /// timeless base — visible at **every** snapshot — so merging past a
+    /// window's assigned snapshot would inflate its historical read and
+    /// its rows would stop being a pure function of the window (the
+    /// assigned-snapshot firing contract, DESIGN.md §13). On-cadence
+    /// windows sit at most one epoch behind the horizon, so the clamp
+    /// costs nothing in steady state; it only holds consolidation back
+    /// while an outage or a recovery replay has delayed firings.
+    fn clamped_merge(&self, pl: &Pipeline) -> Option<SnapshotId> {
+        let raw = pl.merge_upto?;
+        // A firing reads at the max assigned epoch over its streams;
+        // merging up to exactly that snapshot keeps the visible set
+        // unchanged (merged tags ⊆ tags the read covers).
+        Some(
+            self.min_assigned_sn(&pl.coordinator)
+                .map_or(raw, |sn| raw.min(sn)),
+        )
+    }
+
+    /// Processes pending batches until no stream can make progress.
+    fn drain_pending(&self, pl: &mut Pipeline) {
+        loop {
+            let mut progressed = false;
+            for s in 0..pl.pending.len() {
+                progressed |= self.apply_clock_jumps(pl, s);
+                while let Some(front) = pl.pending[s].front() {
+                    let sn = pl.coordinator.snapshot_for(s, front.timestamp);
+                    match sn {
+                        Some(sn) => {
+                            let batch = pl.pending[s].pop_front().expect("front checked");
+                            self.process_batch(pl, batch, sn);
+                            progressed = true;
+                        }
+                        None => break,
+                    }
+                }
+            }
+            if !progressed {
+                return;
+            }
+        }
+    }
+
+    /// Applies stream `s`'s coalesced clock jumps that have become safe:
+    /// a jump `(after, to)` promises the adaptor sealed nothing strictly
+    /// between `after` and `to`, so once the batch ending `after` is
+    /// inserted on **every** node (a dead node catches up via log
+    /// replay first — jumping its VTS over a batch it missed would make
+    /// the redelivery dedup swallow real data), the skipped grid points
+    /// are vacuously-empty insertions and the VTS may cross the gap.
+    /// This is what un-stalls the SN-VTS plan after a quiet gap: its
+    /// targets inside the gap can never be reached batch-by-batch.
+    fn apply_clock_jumps(&self, pl: &mut Pipeline, s: usize) -> bool {
+        let mut progressed = false;
+        while let Some(&(after, to)) = pl.clock_jumps[s].front() {
+            let reached =
+                (0..pl.coordinator.nodes()).all(|n| pl.coordinator.local_vts(n).get(s) >= after);
+            if !reached {
+                break;
+            }
+            pl.clock_jumps[s].pop_front();
+            let ev = pl.coordinator.advance_gap(s, to);
+            if let Some(upto) = ev.consolidate_upto {
+                pl.merge_upto = Some(upto);
+            }
+            progressed = true;
+        }
+        progressed
+    }
+
+    fn process_batch(&self, pl: &mut Pipeline, batch: Batch, sn: SnapshotId) {
+        let s = batch.stream.0 as usize;
+        let bid = batch.id();
+        let tracer = Arc::clone(self.tracer());
+        // Scoped context for the whole batch path: fabric-level events
+        // (dead-node drops, retry exhaustion) attribute to this batch.
+        let _scope = trace::install_recorder(&tracer, FiringId::NONE, bid);
+        // Conservation ledger: the batch leaves the pending queues here —
+        // installed, dedup-suppressed, or rejected alike — so the egress
+        // side counts before any early return (scrubber invariant,
+        // DESIGN.md §13).
+        pl.ledger_installed += batch.tuples.len() as u64;
+        // Batch-site integrity: a payload that no longer matches its
+        // sealed checksum must never install anywhere. Dropping it stalls
+        // the stream's VTS at the previous batch — detection before
+        // emission — and recovery replays the pristine logged copy.
+        if !batch.verify() {
+            self.cluster.obs().integrity().inc_checksum_fail_batch();
+            tracer.anomaly(Marker::ChecksumFail, FiringId::NONE, bid, 0);
+            return;
+        }
+        // At-least-once suppression: a batch at or below the stream's
+        // stable timestamp is already inserted on every node, so a
+        // redelivery (upstream retry, log replay into a live engine)
+        // must be a no-op.
+        if batch.timestamp > 0 && pl.coordinator.stable_vts().get(s) >= batch.timestamp {
+            self.cluster.obs().faults().inc_dedup_suppressed();
+            return;
+        }
+        let stream = self.cluster.stream(s);
+        *stream.raw_bytes.write() += self.textual_bytes(&batch);
+        pl.inject_stats[s].discarded += batch.discarded;
+
+        // Dispatch: the stream enters at one node; each non-empty remote
+        // sub-batch costs a message (background cost, counted in fabric
+        // metrics but not on any query's latency). Under a fault plan the
+        // entry point fails over to the next live node, sub-batches go
+        // through the lossy at-least-once path (dropped copies are
+        // retransmitted, duplicate copies suppressed), and sub-batches
+        // for dead nodes are lost until recovery replays the log.
+        let dispatch_start = std::time::Instant::now();
+        let dispatch_span = tracer.span(Stage::Dispatch, FiringId::NONE, bid);
+        let mut subs = dispatch(&batch, self.cluster.shard_map());
+        let fabric = self.cluster.fabric();
+        let faulty = fabric.faults_enabled();
+        let nodes = self.cluster.nodes();
+        let mut entry_idx = s % nodes;
+        if faulty && !fabric.is_up(NodeId(entry_idx as u16)) {
+            if let Some(live) = (0..nodes)
+                .map(|k| (entry_idx + k) % nodes)
+                .find(|&n| fabric.is_up(NodeId(n as u16)))
+            {
+                entry_idx = live;
+            }
+        }
+        let entry = NodeId(entry_idx as u16);
+        let mut scratch = TaskTimer::start();
+        // Which nodes actually receive (and therefore insert and report)
+        // this batch. An empty sub-batch "arrives" implicitly — no
+        // message — but still only on live nodes.
+        let mut delivered = vec![true; nodes];
+        for (node, q) in pl.quarantined.iter().enumerate() {
+            if *q {
+                delivered[node] = false;
+            }
+        }
+        for sub in &subs {
+            let to = NodeId(sub.node);
+            if !delivered[sub.node as usize] {
+                // Quarantined destination: treated exactly like a dead
+                // node — no send, no install, no report (DESIGN.md §13).
+                continue;
+            }
+            if faulty && !fabric.is_up(to) {
+                delivered[sub.node as usize] = false;
+                if !sub.tuples.is_empty() {
+                    // Counts the drops; returns 0 copies for a dead node.
+                    fabric.send_at_least_once(entry, to, sub.wire_bytes(), &mut scratch);
+                }
+                continue;
+            }
+            if sub.tuples.is_empty() {
+                continue;
+            }
+            if faulty {
+                let copies = fabric.send_at_least_once(entry, to, sub.wire_bytes(), &mut scratch);
+                if copies > 1 {
+                    self.cluster
+                        .obs()
+                        .faults()
+                        .add_dedup_suppressed(u64::from(copies - 1));
+                }
+            } else {
+                fabric.charge_message(entry, to, sub.wire_bytes(), &mut scratch);
+            }
+        }
+        let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
+        drop(dispatch_span);
+
+        // In-flight corruption (chaos): an active corruption rule may
+        // flip one bit in a delivered remote sub-batch between the wire
+        // and the store. Only delivered non-empty remote subs are
+        // candidates, so every injected flip meets the install-site
+        // check below — the 100%-detection gate in `exp_chaos`.
+        if faulty {
+            if let Some(fs) = fabric.fault_state() {
+                for sub in subs.iter_mut() {
+                    let node = sub.node as usize;
+                    if node == entry_idx || sub.tuples.is_empty() || !delivered[node] {
+                        continue;
+                    }
+                    if let Some(bits) = fs.corrupt_message(entry, NodeId(sub.node)) {
+                        let i = (bits >> 8) as usize % sub.tuples.len();
+                        sub.tuples[i].triple.o.0 ^= 1 << (bits & 63);
+                    }
+                }
+            }
+        }
+        // Install-site integrity: a sub-batch that fails its
+        // dispatch-time checksum must never reach the store. The
+        // receiving shard enters quarantine — it stops installing and
+        // reporting, so its local VTS pins exactly like a dead node's
+        // and no firing advances past the poisoned point — until
+        // rebuild-from-checkpoint replays the pristine logged batches.
+        for sub in &subs {
+            let node = sub.node as usize;
+            if delivered[node] && !sub.verify() {
+                let integrity = self.cluster.obs().integrity();
+                integrity.inc_checksum_fail_message();
+                tracer.marker(Marker::ChecksumFail, FiringId::NONE, sub.batch, node as u64);
+                if !pl.quarantined[node] {
+                    pl.quarantined[node] = true;
+                    integrity.inc_quarantine();
+                    tracer.anomaly(Marker::Quarantine, FiringId::NONE, sub.batch, node as u64);
+                }
+                delivered[node] = false;
+            }
+        }
+
+        // Inject on every node, collecting per-node receipts and stats.
+        // Each node applies only the key updates it owns; first-edge
+        // events produce index-vertex updates that phase 2 routes to the
+        // index key's owner (a triple's four key updates may live on
+        // three different nodes).
+        //
+        // Dedup against each node's local VTS is a serial pre-pass (it
+        // reads coordinator state); the per-node application itself runs
+        // on the entry node's worker pool. Node ownership filters are
+        // disjoint, so concurrent sub-batch application touches disjoint
+        // shards, transient rings, and pending index updates — race-free
+        // by construction, identical receipts for any thread count.
+        let merge = self.clamped_merge(pl);
+        let ts = batch.timestamp;
+        let nodes = self.cluster.nodes();
+        for sub in &subs {
+            let node = sub.node as usize;
+            if delivered[node] && pl.coordinator.already_inserted(node, s, ts) {
+                // Redelivered while another node's outage stalls the
+                // stable VTS: this node already holds the batch.
+                self.cluster.obs().faults().inc_dedup_suppressed();
+                delivered[node] = false;
+            }
+        }
+        let inject_span = tracer.span(Stage::Injection, FiringId::NONE, bid);
+        let mut installed = self.cluster.pool(entry).map(
+            subs.iter().collect::<Vec<&wukong_stream::SubBatch>>(),
+            |_, sub| {
+                let node = sub.node;
+                if !delivered[node as usize] {
+                    return Installed::default();
+                }
+                let (inst, slice) = install_sub_batch(
+                    self.cluster.shard(node),
+                    self.cluster.shard_map().owner_filter(node),
+                    &sub.tuples,
+                    ts,
+                    sn,
+                    merge,
+                );
+                // Only this task writes this node's ring.
+                stream.transients[node as usize].write().push_batch(slice);
+                inst
+            },
+        );
+        // Phase 2: index-vertex updates land on their owners.
+        let phase2_ns = apply_index_updates(
+            self.cluster.shard_map(),
+            |n| self.cluster.shard(n),
+            &mut installed,
+            &delivered,
+            sn,
+            merge,
+        );
+        drop(inject_span);
+
+        // Move each node's stream-index batch into place, keeping only
+        // what the replication charge needs of it.
+        let index_span = tracer.span(Stage::StreamIndex, FiringId::NONE, bid);
+        let push_start = std::time::Instant::now();
+        let mut total = InjectStats::default();
+        let mut replicated = Vec::with_capacity(nodes);
+        for (node, inst) in installed.into_iter().enumerate() {
+            replicated.push((inst.index.entry_count(), inst.index.heap_bytes()));
+            if delivered[node] {
+                total.add(&inst.stats);
+                stream.indexes[node].write().push_batch(inst.index);
+            }
+        }
+        total.inject_ns += phase2_ns;
+        total.index_ns += push_start.elapsed().as_nanos() as u64;
+        drop(index_span);
+
+        // Replication of index batches to subscriber nodes (§4.2): one
+        // message per (origin, subscriber) pair carrying the entries.
+        if self.cluster.replicate_indexes {
+            let subscribers = stream.subscribers.read().clone();
+            for (m, &(entries, bytes)) in replicated.iter().enumerate() {
+                if entries == 0 {
+                    continue;
+                }
+                for &q in &subscribers {
+                    if q as usize != m && fabric.is_up(NodeId(q)) {
+                        fabric.charge_message(NodeId(m as u16), NodeId(q), bytes, &mut scratch);
+                    }
+                }
+            }
+        }
+
+        // Record this batch's staged breakdown under its stream's series.
+        // Injection includes the fault-tolerance logging delay (it is
+        // part of the injection path's latency, §6.8).
+        let mut batch_trace = StageTrace::new();
+        batch_trace.add(Stage::Dispatch, dispatch_ns);
+        let logged_ns = if self.cfg.fault_tolerance {
+            LOGGING_DELAY_NS
+        } else {
+            0
+        };
+        batch_trace.add(Stage::Injection, logged_ns + total.inject_ns);
+        batch_trace.add(Stage::StreamIndex, total.index_ns);
+        self.cluster
+            .obs()
+            .record_stream(&stream.schema.name, &batch_trace);
+
+        // Coordinator bookkeeping: per-node insertion reports. A node
+        // that never received the batch reports nothing — its local VTS
+        // stalls, the stable VTS (elementwise min) stalls with it, and
+        // visibility correctly excludes the partial insertion.
+        pl.inject_stats[s].add(&total);
+        for node in (0..nodes).filter(|&n| delivered[n]) {
+            let ev = pl.coordinator.on_batch_inserted(node, s, ts);
+            if let Some(upto) = ev.consolidate_upto {
+                pl.merge_upto = Some(upto);
+            }
+        }
+
+        // Periodic GC of this stream's transient slices and index batches.
+        pl.batches_done[s] += 1;
+        if pl.batches_done[s].is_multiple_of(self.cfg.gc_every_batches) {
+            self.collect_garbage(pl, s);
+        }
+        // Advance the statistics epoch on the same deterministic cadence:
+        // enough batches have landed that cached plans may be stale.
+        if pl.batches_done[s].is_multiple_of(STATS_EPOCH_BATCHES) {
+            self.stats_epoch.bump();
+        }
+    }
+
+    fn collect_garbage(&self, pl: &Pipeline, s: usize) {
+        let stable_ts = pl.coordinator.stable_vts().get(s);
+        // With no registered query over the stream the expiry horizon is
+        // undefined — keep everything (the transient ring's budget still
+        // bounds memory) so a query registered later, or re-registered
+        // after recovery, finds its window intact.
+        let Some(max_range) = self.widest_range(s) else {
+            return;
+        };
+        let expiry = gc::expiry_horizon(stable_ts, [max_range + self.cfg.gc_slack_ms]);
+        let stream = self.cluster.stream(s);
+        let t0 = std::time::Instant::now();
+        let mut swept = gc::GcStats::default();
+        for n in 0..self.cluster.nodes() {
+            let mut transient = stream.transients[n].write();
+            let mut index = stream.indexes[n].write();
+            swept.absorb(gc::sweep(&mut transient, &mut index, expiry));
+        }
+        stream.gc_stats.write().absorb(swept);
+        self.cluster.obs().record_stream_stage(
+            &stream.schema.name,
+            Stage::Gc,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+
+    /// Advances the latency-miss streak of the degradation state machine
+    /// with one continuous firing's latency — the only wall-clock input,
+    /// and it only ever *opens* shedding (admission control), never
+    /// drives a shed decision, so determinism holds.
+    pub(super) fn track_latency(&self, pl: &mut Pipeline, latency_ms: f64, fid: FiringId) {
+        // The latency-miss streak may *open* shedding, which only makes
+        // sense when an ingest budget bounds what shedding admits — an
+        // unbudgeted engine marks degradation but never sheds.
+        if self.cfg.ingest_budget.is_none() {
+            return;
+        }
+        if latency_ms > self.cfg.overload.latency_budget_ms {
+            pl.miss_streak += 1;
+            // Deadline degradation: the firing overran its latency
+            // budget. The anomaly's dump links the firing's full lineage
+            // so the slow path is reconstructible after the fact.
+            self.tracer().anomaly(
+                Marker::DeadlineMiss,
+                fid,
+                BatchId::NONE,
+                (latency_ms * 1_000.0) as u64,
+            );
+            if pl.miss_streak >= self.cfg.overload.trip_after_misses
+                && pl.overload == OverloadState::Normal
+            {
+                pl.overload = OverloadState::Shedding;
+                pl.tripped_at = Some(Self::stream_now(pl));
+                self.cluster.obs().overload().inc_state_transition();
+            }
+        } else {
+            pl.miss_streak = 0;
+        }
+    }
+
+    /// Recovery replay of one logged batch: re-enqueue it and drain.
+    /// `replay_high` holds each stream's highest replayed batch timestamp.
+    pub(super) fn replay_logged(
+        &self,
+        pl: &mut Pipeline,
+        lb: LoggedBatch,
+        replay_high: &mut Vec<Timestamp>,
+    ) -> BatchId {
+        // The log is the complete sealed-batch sequence, so a hole
+        // between consecutive logged timestamps proves the adaptor sealed
+        // nothing in between — it coalesced the gap into a clock jump.
+        // The jump itself is adaptor runtime state and died with the
+        // crash; re-synthesize it here, or the post-gap batch heads the
+        // FIFO pending queue forever (`snapshot_for` can never reach it)
+        // and the replayed VTS deadlocks below the gap.
+        let s = lb.stream as usize;
+        let interval = pl.adaptors[s].schema().batch_interval_ms;
+        if replay_high.len() <= s {
+            replay_high.resize(s + 1, 0);
+        }
+        let last = replay_high[s];
+        if lb.timestamp > last + interval {
+            pl.clock_jumps[s].push_back((last, lb.timestamp - interval));
+        }
+        replay_high[s] = replay_high[s].max(lb.timestamp);
+        let batch = Batch::sealed(StreamId(lb.stream), lb.timestamp, lb.tuples, 0);
+        let id = batch.id();
+        self.enqueue_batch(pl, batch);
+        // Drain after *every* replayed batch, not once per checkpoint:
+        // the log preserves ingestion order, and draining in that order
+        // retires the SN-VTS plan's epochs along the exact trajectory of
+        // the original run — which is what keeps every batch's (and
+        // therefore every window's) snapshot assignment identical across
+        // the crash (DESIGN.md §13).
+        self.drain_pending(pl);
+        id
+    }
+
+    /// The stable snapshot number (what one-shot queries read).
+    pub fn stable_sn(&self) -> SnapshotId {
+        self.pipeline.lock().coordinator.stable_sn()
+    }
+
+    /// The stable VTS entry for `stream` (continuous-query visibility).
+    pub fn stable_ts(&self, stream: StreamId) -> Timestamp {
+        let pl = self.pipeline.lock();
+        pl.coordinator.stable_vts().get(stream.0 as usize)
+    }
+
+    /// Accumulated injection statistics and batch count for `stream`
+    /// (Table 6).
+    pub fn injection_stats(&self, stream: StreamId) -> (InjectStats, u64) {
+        let pl = self.pipeline.lock();
+        let s = stream.0 as usize;
+        (pl.inject_stats[s], pl.batches_done[s])
+    }
+
+    /// The degradation state machine's current state.
+    pub fn overload_state(&self) -> OverloadState {
+        self.pipeline.lock().overload
+    }
+
+    /// The append-only shed log — the determinism witness: same seed,
+    /// same spike ⇒ byte-identical logs across runs and worker counts.
+    pub fn shed_log(&self) -> Vec<ShedRecord> {
+        self.pipeline.lock().shedder.log().to_vec()
+    }
+
+    /// Total tuples ever shed (including any later replayed).
+    pub fn total_shed(&self) -> u64 {
+        self.pipeline.lock().shedder.total_shed()
+    }
+
+    /// Shed tuples not yet restored by a catch-up replay — the exact
+    /// staleness currently visible to degraded firings.
+    pub fn shed_outstanding(&self) -> u64 {
+        self.pipeline.lock().shedder.outstanding_total()
+    }
+
+    /// Shards currently quarantined by an install-site checksum failure
+    /// (DESIGN.md §13). A quarantined shard installs and reports nothing
+    /// — its local VTS pins like a dead node's — until
+    /// rebuild-from-checkpoint clears it.
+    pub fn quarantined_nodes(&self) -> Vec<u16> {
+        self.pipeline.lock().quarantined_nodes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::engine_with_stream;
+    use super::*;
+    use wukong_rdf::ntriples;
+
+    #[test]
+    fn stats_epoch_advances_with_batch_processing() {
+        let (engine, po) = engine_with_stream();
+        let ss = engine.strings().clone();
+        assert_eq!(engine.stats_epoch(), 0);
+        // One sealed batch per 100 ms interval; 32 batches bump once.
+        for i in 0..STATS_EPOCH_BATCHES {
+            let t = ntriples::parse_tuple(&ss, &format!("u{i} po T-{i} {}", i * 100 + 50), 1)
+                .expect("tuple");
+            engine.ingest(po, t.triple, t.timestamp);
+        }
+        engine.advance_time(STATS_EPOCH_BATCHES * 100);
+        assert_eq!(engine.stats_epoch(), 1);
+    }
+}

@@ -21,6 +21,7 @@
 //! The [`faults`] module adds monotonic counters for injected faults and
 //! the engine's reactions (drops, retries, timeouts, recoveries).
 
+pub mod digest;
 pub mod faults;
 pub mod histogram;
 pub mod incremental;
@@ -33,6 +34,7 @@ pub mod registry;
 pub mod stage;
 pub mod trace;
 
+pub use digest::Fnv64;
 pub use faults::{FaultCounters, FaultSnapshot};
 pub use histogram::{HistogramSnapshot, LatencyHistogram};
 pub use incremental::{IncrementalCounters, IncrementalSnapshot};

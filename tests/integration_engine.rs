@@ -491,3 +491,139 @@ fn language_features_agree_across_exec_modes() {
     let r = reference.expect("ran");
     assert!(r.iter().filter(|(rows, _)| !rows.is_empty()).count() >= 3);
 }
+
+/// Runs `f` on its own thread and fails — instead of hanging CI — if it
+/// makes no progress within the timeout (a lock-order regression
+/// deadlocks rather than panics).
+fn with_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(std::time::Duration::from_secs(120)) {
+        Ok(v) => {
+            worker.join().expect("worker exits after sending");
+            v
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("{what}: no result in 120 s — deadlock?"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("worker panicked"))
+        }
+    }
+}
+
+/// Firings as `(query, window end, sorted rows)`.
+type FiringLog = Vec<(usize, u64, Vec<Vec<wukong_rdf::Vid>>)>;
+
+/// Two CONSTRUCT queries (one joining the stored graph, one stream-only
+/// and so maintainable) feed a derived stream read by a downstream
+/// continuous query, with a forced re-plan mid-stream, while a second
+/// thread hammers `stats` / `scrub` / `one_shot`. Every CONSTRUCT firing
+/// re-enters `ingest` from inside `fire_ready`, and the install path under
+/// the pipeline lock asks every query for its state — so the lock order
+/// is pipeline → query state and no guard may be held across `ingest`.
+fn drive_construct_pipeline(cfg: EngineConfig) -> FiringLog {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    let engine = WukongS::new(cfg);
+    let ss = engine.strings().clone();
+    let stored = "u0 fo Erik\nu1 fo Erik\nu2 fo Erik\n";
+    engine.load_base(ntriples::parse_document(&ss, stored).expect("parses"));
+    let po = engine.register_stream(StreamSchema::timeless(StreamId(0), "PO", 100));
+    let derived = engine.register_stream(StreamSchema::timeless(StreamId(0), "Derived", 100));
+    engine
+        .register_construct(
+            "REGISTER QUERY build CONSTRUCT { Erik influences ?X } \
+             FROM PO [RANGE 500ms STEP 100ms] \
+             WHERE { GRAPH PO { ?X po ?Z } . ?X fo Erik }",
+            derived,
+        )
+        .expect("build registers");
+    let echo = engine
+        .register_construct(
+            "REGISTER QUERY echo CONSTRUCT { ?X echoed ?Z } \
+             FROM PO [RANGE 300ms STEP 100ms] WHERE { GRAPH PO { ?X po ?Z } }",
+            derived,
+        )
+        .expect("echo registers");
+    let consume = engine
+        .register_continuous(
+            "REGISTER QUERY consume SELECT ?W ?Z FROM Derived [RANGE 1s STEP 100ms] \
+             WHERE { GRAPH Derived { Erik influences ?W } . GRAPH Derived { ?W echoed ?Z } }",
+        )
+        .expect("consumer registers");
+
+    let stop = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(2);
+    let mut log = FiringLog::new();
+    std::thread::scope(|s| {
+        let monitor = s.spawn(|| {
+            start.wait();
+            while !stop.load(Ordering::SeqCst) {
+                assert!(engine.stats().continuous_queries == 3);
+                assert_eq!(engine.scrub(), []);
+                // Rejected while shedding under an ingest budget.
+                let _ = engine.one_shot("SELECT ?W WHERE { Erik influences ?W }");
+            }
+        });
+        start.wait();
+        for round in 0..12u64 {
+            for k in 0..4u64 {
+                let line = format!("u{k} po T-{round}-{k} {}", round * 100 + 50 + k);
+                let t = ntriples::parse_tuple(&ss, &line, 1).expect("tuple");
+                engine.ingest(po, t.triple, t.timestamp);
+            }
+            engine.advance_time((round + 1) * 100);
+            if round == 5 {
+                engine.force_replan(consume);
+                engine.force_replan(echo);
+            }
+            for f in engine.fire_ready() {
+                let mut rows = f.results.rows;
+                rows.sort();
+                log.push((f.query, f.window_end, rows));
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        monitor.join().expect("monitor thread");
+    });
+    assert_eq!(engine.scrub(), []);
+    log
+}
+
+#[test]
+fn construct_pipeline_is_identical_in_every_mode_and_never_deadlocks() {
+    fn variant(incremental: bool, adaptive: bool, worker_threads: usize) -> EngineConfig {
+        EngineConfig {
+            incremental,
+            adaptive,
+            worker_threads,
+            ..EngineConfig::single_node()
+        }
+    }
+    let control = with_watchdog("default", || {
+        drive_construct_pipeline(variant(false, false, 1))
+    });
+    assert!(control.iter().any(|(_, _, rows)| !rows.is_empty()));
+    let consumer_rows = control
+        .iter()
+        .filter(|(q, _, rows)| *q == 2 && !rows.is_empty());
+    assert!(
+        consumer_rows.count() > 0,
+        "the derived stream reaches its consumer"
+    );
+    for bits in 1..8usize {
+        let (inc, adaptive, workers) = (bits & 1 != 0, bits & 2 != 0, 1 + 3 * (bits >> 2));
+        let what = format!("incremental={inc} adaptive={adaptive} workers={workers}");
+        let log = with_watchdog(&what, move || {
+            drive_construct_pipeline(variant(inc, adaptive, workers))
+        });
+        assert_eq!(log, control, "{what}");
+    }
+    // Under a small ingest budget firings may be degraded, but CONSTRUCT
+    // ingest from inside `fire_ready` still reads shedder state: no hang.
+    let budgeted =
+        variant(true, true, 4).with_ingest_budget(Some(wukong_stream::IngestBudget::tuples(2)));
+    let log = with_watchdog("ingest budget", || drive_construct_pipeline(budgeted));
+    assert!(!log.is_empty());
+}

@@ -177,3 +177,56 @@ fn construct_pipeline_survives_recovery() {
         "recovered CONSTRUCT query must keep feeding its derived stream"
     );
 }
+
+#[test]
+fn recovery_restores_the_last_checkpoints_query_set() {
+    use wukong_rdf::{ntriples, StreamId};
+    use wukong_stream::StreamSchema;
+
+    // Every checkpoint carries the full live query set, so recovery must
+    // restore the *last* one as a multiset — not the text-deduplicated
+    // union over the chain: a duplicate registration survives, a query
+    // unregistered between checkpoints stays gone.
+    let strings = Arc::new(StringServer::new());
+    let cfg = EngineConfig {
+        fault_tolerance: true,
+        ..EngineConfig::single_node()
+    };
+    let engine = WukongS::with_strings(cfg.clone(), Arc::clone(&strings));
+    let schemas = vec![StreamSchema::timeless(StreamId(0), "PO", 100)];
+    engine.register_stream(schemas[0].clone());
+    let qa = "REGISTER QUERY qa SELECT ?Z FROM PO [RANGE 1s STEP 100ms] \
+              WHERE { GRAPH PO { Logan po ?Z } }";
+    let qb = "REGISTER QUERY qb SELECT ?X FROM PO [RANGE 1s STEP 100ms] \
+              WHERE { GRAPH PO { ?X po T-1 } }";
+    let a1 = engine.register_continuous(qa).expect("registers");
+    let a2 = engine.register_continuous(qa).expect("registers twice");
+    let b = engine.register_continuous(qb).expect("registers");
+    assert_ne!(a1, a2);
+
+    let t = ntriples::parse_tuple(&strings, "Logan po T-1 50", 1).expect("tuple");
+    engine.ingest(StreamId(0), t.triple, t.timestamp);
+    engine.advance_time(200);
+    engine.checkpoint();
+    engine.unregister_continuous(b);
+    engine.advance_time(400);
+    engine.checkpoint();
+
+    let (recovered, report) =
+        WukongS::recover_with_report(cfg, None, schemas, &strings, &engine.checkpoints())
+            .expect("recovery");
+    assert_eq!(recovered.continuous_count(), 2);
+    assert_eq!(report.replayed_queries, 2);
+    let live = Checkpoint::decode(&recovered.checkpoint()).expect("decodes");
+    let texts: Vec<&str> = live.queries.iter().map(|q| q.text.as_str()).collect();
+    assert_eq!(texts, [qa, qa], "the last checkpoint's list, in order");
+
+    // Both copies of `qa` fire; the unregistered `qb` never does.
+    recovered.advance_time(1_000);
+    let firings = recovered.fire_ready();
+    assert!(!firings.is_empty());
+    for id in [a1, a2] {
+        assert!(firings.iter().any(|f| f.query == id));
+    }
+    assert!(firings.iter().all(|f| f.name.as_deref() == Some("qa")));
+}
