@@ -98,7 +98,7 @@ exp_incremental|--quick|"all_match": 1;"incremental"
 exp_overload|--quick|"all_match": 1;"overload"
 exp_adaptive|--quick|"all_match": 1;"plan"
 exp_chaos|--quick|"all_pass": 1;"integrity"
-exp_trace|--quick --dump OUT/trace_dump.json|"all_pass": 1;"trace"
+exp_trace|--quick --dump OUT/trace_dump.json|"all_pass": 1;"trace";"wall_overhead_ratio"
 table6_injection||'
     out="$(mktemp -d)"
     while IFS='|' read -r bin args patterns; do

@@ -9,6 +9,7 @@ use wukong_core::access::NodeAccess;
 use wukong_core::cluster::Cluster;
 use wukong_core::EngineConfig;
 use wukong_net::{Fabric, NetworkProfile, NodeId, TaskTimer};
+use wukong_obs::trace::{BatchId, TraceRecorder};
 use wukong_query::exec::{ExecContext, GraphAccess, NoLiterals, PatternSource, WindowInstance};
 use wukong_query::{execute, execute_step, finalize, parse_query, plan_query, BindingTable};
 use wukong_query::{GraphName, Query};
@@ -261,19 +262,49 @@ fn bench_read_path(c: &mut Criterion) {
     }
     g.finish();
 
+    // N stored keys, one `neighbors` call each against one chunked
+    // `neighbors_batch`: where the two lines cross is what
+    // `wukong_query::executor::BATCH_MIN_ANCHORS` is read against. Every
+    // iteration reads a different stretch of a key list much larger than
+    // the caches.
     let stored_ctx = ExecContext::stored(SnapshotId(100));
-    let mut i = 0;
-    let mut out = Vec::new();
-    c.bench_function("stored_lookup", |b| {
-        b.iter(|| {
-            i = (i + 1) % probes.len();
-            out.clear();
-            let mut timer = TaskTimer::start();
-            let key = Key::new(probes[i], fo, Dir::Out);
-            access.neighbors(key, GraphName::Stored, &stored_ctx, &mut timer, &mut out);
-            black_box(out.len())
-        })
-    });
+    let stored_keys: Vec<Key> = (0..1 << 16)
+        .map(|_| Key::new(Vid(rng.gen_range(1..=USERS)), fo, Dir::Out))
+        .collect();
+    let mut g = c.benchmark_group("stored_lookup");
+    for n in [1usize, 8, 16, 32, 64, 128, 1_024] {
+        let mut stretches = stored_keys.chunks_exact(n).cycle();
+        let mut out = Vec::new();
+        g.bench_with_input(BenchmarkId::new("per_key", n), &n, |b, _| {
+            b.iter(|| {
+                let mut timer = TaskTimer::start();
+                let mut edges = 0;
+                for &key in stretches.next().expect("cycles") {
+                    out.clear();
+                    access.neighbors(key, GraphName::Stored, &stored_ctx, &mut timer, &mut out);
+                    edges += out.len();
+                }
+                black_box(edges)
+            })
+        });
+        let mut stretches = stored_keys.chunks_exact(n).cycle();
+        g.bench_with_input(BenchmarkId::new("batched", n), &n, |b, _| {
+            b.iter(|| {
+                let mut timer = TaskTimer::start();
+                let mut edges = 0;
+                let keys = stretches.next().expect("cycles");
+                access.neighbors_batch(
+                    keys,
+                    GraphName::Stored,
+                    &stored_ctx,
+                    &mut timer,
+                    &mut |_, run| edges += run.len(),
+                );
+                black_box(edges)
+            })
+        });
+    }
+    g.finish();
 
     // `?X ht ?T` over 100 K tagged posts: one index scan, 100 K expansions.
     let ss = StringServer::new();
@@ -404,6 +435,27 @@ fn bench_write_path(c: &mut Criterion) {
     });
 }
 
+/// What a firing pays the flight recorder for its ID and lineage, on a
+/// fresh recorder and on one already holding `FIRING_CAP` lineages: the
+/// two must read alike (1 000 mints per iteration).
+fn bench_trace(c: &mut Criterion) {
+    let mint_1000 = |rec: &TraceRecorder| {
+        for i in 0..1_000u64 {
+            let windows = vec![(0, i * 100 + 1, i * 100 + 1_000)];
+            let batches = (1..=10).map(|b| BatchId::mint(0, (i + b) * 100)).collect();
+            black_box(rec.mint_firing("L1_0", windows, i, batches));
+        }
+    };
+    let mut g = c.benchmark_group("mint_firing");
+    g.bench_function("empty", |b| b.iter(|| mint_1000(&TraceRecorder::default())));
+    let full = TraceRecorder::default();
+    for _ in 0..TraceRecorder::FIRING_CAP.div_ceil(1_000) {
+        mint_1000(&full);
+    }
+    g.bench_function("at_cap", |b| b.iter(|| mint_1000(&full)));
+    g.finish();
+}
+
 fn bench_fabric(c: &mut Criterion) {
     let mut g = c.benchmark_group("fabric");
     let rdma = Fabric::new(8, NetworkProfile::rdma());
@@ -424,6 +476,7 @@ criterion_group!(
     bench_executor,
     bench_read_path,
     bench_write_path,
+    bench_trace,
     bench_fabric
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Flight-recorder fidelity and overhead gates (DESIGN.md §14).
 //!
-//! Three gates, any failure exits non-zero:
+//! Four gates, any failure exits non-zero:
 //!
 //! 1. **Byte-identity** — the same seeded LSBench run with tracing on
 //!    and off (`WUKONG_TRACE=0` ≙ `with_trace(false)`) must produce
@@ -12,7 +12,14 @@
 //!    within [`OVERHEAD_FACTOR`] of the disabled run, with an absolute
 //!    [`OVERHEAD_SLACK_MS`] floor so sub-millisecond totals don't fail
 //!    on scheduler noise.
-//! 3. **Black-box dump** — a seeded fault plan that bit-flips in-flight
+//! 3. **Wall clock** — gate 2's `latency_ms` timers start after a firing's
+//!    ID and lineage are minted, so they cannot see what minting costs.
+//!    One selective query fires [`WALL_FIRINGS`] times (past the
+//!    recorder's `FIRING_CAP`, where a cost that grows with history
+//!    shows); the summed wall time of its `fire_ready` calls with the
+//!    recorder on must stay within [`WALL_FACTOR`] of the recorder-off
+//!    run, or within the same absolute slack.
+//! 4. **Black-box dump** — a seeded fault plan that bit-flips in-flight
 //!    sub-batches must force an install-site quarantine, and the
 //!    recorder must hold a `trace_dump` whose trigger is the
 //!    `Quarantine` marker and whose causal closure (`linked_batches`)
@@ -29,6 +36,8 @@ use wukong_bench::{
 use wukong_core::{EngineConfig, WukongS};
 use wukong_net::FaultPlan;
 use wukong_obs::TraceSnapshot;
+use wukong_rdf::{StreamId, Triple};
+use wukong_stream::StreamSchema;
 
 const NODES: usize = 4;
 /// Timeline tuples between firing rounds.
@@ -39,6 +48,13 @@ const OVERHEAD_FACTOR: f64 = 1.10;
 /// ...or within this absolute slack, whichever is looser (sub-ms totals
 /// would otherwise gate on scheduler noise).
 const OVERHEAD_SLACK_MS: f64 = 5.0;
+/// Firings of the wall-clock cell's one query.
+const WALL_FIRINGS: u64 = 5_200;
+/// Recorder-on `fire_ready` wall time must stay within this factor of the
+/// recorder-off run (or within [`OVERHEAD_SLACK_MS`] of it).
+const WALL_FACTOR: f64 = 1.25;
+/// Repetitions of each arm of the wall-clock cell; the best one counts.
+const WALL_REPS: usize = 7;
 /// Bit-flip probability for the dump cell's message-corruption rule.
 const CORRUPT_P: f64 = 0.05;
 /// Seeds tried before declaring the dump cell unable to corrupt.
@@ -154,6 +170,57 @@ fn best_run(
         }
     }
     out
+}
+
+/// The wall-clock cell: one selective standing query shaped like
+/// LSBench's L2 — posts in the window by the twelve users Logan follows —
+/// over a stream that carries one such post per batch interval, fired
+/// once per round for [`WALL_FIRINGS`] rounds. Returns the summed
+/// `fire_ready` wall time in ms and the rows emitted.
+fn wall_run(trace_on: bool) -> (f64, u64) {
+    let cfg = EngineConfig::single_node()
+        .with_workers(1)
+        .with_trace(trace_on);
+    let engine = WukongS::new(cfg);
+    let ss = engine.strings().clone();
+    let entity = |name: &str| ss.intern_entity(name).expect("interns");
+    let follows = ss.intern_predicate("fo").expect("interns");
+    let posts = ss.intern_predicate("po").expect("interns");
+    let followed: Vec<_> = (0..12).map(|u| entity(&format!("u{u}"))).collect();
+    engine.load_base(
+        followed
+            .iter()
+            .map(|&u| Triple::new(entity("Logan"), follows, u)),
+    );
+    let po = engine.register_stream(StreamSchema::timeless(StreamId(0), "PO", 100));
+    engine
+        .register_continuous(
+            "REGISTER QUERY q SELECT ?X ?Z FROM PO [RANGE 1s STEP 100ms] \
+             WHERE { Logan fo ?X . GRAPH PO { ?X po ?Z } }",
+        )
+        .expect("register");
+    let mut wall = std::time::Duration::ZERO;
+    let (mut firings, mut rows) = (0u64, 0u64);
+    for k in 0..WALL_FIRINGS {
+        let poster = followed[k as usize % followed.len()];
+        let post = Triple::new(poster, posts, entity(&format!("T-{k}")));
+        engine.ingest(po, post, k * 100 + 50);
+        engine.advance_time((k + 1) * 100);
+        let t0 = std::time::Instant::now();
+        let fired = engine.fire_ready();
+        wall += t0.elapsed();
+        firings += fired.len() as u64;
+        rows += fired
+            .iter()
+            .map(|f| f.results.rows.len() as u64)
+            .sum::<u64>();
+    }
+    assert_eq!(firings, WALL_FIRINGS, "one firing per round");
+    assert!(
+        rows >= 10 * (WALL_FIRINGS - 10),
+        "ten posts per full window"
+    );
+    (wall.as_secs_f64() * 1e3, rows)
 }
 
 /// The dump cell: seeded message corruption must quarantine a shard and
@@ -312,6 +379,36 @@ fn main() {
         }
     }
 
+    // Best of `WALL_REPS` (a run takes a tenth of a second, so `--quick`
+    // keeps them all), the two arms interleaved so a slow spell of the
+    // host hits both.
+    let (mut wall_off, mut wall_on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..WALL_REPS {
+        let (off, rows_off) = wall_run(false);
+        let (on, rows_on) = wall_run(true);
+        if rows_on != rows_off {
+            failures.push(format!(
+                "wall cell: {rows_on} rows traced, {rows_off} untraced"
+            ));
+        }
+        wall_off = wall_off.min(off);
+        wall_on = wall_on.min(on);
+    }
+    let wall_budget = (wall_off * WALL_FACTOR).max(wall_off + OVERHEAD_SLACK_MS);
+    if wall_on > wall_budget {
+        failures.push(format!(
+            "wall cell: {WALL_FIRINGS} firings took {wall_on:.2} ms traced, over the {wall_budget:.2} ms budget"
+        ));
+    }
+    println!(
+        "\nwall clock, {WALL_FIRINGS} firings of one selective query: fire_ready {wall_off:.2} ms off, \
+         {wall_on:.2} ms on (ratio {:.3}, budget {wall_budget:.2} ms)",
+        wall_on / wall_off
+    );
+    jr.counter("wall_ms_off", wall_off);
+    jr.counter("wall_ms_on", wall_on);
+    jr.counter("wall_overhead_ratio", wall_on / wall_off);
+
     let dump = dump_cell(&w, base_seed, &mut failures);
     if let Some(d) = &dump {
         let batches = d
@@ -339,5 +436,7 @@ fn main() {
         }
         std::process::exit(1);
     }
-    println!("\nall trace gates passed: identical results, bounded overhead, causal dump");
+    println!(
+        "\nall trace gates passed: identical results, bounded modeled and wall overhead, causal dump"
+    );
 }

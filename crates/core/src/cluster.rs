@@ -299,6 +299,18 @@ impl Cluster {
                 visit(seg);
             }
         });
+        self.charge_stored_read(home, owner, read, timer);
+    }
+
+    /// What one stored-graph read of `read` neighbours costs a task on
+    /// `home`: nothing on the owner, two one-sided reads elsewhere.
+    pub(crate) fn charge_stored_read(
+        &self,
+        home: NodeId,
+        owner: NodeId,
+        read: usize,
+        timer: &mut TaskTimer,
+    ) {
         if owner != home {
             // Lookup read (key + fat pointer) …
             self.fabric.charge_read(home, owner, 24, timer);

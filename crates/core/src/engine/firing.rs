@@ -7,7 +7,9 @@
 //! pipeline → query state: the guard is never held across
 //! [`WukongS::ingest`], `degrade_and_track` (both take the pipeline lock)
 //! or a worker-pool region — a CONSTRUCT firing re-enters `ingest`, whose
-//! install path asks every query for its assigned snapshot.
+//! catch-up path locks the state of every query reading a replayed
+//! stream. The per-batch install path takes no query lock: it reads each
+//! query's `next_fire` mirror (DESIGN.md §5 "The cursor mirror").
 
 use super::{ContinuousId, Firing, OverloadState, WukongS};
 use crate::access::NodeAccess;
@@ -18,7 +20,7 @@ use crate::scrub::ScrubViolation;
 use parking_lot::Mutex;
 use std::borrow::Borrow;
 use std::collections::{BTreeSet, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use wukong_net::{NodeId, TaskTimer};
 use wukong_obs::trace::{self, BatchId, FiringId, Marker, TraceRecorder};
@@ -53,6 +55,12 @@ pub(super) struct Registered {
     /// Set when the query is unregistered; retired queries stop firing
     /// and no longer pin GC horizons or index replication.
     retired: AtomicBool,
+    /// Mirror of `state.window.next_fire()`, so the install path can clamp
+    /// consolidation without taking a query lock. Written only where the
+    /// cursor moves and only under the pipeline lock
+    /// ([`Registered::publish_cursor`]); read under it too, which is what
+    /// orders the accesses — the atomic itself publishes nothing.
+    next_fire: AtomicU64,
     state: Mutex<QueryState>,
 }
 
@@ -120,15 +128,14 @@ fn window_at(s: usize, range_ms: Timestamp, hi: Timestamp) -> WindowInstance {
     instance((s, hi.saturating_sub(range_ms) + 1, hi))
 }
 
-/// The snapshot the SN-VTS plan assigned to `window`'s next execution
-/// (the max epoch over its streams); `None` while no plan covers it yet.
-fn assigned_sn(coordinator: &Coordinator, window: &WindowState) -> Option<SnapshotId> {
-    let hi = window.next_fire();
-    window
-        .windows()
+/// The snapshot the SN-VTS plan assigned to the execution of windows over
+/// cluster `streams` ending at `hi` (the max epoch over the streams);
+/// `None` while no plan covers it yet.
+fn assigned_sn(coordinator: &Coordinator, streams: &[usize], hi: Timestamp) -> Option<SnapshotId> {
+    let epochs = streams
         .iter()
-        .filter_map(|sw| coordinator.snapshot_at(sw.stream, hi))
-        .max()
+        .filter_map(|&s| coordinator.snapshot_at(s, hi));
+    epochs.max()
 }
 
 impl Registered {
@@ -148,6 +155,7 @@ impl Registered {
             range_ms: w.range_ms,
             step_ms: w.step_ms,
         });
+        let window = WindowState::new(windows.collect(), registered_at);
         Registered {
             text: text.to_owned(),
             ranges: query.streams.iter().map(|(_, w)| w.range_ms).collect(),
@@ -155,8 +163,9 @@ impl Registered {
             class: query.name.clone().unwrap_or_else(|| format!("query-{id}")),
             construct_target,
             retired: AtomicBool::new(false),
+            next_fire: AtomicU64::new(window.next_fire()),
             state: Mutex::new(QueryState {
-                window: WindowState::new(windows.collect(), registered_at),
+                window,
                 plan: None,
                 feedback: None,
                 delta: None,
@@ -169,6 +178,14 @@ impl Registered {
 
     fn is_live(&self) -> bool {
         !self.retired.load(Ordering::Relaxed)
+    }
+
+    /// Re-publishes the window cursor after it moved. The caller holds the
+    /// pipeline lock (and `st`'s guard), so `min_assigned_sn` — which runs
+    /// under the pipeline lock — never sees the mirror behind the cursor.
+    fn publish_cursor(&self, st: &QueryState) {
+        self.next_fire
+            .store(st.window.next_fire(), Ordering::Relaxed);
     }
 
     /// The query's *current* windows: each ends at its stream's stable
@@ -195,12 +212,46 @@ impl QueryState {
 /// the pipeline lock (pipeline → query state).
 impl WukongS {
     /// The lowest assigned snapshot of any live query's un-fired window —
-    /// consolidation must not merge past it.
+    /// consolidation must not merge past it. Runs once per installed
+    /// batch under the pipeline lock and takes no query lock: it reads the
+    /// cursor mirrors, and probes the plan once per distinct `(streams,
+    /// cursor)` pair — standing queries share a handful of them.
     pub(super) fn min_assigned_sn(&self, coordinator: &Coordinator) -> Option<SnapshotId> {
+        /// Pairs remembered per scan; a registry with more distinct ones
+        /// probes the overflow per query rather than search a long list.
+        const MEMO: usize = 16;
+        let registry = self.registry.read();
+        let mut seen: [(&[usize], Timestamp); MEMO] = [(&[], 0); MEMO];
+        let mut known = 0;
+        let mut min = None;
+        for r in registry.iter().filter(|r| r.is_live()) {
+            let pair = (&r.stream_map[..], r.next_fire.load(Ordering::Relaxed));
+            if seen[..known].contains(&pair) {
+                continue;
+            }
+            if known < MEMO {
+                seen[known] = pair;
+                known += 1;
+            }
+            let sn = assigned_sn(coordinator, pair.0, pair.1);
+            min = min.into_iter().chain(sn).min();
+        }
+        min
+    }
+
+    /// [`WukongS::min_assigned_sn`] as it was before the cursor mirror:
+    /// every live query's window read under its own lock. Also checks
+    /// each mirror against its cursor.
+    #[cfg(test)]
+    pub(super) fn min_assigned_sn_locked(&self, coordinator: &Coordinator) -> Option<SnapshotId> {
         let registry = self.registry.read();
         let live = registry.iter().filter(|r| r.is_live());
-        live.filter_map(|r| assigned_sn(coordinator, &r.state.lock().window))
-            .min()
+        live.filter_map(|r| {
+            let hi = r.state.lock().window.next_fire();
+            assert_eq!(r.next_fire.load(Ordering::Relaxed), hi, "{}", r.class);
+            assigned_sn(coordinator, &r.stream_map, hi)
+        })
+        .min()
     }
 
     /// The widest RANGE any live query declares over cluster stream `s`
@@ -236,8 +287,11 @@ impl WukongS {
 
     /// Skips every firing cursor past windows `resume` has entirely passed.
     pub(super) fn resume_windows(&self, resume: &Vts) {
+        let _pipeline = self.pipeline.lock();
         for r in self.registry.read().iter() {
-            r.state.lock().window.catch_up(resume);
+            let mut st = r.state.lock();
+            st.window.catch_up(resume);
+            r.publish_cursor(&st);
         }
     }
 
@@ -638,7 +692,8 @@ impl WukongS {
             let cur_sn = pl.coordinator.stable_sn();
             let mut ready = Vec::new();
             while st.window.ready(&stable) {
-                let sn = assigned_sn(&pl.coordinator, &st.window).unwrap_or(cur_sn);
+                let sn = assigned_sn(&pl.coordinator, &r.stream_map, st.window.next_fire())
+                    .unwrap_or(cur_sn);
                 if sn > cur_sn {
                     // Window held: its assigned epoch has not retired
                     // yet. A point marker records the hold so stalled
@@ -654,6 +709,7 @@ impl WukongS {
                     extract_ns: 0,
                 });
             }
+            r.publish_cursor(&st);
             drop(pl);
             let Some(first) = ready.first_mut() else {
                 continue;

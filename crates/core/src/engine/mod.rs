@@ -847,6 +847,102 @@ mod tests {
         assert_eq!(snap.delta_rebuilds, 1, "retained state dropped: {snap:?}");
     }
 
+    /// The lock-free consolidation clamp against the locked scan it
+    /// replaced (which also checks every cursor mirror against its cursor).
+    #[track_caller]
+    fn assert_clamp_matches_locked_scan(engine: &WukongS) -> Option<wukong_store::SnapshotId> {
+        let pl = engine.pipeline.lock();
+        let clamp = engine.min_assigned_sn(&pl.coordinator);
+        assert_eq!(clamp, engine.min_assigned_sn_locked(&pl.coordinator));
+        clamp
+    }
+
+    #[test]
+    fn lock_free_clamp_tracks_every_cursor_move() {
+        use wukong_obs::trace::Marker;
+        let cfg = EngineConfig {
+            fault_tolerance: true,
+            ..EngineConfig::single_node()
+        };
+        let engine = WukongS::new(cfg.clone());
+        let ss = engine.strings().clone();
+        let schemas = [
+            StreamSchema::timeless(StreamId(0), "PO", 100),
+            StreamSchema::timeless(StreamId(1), "LI", 100),
+        ];
+        let po = engine.register_stream(schemas[0].clone());
+        engine.register_stream(schemas[1].clone());
+        assert_eq!(assert_clamp_matches_locked_scan(&engine), None, "no query");
+
+        // Different stream sets and steps, so which query holds the
+        // minimum changes from round to round; two share a pair.
+        let query = |name: &str, from: &str, body: &str| {
+            format!("REGISTER QUERY {name} SELECT ?X {from} WHERE {{ {body} }}")
+        };
+        let (po_w, li_w) = ("FROM PO [RANGE 1s STEP", "FROM LI [RANGE 1s STEP");
+        let (po_p, li_p) = ("GRAPH PO { ?X po ?Z }", "GRAPH LI { ?Y li ?Z }");
+        let texts = [
+            query("a", &format!("{po_w} 100ms]"), po_p),
+            query("b", &format!("{po_w} 100ms]"), po_p),
+            query("c", &format!("{po_w} 300ms]"), po_p),
+            query("d", &format!("{li_w} 200ms]"), li_p),
+            query(
+                "e",
+                &format!("{po_w} 500ms] {li_w} 500ms]"),
+                &format!("{po_p} . {li_p}"),
+            ),
+        ];
+        let mut ids = Vec::new();
+        for text in &texts[..4] {
+            ids.push(engine.register_continuous(text).expect("register"));
+            assert_clamp_matches_locked_scan(&engine);
+        }
+
+        let mut clamps = std::collections::BTreeSet::new();
+        for round in 0..30u64 {
+            // Only PO carries tuples; LI trails one interval behind on
+            // heartbeats, so PO windows become ready while their epoch
+            // is still open — held firings, cursors that stay put.
+            let line = format!("u{round} po T-{round} {}", round * 100 + 150);
+            let t = ntriples::parse_tuple(&ss, &line, 1).expect("tuple");
+            engine.ingest(po, t.triple, t.timestamp);
+            assert_clamp_matches_locked_scan(&engine);
+            engine.fire_ready();
+            clamps.extend(assert_clamp_matches_locked_scan(&engine));
+            if round % 3 == 2 {
+                engine.advance_time((round + 1) * 100);
+                assert_clamp_matches_locked_scan(&engine);
+                engine.fire_ready();
+                clamps.extend(assert_clamp_matches_locked_scan(&engine));
+            }
+            match round {
+                10 => ids.push(engine.register_continuous(&texts[4]).expect("register")),
+                15 => engine.unregister_continuous(ids[0]),
+                20 => engine.unregister_continuous(ids[2]),
+                _ => {}
+            }
+            assert_clamp_matches_locked_scan(&engine);
+        }
+        assert!(clamps.len() > 10, "the clamp must move: {clamps:?}");
+        let held = engine.tracer().merged_events();
+        assert!(
+            held.iter().any(|e| e.marker() == Some(Marker::Hold)),
+            "the schedule must hold a ready window"
+        );
+
+        // Recovery re-registers the live queries and skips their cursors
+        // to the checkpointed horizon (`resume_windows`).
+        engine.checkpoint();
+        let recovered = WukongS::recover(cfg, [], schemas.to_vec(), &ss, &engine.checkpoints())
+            .expect("recovers");
+        assert_eq!(recovered.continuous_count(), 3);
+        let resumed = assert_clamp_matches_locked_scan(&recovered);
+        assert!(resumed > Some(wukong_store::SnapshotId(1)), "{resumed:?}");
+        recovered.advance_time(3_500);
+        recovered.fire_ready();
+        assert_clamp_matches_locked_scan(&recovered);
+    }
+
     #[test]
     fn quiet_streams_do_not_block_visibility() {
         // Two streams; only one ever produces tuples. Heartbeats must

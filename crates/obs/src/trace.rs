@@ -13,12 +13,14 @@
 //!   window `[lo, hi]`, the assigned snapshot, and the set of `BatchId`s
 //!   the window consumed — the firing's full lineage.
 //! * **Flight recorder.** [`TraceRecorder`] keeps a fixed-capacity ring
-//!   buffer of compact binary [`TraceEvent`]s per thread. Recording
-//!   never allocates on the hot path (each thread's ring is preallocated
-//!   on first touch) and a single relaxed atomic load gates the whole
-//!   thing off when tracing is disabled. Events carry a global sequence
-//!   number; [`TraceRecorder::merged_events`] drains every ring into one
-//!   causally ordered timeline.
+//!   buffer of compact binary [`TraceEvent`]s per thread. Recording an
+//!   event never allocates (each thread's ring is preallocated on first
+//!   touch) and a single relaxed atomic load gates the whole thing off
+//!   when tracing is disabled. Events carry a global sequence number;
+//!   [`TraceRecorder::merged_events`] drains every ring into one causally
+//!   ordered timeline. A firing's lineage ([`TraceRecorder::mint_firing`])
+//!   is three allocations into a FIFO ring of [`TraceRecorder::FIRING_CAP`]
+//!   entries — O(1) however many firings came before.
 //! * **Anomaly dumps.** [`TraceRecorder::anomaly`] marks an anomalous
 //!   event (shed, re-plan, quarantine, checksum failure, deadline miss),
 //!   freezes the recorder, and emits a `trace_dump` [`Json`] containing
@@ -32,7 +34,7 @@
 //! causal order.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -392,10 +394,20 @@ impl Ring {
         b.written += 1;
     }
 
+    /// Events this ring has overwritten, from its own counters.
+    fn evicted(&self) -> u64 {
+        self.buf.lock().evicted()
+    }
+
     fn snapshot(&self) -> (Vec<TraceEvent>, u64) {
         let b = self.buf.lock();
-        let evicted = b.written.saturating_sub(b.events.len() as u64);
-        (b.events.clone(), evicted)
+        (b.events.clone(), b.evicted())
+    }
+}
+
+impl RingBuf {
+    fn evicted(&self) -> u64 {
+        self.written.saturating_sub(self.events.len() as u64)
     }
 }
 
@@ -454,7 +466,9 @@ pub struct TraceRecorder {
     next_firing: AtomicU64,
     ring_capacity: usize,
     rings: Mutex<Vec<Arc<Ring>>>,
-    firings: Mutex<Vec<FiringMeta>>,
+    /// Retained lineage, oldest first, IDs strictly increasing (and
+    /// consecutive unless recording was switched off in between).
+    firings: Mutex<VecDeque<FiringMeta>>,
     dumps: Mutex<Vec<Json>>,
     dumps_suppressed: AtomicU64,
 }
@@ -498,7 +512,7 @@ impl TraceRecorder {
             next_firing: AtomicU64::new(1),
             ring_capacity: ring_capacity.max(1),
             rings: Mutex::new(Vec::new()),
-            firings: Mutex::new(Vec::new()),
+            firings: Mutex::new(VecDeque::new()),
             dumps: Mutex::new(Vec::new()),
             dumps_suppressed: AtomicU64::new(0),
         }
@@ -548,6 +562,9 @@ impl TraceRecorder {
 
     /// Mints the next [`FiringId`] and records its lineage. Call from
     /// the serial firing path so IDs are deterministic per run.
+    ///
+    /// Costs the same whatever came before: the lineage ring evicts its
+    /// oldest entry in O(1) once [`Self::FIRING_CAP`] metas are held.
     pub fn mint_firing(
         &self,
         query: &str,
@@ -563,9 +580,9 @@ impl TraceRecorder {
         batches.truncate(Self::LINEAGE_CAP);
         let mut metas = self.firings.lock();
         if metas.len() >= Self::FIRING_CAP {
-            metas.remove(0);
+            metas.pop_front();
         }
-        metas.push(FiringMeta {
+        metas.push_back(FiringMeta {
             id,
             query: query.to_string(),
             windows,
@@ -577,8 +594,21 @@ impl TraceRecorder {
     }
 
     /// The recorded lineage of `firing`, if still retained.
+    ///
+    /// IDs are minted serially, so the entry sits at its ID's offset from
+    /// the oldest retained one; only a recorder that was switched off in
+    /// between has gaps, and then the (still sorted) ring is bisected.
     pub fn firing_meta(&self, firing: FiringId) -> Option<FiringMeta> {
-        self.firings.lock().iter().find(|m| m.id == firing).cloned()
+        let metas = self.firings.lock();
+        let offset = firing.0.checked_sub(metas.front()?.id.0)?;
+        let direct = usize::try_from(offset).ok().and_then(|i| metas.get(i));
+        match direct {
+            Some(m) if m.id == firing => Some(m.clone()),
+            _ => {
+                let i = metas.binary_search_by_key(&firing, |m| m.id).ok()?;
+                metas.get(i).cloned()
+            }
+        }
     }
 
     /// Opens an RAII stage span: Enter now, Exit (with elapsed ns) when
@@ -717,7 +747,7 @@ impl TraceRecorder {
 
     /// Counter snapshot for bench reports.
     pub fn snapshot(&self) -> TraceSnapshot {
-        let (_, evicted) = self.merged_with_evicted();
+        let evicted = self.rings.lock().iter().map(|r| r.evicted()).sum();
         TraceSnapshot {
             enabled: self.is_enabled(),
             events: self.seq.load(Ordering::Relaxed),
@@ -1080,6 +1110,91 @@ mod tests {
         // Popped after the closure.
         drop(scoped_span(Stage::ForkJoinMerge));
         assert_eq!(rec.merged_events().len(), 3);
+    }
+
+    fn mint_n(rec: &TraceRecorder, n: usize) -> FiringId {
+        let mut last = FiringId::NONE;
+        for i in 0..n as u64 {
+            last = rec.mint_firing(
+                "q",
+                vec![(0, i, i + 99)],
+                i,
+                vec![BatchId::mint(0, i + 100)],
+            );
+        }
+        last
+    }
+
+    #[test]
+    fn lineage_retention_is_fifo_and_survives_ring_wraparound() {
+        let cap = TraceRecorder::FIRING_CAP;
+        let rec = TraceRecorder::default();
+        assert_eq!(mint_n(&rec, cap), FiringId(cap as u64));
+        assert!(rec.firing_meta(FiringId(1)).is_some(), "cap metas fit");
+        // One past the cap evicts exactly the oldest.
+        let newest = mint_n(&rec, 1);
+        assert_eq!(rec.firing_meta(FiringId(1)), None);
+        assert_eq!(rec.firing_meta(FiringId(2)).unwrap().id, FiringId(2));
+        assert_eq!(rec.firing_meta(newest).unwrap().id, newest);
+        // Wrap the ring's storage one and a half times over: every
+        // retained ID still resolves to its own lineage, nothing else does.
+        let newest = mint_n(&rec, cap + cap / 2);
+        let oldest = newest.0 - cap as u64 + 1;
+        for id in [
+            oldest,
+            oldest + 1,
+            oldest + cap as u64 / 2,
+            newest.0 - 1,
+            newest.0,
+        ] {
+            let meta = rec.firing_meta(FiringId(id)).expect("retained");
+            assert_eq!(meta.id, FiringId(id));
+            // `mint_n` restarts its window counter per call.
+            let i = id - (cap as u64 + 2);
+            assert_eq!(meta.windows, vec![(0, i, i + 99)]);
+        }
+        for id in [0, oldest - 1, newest.0 + 1, u64::MAX] {
+            assert_eq!(rec.firing_meta(FiringId(id)), None, "id {id}");
+        }
+    }
+
+    #[test]
+    fn lineage_lookup_bisects_across_a_recording_gap() {
+        let rec = TraceRecorder::default();
+        mint_n(&rec, 3);
+        rec.set_enabled(false);
+        mint_n(&rec, 2); // ids 4 and 5 mint but record no lineage
+        rec.set_enabled(true);
+        mint_n(&rec, 2);
+        for id in [1, 2, 3, 6, 7] {
+            assert_eq!(rec.firing_meta(FiringId(id)).unwrap().id, FiringId(id));
+        }
+        for id in [4, 5, 8] {
+            assert_eq!(rec.firing_meta(FiringId(id)), None, "id {id}");
+        }
+    }
+
+    #[test]
+    fn minting_costs_the_same_on_a_full_recorder() {
+        // The lineage container used to shift all `FIRING_CAP` metas down
+        // on every mint past the cap (~100x the empty-recorder cost).
+        // Minimum over a few repetitions: the host is shared.
+        let time_2000 = |rec: &TraceRecorder| {
+            let t0 = Instant::now();
+            mint_n(rec, 2_000);
+            t0.elapsed()
+        };
+        let full = TraceRecorder::default();
+        mint_n(&full, TraceRecorder::FIRING_CAP);
+        let (mut on_empty, mut on_full) = (std::time::Duration::MAX, std::time::Duration::MAX);
+        for _ in 0..5 {
+            on_empty = on_empty.min(time_2000(&TraceRecorder::default()));
+            on_full = on_full.min(time_2000(&full));
+        }
+        assert!(
+            on_full < on_empty * 3,
+            "2 000 mints: {on_full:?} at the cap vs {on_empty:?} on an empty recorder"
+        );
     }
 
     #[test]

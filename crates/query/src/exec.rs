@@ -71,6 +71,32 @@ pub trait GraphAccess {
         out: &mut Vec<Vid>,
     );
 
+    /// Reads the neighbours of every key of `keys` in `src`, handing them
+    /// to `visit(i, run)` for `keys[i]`: key by key in slice order, each
+    /// key's neighbours in [`GraphAccess::neighbors`] order, split into
+    /// any number of runs (none for a key without neighbours).
+    ///
+    /// Same reads and same charges, in the same order, as calling
+    /// [`GraphAccess::neighbors`] per key — which is the default.
+    /// Implementations that know where the keys live may overlap the
+    /// lookups' memory latency; the executor calls this for expansions of
+    /// at least [`crate::executor::BATCH_MIN_ANCHORS`] anchors.
+    fn neighbors_batch(
+        &self,
+        keys: &[Key],
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        visit: &mut dyn FnMut(usize, &[Vid]),
+    ) {
+        let mut buf = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            buf.clear();
+            self.neighbors(key, src, ctx, timer, &mut buf);
+            visit(i, &buf);
+        }
+    }
+
     /// Estimated neighbour count of `key` in `src` (planner oracle).
     fn estimate(&self, key: Key, src: PatternSource, ctx: &ExecContext) -> usize;
 

@@ -115,7 +115,20 @@ pub(crate) fn concrete(term: Term, row: &[Vid]) -> Option<Vid> {
 pub struct StepScratch {
     neighbors: Vec<Vid>,
     subjects: Vec<Vid>,
+    keys: Vec<Key>,
 }
+
+/// Expansions of at least this many anchors into an unbound target read
+/// through [`GraphAccess::neighbors_batch`], where an engine can overlap
+/// the lookups' cache misses; rows come out in the same order either way.
+///
+/// Two full chunks of the engine's chunked read, and conservative: the
+/// micro benches (`stored_lookup/{per_key,batched}/N`) put the batched
+/// read level with the per-key one at a single key and ahead from eight.
+/// What the constant protects is the selective firing — a dozen anchors —
+/// whose fixed cost `bench_suite`'s `standing_fanout` floor is calibrated
+/// on (ROADMAP item 1a): below 64 nothing changes.
+pub const BATCH_MIN_ANCHORS: usize = 64;
 
 /// Executes one step, producing the expanded binding table.
 pub fn execute_step(
@@ -155,6 +168,11 @@ pub fn execute_step_into(
             } else {
                 (p.o, p.s, Dir::In)
             };
+            if input.len() >= BATCH_MIN_ANCHORS
+                && expand_batched(step, input, ctx, access, timer, &mut scratch.keys, out)
+            {
+                return;
+            }
             for row in input.iter() {
                 let anchor = match concrete(anchor_term, row) {
                     Some(v) => v,
@@ -203,6 +221,14 @@ pub fn execute_step_into(
                     None => (subjects.as_slice(), s_var),
                 };
                 let bound_o = concrete(p.o, row);
+                // Repeated variable (`?X p ?X`): both positions must
+                // agree, and the subject has the slot.
+                let o_is_s = s_var.is_some() && s_var == p.o.var();
+                if bound_o.is_none() && !o_is_s && candidates.len() >= BATCH_MIN_ANCHORS {
+                    let keys = &mut scratch.keys;
+                    scan_batched(step, row, candidates, ctx, access, timer, keys, out);
+                    continue;
+                }
                 for &s in candidates {
                     let key = Key::new(s, p.p, Dir::Out);
                     match bound_o {
@@ -218,9 +244,6 @@ pub fn execute_step_into(
                             let o_var = p.o.var().expect("non-concrete term is a var");
                             buf.clear();
                             access.neighbors(key, p.graph, ctx, timer, buf);
-                            // Repeated variable (`?X p ?X`): both positions
-                            // must agree, and the subject has the slot.
-                            let o_is_s = s_var == Some(o_var);
                             for &n in buf.iter().filter(|&&n| !o_is_s || n == s) {
                                 match bind_s {
                                     Some(v) if v != o_var => {
@@ -235,6 +258,80 @@ pub fn execute_step_into(
             }
         }
     }
+}
+
+/// The wide form of a `FromSubject` / `FromObject` step: when every row of
+/// `input` is anchored and none has the target bound, reads one key per
+/// row as a batch, fills `out` in row order and returns `true`; otherwise
+/// leaves `out` alone. Out of line: it runs once per wide step, and the
+/// per-key loop beside its call site is every selective firing's hot path.
+#[inline(never)]
+fn expand_batched(
+    step: &Step,
+    input: &BindingTable,
+    ctx: &ExecContext,
+    access: &impl GraphAccess,
+    timer: &mut TaskTimer,
+    keys: &mut Vec<Key>,
+    out: &mut BindingTable,
+) -> bool {
+    let p = &step.pattern;
+    let (anchor_term, target_term, dir) = if step.mode == StepMode::FromSubject {
+        (p.s, p.o, Dir::Out)
+    } else {
+        (p.o, p.s, Dir::In)
+    };
+    let Some(var) = target_term.var() else {
+        return false;
+    };
+    keys.clear();
+    keys.extend(input.iter().map_while(|row| {
+        let anchor = concrete(anchor_term, row)?;
+        (row[var as usize] == UNBOUND).then(|| Key::new(anchor, p.p, dir))
+    }));
+    if keys.len() != input.len() {
+        return false;
+    }
+    access.neighbors_batch(keys, p.graph, ctx, timer, &mut |i, run| {
+        let row = input.row(i);
+        for &n in run {
+            out.push_bound(row, var, n);
+        }
+    });
+    true
+}
+
+/// The wide form of one input row's `IndexScan` expansion: `candidates`
+/// subjects with an unbound object that is not the subject's own variable,
+/// read as a batch, appended to `out` in subject order. Out of line for
+/// the same reason as [`expand_batched`].
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn scan_batched(
+    step: &Step,
+    row: &[Vid],
+    candidates: &[Vid],
+    ctx: &ExecContext,
+    access: &impl GraphAccess,
+    timer: &mut TaskTimer,
+    keys: &mut Vec<Key>,
+    out: &mut BindingTable,
+) {
+    let p = &step.pattern;
+    let o_var = p.o.var().expect("non-concrete term is a var");
+    // A subject the row already binds needs no slot written.
+    let bind_s = p.s.var().filter(|&v| row[v as usize] == UNBOUND);
+    keys.clear();
+    keys.extend(candidates.iter().map(|&s| Key::new(s, p.p, Dir::Out)));
+    access.neighbors_batch(keys, p.graph, ctx, timer, &mut |i, run| {
+        let s = candidates[i];
+        for &n in run {
+            match bind_s {
+                Some(v) => out.push_bound2(row, (v, s), (o_var, n)),
+                None => out.push_bound(row, o_var, n),
+            }
+        }
+    });
 }
 
 /// A binding table stepped in place: each step writes into the spare
@@ -1189,6 +1286,140 @@ mod tests {
         let got = execute_step(&step, &seed_row, &ctx, &access, &mut timer);
         assert!(!got.is_empty(), "the graph has self-loops");
         assert!(got.iter().all(|r| st.exists_at(r[0], p, r[0], ctx.sn)));
+    }
+
+    /// [`LocalAccess`] that counts the keys it is handed in batches and
+    /// serves them chunk by chunk, each chunk's lists fetched in reverse
+    /// before any is visited — an implementation free to read in any
+    /// order, as long as it visits in key order.
+    struct Batching<'a>(LocalAccess<'a>, std::cell::Cell<usize>);
+
+    impl GraphAccess for Batching<'_> {
+        fn neighbors(
+            &self,
+            key: Key,
+            src: PatternSource,
+            ctx: &ExecContext,
+            timer: &mut TaskTimer,
+            out: &mut Vec<Vid>,
+        ) {
+            self.0.neighbors(key, src, ctx, timer, out)
+        }
+
+        fn neighbors_batch(
+            &self,
+            keys: &[Key],
+            src: PatternSource,
+            ctx: &ExecContext,
+            timer: &mut TaskTimer,
+            visit: &mut dyn FnMut(usize, &[Vid]),
+        ) {
+            self.1.set(self.1.get() + keys.len());
+            for (c, chunk) in keys.chunks(7).enumerate() {
+                let mut lists = vec![Vec::new(); chunk.len()];
+                for (list, &key) in lists.iter_mut().zip(chunk).rev() {
+                    self.0.neighbors(key, src, ctx, timer, list);
+                }
+                for (j, list) in lists.iter().enumerate() {
+                    // Runs may split a key's neighbours anywhere.
+                    let (head, tail) = list.split_at(list.len() / 2);
+                    visit(c * 7 + j, head);
+                    visit(c * 7 + j, tail);
+                }
+            }
+        }
+
+        fn estimate(&self, key: Key, src: PatternSource, ctx: &ExecContext) -> usize {
+            self.0.estimate(key, src, ctx)
+        }
+    }
+
+    #[test]
+    fn batched_expansion_matches_per_key_expansion_in_every_mode() {
+        use crate::ast::TriplePattern;
+        // 200 vertices with duplicate edges and self-loops; wide inputs,
+        // so anchors outnumber `BATCH_MIN_ANCHORS` several times over.
+        let p = wukong_rdf::Pid(1);
+        let mut st = BaseStore::new();
+        let mut seed = 9u64;
+        let mut next = || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            Vid((seed >> 33) % 200 + 1)
+        };
+        for _ in 0..900 {
+            st.insert_base(Triple::new(next(), p, next()));
+        }
+        let ctx = ExecContext::stored(SnapshotId::BASE);
+        let step = |s, o, mode| Step {
+            pattern: TriplePattern {
+                s,
+                p,
+                o,
+                graph: PatternSource::Stored,
+            },
+            mode,
+            estimate: 0,
+        };
+        // Slot 0 anchors (some vertices absent from the graph), slot 1 is
+        // free, slot 2 rides along.
+        let mut anchored = BindingTable::empty(3);
+        for i in 0..300 {
+            anchored.push_row(&[Vid(i % 230 + 1), UNBOUND, Vid(i)]);
+        }
+        let mut both_bound = BindingTable::empty(3);
+        for i in 0..300 {
+            both_bound.push_row(&[Vid(i % 230 + 1), Vid(i % 7 + 1), Vid(i)]);
+        }
+        let seed_row = BindingTable::seed(3);
+        let subjects = st.len_at(Key::index(p, Dir::Out), ctx.sn);
+        assert!(subjects >= 3 * BATCH_MIN_ANCHORS);
+        let (x, y) = (Term::Var(0), Term::Var(1));
+        use StepMode::{FromObject, FromSubject, IndexScan};
+        // (step, input, anchors expected to go through `neighbors_batch`)
+        let cases = [
+            (step(x, y, FromSubject), &anchored, 300),
+            (step(y, x, FromObject), &anchored, 300),
+            (step(Term::Const(Vid(5)), y, FromSubject), &anchored, 300),
+            // A bound target is a containment check: per key.
+            (step(x, y, FromSubject), &both_bound, 0),
+            (step(x, Term::Const(Vid(3)), FromSubject), &anchored, 0),
+            // Too few anchors: per key.
+            (step(x, y, FromSubject), &seed_row, 0),
+            (step(x, y, IndexScan), &seed_row, subjects),
+            // Each row's bound subject leaves one candidate: per key.
+            (step(x, y, IndexScan), &anchored, 0),
+            // `?X p ?X` and a bound object: per key.
+            (step(x, x, IndexScan), &seed_row, 0),
+            (step(x, Term::Const(Vid(3)), IndexScan), &seed_row, 0),
+        ];
+        for (step, input, batched_keys) in cases {
+            let batching = Batching(LocalAccess(&st), Default::default());
+            let mut timer = TaskTimer::start();
+            let got = execute_step(&step, input, &ctx, &batching, &mut timer);
+            // The reference never sees 64 anchors at once: one input row
+            // at a time for the anchored modes, the row-copying oracle
+            // (one `neighbors` call per subject) for the scan.
+            let mut want = BindingTable::empty(3);
+            if step.mode == IndexScan {
+                want = index_scan_oracle(&step, input, &ctx, &LocalAccess(&st), &mut timer);
+            } else {
+                for row in input.iter() {
+                    let mut one = BindingTable::empty(3);
+                    one.push_row(row);
+                    let out = execute_step(&step, &one, &ctx, &LocalAccess(&st), &mut timer);
+                    out.iter().for_each(|r| want.push_row(r));
+                }
+            }
+            let shape = format!("{:?} {:?} {:?}", step.pattern.s, step.mode, step.pattern.o);
+            assert_eq!(got, want, "{shape}");
+            assert_eq!(batching.1.get(), batched_keys, "{shape}: batched anchors");
+            assert!(
+                batched_keys == 0 || !got.is_empty(),
+                "{shape} must match rows"
+            );
+        }
     }
 
     #[test]

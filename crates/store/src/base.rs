@@ -94,6 +94,16 @@ impl ValueCell {
         )
     }
 
+    /// Loads the first word of the cell's values — the cache line a read
+    /// starts on — and returns it, so a reader about to visit many cells
+    /// can have all those misses in flight at once instead of meeting
+    /// them one visit at a time.
+    pub fn touch(&self) -> u64 {
+        let first = self.base.first();
+        let first = first.or_else(|| self.intervals.first().and_then(|(_, seg)| seg.first()));
+        first.map_or(0, |v| v.0)
+    }
+
     /// Visits the neighbours visible at snapshot `sn`.
     pub fn for_each_at(&self, sn: SnapshotId, mut f: impl FnMut(Vid)) {
         for seg in self.slices_at(sn) {

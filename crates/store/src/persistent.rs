@@ -42,7 +42,10 @@ impl PersistentShard {
         }
     }
 
-    fn part_of(&self, key: Key) -> usize {
+    /// The partition holding `key` (see [`PersistentShard::read_partition`]).
+    /// On every lookup's path, and called from other crates.
+    #[inline]
+    pub fn partition_of(&self, key: Key) -> usize {
         let h = if key.is_index() {
             key.raw()
         } else {
@@ -70,7 +73,7 @@ impl PersistentShard {
         sn: SnapshotId,
         merge_upto: Option<SnapshotId>,
     ) -> (u32, bool) {
-        self.parts[self.part_of(key)]
+        self.parts[self.partition_of(key)]
             .write()
             .append_edge_merging(key, v, sn, merge_upto)
     }
@@ -102,7 +105,7 @@ impl PersistentShard {
     ) {
         let out_key = t.out_key();
         let (off, first_out) = {
-            let mut p = self.parts[self.part_of(out_key)].write();
+            let mut p = self.parts[self.partition_of(out_key)].write();
             p.note_triple();
             p.append_edge_merging(out_key, t.o, sn, merge_upto)
         };
@@ -113,7 +116,7 @@ impl PersistentShard {
 
         let in_key = t.in_key();
         let (off, first_in) = {
-            let mut p = self.parts[self.part_of(in_key)].write();
+            let mut p = self.parts[self.partition_of(in_key)].write();
             p.append_edge_merging(in_key, t.s, sn, merge_upto)
         };
         receipts.push(AppendReceipt {
@@ -123,7 +126,7 @@ impl PersistentShard {
 
         if first_out {
             let k = Key::index(t.p, Dir::Out);
-            let (off, _) = self.parts[self.part_of(k)]
+            let (off, _) = self.parts[self.partition_of(k)]
                 .write()
                 .append_edge_merging(k, t.s, sn, merge_upto);
             receipts.push(AppendReceipt {
@@ -133,7 +136,7 @@ impl PersistentShard {
         }
         if first_in {
             let k = Key::index(t.p, Dir::In);
-            let (off, _) = self.parts[self.part_of(k)]
+            let (off, _) = self.parts[self.partition_of(k)]
                 .write()
                 .append_edge_merging(k, t.o, sn, merge_upto);
             receipts.push(AppendReceipt {
@@ -215,29 +218,40 @@ impl PersistentShard {
     /// one lock and one hash probe, however many snapshot views or
     /// fat-pointer ranges `f` then reads from the cell.
     pub fn with_cell<R>(&self, key: Key, f: impl FnOnce(Option<&ValueCell>) -> R) -> R {
-        f(self.parts[self.part_of(key)].read().cell(key))
+        f(self.parts[self.partition_of(key)].read().cell(key))
+    }
+
+    /// Partition `part` under its read lock, for readers that serve many
+    /// keys from one acquisition. A reader holding several partitions must
+    /// have taken them in ascending index order, each once (the lock is
+    /// not re-entrant); writers hold one partition at a time, so they
+    /// never wait on a reader that waits on them.
+    pub fn read_partition(&self, part: usize) -> impl std::ops::Deref<Target = BaseStore> + '_ {
+        self.parts[part].read()
     }
 
     /// Collects the neighbours of `key` visible at snapshot `sn`.
     pub fn neighbors_at(&self, key: Key, sn: SnapshotId) -> Vec<Vid> {
-        self.parts[self.part_of(key)].read().neighbors_at(key, sn)
+        self.parts[self.partition_of(key)]
+            .read()
+            .neighbors_at(key, sn)
     }
 
     /// Visits the neighbours of `key` visible at snapshot `sn`.
     pub fn for_each_neighbor(&self, key: Key, sn: SnapshotId, f: impl FnMut(Vid)) {
-        self.parts[self.part_of(key)]
+        self.parts[self.partition_of(key)]
             .read()
             .for_each_neighbor(key, sn, f)
     }
 
     /// Length of `key`'s neighbour list at snapshot `sn`.
     pub fn len_at(&self, key: Key, sn: SnapshotId) -> usize {
-        self.parts[self.part_of(key)].read().len_at(key, sn)
+        self.parts[self.partition_of(key)].read().len_at(key, sn)
     }
 
     /// Reads a fat-pointer range of `key`.
     pub fn read_range(&self, key: Key, start: u32, len: u32, out: &mut Vec<Vid>) {
-        self.parts[self.part_of(key)]
+        self.parts[self.partition_of(key)]
             .read()
             .read_range(key, start, len, out)
     }
