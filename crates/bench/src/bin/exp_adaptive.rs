@@ -35,6 +35,8 @@
 //! `--quick` shrinks the timeline (CI smoke); `--json <path>` writes the
 //! machine-readable report (schema v6, including the `plan` member).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wukong_bench::{fmt_ms, print_header, print_row, BenchJson};
 use wukong_core::{EngineConfig, WukongS};
@@ -62,24 +64,6 @@ const HEAVY_PER_BATCH: u64 = 160;
 const REPS: usize = 3;
 /// The drifted regime's gate: static modeled edges over adaptive.
 const MIN_DRIFT_GAIN: f64 = 1.5;
-
-/// SplitMix64 (the differential harness's primitive): seeded, so every
-/// repetition and both modes replay the byte-identical timeline.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// How a regime's per-predicate rates evolve over the timeline.
 #[derive(Clone, Copy)]
@@ -143,18 +127,20 @@ fn workload(seed: u64, regime: Regime, duration: u64) -> Workload {
     let po = strings.intern_predicate("po").expect("interns");
     let li = strings.intern_predicate("li").expect("interns");
 
-    let mut rng = Rng(seed);
+    // Seeded, so every repetition and both modes replay the byte-identical
+    // timeline.
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut timeline = Vec::new();
     for tick in (INTERVAL_MS..=duration).step_by(INTERVAL_MS as usize) {
         let (n_po, n_li) = regime.rates(tick, duration);
         for (pred, n) in [(po, n_po), (li, n_li)] {
             for _ in 0..n {
                 let t = Triple::new(
-                    subjects[rng.below(SUBJECTS) as usize],
+                    subjects[rng.gen_range(0..SUBJECTS) as usize],
                     pred,
-                    objects[rng.below(OBJECTS) as usize],
+                    objects[rng.gen_range(0..OBJECTS) as usize],
                 );
-                timeline.push((t, tick - rng.below(INTERVAL_MS)));
+                timeline.push((t, tick - rng.gen_range(0..INTERVAL_MS)));
             }
         }
     }

@@ -4,8 +4,9 @@
 //! Generates seeded [`ChaosSchedule`]s — each composing kills/restarts,
 //! lossy/dup links, delayed links, slow nodes, overload spikes, clock
 //! anomalies, and bit-flip corruption of messages and checkpoints —
-//! and crosses them with the engine's feature matrix (worker count ×
-//! incremental × adaptive). Each cell:
+//! and cycles them through the engine's execution modes
+//! ([`wukong_bench::modes`]: worker count × incremental × adaptive, plus
+//! one recorder-off leg). Each cell:
 //!
 //! 1. boots an FT deployment under the compiled fault plan (plus the
 //!    schedule's ingest budget, if any), registers the query mix, and
@@ -29,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use wukong_bench::{
-    ls_workload, print_header, print_row, seed_from_env, BenchJson, LsWorkload, Scale,
+    ls_workload, modes, print_header, print_row, seed_from_env, BenchJson, LsWorkload, Scale,
 };
 use wukong_benchdata::{lsbench, TimedTuple};
 use wukong_core::{EngineConfig, Firing, OverloadPolicy, RecoveryManager, WukongS};
@@ -135,32 +136,6 @@ fn horizon(w: &LsWorkload, anomaly: bool) -> Timestamp {
     w.duration + if anomaly { 10_000 } else { 0 }
 }
 
-/// One feature-matrix cell: worker lanes × incremental × adaptive.
-#[derive(Clone, Copy)]
-struct Features {
-    workers: usize,
-    incremental: bool,
-    adaptive: bool,
-}
-
-const MATRIX: [Features; 8] = {
-    let mut m = [Features {
-        workers: 1,
-        incremental: false,
-        adaptive: false,
-    }; 8];
-    let mut i = 0;
-    while i < 8 {
-        m[i] = Features {
-            workers: if i & 1 == 0 { 1 } else { 4 },
-            incremental: i & 2 != 0,
-            adaptive: i & 4 != 0,
-        };
-        i += 1;
-    }
-    m
-};
-
 struct CellOutcome {
     /// Gate failures, empty when the cell passed.
     failures: Vec<String>,
@@ -177,7 +152,7 @@ struct CellOutcome {
 fn run_cell(
     w: &LsWorkload,
     schedule: &ChaosSchedule,
-    feat: Features,
+    mode: &EngineConfig,
     control: &FiringMap,
 ) -> CellOutcome {
     let cfg = EngineConfig {
@@ -189,11 +164,8 @@ fn run_cell(
             catchup_quiet_ms: 200,
             ..OverloadPolicy::default()
         },
-        ..EngineConfig::cluster(NODES)
+        ..mode.clone()
     }
-    .with_workers(feat.workers)
-    .with_incremental(feat.incremental)
-    .with_adaptive(feat.adaptive)
     .with_ingest_budget(schedule.ingest_budget().map(IngestBudget::tuples));
     let mgr = RecoveryManager::new(
         cfg.clone(),
@@ -349,10 +321,10 @@ fn main() {
         w.duration,
     );
 
-    // Controls are per-workload, not per-feature-cell: worker count,
-    // incremental maintenance, and adaptive planning are all proven
-    // byte-identical on results, so two controls (with/without the
-    // clock-anomaly tuple) cover the whole matrix.
+    // Controls are per-workload, not per-mode: worker count, incremental
+    // maintenance, adaptive planning and the flight recorder are all
+    // proven byte-identical on results, so two controls (with/without
+    // the clock-anomaly tuple) cover every leg.
     let control_plain = control_run(&w, false);
     let mut control_anomaly: Option<FiringMap> = None;
     println!("control run: {} firings", control_plain.len());
@@ -363,14 +335,15 @@ fn main() {
             "seed", "events", "cell", "marked", "inj msg", "det msg", "inj cp", "quar", "result",
         ],
     );
-    let mut failed: Option<(ChaosSchedule, Features, Vec<String>)> = None;
+    let legs = modes(EngineConfig::cluster(NODES));
+    let mut failed: Option<(ChaosSchedule, &EngineConfig, Vec<String>)> = None;
     let mut marked_total = 0u64;
     let mut injected_total = 0u64;
     let mut detected_total = 0u64;
     let mut last: Option<CellOutcome> = None;
     for i in 0..schedules {
         let schedule = ChaosSchedule::generate(base_seed + i as u64, NODES as u16, w.duration);
-        let feat = MATRIX[i % MATRIX.len()];
+        let (cell, mode) = &legs[i % legs.len()];
         if schedule.clock_anomaly() && control_anomaly.is_none() {
             control_anomaly = Some(control_run(&w, true));
         }
@@ -379,17 +352,12 @@ fn main() {
         } else {
             &control_plain
         };
-        let out = run_cell(&w, &schedule, feat, control);
+        let out = run_cell(&w, &schedule, mode, control);
         let pass = out.failures.is_empty();
         print_row(vec![
             format!("{}", schedule.seed),
             format!("{}", schedule.events.len()),
-            format!(
-                "w{}{}{}",
-                feat.workers,
-                if feat.incremental { "+inc" } else { "" },
-                if feat.adaptive { "+adp" } else { "" }
-            ),
+            cell.clone(),
             format!("{}", out.marked),
             format!("{}", out.injected_msg),
             format!("{}", out.detected_msg),
@@ -412,7 +380,7 @@ fn main() {
                 eprintln!("  gate: ... {} more", out.failures.len() - 5);
             }
             if failed.is_none() {
-                failed = Some((schedule, feat, out.failures.clone()));
+                failed = Some((schedule, mode, out.failures.clone()));
             }
         }
         last = Some(out);
@@ -429,7 +397,7 @@ fn main() {
     jr.counter("all_pass", if failed.is_none() { 1.0 } else { 0.0 });
     jr.finish();
 
-    if let Some((schedule, feat, failures)) = failed {
+    if let Some((schedule, mode, failures)) = failed {
         eprintln!(
             "\nchaos FAILED under seed {} ({} gate failures); shrinking...",
             schedule.seed,
@@ -450,7 +418,7 @@ fn main() {
             } else {
                 &control_plain
             };
-            !run_cell(&w, candidate, feat, control).failures.is_empty()
+            !run_cell(&w, candidate, mode, control).failures.is_empty()
         });
         eprintln!("minimal reproducer:\n{}", minimal.describe());
         std::process::exit(1);

@@ -43,6 +43,8 @@
 //! machine-readable report (schema v4, including the `incremental`
 //! member).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wukong_bench::{fmt_ms, print_header, print_row, BenchJson};
 use wukong_core::{EngineConfig, WukongS};
@@ -59,24 +61,6 @@ const OBJECTS: u64 = 4;
 /// Repetitions per (regime, mode); wall-clock noise is almost entirely
 /// upward, so the minimum total cost is the stable estimator.
 const REPS: usize = 3;
-
-/// SplitMix64 (the differential harness's primitive): seeded, so every
-/// repetition and both modes replay the byte-identical timeline.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 struct Workload {
     strings: Arc<StringServer>,
@@ -96,17 +80,19 @@ fn workload(seed: u64, duration: u64, per_batch: u64) -> Workload {
     let po = strings.intern_predicate("po").expect("interns");
     let li = strings.intern_predicate("li").expect("interns");
 
-    let mut rng = Rng(seed);
+    // Seeded, so every repetition and both modes replay the byte-identical
+    // timeline.
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut timeline = Vec::new();
     for tick in (INTERVAL_MS..=duration).step_by(INTERVAL_MS as usize) {
         for _ in 0..per_batch {
-            let p = if rng.below(2) == 0 { po } else { li };
+            let p = if rng.gen_range(0..2u64) == 0 { po } else { li };
             let t = Triple::new(
-                subjects[rng.below(SUBJECTS) as usize],
+                subjects[rng.gen_range(0..SUBJECTS) as usize],
                 p,
-                objects[rng.below(OBJECTS) as usize],
+                objects[rng.gen_range(0..OBJECTS) as usize],
             );
-            timeline.push((t, tick - rng.below(INTERVAL_MS)));
+            timeline.push((t, tick - rng.gen_range(0..INTERVAL_MS)));
         }
     }
     timeline.sort_by_key(|(_, ts)| *ts);

@@ -3,7 +3,7 @@
 //! Four gates, any failure exits non-zero:
 //!
 //! 1. **Byte-identity** — the same seeded LSBench run with tracing on
-//!    and off (`WUKONG_TRACE=0` ≙ `with_trace(false)`) must produce
+//!    and off (`EngineConfig::with_trace(false)`) must produce
 //!    byte-identical firings (FNV fingerprint over every row of every
 //!    firing), at 1 and 4 workers. Tracing observes; it must never
 //!    steer results, scheduling, or firing cadence.
@@ -178,10 +178,7 @@ fn best_run(
 /// once per round for [`WALL_FIRINGS`] rounds. Returns the summed
 /// `fire_ready` wall time in ms and the rows emitted.
 fn wall_run(trace_on: bool) -> (f64, u64) {
-    let cfg = EngineConfig::single_node()
-        .with_workers(1)
-        .with_trace(trace_on);
-    let engine = WukongS::new(cfg);
+    let engine = WukongS::new(EngineConfig::single_node().with_trace(trace_on));
     let ss = engine.strings().clone();
     let entity = |name: &str| ss.intern_entity(name).expect("interns");
     let follows = ss.intern_predicate("fo").expect("interns");

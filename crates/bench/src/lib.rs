@@ -15,9 +15,11 @@
 //! of each comparison is the reproduction target; `EXPERIMENTS.md`
 //! records both.
 
+pub mod modes;
 pub mod report;
 pub mod workload;
 
+pub use modes::{assert_budget_engaged, assert_mode_engaged, modes, recompute_modes};
 pub use report::{fmt_ms, print_header, print_row, BenchJson, JSON_SCHEMA_VERSION};
 pub use workload::{
     city_workload, city_workload_seeded, feed_composite, feed_engine, feed_spark, feed_wukong_ext,

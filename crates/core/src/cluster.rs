@@ -16,7 +16,7 @@
 //! additional RDMA read"). Memory accounting multiplies index bytes by the
 //! replica count, so Table 7 reflects real replication cost.
 
-use crate::config::{EngineConfig, RpcPolicy};
+use crate::config::EngineConfig;
 use parking_lot::RwLock;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -89,7 +89,6 @@ pub struct Cluster {
     /// Whether stream indexes replicate to subscriber nodes (§4.2).
     pub replicate_indexes: bool,
     obs: Arc<wukong_obs::Registry>,
-    rpc: RpcPolicy,
     /// One worker pool per node (query firings, fork-join partitions,
     /// ingest application). All pools record into the registry's shared
     /// pool counters.
@@ -152,7 +151,19 @@ impl Cluster {
 
     /// Builds the cluster sharing an existing string server (recovery: the
     /// ID mapping is part of the reloaded initial data, §4.1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.nodes` is zero or does not fit the 16-bit node
+    /// IDs of the shard map, if `config.partitions_per_shard` is zero, or
+    /// if `config.gc_every_batches` is zero (a GC that never runs).
     pub fn new_with_strings(config: &EngineConfig, strings: Arc<StringServer>) -> Self {
+        let node_count = u16::try_from(config.nodes)
+            .expect("EngineConfig::nodes must fit the shard map's 16-bit node IDs (≤ 65535)");
+        assert!(
+            config.gc_every_batches > 0,
+            "EngineConfig::gc_every_batches must be at least 1 (0 would never collect)"
+        );
         let obs = Arc::new(wukong_obs::Registry::new());
         let mut fabric = Fabric::new(config.nodes, config.network);
         if let Some(plan) = &config.fault_plan {
@@ -165,21 +176,15 @@ impl Cluster {
             shards: (0..config.nodes)
                 .map(|_| PersistentShard::new(config.partitions_per_shard))
                 .collect(),
-            shard_map: ShardMap::new(config.nodes as u16),
+            shard_map: ShardMap::new(node_count),
             fabric,
             strings,
             streams: RwLock::new(Arc::from([])),
             transient_budget: config.transient_budget_bytes,
             replicate_indexes: config.replicate_stream_indexes,
             obs,
-            rpc: config.rpc,
             pools,
         }
-    }
-
-    /// The fork-join RPC deadline/retry policy.
-    pub fn rpc_policy(&self) -> RpcPolicy {
-        self.rpc
     }
 
     /// The observability registry (staged latency histograms).
@@ -516,6 +521,21 @@ mod tests {
             nodes,
             ..EngineConfig::single_node()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "EngineConfig::nodes")]
+    fn boot_rejects_more_nodes_than_the_shard_map_addresses() {
+        Cluster::new(&config(usize::from(u16::MAX) + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "EngineConfig::gc_every_batches")]
+    fn boot_rejects_a_gc_interval_of_zero() {
+        Cluster::new(&EngineConfig {
+            gc_every_batches: 0,
+            ..config(1)
+        });
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Engine configuration.
 
 use wukong_net::{FaultPlan, NetworkProfile};
-use wukong_query::DriftPolicy;
 use wukong_stream::{IngestBudget, ShedPolicy, StalenessBound};
 
 /// How queries execute across the cluster (§5, "Leveraging RDMA").
@@ -17,51 +16,10 @@ pub enum ExecMode {
     ForkJoin,
 }
 
-/// Per-RPC failure-handling policy for fork-join execution under an
-/// installed fault plan: how long a worker waits for each remote reply,
-/// what a timed-out attempt costs in virtual time, and how retries back
-/// off. See DESIGN.md §8 for the rationale behind the defaults.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcPolicy {
-    /// Real-time wait per RPC attempt before declaring a timeout.
-    pub deadline_ms: u64,
-    /// Virtual nanoseconds charged for each timed-out attempt (the
-    /// modelled deadline; the real wait itself is excluded from latency).
-    pub deadline_charge_ns: u64,
-    /// Retries after the first timed-out attempt before the shard is
-    /// declared unreachable and the query degrades to partial results.
-    pub max_retries: u32,
-    /// First retry's backoff charge, doubled per retry.
-    pub backoff_base_ns: u64,
-    /// Cap on the per-retry backoff charge.
-    pub backoff_cap_ns: u64,
-}
-
-impl Default for RpcPolicy {
-    fn default() -> Self {
-        RpcPolicy {
-            deadline_ms: 2,
-            deadline_charge_ns: 500_000,
-            max_retries: 3,
-            backoff_base_ns: 100_000,
-            backoff_cap_ns: 1_600_000,
-        }
-    }
-}
-
-impl RpcPolicy {
-    /// The capped exponential backoff charged before retry `attempt`
-    /// (1-based).
-    pub fn backoff_ns(&self, attempt: u32) -> u64 {
-        let shifted = self
-            .backoff_base_ns
-            .saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
-        shifted.min(self.backoff_cap_ns)
-    }
-}
-
-/// Static configuration of a Wukong+S deployment.
-#[derive(Debug, Clone)]
+/// Static configuration of a Wukong+S deployment. Every value is set in
+/// code: the presets are constants and nothing here reads the process
+/// environment (DESIGN.md §15 lists each value's users).
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Number of (simulated) cluster nodes.
     pub nodes: usize,
@@ -76,7 +34,7 @@ pub struct EngineConfig {
     /// Transient-store ring budget per (node, stream), bytes.
     pub transient_budget_bytes: usize,
     /// Sweep transient slices / stream-index batches every this many
-    /// batches per stream (the periodic background GC).
+    /// batches per stream (the periodic background GC; ≥ 1).
     pub gc_every_batches: u64,
     /// Extra history kept beyond the widest registered window, ms.
     pub gc_slack_ms: u64,
@@ -95,13 +53,10 @@ pub struct EngineConfig {
     /// Deterministic fault plan installed on the fabric at boot (`None`
     /// runs the cluster fault-free, exactly as before).
     pub fault_plan: Option<FaultPlan>,
-    /// Per-RPC deadline/retry/backoff policy for fork-join under faults.
-    pub rpc: RpcPolicy,
     /// Worker threads per node: the lanes of each node's `WorkerPool`,
     /// shared by continuous-query firings, fork-join partitions, one-shot
     /// batches, and per-node ingest application. Results are
     /// deterministic-by-construction for any value (DESIGN.md §9).
-    /// Presets read `WUKONG_WORKERS` (default 1).
     pub worker_threads: usize,
     /// Delta-maintenance execution for continuous queries: keep each
     /// registered query's window state materialized and process only the
@@ -109,16 +64,15 @@ pub struct EngineConfig {
     /// of re-running the full scan/join (DESIGN.md §10). Queries whose
     /// plans are not incrementalizable — and every firing while a fault
     /// plan is installed — automatically fall back to full recompute.
-    /// Presets read `WUKONG_INCREMENTAL` (default off). Results are
-    /// byte-identical either way; this is purely a latency knob.
+    /// Results are byte-identical either way; this is purely a latency
+    /// knob.
     pub incremental: bool,
     /// Bounded-ingest budget per stream: the maximum backlog of pending
     /// (enqueued but not yet applied) tuples/bytes the engine will hold
     /// before shedding load deterministically (DESIGN.md §11). `None`
     /// (the default) keeps the pre-overload unbounded behaviour — no
     /// shedding, no admission control, no degraded markers — so every
-    /// existing workload is byte-identical. Presets read
-    /// `WUKONG_INGEST_BUDGET` (a tuple count; unset/0 = unbounded).
+    /// existing workload is byte-identical.
     pub ingest_budget: Option<IngestBudget>,
     /// Which tuples go when the ingest budget overflows. Only consulted
     /// when [`EngineConfig::ingest_budget`] is set.
@@ -134,18 +88,15 @@ pub struct EngineConfig {
     /// `(normalized query text, stats epoch)`, feed per-step fan-out
     /// back into a drift detector that re-plans continuous queries whose
     /// estimates rot, and let the network cost model pick in-place vs
-    /// fork-join per firing under `ExecMode::Auto`. Presets read
-    /// `WUKONG_ADAPTIVE` (default off). Results are byte-identical
-    /// either way; this is purely a plan-quality/latency knob.
+    /// fork-join per firing under `ExecMode::Auto`. The drift detector
+    /// runs `DriftPolicy::default()`. Results are byte-identical either
+    /// way; this is purely a plan-quality/latency knob.
     pub adaptive: bool,
-    /// When the adaptive drift detector re-plans. Only consulted when
-    /// [`EngineConfig::adaptive`] is on.
-    pub drift: DriftPolicy,
     /// The always-on flight recorder (DESIGN.md §14): causal IDs, compact
     /// span events in per-thread rings, and anomaly-triggered black-box
-    /// dumps. On by default; `WUKONG_TRACE=0` turns it off. Results are
-    /// byte-identical either way — the recorder observes, never steers —
-    /// and `exp_trace` gates its modeled-latency overhead below 10%.
+    /// dumps. On in every preset. Results are byte-identical either way
+    /// — the recorder observes, never steers — and `exp_trace` gates its
+    /// modeled-latency overhead below 10%.
     pub trace: bool,
 }
 
@@ -159,20 +110,22 @@ pub struct OverloadPolicy {
     /// Per-firing latency budget in virtual milliseconds. Firings are
     /// "misses" when their simulated latency exceeds this.
     pub latency_budget_ms: f64,
-    /// Consecutive firing misses before the state machine trips from
-    /// `Normal` to `Shedding` even without a queue overflow.
-    pub trip_after_misses: u32,
     /// Quiet period: once stream time passes the last shed timestamp by
     /// this many milliseconds, the engine enters `CatchUp`, replays the
     /// retained shed suffix, and returns to `Normal`.
     pub catchup_quiet_ms: u64,
 }
 
+impl OverloadPolicy {
+    /// Consecutive firing misses before the state machine trips from
+    /// `Normal` to `Shedding` even without a queue overflow.
+    pub const TRIP_AFTER_MISSES: u32 = 3;
+}
+
 impl Default for OverloadPolicy {
     fn default() -> Self {
         OverloadPolicy {
             latency_budget_ms: 1.0,
-            trip_after_misses: 3,
             catchup_quiet_ms: 2_000,
         }
     }
@@ -194,48 +147,20 @@ impl EngineConfig {
             replicate_stream_indexes: true,
             cores_per_query: 1,
             fault_plan: None,
-            rpc: RpcPolicy::default(),
-            worker_threads: Self::worker_threads_from_env(),
-            incremental: Self::incremental_from_env(),
-            ingest_budget: Self::ingest_budget_from_env(),
-            shed_policy: ShedPolicy::default(),
+            worker_threads: 1,
+            incremental: false,
+            ingest_budget: None,
+            shed_policy: ShedPolicy::DropOldestWindow,
             shed_seed: 42,
             overload: OverloadPolicy::default(),
-            adaptive: Self::adaptive_from_env(),
-            drift: DriftPolicy::default(),
-            trace: Self::trace_from_env(),
+            adaptive: false,
+            trace: true,
         }
-    }
-
-    /// The `WUKONG_TRACE` environment override for
-    /// [`EngineConfig::trace`] (on unless set to `0` or `false` — the
-    /// flight recorder is always-on by design). CI runs the quick suite
-    /// at both settings to prove tracing never changes results.
-    pub fn trace_from_env() -> bool {
-        std::env::var("WUKONG_TRACE")
-            .map(|s| {
-                let s = s.trim();
-                !(s == "0" || s.eq_ignore_ascii_case("false"))
-            })
-            .unwrap_or(true)
     }
 
     /// Returns this configuration with `trace` set to `on`.
     pub fn with_trace(self, on: bool) -> Self {
         EngineConfig { trace: on, ..self }
-    }
-
-    /// The `WUKONG_ADAPTIVE` environment override for
-    /// [`EngineConfig::adaptive`] (off unless set to `1` or `true`).
-    /// CI runs the whole test suite at both settings to prove adaptive
-    /// and static planning are equivalent.
-    pub fn adaptive_from_env() -> bool {
-        std::env::var("WUKONG_ADAPTIVE")
-            .map(|s| {
-                let s = s.trim();
-                s == "1" || s.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false)
     }
 
     /// Returns this configuration with `adaptive` set to `on`.
@@ -244,24 +169,6 @@ impl EngineConfig {
             adaptive: on,
             ..self
         }
-    }
-
-    /// Returns this configuration with the drift policy set.
-    pub fn with_drift(self, drift: DriftPolicy) -> Self {
-        EngineConfig { drift, ..self }
-    }
-
-    /// The `WUKONG_INGEST_BUDGET` environment override for
-    /// [`EngineConfig::ingest_budget`]: a per-stream pending-tuple cap.
-    /// Unset, unparsable, or `0` means unbounded (the pre-overload
-    /// behaviour). CI's matrix runs the suite with a budget installed to
-    /// prove bounded ingest never changes results while no shed fires.
-    pub fn ingest_budget_from_env() -> Option<IngestBudget> {
-        std::env::var("WUKONG_INGEST_BUDGET")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .map(IngestBudget::tuples)
     }
 
     /// Returns this configuration with the ingest budget set (`None`
@@ -281,19 +188,6 @@ impl EngineConfig {
         }
     }
 
-    /// The `WUKONG_INCREMENTAL` environment override for
-    /// [`EngineConfig::incremental`] (off unless set to `1` or `true`).
-    /// CI runs the whole test suite at both settings to prove the two
-    /// execution modes are equivalent.
-    pub fn incremental_from_env() -> bool {
-        std::env::var("WUKONG_INCREMENTAL")
-            .map(|s| {
-                let s = s.trim();
-                s == "1" || s.eq_ignore_ascii_case("true")
-            })
-            .unwrap_or(false)
-    }
-
     /// Returns this configuration with `incremental` set to `on`.
     pub fn with_incremental(self, on: bool) -> Self {
         EngineConfig {
@@ -302,19 +196,8 @@ impl EngineConfig {
         }
     }
 
-    /// The `WUKONG_WORKERS` environment override for
-    /// [`EngineConfig::worker_threads`] (default 1, the paper's baseline
-    /// single worker per query). CI runs the whole test suite at 1 and 4
-    /// to prove thread-count equivalence.
-    pub fn worker_threads_from_env() -> usize {
-        std::env::var("WUKONG_WORKERS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or(1)
-    }
-
-    /// Returns this configuration with `worker_threads` set to `n`.
+    /// Returns this configuration with `worker_threads` set to `n`
+    /// (clamped to at least one lane).
     pub fn with_workers(self, n: usize) -> Self {
         EngineConfig {
             worker_threads: n.max(1),
@@ -344,6 +227,7 @@ impl EngineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forkjoin::backoff_ns;
 
     #[test]
     fn presets_are_consistent() {
@@ -356,84 +240,68 @@ mod tests {
         assert!(t.fault_plan.is_none());
     }
 
+    /// Every field of every preset against a literal: a preset that
+    /// depends on anything but its argument (the process environment, a
+    /// changed default) fails here, and a new field does not compile
+    /// until it is listed.
     #[test]
-    fn worker_threads_knob() {
-        // Presets default from the environment (1 unless WUKONG_WORKERS
-        // is set, in which case CI's matrix leg is in charge).
-        let c = EngineConfig::single_node();
-        assert!(c.worker_threads >= 1);
-        let c = EngineConfig::cluster(3).with_workers(4);
-        assert_eq!(c.worker_threads, 4);
+    fn presets_are_constants() {
+        let single = EngineConfig {
+            nodes: 1,
+            partitions_per_shard: 8,
+            network: NetworkProfile::rdma(),
+            exec_mode: ExecMode::Auto,
+            staleness: StalenessBound(1),
+            transient_budget_bytes: 64 << 20,
+            gc_every_batches: 16,
+            gc_slack_ms: 1_000,
+            fault_tolerance: false,
+            replicate_stream_indexes: true,
+            cores_per_query: 1,
+            fault_plan: None,
+            worker_threads: 1,
+            incremental: false,
+            ingest_budget: None,
+            shed_policy: ShedPolicy::DropOldestWindow,
+            shed_seed: 42,
+            overload: OverloadPolicy {
+                latency_budget_ms: 1.0,
+                catchup_quiet_ms: 2_000,
+            },
+            adaptive: false,
+            trace: true,
+        };
+        assert_eq!(EngineConfig::single_node(), single);
         assert_eq!(
-            EngineConfig::single_node().with_workers(0).worker_threads,
-            1
+            EngineConfig::cluster(8),
+            EngineConfig {
+                nodes: 8,
+                ..single.clone()
+            }
+        );
+        assert_eq!(
+            EngineConfig::cluster_tcp(4),
+            EngineConfig {
+                nodes: 4,
+                network: NetworkProfile::tcp(),
+                exec_mode: ExecMode::ForkJoin,
+                ..single
+            }
         );
     }
 
     #[test]
-    fn incremental_knob() {
-        // Presets default from the environment (off unless
-        // WUKONG_INCREMENTAL is set, in which case CI's matrix leg is in
-        // charge); the builder pins it either way.
-        let on = EngineConfig::single_node().with_incremental(true);
-        assert!(on.incremental);
-        assert!(!on.with_incremental(false).incremental);
-        assert_eq!(
-            EngineConfig::cluster(3).incremental,
-            EngineConfig::single_node().incremental
-        );
-    }
-
-    #[test]
-    fn overload_knobs() {
-        // Budget defaults from the environment (unbounded unless
-        // WUKONG_INGEST_BUDGET is set, in which case CI's matrix leg is
-        // in charge); builders pin it either way.
-        let c = EngineConfig::single_node().with_ingest_budget(Some(IngestBudget::tuples(128)));
-        assert_eq!(c.ingest_budget.unwrap().max_tuples, 128);
-        assert!(c.with_ingest_budget(None).ingest_budget.is_none());
-        let c = EngineConfig::single_node().with_shed_policy(ShedPolicy::SampleWithinBatch);
-        assert_eq!(c.shed_policy, ShedPolicy::SampleWithinBatch);
-        let p = OverloadPolicy::default();
-        assert!(p.latency_budget_ms > 0.0);
-        assert!(p.trip_after_misses >= 1);
-        assert!(p.catchup_quiet_ms > 0);
-    }
-
-    #[test]
-    fn adaptive_knob() {
-        // Presets default from the environment (off unless
-        // WUKONG_ADAPTIVE is set, in which case CI's matrix leg is in
-        // charge); the builder pins it either way.
-        let on = EngineConfig::single_node().with_adaptive(true);
-        assert!(on.adaptive);
-        assert!(!on.with_adaptive(false).adaptive);
-        let d = EngineConfig::single_node().drift;
-        assert!(d.band > 1.0);
-        assert!(d.trip_after >= 1);
-        let c = EngineConfig::single_node().with_drift(DriftPolicy {
-            band: 2.0,
-            trip_after: 1,
-        });
-        assert_eq!(c.drift.band, 2.0);
-        assert_eq!(c.drift.trip_after, 1);
-    }
-
-    #[test]
-    fn trace_knob() {
-        // Presets default from the environment (ON unless WUKONG_TRACE
-        // is 0/false — the recorder is always-on); the builder pins it.
-        let c = EngineConfig::single_node();
-        assert!(!c.with_trace(false).trace);
-        assert!(EngineConfig::single_node().with_trace(true).trace);
+    fn with_workers_clamps_to_one() {
+        let c = EngineConfig::single_node().with_workers(0);
+        assert_eq!(c.worker_threads, 1);
+        assert_eq!(EngineConfig::cluster(3).with_workers(4).worker_threads, 4);
     }
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RpcPolicy::default();
-        assert_eq!(p.backoff_ns(1), 100_000);
-        assert_eq!(p.backoff_ns(2), 200_000);
-        assert_eq!(p.backoff_ns(3), 400_000);
-        assert_eq!(p.backoff_ns(30), p.backoff_cap_ns);
+        assert_eq!(backoff_ns(1), 100_000);
+        assert_eq!(backoff_ns(2), 200_000);
+        assert_eq!(backoff_ns(3), 400_000);
+        assert_eq!(backoff_ns(30), 1_600_000);
     }
 }

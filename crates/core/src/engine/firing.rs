@@ -580,7 +580,7 @@ impl WukongS {
             return false;
         };
         let before = fb.drifted_firings();
-        let trip = fb.observe(fanout, &self.cfg.drift);
+        let trip = fb.observe(fanout, &wukong_query::DriftPolicy::default());
         self.cluster
             .obs()
             .plan()

@@ -869,7 +869,7 @@ impl WukongS {
                 BatchId::NONE,
                 (latency_ms * 1_000.0) as u64,
             );
-            if pl.miss_streak >= self.cfg.overload.trip_after_misses
+            if pl.miss_streak >= crate::OverloadPolicy::TRIP_AFTER_MISSES
                 && pl.overload == OverloadState::Normal
             {
                 pl.overload = OverloadState::Shedding;

@@ -12,7 +12,6 @@
 
 use crate::access::NodeAccess;
 use crate::cluster::Cluster;
-use crate::config::RpcPolicy;
 use std::time::Duration;
 use wukong_net::{Endpoint, NodeId, TaskTimer};
 use wukong_obs::{Stage, StageTrace};
@@ -54,6 +53,28 @@ pub struct FaultTally {
     pub unreachable: Vec<u16>,
 }
 
+/// Real-time wait per RPC attempt before declaring a timeout. (These five
+/// constants are the whole RPC failure policy; DESIGN.md §8 describes the
+/// protocol they parameterise.)
+const RPC_DEADLINE_MS: u64 = 2;
+/// Virtual nanoseconds charged for each timed-out attempt (the modelled
+/// deadline; the real wait itself is excluded from latency).
+const RPC_DEADLINE_CHARGE_NS: u64 = 500_000;
+/// Retries after the first timed-out attempt before the shard is declared
+/// unreachable and the query degrades to partial results.
+const RPC_MAX_RETRIES: u32 = 3;
+/// First retry's backoff charge, doubled per retry.
+const RPC_BACKOFF_BASE_NS: u64 = 100_000;
+/// Cap on the per-retry backoff charge.
+const RPC_BACKOFF_CAP_NS: u64 = 1_600_000;
+
+/// The capped exponential backoff charged before retry `attempt`
+/// (1-based).
+pub(crate) fn backoff_ns(attempt: u32) -> u64 {
+    let shifted = RPC_BACKOFF_BASE_NS.saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
+    shifted.min(RPC_BACKOFF_CAP_NS)
+}
+
 /// Runs one remote partition as an RPC with per-attempt deadlines and
 /// capped exponential backoff (fault-injection mode only). The request
 /// and reply travel through real fabric endpoints, so the installed
@@ -73,7 +94,6 @@ fn rpc_partition(
     home: NodeId,
     node: NodeId,
     cores: usize,
-    policy: &RpcPolicy,
     eps: &[Endpoint<u64>],
     timer: &mut TaskTimer,
     sequential_real: &mut u64,
@@ -88,17 +108,17 @@ fn rpc_partition(
 
     let mut net_ns = 0u64;
     let mut result: Option<BindingTable> = None;
-    let max_attempts = 1 + policy.max_retries;
+    let max_attempts = 1 + RPC_MAX_RETRIES;
     for attempt in 1..=max_attempts {
         if attempt > 1 {
             counters.inc_rpc_retry();
-            net_ns += policy.backoff_ns(attempt - 1);
+            net_ns += backoff_ns(attempt - 1);
         }
         if !fabric.is_up(node) {
             // A dead worker can never answer: charge the modelled
             // deadline without burning real wall-clock on the wait.
             counters.inc_rpc_timeout();
-            net_ns += policy.deadline_charge_ns;
+            net_ns += RPC_DEADLINE_CHARGE_NS;
             continue;
         }
         net_ns += home_ep.send(node, part.wire_bytes(), attempt as u64);
@@ -118,7 +138,7 @@ fn rpc_partition(
             result = Some(out);
         }
         let wait = std::time::Instant::now();
-        match home_ep.recv_timeout(Duration::from_millis(policy.deadline_ms)) {
+        match home_ep.recv_timeout(Duration::from_millis(RPC_DEADLINE_MS)) {
             Ok(env) => {
                 timer.exclude(wait.elapsed().as_nanos() as u64);
                 net_ns += env.charged_ns + env.payload;
@@ -132,7 +152,7 @@ fn rpc_partition(
                 // modelled deadline is the charged cost.
                 timer.exclude(wait.elapsed().as_nanos() as u64);
                 counters.inc_rpc_timeout();
-                net_ns += policy.deadline_charge_ns;
+                net_ns += RPC_DEADLINE_CHARGE_NS;
             }
         }
     }
@@ -167,7 +187,6 @@ fn partitioned_step(
     }
 
     let faulty = cluster.fabric().faults_enabled();
-    let policy = cluster.rpc_policy();
     let mut joined = BindingTable::empty(input.width());
 
     // Fork: run each non-empty partition on its owning node.
@@ -248,7 +267,6 @@ fn partitioned_step(
                 home,
                 node,
                 cores,
-                &policy,
                 &endpoints,
                 timer,
                 &mut sequential_real,

@@ -65,7 +65,7 @@ pub mod scrub;
 
 pub use client::{Client, Prepared, ProxyPool, Submitted};
 pub use cluster::ClusterHandle;
-pub use config::{EngineConfig, ExecMode, OverloadPolicy, RpcPolicy};
+pub use config::{EngineConfig, ExecMode, OverloadPolicy};
 pub use engine::{ContinuousId, DeploymentStats, Firing, OverloadState, RecoveryReport, WukongS};
 pub use metrics::LatencyRecorder;
 pub use recovery::RecoveryManager;

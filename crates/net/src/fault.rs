@@ -220,11 +220,6 @@ impl FaultPlan {
         self
     }
 
-    /// Slows `node` down by `factor_x100 / 100` for the whole run.
-    pub fn slow_node(self, node: NodeId, factor_x100: u64) -> Self {
-        self.slow_node_during(node, factor_x100, 0, u64::MAX)
-    }
-
     /// Slows `node` down by `factor_x100 / 100` while the simulated clock
     /// is inside `[from_ms, until_ms)`.
     pub fn slow_node_during(

@@ -79,11 +79,6 @@ impl LatencyHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records a `std::time::Duration` as nanoseconds (saturating).
-    pub fn record_duration(&self, d: std::time::Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)

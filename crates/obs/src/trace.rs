@@ -502,7 +502,7 @@ impl TraceRecorder {
 
     /// A recorder with the given per-thread ring capacity (≥ 1).
     /// Recording starts enabled — the flight recorder is always-on
-    /// unless the engine's config (`WUKONG_TRACE=0`) turns it off.
+    /// unless the engine's config (`EngineConfig::trace`) turns it off.
     pub fn with_capacity(ring_capacity: usize) -> TraceRecorder {
         TraceRecorder {
             id: NEXT_RECORDER_ID.fetch_add(1, Ordering::Relaxed),
@@ -518,7 +518,7 @@ impl TraceRecorder {
         }
     }
 
-    /// Turns recording on/off (the `WUKONG_TRACE` gate).
+    /// Turns recording on/off (the `EngineConfig::trace` gate).
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
     }

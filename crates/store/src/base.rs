@@ -185,11 +185,6 @@ impl BaseStore {
         self.triple_count
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
     /// Inserts a triple into the initial (base, snapshot-0) dataset.
     pub fn insert_base(&mut self, t: Triple) {
         self.insert_at(t, SnapshotId::BASE, &mut Vec::new());

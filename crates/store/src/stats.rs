@@ -9,7 +9,7 @@
 use crate::persistent::PersistentShard;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wukong_rdf::{Dir, Key, Pid};
+use wukong_rdf::{Dir, Pid};
 
 use crate::snapshot::SnapshotId;
 
@@ -135,16 +135,6 @@ impl StoreStats {
     pub fn predicate_count(&self) -> usize {
         self.by_predicate.len()
     }
-}
-
-/// Live cardinality of a concrete key across shards (sum over shards —
-/// only the owning shard holds it, others return 0).
-pub fn key_cardinality<'a>(
-    shards: impl IntoIterator<Item = &'a PersistentShard>,
-    key: Key,
-    sn: SnapshotId,
-) -> usize {
-    shards.into_iter().map(|s| s.len_at(key, sn)).sum()
 }
 
 #[cfg(test)]

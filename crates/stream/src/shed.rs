@@ -39,21 +39,12 @@ use crate::adaptor::Batch;
 pub struct IngestBudget {
     /// Maximum pending tuples per stream.
     pub max_tuples: usize,
-    /// Maximum pending wire bytes per stream.
-    pub max_bytes: usize,
 }
 
 impl IngestBudget {
-    /// A budget bounding tuples only.
+    /// A budget of `max_tuples` pending tuples.
     pub fn tuples(max_tuples: usize) -> Self {
-        IngestBudget {
-            max_tuples,
-            max_bytes: usize::MAX,
-        }
-    }
-
-    fn fits(&self, tuples: usize, bytes: usize) -> bool {
-        tuples <= self.max_tuples && bytes <= self.max_bytes
+        IngestBudget { max_tuples }
     }
 }
 
@@ -135,13 +126,8 @@ impl Shedder {
     /// queued (liveness: the VTS must keep advancing). Returns the
     /// number of tuples shed by this call.
     pub fn enforce(&mut self, queue: &mut VecDeque<Batch>, budget: &IngestBudget) -> u64 {
-        let occupancy = |q: &VecDeque<Batch>| {
-            q.iter().fold((0usize, 0usize), |(t, b), batch| {
-                (t + batch.tuples.len(), b + batch.wire_bytes())
-            })
-        };
-        let (mut tuples, mut bytes) = occupancy(queue);
-        if budget.fits(tuples, bytes) {
+        let mut tuples: usize = queue.iter().map(|batch| batch.tuples.len()).sum();
+        if tuples <= budget.max_tuples {
             return 0;
         }
         let mut shed_total = 0u64;
@@ -149,7 +135,7 @@ impl Shedder {
             ShedPolicy::DropOldestWindow => {
                 let mut drops = Vec::new();
                 for batch in queue.iter_mut() {
-                    if budget.fits(tuples, bytes) {
+                    if tuples <= budget.max_tuples {
                         break;
                     }
                     if batch.tuples.is_empty() {
@@ -158,7 +144,6 @@ impl Shedder {
                     let dropped = std::mem::take(&mut batch.tuples);
                     batch.reseal();
                     tuples -= dropped.len();
-                    bytes -= dropped.len() * std::mem::size_of::<StreamTuple>();
                     drops.push((batch.stream, batch.timestamp, dropped));
                 }
                 for (stream, ts, dropped) in drops {
@@ -167,7 +152,7 @@ impl Shedder {
             }
             ShedPolicy::SampleWithinBatch => {
                 let mut round = 0u64;
-                while !budget.fits(tuples, bytes) {
+                while tuples > budget.max_tuples {
                     let Some(i) = (0..queue.len())
                         .rev()
                         .find(|&i| !queue[i].tuples.is_empty())
@@ -196,7 +181,6 @@ impl Shedder {
                         dropped = std::mem::take(&mut kept);
                     }
                     tuples -= dropped.len();
-                    bytes -= dropped.len() * std::mem::size_of::<StreamTuple>();
                     batch.tuples = kept;
                     batch.reseal();
                     shed_total += self.record(stream, ts, dropped);

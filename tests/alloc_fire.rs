@@ -61,15 +61,7 @@ fn a_firing_allocates_the_same_whatever_came_before() {
         LATE as usize > TraceRecorder::FIRING_CAP,
         "must pass the cap"
     );
-    // Every knob the presets read from the environment is pinned: the
-    // count is compared against a constant.
-    let cfg = EngineConfig::single_node()
-        .with_workers(1)
-        .with_incremental(false)
-        .with_adaptive(false)
-        .with_ingest_budget(None)
-        .with_trace(true);
-    let engine = WukongS::new(cfg);
+    let engine = WukongS::new(EngineConfig::single_node());
     let ss = engine.strings().clone();
     let po = engine.register_stream(StreamSchema::timeless(StreamId(0), "PO", BATCH_MS));
     let logan = ss.intern_entity("Logan").expect("interns");

@@ -5,11 +5,13 @@
 //!
 //! Seeded generators produce random stored graphs, stream timelines, and
 //! conjunctive continuous queries; the workload runs through the full
-//! engine **four times** — recomputing every firing from scratch, with
-//! `EngineConfig::incremental` maintaining per-query window state, and
-//! both again with `EngineConfig::adaptive` re-planning on drift — and
-//! every firing sequence must agree with the static recompute run *byte
-//! for byte* (same firing order, same unsorted rows, same aggregates).
+//! engine **five times** — recomputing every firing from scratch, with
+//! `EngineConfig::incremental` maintaining per-query window state, both
+//! again with `EngineConfig::adaptive` re-planning on drift, and once
+//! with the flight recorder off — and every firing sequence must agree
+//! with the static recompute run *byte for byte* (same firing order,
+//! same unsorted rows, same aggregates), each run proving from its
+//! counters that it really ran in its mode.
 //! The recompute run is then re-checked against
 //! `wukong_baselines::TripleTable` — scans and hash joins over the
 //! stored triples plus the per-stream window contents. The
@@ -33,9 +35,12 @@
 //! to windows at `ceil(ts / interval) * interval`. The oracle windows on
 //! that batched timestamp, exactly like the engine does.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wukong_baselines::relational::{hash_join, scan_pattern};
 use wukong_baselines::{Relation, TripleTable};
+use wukong_bench::assert_mode_engaged;
 use wukong_core::{EngineConfig, Firing, WukongS};
 use wukong_query::ast::{GraphName, Query};
 use wukong_query::parse_query;
@@ -48,28 +53,12 @@ const INTERVAL_MS: u64 = 100;
 const MAX_TS: Timestamp = 1_000;
 
 // ---------------------------------------------------------------------
-// Deterministic generator (SplitMix64, same primitive as the proptest
-// shim, so a seed printed by a failure reproduces the exact workload).
+// Deterministic generator (the `rand` shim's SplitMix64 `StdRng`, so a
+// seed printed by a failure reproduces the exact workload).
 // ---------------------------------------------------------------------
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.below(100) < pct
-    }
+fn chance(rng: &mut StdRng, pct: u64) -> bool {
+    rng.gen_range(0..100u64) < pct
 }
 
 /// One generated workload: a stored graph, two streams with disjoint
@@ -87,7 +76,7 @@ struct Scenario {
 const STREAM_NAMES: [&str; 2] = ["SA", "SB"];
 
 fn generate(seed: u64) -> Scenario {
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let strings = Arc::new(StringServer::new());
 
     let entities: Vec<Vid> = (0..12)
@@ -120,9 +109,9 @@ fn generate(seed: u64) -> Scenario {
     let mut stored = Vec::new();
     for _ in 0..30 {
         let t = Triple::new(
-            entities[rng.below(entities.len() as u64) as usize],
-            stored_preds[rng.below(3) as usize],
-            entities[rng.below(entities.len() as u64) as usize],
+            entities[rng.gen_range(0..entities.len())],
+            stored_preds[rng.gen_range(0..3usize)],
+            entities[rng.gen_range(0..entities.len())],
         );
         if seen.insert((t.s, t.p, t.o)) {
             stored.push(t);
@@ -135,13 +124,13 @@ fn generate(seed: u64) -> Scenario {
     // between the engine and the oracle.
     let mut timeline = Vec::new();
     for _ in 0..60 {
-        let stream = rng.below(2) as usize;
+        let stream = rng.gen_range(0..2usize);
         let t = Triple::new(
-            entities[rng.below(entities.len() as u64) as usize],
-            stream_preds[stream][rng.below(2) as usize],
-            entities[rng.below(entities.len() as u64) as usize],
+            entities[rng.gen_range(0..entities.len())],
+            stream_preds[stream][rng.gen_range(0..2usize)],
+            entities[rng.gen_range(0..entities.len())],
         );
-        let ts = 1 + rng.below(MAX_TS);
+        let ts = 1 + rng.gen_range(0..MAX_TS);
         if seen.insert((t.s, t.p, t.o)) {
             timeline.push((stream, t, ts));
         }
@@ -151,14 +140,17 @@ fn generate(seed: u64) -> Scenario {
     let mut queries = Vec::new();
     let mut max_range_ms = 0;
     for qi in 0..3 {
-        let both = rng.chance(50);
+        let both = chance(&mut rng, 50);
         let used: Vec<usize> = if both {
             vec![0, 1]
         } else {
-            vec![rng.below(2) as usize]
+            vec![rng.gen_range(0..2usize)]
         };
-        let step = [100u64, 200][rng.below(2) as usize];
-        let ranges: Vec<u64> = used.iter().map(|_| 100 * (1 + rng.below(4))).collect();
+        let step = [100u64, 200][rng.gen_range(0..2usize)];
+        let ranges: Vec<u64> = used
+            .iter()
+            .map(|_| 100 * (1 + rng.gen_range(0..4u64)))
+            .collect();
         max_range_ms = max_range_ms.max(*ranges.iter().max().expect("non-empty"));
 
         // Patterns: one per used stream, plus up to two extra (stream or
@@ -171,37 +163,37 @@ fn generate(seed: u64) -> Scenario {
             *vars += 1;
             format!("?V{v}")
         };
-        let subject = |rng: &mut Rng, vars: &mut u64| {
-            if *vars > 0 && rng.chance(60) {
-                format!("?V{}", rng.below(*vars))
-            } else if rng.chance(30) {
-                format!("e{}", rng.below(12))
+        let subject = |rng: &mut StdRng, vars: &mut u64| {
+            if *vars > 0 && chance(rng, 60) {
+                format!("?V{}", rng.gen_range(0..*vars))
+            } else if chance(rng, 30) {
+                format!("e{}", rng.gen_range(0..12u64))
             } else {
                 fresh(vars)
             }
         };
         let mut body = Vec::new();
-        let extra = rng.below(3);
+        let extra = rng.gen_range(0..3u64);
         for k in 0..used.len() as u64 + extra {
             let graph = if (k as usize) < used.len() {
                 Some(used[k as usize])
-            } else if rng.chance(50) {
-                Some(used[rng.below(used.len() as u64) as usize])
+            } else if chance(&mut rng, 50) {
+                Some(used[rng.gen_range(0..used.len())])
             } else {
                 None
             };
             let s = subject(&mut rng, &mut vars);
-            let o = if rng.chance(25) {
-                format!("e{}", rng.below(12))
+            let o = if chance(&mut rng, 25) {
+                format!("e{}", rng.gen_range(0..12u64))
             } else {
                 fresh(&mut vars)
             };
             match graph {
                 Some(g) => {
-                    let p = format!("t{}{}", ["a", "b"][g], rng.below(2));
+                    let p = format!("t{}{}", ["a", "b"][g], rng.gen_range(0..2u64));
                     body.push(format!("GRAPH {} {{ {s} {p} {o} }}", STREAM_NAMES[g]));
                 }
-                None => body.push(format!("{s} sp{} {o}", rng.below(3))),
+                None => body.push(format!("{s} sp{} {o}", rng.gen_range(0..3u64))),
             }
         }
         if vars == 0 {
@@ -307,24 +299,15 @@ struct Divergence {
     oracle_rows: Vec<Vec<Vid>>,
 }
 
-/// Runs the first `prefix` timeline tuples through a fresh engine
-/// (delta-maintained or recomputing per `incremental`, re-planning on
-/// drift per `adaptive`) and returns the firing sequence plus the
-/// registered query IDs.
+/// Runs the first `prefix` timeline tuples through a fresh engine under
+/// `cfg` and returns the firing sequence, the registered query IDs and
+/// the engine (for its mode counters).
 fn run_engine(
     sc: &Scenario,
-    workers: usize,
     prefix: usize,
-    incremental: bool,
-    adaptive: bool,
-) -> (Vec<Firing>, Vec<usize>) {
-    let engine = WukongS::with_strings(
-        EngineConfig::cluster(3)
-            .with_workers(workers)
-            .with_incremental(incremental)
-            .with_adaptive(adaptive),
-        Arc::clone(&sc.strings),
-    );
+    cfg: EngineConfig,
+) -> (Vec<Firing>, Vec<usize>, WukongS) {
+    let engine = WukongS::with_strings(cfg, Arc::clone(&sc.strings));
     engine.load_base(sc.stored.iter().copied());
     let streams: Vec<StreamId> = STREAM_NAMES
         .iter()
@@ -356,7 +339,7 @@ fn run_engine(
         engine.advance_time(tick);
         firings.extend(engine.fire_ready());
     }
-    (firings, ids)
+    (firings, ids, engine)
 }
 
 /// Compares a candidate firing sequence byte-for-byte against the static
@@ -402,42 +385,64 @@ fn compare_firings(
     Ok(())
 }
 
-/// Runs the first `prefix` timeline tuples through all four engine modes
+/// Runs the first `prefix` timeline tuples through all five engine runs
 /// and cross-checks every firing: incremental ≡ recompute, adaptive
-/// recompute ≡ static recompute, adaptive incremental ≡ static recompute
-/// (all byte for byte, rows unsorted), and recompute ≡ relational oracle
-/// (sorted). Returns `(firings checked, firings with at least one row)`
-/// — the second count guards against vacuous agreement on
-/// nothing-but-empty windows.
+/// recompute ≡ static recompute, adaptive incremental ≡ static recompute,
+/// recorder off ≡ recorder on (all byte for byte, rows unsorted), and
+/// recompute ≡ relational oracle (sorted). Returns `(firings checked,
+/// firings with at least one row)` — the second count guards against
+/// vacuous agreement on nothing-but-empty windows.
 fn check_prefix(
     sc: &Scenario,
     workers: usize,
     prefix: usize,
 ) -> Result<(usize, usize), Box<Divergence>> {
-    let (firings, ids) = run_engine(sc, workers, prefix, false, false);
-
-    // Legs 1-3: every other engine mode against the static recompute
-    // baseline. The adaptive legs may re-plan mid-stream and flip
-    // execution modes per the cost model; none of that may perturb a
-    // single emitted byte.
-    let modes: [(&'static str, bool, bool); 3] = [
-        ("incremental engine vs recompute engine", true, false),
-        ("adaptive recompute engine vs static engine", false, true),
-        ("adaptive incremental engine vs static engine", true, true),
-    ];
-    for (kind, incremental, adaptive) in modes {
-        let (other, other_ids) = run_engine(sc, workers, prefix, incremental, adaptive);
-        assert_eq!(ids, other_ids, "registration order must not depend on mode");
-        compare_firings(kind, &firings, &other, &ids)?;
-    }
-
-    // Leg 4: the recompute engine vs the independent scan+join oracle.
-    let timeline = &sc.timeline[..prefix];
+    let base = EngineConfig::cluster(3).with_workers(workers);
     let asts: Vec<Query> = sc
         .queries
         .iter()
         .map(|text| parse_query(&sc.strings, text).expect("parses"))
         .collect();
+    // A leg must really run in its mode; the delta legs can only while
+    // some query is incrementalizable.
+    let maintainable = asts.iter().any(wukong_query::incrementalizable);
+    let (firings, ids, engine) = run_engine(sc, prefix, base.clone());
+    assert_mode_engaged("static engine", &engine);
+
+    // Legs 1-4: every other engine mode against the static recompute
+    // baseline. The adaptive legs may re-plan mid-stream and flip
+    // execution modes per the cost model, the last leg turns the flight
+    // recorder off; none of that may perturb a single emitted byte.
+    let legs: [(&'static str, EngineConfig); 4] = [
+        (
+            "incremental engine vs recompute engine",
+            base.clone().with_incremental(true),
+        ),
+        (
+            "adaptive recompute engine vs static engine",
+            base.clone().with_adaptive(true),
+        ),
+        (
+            "adaptive incremental engine vs static engine",
+            base.clone().with_incremental(true).with_adaptive(true),
+        ),
+        (
+            "recorder-off engine vs recording engine",
+            base.with_trace(false),
+        ),
+    ];
+    for (kind, cfg) in legs {
+        let delta = cfg.incremental;
+        let (other, other_ids, engine) = run_engine(sc, prefix, cfg);
+        assert_eq!(ids, other_ids, "registration order must not depend on mode");
+        compare_firings(kind, &firings, &other, &ids)?;
+        if maintainable || !delta {
+            assert_mode_engaged(kind, &engine);
+        }
+    }
+
+    // Leg 5: the recompute engine vs the independent scan+join oracle.
+    let timeline = &sc.timeline[..prefix];
     let mut stored_tt = TripleTable::new();
     stored_tt.load(sc.stored.iter().copied());
     let mut checked = 0;
@@ -543,7 +548,7 @@ fn oracle_agreement_holds_at_every_worker_count() {
 #[test]
 fn four_way_agreement_sweeps_overlap_regimes() {
     for (range, step) in [(100u64, 100u64), (200, 100), (400, 100), (100, 300)] {
-        let mut rng = Rng(0xA5A5 ^ (range << 4) ^ step);
+        let mut rng = StdRng::seed_from_u64(0xA5A5 ^ (range << 4) ^ step);
         let strings = Arc::new(StringServer::new());
         let entities: Vec<Vid> = (0..10)
             .map(|i| strings.intern_entity(&format!("e{i}")).expect("interns"))
@@ -556,11 +561,11 @@ fn four_way_agreement_sweeps_overlap_regimes() {
         let mut timeline = Vec::new();
         for _ in 0..80 {
             let t = Triple::new(
-                entities[rng.below(10) as usize],
-                preds[rng.below(2) as usize],
-                entities[rng.below(10) as usize],
+                entities[rng.gen_range(0..10usize)],
+                preds[rng.gen_range(0..2usize)],
+                entities[rng.gen_range(0..10usize)],
             );
-            let ts = 1 + rng.below(MAX_TS);
+            let ts = 1 + rng.gen_range(0..MAX_TS);
             if seen.insert((t.s, t.p, t.o)) {
                 timeline.push((0, t, ts));
             }

@@ -1,7 +1,9 @@
 //! Worker-count invariance end to end: the same seeded workload produces
-//! identical firing sets at 1, 2, 4, and 8 workers, one-shot batches
-//! match sequential execution, and crash recovery behaves the same under
-//! a parallel engine as under the serial baseline.
+//! identical firing sets at 1, 2, 4, and 8 workers — with delta
+//! maintenance and adaptive planning on or off, and with the flight
+//! recorder off — one-shot batches match sequential execution, and crash
+//! recovery behaves the same under a parallel engine as under the serial
+//! baseline.
 //!
 //! These are the engine-level determinism guarantees the worker pools
 //! promise by construction (list-schedule cost model, index-ordered result
@@ -9,6 +11,7 @@
 //! mocked out.
 
 use std::sync::Arc;
+use wukong_bench::{assert_mode_engaged, modes, recompute_modes};
 use wukong_benchdata::{lsbench, LsBench, LsBenchConfig};
 use wukong_core::{EngineConfig, WukongS};
 use wukong_rdf::{StringServer, Timestamp, Triple, Vid};
@@ -54,11 +57,10 @@ fn workload(seed: u64) -> Workload {
 /// under test is byte-identical output, not merely equal row sets.
 type Canon = (usize, Timestamp, Vec<Vec<Vid>>);
 
-fn run_at(w: &Workload, workers: usize) -> (Vec<Canon>, wukong_obs::PoolSnapshot) {
-    let engine = WukongS::with_strings(
-        EngineConfig::cluster(3).with_workers(workers),
-        Arc::clone(&w.strings),
-    );
+/// Replays `w` into an engine under `cfg` (`leg` names it in failures)
+/// and checks that the run really was in `cfg`'s mode.
+fn run_at(w: &Workload, leg: &str, cfg: EngineConfig) -> (Vec<Canon>, wukong_obs::PoolSnapshot) {
+    let engine = WukongS::with_strings(cfg, Arc::clone(&w.strings));
     engine.load_base(w.stored.iter().copied());
     for s in w.schemas.clone() {
         engine.register_stream(s);
@@ -88,26 +90,29 @@ fn run_at(w: &Workload, workers: usize) -> (Vec<Canon>, wukong_obs::PoolSnapshot
         }
     }
     let after = engine.cluster().obs().pool().snapshot();
+    assert_mode_engaged(leg, &engine);
     (canon, before.delta(&after))
 }
 
 #[test]
 fn same_seed_runs_are_identical_across_worker_counts() {
     let w = workload(17);
-    let (baseline, _) = run_at(&w, 1);
+    let mut legs = modes(EngineConfig::cluster(3));
+    for workers in [2, 8] {
+        let cfg = EngineConfig::cluster(3).with_workers(workers);
+        legs.push((format!("w{workers}"), cfg));
+    }
+    let (serial, cfg) = legs.remove(0);
+    let (baseline, _) = run_at(&w, &serial, cfg);
     assert!(
         baseline.iter().any(|(_, _, rows)| !rows.is_empty()),
         "workload must produce non-trivial firings for the comparison to mean anything"
     );
-    for workers in [2, 4, 8] {
-        let (run, _) = run_at(&w, workers);
-        assert_eq!(
-            run.len(),
-            baseline.len(),
-            "firing count changed at {workers} workers"
-        );
+    for (leg, cfg) in legs {
+        let (run, _) = run_at(&w, &leg, cfg);
+        assert_eq!(run.len(), baseline.len(), "firing count changed at {leg}");
         for (a, b) in baseline.iter().zip(run.iter()) {
-            assert_eq!(a, b, "firing diverged at {workers} workers");
+            assert_eq!(a, b, "firing diverged at {leg}");
         }
     }
 }
@@ -115,7 +120,7 @@ fn same_seed_runs_are_identical_across_worker_counts() {
 #[test]
 fn parallel_runs_record_pool_activity() {
     let w = workload(18);
-    let (_, pool) = run_at(&w, 4);
+    let (_, pool) = run_at(&w, "w4", EngineConfig::cluster(3).with_workers(4));
     assert!(pool.regions > 0, "no parallel regions recorded");
     assert!(pool.tasks >= pool.regions, "regions without tasks");
     assert!(
@@ -126,47 +131,50 @@ fn parallel_runs_record_pool_activity() {
 
 #[test]
 fn one_shot_batch_matches_sequential_execution() {
-    let strings = Arc::new(StringServer::new());
-    let mut gen = LsBench::new(LsBenchConfig::tiny_seeded(21), Arc::clone(&strings));
-    let engine = WukongS::with_strings(
-        EngineConfig::cluster(3).with_workers(4),
-        Arc::clone(&strings),
-    );
-    engine.load_base(gen.stored_triples());
-    for s in gen.schemas() {
-        engine.register_stream(s);
-    }
-    for t in gen.generate(0, 800) {
-        engine.ingest(t.stream, t.triple, t.timestamp);
-    }
-    engine.advance_time(1_000);
+    for (leg, cfg) in recompute_modes(EngineConfig::cluster(3)) {
+        let strings = Arc::new(StringServer::new());
+        let mut gen = LsBench::new(LsBenchConfig::tiny_seeded(21), Arc::clone(&strings));
+        let engine = WukongS::with_strings(cfg, Arc::clone(&strings));
+        engine.load_base(gen.stored_triples());
+        for s in gen.schemas() {
+            engine.register_stream(s);
+        }
+        for t in gen.generate(0, 800) {
+            engine.ingest(t.stream, t.triple, t.timestamp);
+        }
+        engine.advance_time(1_000);
 
-    let texts: Vec<String> = (1..=lsbench::ONESHOT_CLASSES)
-        .map(|c| lsbench::oneshot_query(&gen, c, 0))
-        .collect();
-    let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-    let batched = engine.one_shot_batch(&refs);
-    assert_eq!(batched.len(), refs.len());
-    for (text, outcome) in refs.iter().zip(batched) {
-        let (batch_rs, _) = outcome.expect("batch query runs");
-        let (seq_rs, _) = engine.one_shot(text).expect("sequential query runs");
-        assert_eq!(batch_rs.rows, seq_rs.rows, "one-shot diverged: {text}");
-        assert_eq!(batch_rs.var_names, seq_rs.var_names);
+        let texts: Vec<String> = (1..=lsbench::ONESHOT_CLASSES)
+            .map(|c| lsbench::oneshot_query(&gen, c, 0))
+            .collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let batched = engine.one_shot_batch(&refs);
+        assert_eq!(batched.len(), refs.len());
+        for (text, outcome) in refs.iter().zip(batched) {
+            let (batch_rs, _) = outcome.expect("batch query runs");
+            let (seq_rs, _) = engine.one_shot(text).expect("sequential query runs");
+            assert_eq!(
+                batch_rs.rows, seq_rs.rows,
+                "{leg}: one-shot diverged: {text}"
+            );
+            assert_eq!(batch_rs.var_names, seq_rs.var_names);
+        }
+        assert_mode_engaged(&leg, &engine);
     }
 }
 
 /// The PR 2 recovery drill, replayed under a parallel engine: checkpoint
 /// mid-stream, crash, recover, and require the recovered deployment to
 /// answer exactly like the original — with the same result at every
-/// worker count.
+/// worker count, statically or adaptively planned, recorder on or off.
 #[test]
 fn recovery_outcome_is_worker_count_invariant() {
-    fn drill(workers: usize) -> Vec<Vec<Vec<Vid>>> {
+    fn drill(leg: &str, cfg: EngineConfig) -> Vec<Vec<Vec<Vid>>> {
         let strings = Arc::new(StringServer::new());
         let mut gen = LsBench::new(LsBenchConfig::tiny_seeded(29), Arc::clone(&strings));
         let cfg = EngineConfig {
             fault_tolerance: true,
-            ..EngineConfig::cluster(3).with_workers(workers)
+            ..cfg
         };
         let engine = WukongS::with_strings(cfg.clone(), Arc::clone(&strings));
         let stored = gen.stored_triples();
@@ -212,10 +220,11 @@ fn recovery_outcome_is_worker_count_invariant() {
             assert_eq!(
                 sorted(after.clone()),
                 sorted(before[i].clone()),
-                "class L{} diverged after recovery at {workers} workers",
+                "class L{} diverged after recovery at {leg}",
                 i + 1
             );
         }
+        assert_mode_engaged(leg, &recovered);
         before
     }
 
@@ -224,10 +233,10 @@ fn recovery_outcome_is_worker_count_invariant() {
         rows
     }
 
-    let serial = drill(1);
-    let parallel = drill(4);
-    assert_eq!(
-        serial, parallel,
-        "pre-crash answers diverged between worker counts"
-    );
+    let mut answers =
+        recompute_modes(EngineConfig::cluster(3)).map(|(leg, cfg)| (drill(&leg, cfg), leg));
+    let (serial, _) = answers.next().expect("the serial leg");
+    for (answer, leg) in answers {
+        assert_eq!(serial, answer, "pre-crash answers diverged at {leg}");
+    }
 }

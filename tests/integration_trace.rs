@@ -53,10 +53,10 @@ fn normalized_events(rec: &Arc<TraceRecorder>) -> Vec<FlatEvent> {
         .collect()
 }
 
-fn traced_run(seed: u64) -> (Vec<FlatEvent>, Vec<String>, u64) {
+fn traced_run(seed: u64, trace_on: bool) -> (Vec<FlatEvent>, Vec<String>, u64) {
     let w = ls_workload_seeded(Scale::Tiny, seed);
     let engine = WukongS::with_strings(
-        EngineConfig::cluster(2).with_workers(1),
+        EngineConfig::cluster(2).with_trace(trace_on),
         Arc::clone(&w.strings),
     );
     engine.load_base(w.stored.iter().copied());
@@ -79,22 +79,29 @@ fn traced_run(seed: u64) -> (Vec<FlatEvent>, Vec<String>, u64) {
         .filter_map(|i| rec.firing_meta(FiringId(i)))
         .map(|m| firing_meta_json(&m).to_string_compact())
         .collect();
+    wukong_bench::assert_mode_engaged(if trace_on { "w1" } else { "recorder-off" }, &engine);
     (normalized_events(&rec), metas, snap.firings)
 }
 
 /// Two identical seeded runs produce identical trace timelines —
 /// sequence numbers, stages, markers, firing ids, batch ids — and
 /// identical per-firing lineage. Timing payloads are the only
-/// run-dependent bits.
+/// run-dependent bits. With the recorder off the same run leaves no
+/// trace at all, yet mints the same firing ids.
 #[test]
 fn same_seed_runs_trace_identically() {
-    let (ev_a, metas_a, firings_a) = traced_run(7);
-    let (ev_b, metas_b, firings_b) = traced_run(7);
+    let (ev_a, metas_a, firings_a) = traced_run(7, true);
+    let (ev_b, metas_b, firings_b) = traced_run(7, true);
     assert!(firings_a > 0, "firings must be minted");
+    assert!(!ev_a.is_empty() && !metas_a.is_empty());
     assert_eq!(firings_a, firings_b, "same firing count");
     assert_eq!(metas_a, metas_b, "same lineage for every firing");
     assert_eq!(ev_a.len(), ev_b.len(), "same event count");
     assert_eq!(ev_a, ev_b, "same causal event sequence");
+
+    let (ev_off, metas_off, firings_off) = traced_run(7, false);
+    assert_eq!(firings_off, firings_a, "ids are minted either way");
+    assert!(ev_off.is_empty() && metas_off.is_empty());
 }
 
 /// Golden round-trip for the schema-v8 `trace_dump`: the dump

@@ -17,30 +17,19 @@
 //! 4. **Recovery resets delta state.** A crash mid-stream recovers into
 //!    fresh (rebuilt-on-first-firing) state without changing the
 //!    post-recovery firing sequence, at both settings.
+//!
+//! Each property holds at 1 and 4 worker lanes, statically and adaptively
+//! planned, and with the flight recorder off (`wukong_bench::recompute_modes`).
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+use wukong_bench::{assert_mode_engaged, recompute_modes};
 use wukong_core::{EngineConfig, Firing, WukongS};
 use wukong_rdf::{Pid, StreamId, StringServer, Timestamp, Triple, Vid};
 use wukong_stream::StreamSchema;
 
 const INTERVAL_MS: u64 = 100;
-
-/// SplitMix64 — the same seeded primitive as the differential harness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 /// Shared vocabulary: ten entities and the two stream predicates the
 /// join query reads.
@@ -67,16 +56,16 @@ fn timeline(
     hi: Timestamp,
 ) -> Vec<(Triple, Timestamp)> {
     let (e, p) = vocab(strings);
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for _ in 0..n {
         let t = Triple::new(
-            e[rng.below(10) as usize],
-            p[rng.below(2) as usize],
-            e[rng.below(10) as usize],
+            e[rng.gen_range(0..10usize)],
+            p[rng.gen_range(0..2usize)],
+            e[rng.gen_range(0..10usize)],
         );
-        let ts = lo + rng.below(hi - lo + 1);
+        let ts = lo + rng.gen_range(0..hi - lo + 1);
         if seen.insert((t.s, t.p, t.o)) {
             out.push((t, ts));
         }
@@ -91,13 +80,8 @@ const JOIN_QUERY: &str = "REGISTER QUERY PJ SELECT ?V0 ?V1 ?V2 \
 
 /// Builds an engine with the shared vocabulary, one stream `S`, and the
 /// 75%-overlap join query registered.
-fn engine_with_join(strings: &Arc<StringServer>, incremental: bool) -> (WukongS, StreamId) {
-    let engine = WukongS::with_strings(
-        EngineConfig::cluster(2)
-            .with_workers(EngineConfig::worker_threads_from_env())
-            .with_incremental(incremental),
-        Arc::clone(strings),
-    );
+fn engine_with_join(strings: &Arc<StringServer>, cfg: EngineConfig) -> (WukongS, StreamId) {
+    let engine = WukongS::with_strings(cfg, Arc::clone(strings));
     let s = engine.register_stream(StreamSchema::timeless(StreamId(0), "S", INTERVAL_MS));
     engine.register_continuous(JOIN_QUERY).expect("registers");
     (engine, s)
@@ -150,33 +134,37 @@ fn insert_then_expire_is_identity_on_state() {
     vocab(&strings);
     let extras = timeline(&strings, 11, 30, 1, 200);
     let common = timeline(&strings, 12, 60, 301, 1_200);
-
-    let (a, sa) = engine_with_join(&strings, true);
     let mut merged = extras.clone();
     merged.extend(common.iter().copied());
     merged.sort_by_key(|(_, ts)| *ts);
-    let fa = drive(&a, sa, &merged, 1_600);
 
-    let (b, sb) = engine_with_join(&strings, true);
-    let fb = drive(&b, sb, &common, 1_600);
+    for (leg, cfg) in recompute_modes(EngineConfig::cluster(2)) {
+        let cfg = cfg.with_incremental(true);
+        let (a, sa) = engine_with_join(&strings, cfg.clone());
+        let fa = drive(&a, sa, &merged, 1_600);
+        assert_mode_engaged(&leg, &a);
 
-    let tail = |f: &[Firing]| -> Vec<Firing> {
-        f.iter().filter(|f| f.window_end >= 500).cloned().collect()
-    };
-    let (ta, tb) = (tail(&fa), tail(&fb));
-    assert!(!ta.is_empty(), "post-expiry windows must fire");
-    assert_firings_equal(&ta, &tb, "insert-then-expire");
-    // And the extras really did matter before they expired (the test is
-    // not vacuous): some early window differs between the two engines.
-    let head_a: Vec<_> = fa.iter().filter(|f| f.window_end < 500).collect();
-    let head_b: Vec<_> = fb.iter().filter(|f| f.window_end < 500).collect();
-    assert!(
-        head_a
-            .iter()
-            .zip(&head_b)
-            .any(|(x, y)| x.results.rows != y.results.rows),
-        "extras never influenced any firing — workload too weak"
-    );
+        let (b, sb) = engine_with_join(&strings, cfg);
+        let fb = drive(&b, sb, &common, 1_600);
+
+        let tail = |f: &[Firing]| -> Vec<Firing> {
+            f.iter().filter(|f| f.window_end >= 500).cloned().collect()
+        };
+        let (ta, tb) = (tail(&fa), tail(&fb));
+        assert!(!ta.is_empty(), "post-expiry windows must fire");
+        assert_firings_equal(&ta, &tb, &format!("{leg}: insert-then-expire"));
+        // And the extras really did matter before they expired (the test
+        // is not vacuous): some early window differs between the engines.
+        let head_a: Vec<_> = fa.iter().filter(|f| f.window_end < 500).collect();
+        let head_b: Vec<_> = fb.iter().filter(|f| f.window_end < 500).collect();
+        assert!(
+            head_a
+                .iter()
+                .zip(&head_b)
+                .any(|(x, y)| x.results.rows != y.results.rows),
+            "extras never influenced any firing — workload too weak"
+        );
+    }
 }
 
 #[test]
@@ -185,34 +173,32 @@ fn incremental_firing_sequence_equals_recompute() {
     vocab(&strings);
     let tl = timeline(&strings, 21, 90, 1, 1_500);
 
-    let (rec, sr) = engine_with_join(&strings, false);
-    let f_rec = drive(&rec, sr, &tl, 2_000);
+    for (leg, cfg) in recompute_modes(EngineConfig::cluster(2)) {
+        let (rec, sr) = engine_with_join(&strings, cfg.clone());
+        let f_rec = drive(&rec, sr, &tl, 2_000);
+        assert_mode_engaged(&leg, &rec);
 
-    let (inc, si) = engine_with_join(&strings, true);
-    let f_inc = drive(&inc, si, &tl, 2_000);
+        let (inc, si) = engine_with_join(&strings, cfg.with_incremental(true));
+        let f_inc = drive(&inc, si, &tl, 2_000);
+        assert_mode_engaged(&leg, &inc);
 
-    assert!(
-        f_rec.iter().any(|f| !f.results.rows.is_empty()),
-        "workload produced no rows — vacuous"
-    );
-    assert_firings_equal(&f_rec, &f_inc, "incremental vs recompute");
+        assert!(
+            f_rec.iter().any(|f| !f.results.rows.is_empty()),
+            "workload produced no rows — vacuous"
+        );
+        assert_firings_equal(&f_rec, &f_inc, &format!("{leg}: incremental vs recompute"));
 
-    // The equivalence is meaningful only if the incremental engine
-    // actually maintained state rather than silently falling back.
-    let snap = inc.cluster().obs().incremental().snapshot();
-    assert!(snap.rebuild_firings >= 1, "first firing rebuilds");
-    assert!(
-        snap.incremental_firings > snap.rebuild_firings,
-        "most overlapping firings must take the delta path: {snap:?}"
-    );
-    assert_eq!(snap.fallback_firings, 0, "join plan is incrementalizable");
-    assert!(snap.rows_reused > 0, "75% overlap must carry rows over");
-    let rec_snap = rec.cluster().obs().incremental().snapshot();
-    assert_eq!(
-        rec_snap.incremental_firings + rec_snap.rebuild_firings,
-        0,
-        "mode off must never maintain"
-    );
+        // The equivalence is meaningful only if the incremental engine
+        // actually maintained state rather than silently falling back.
+        let snap = inc.cluster().obs().incremental().snapshot();
+        assert!(snap.rebuild_firings >= 1, "first firing rebuilds");
+        assert!(
+            snap.incremental_firings > snap.rebuild_firings,
+            "{leg}: most overlapping firings must take the delta path: {snap:?}"
+        );
+        assert_eq!(snap.fallback_firings, 0, "join plan is incrementalizable");
+        assert!(snap.rows_reused > 0, "75% overlap must carry rows over");
+    }
 }
 
 #[test]
@@ -223,16 +209,11 @@ fn construct_istream_dedup_matches_both_modes() {
     // downstream query over the derived stream then observes exactly
     // what was emitted. Both the emissions and the downstream firings
     // must be mode-independent.
-    let run = |incremental: bool| -> (Vec<Firing>, Vec<Vec<Vid>>) {
+    let run = |leg: &str, cfg: EngineConfig| -> (Vec<Firing>, Vec<Vec<Vid>>) {
         let strings = Arc::new(StringServer::new());
         let (e, p) = vocab(&strings);
         strings.intern_predicate("influences").expect("interns");
-        let engine = WukongS::with_strings(
-            EngineConfig::cluster(2)
-                .with_workers(EngineConfig::worker_threads_from_env())
-                .with_incremental(incremental),
-            Arc::clone(&strings),
-        );
+        let engine = WukongS::with_strings(cfg, Arc::clone(&strings));
         let s = engine.register_stream(StreamSchema::timeless(StreamId(0), "S", INTERVAL_MS));
         let derived =
             engine.register_stream(StreamSchema::timeless(StreamId(1), "Derived", INTERVAL_MS));
@@ -252,16 +233,16 @@ fn construct_istream_dedup_matches_both_modes() {
             )
             .expect("registers");
 
-        let mut rng = Rng(31);
+        let mut rng = StdRng::seed_from_u64(31);
         let mut seen = std::collections::HashSet::new();
         let mut tl = Vec::new();
         for _ in 0..70 {
             let t = Triple::new(
-                e[rng.below(10) as usize],
-                p[rng.below(2) as usize],
-                e[rng.below(10) as usize],
+                e[rng.gen_range(0..10usize)],
+                p[rng.gen_range(0..2usize)],
+                e[rng.gen_range(0..10usize)],
             );
-            let ts = 1 + rng.below(1_200);
+            let ts = 1 + rng.gen_range(0..1_200u64);
             if seen.insert((t.s, t.p, t.o)) {
                 tl.push((t, ts));
             }
@@ -273,14 +254,20 @@ fn construct_istream_dedup_matches_both_modes() {
             .expect("runs");
         let mut derived_rows = rs.rows;
         derived_rows.sort();
+        assert_mode_engaged(leg, &engine);
         (firings, derived_rows)
     };
 
-    let (f_rec, d_rec) = run(false);
-    let (f_inc, d_inc) = run(true);
-    assert!(!d_rec.is_empty(), "CONSTRUCT never emitted — vacuous");
-    assert_firings_equal(&f_rec, &f_inc, "CONSTRUCT pipeline");
-    assert_eq!(d_rec, d_inc, "derived stream contents differ by mode");
+    for (leg, cfg) in recompute_modes(EngineConfig::cluster(2)) {
+        let (f_rec, d_rec) = run(&leg, cfg.clone());
+        let (f_inc, d_inc) = run(&leg, cfg.with_incremental(true));
+        assert!(!d_rec.is_empty(), "CONSTRUCT never emitted — vacuous");
+        assert_firings_equal(&f_rec, &f_inc, &format!("{leg}: CONSTRUCT pipeline"));
+        assert_eq!(
+            d_rec, d_inc,
+            "{leg}: derived stream contents differ by mode"
+        );
+    }
 }
 
 #[test]
@@ -295,13 +282,12 @@ fn recovery_mid_stream_resets_delta_state() {
     let pre = timeline(&strings, 41, 50, 1, 800);
     let post = timeline(&strings, 42, 40, 801, 1_500);
 
-    let run = |incremental: bool| -> Vec<Firing> {
+    let run = |leg: &str, cfg: EngineConfig| -> Vec<Firing> {
         let cfg = EngineConfig {
             fault_tolerance: true,
-            ..EngineConfig::cluster(2)
-        }
-        .with_workers(EngineConfig::worker_threads_from_env())
-        .with_incremental(incremental);
+            ..cfg
+        };
+        let incremental = cfg.incremental;
         let engine = WukongS::with_strings(cfg.clone(), Arc::clone(&strings));
         let s = engine.register_stream(StreamSchema::timeless(StreamId(0), "S", INTERVAL_MS));
         engine.register_continuous(JOIN_QUERY).expect("registers");
@@ -338,14 +324,17 @@ fn recovery_mid_stream_resets_delta_state() {
         } else {
             assert_eq!(delta.incremental_firings + delta.rebuild_firings, 0);
         }
+        assert_mode_engaged(leg, &recovered);
         firings
     };
 
-    let f_rec = run(false);
-    let f_inc = run(true);
-    assert!(
-        f_rec.iter().any(|f| !f.results.rows.is_empty()),
-        "post-recovery windows produced no rows — vacuous"
-    );
-    assert_firings_equal(&f_rec, &f_inc, "post-recovery");
+    for (leg, cfg) in recompute_modes(EngineConfig::cluster(2)) {
+        let f_rec = run(&leg, cfg.clone());
+        let f_inc = run(&leg, cfg.with_incremental(true));
+        assert!(
+            f_rec.iter().any(|f| !f.results.rows.is_empty()),
+            "post-recovery windows produced no rows — vacuous"
+        );
+        assert_firings_equal(&f_rec, &f_inc, &format!("{leg}: post-recovery"));
+    }
 }

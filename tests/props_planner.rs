@@ -20,6 +20,8 @@
 //!    the switch rebuilds window state behind the scenes.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use wukong_core::{EngineConfig, Firing, WukongS};
 use wukong_query::ast::{GraphName, Term, TriplePattern};
@@ -30,23 +32,6 @@ use wukong_store::{BaseStore, SnapshotId};
 use wukong_stream::StreamSchema;
 
 const INTERVAL_MS: u64 = 100;
-
-/// SplitMix64 — the same seeded primitive as the differential harness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 struct LocalAccess<'a>(&'a BaseStore);
 
@@ -105,10 +90,10 @@ fn concrete(t: Term, bound: &[bool]) -> bool {
 
 /// Seeded Fisher-Yates; deterministic per (patterns, seed).
 fn permute(patterns: &[TriplePattern], seed: u64) -> Vec<TriplePattern> {
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut out = patterns.to_vec();
     for i in (1..out.len()).rev() {
-        out.swap(i, rng.below(i as u64 + 1) as usize);
+        out.swap(i, rng.gen_range(0..=i));
     }
     out
 }
@@ -207,16 +192,16 @@ fn timeline(strings: &Arc<StringServer>, seed: u64) -> Vec<(Triple, Timestamp)> 
         .iter()
         .map(|p| strings.intern_predicate(p).expect("interns"))
         .collect();
-    let mut rng = Rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for _ in 0..80 {
         let t = Triple::new(
-            entities[rng.below(10) as usize],
-            preds[rng.below(2) as usize],
-            entities[rng.below(10) as usize],
+            entities[rng.gen_range(0..10usize)],
+            preds[rng.gen_range(0..2usize)],
+            entities[rng.gen_range(0..10usize)],
         );
-        let ts = 1 + rng.below(1_200);
+        let ts = 1 + rng.gen_range(0..1_200u64);
         if seen.insert((t.s, t.p, t.o)) {
             out.push((t, ts));
         }
@@ -225,21 +210,22 @@ fn timeline(strings: &Arc<StringServer>, seed: u64) -> Vec<(Triple, Timestamp)> 
     out
 }
 
-/// Runs the maintained join query over the seeded timeline, forcing a
-/// re-plan right after the tick `force_at` (None = never re-plan).
+/// Runs the maintained join query over the seeded timeline on `workers`
+/// lanes, forcing a re-plan right after the tick `force_at` (None = never
+/// re-plan).
 fn run_maintained(
     strings: &Arc<StringServer>,
     tl: &[(Triple, Timestamp)],
+    workers: usize,
     force_at: Option<Timestamp>,
 ) -> (Vec<Firing>, WukongS) {
-    // Adaptive drift detection is pinned off (overriding WUKONG_ADAPTIVE)
-    // so the only plan switch is the forced one — the property isolates
-    // `force_replan` transparency from the detector's own replans.
+    // Adaptive drift detection stays off so the only plan switch is the
+    // forced one — the property isolates `force_replan` transparency from
+    // the detector's own replans.
     let engine = WukongS::with_strings(
         EngineConfig::cluster(2)
-            .with_workers(EngineConfig::worker_threads_from_env())
-            .with_incremental(true)
-            .with_adaptive(false),
+            .with_workers(workers)
+            .with_incremental(true),
         Arc::clone(strings),
     );
     let s = engine.register_stream(StreamSchema::timeless(StreamId(0), "S", INTERVAL_MS));
@@ -257,6 +243,7 @@ fn run_maintained(
             engine.force_replan(id);
         }
     }
+    wukong_bench::assert_mode_engaged(&format!("w{workers}+inc"), &engine);
     (firings, engine)
 }
 
@@ -274,27 +261,29 @@ proptest! {
         let tl = timeline(&strings, seed);
         let force_at = force_slot * INTERVAL_MS;
 
-        let (forced, engine) = run_maintained(&strings, &tl, Some(force_at));
-        let (control, _) = run_maintained(&strings, &tl, None);
+        let (control, _) = run_maintained(&strings, &tl, 1, None);
+        for workers in [1, 4] {
+            let (forced, engine) = run_maintained(&strings, &tl, workers, Some(force_at));
 
-        prop_assert_eq!(forced.len(), control.len(), "firing counts differ");
-        for (f, c) in forced.iter().zip(&control) {
-            prop_assert_eq!(f.query, c.query);
-            prop_assert_eq!(f.window_end, c.window_end);
-            prop_assert_eq!(
-                &f.results, &c.results,
-                "results differ at window {}", f.window_end
+            prop_assert_eq!(forced.len(), control.len(), "firing counts differ");
+            for (f, c) in forced.iter().zip(&control) {
+                prop_assert_eq!(f.query, c.query);
+                prop_assert_eq!(f.window_end, c.window_end);
+                prop_assert_eq!(
+                    &f.results, &c.results,
+                    "results differ at window {} on {} workers", f.window_end, workers
+                );
+            }
+            prop_assert!(
+                forced.iter().any(|f| !f.results.rows.is_empty()),
+                "workload produced no rows — vacuous"
             );
-        }
-        prop_assert!(
-            forced.iter().any(|f| !f.results.rows.is_empty()),
-            "workload produced no rows — vacuous"
-        );
 
-        // The forced engine really did switch plans and rebuild its
-        // delta state (the query fires maintained both before and after).
-        let snap = engine.cluster().obs().plan().snapshot();
-        prop_assert_eq!(snap.replans, 1);
-        prop_assert_eq!(snap.delta_rebuilds, 1);
+            // The forced engine really did switch plans and rebuild its
+            // delta state (the query fires maintained before and after).
+            let snap = engine.cluster().obs().plan().snapshot();
+            prop_assert_eq!(snap.replans, 1);
+            prop_assert_eq!(snap.delta_rebuilds, 1);
+        }
     }
 }

@@ -58,20 +58,19 @@ fn timeline(e: &[Vid], strings: &Arc<StringServer>) -> Vec<(Triple, Timestamp)> 
 /// `(window_end, sorted rows)` for one firing.
 type FiringRows = (Timestamp, Vec<Vec<Vid>>);
 
-/// Drives the maintained query over the timeline, forcing a re-plan
-/// right after the firing at `force_at` (None = never), and returns
-/// the per-firing rows plus the engine for counters.
-fn run(force_at: Option<Timestamp>) -> (Vec<FiringRows>, WukongS) {
+/// Drives the maintained query over the timeline on `workers` lanes,
+/// forcing a re-plan right after the firing at `force_at` (None = never),
+/// and returns the per-firing rows plus the engine for counters.
+fn run(workers: usize, force_at: Option<Timestamp>) -> (Vec<FiringRows>, WukongS) {
     let strings = Arc::new(StringServer::new());
     let e = vocab(&strings);
     let tl = timeline(&e, &strings);
-    // Adaptive drift detection is pinned off (overriding WUKONG_ADAPTIVE)
-    // so the forced switch is the only re-plan and the counter pins hold.
+    // Adaptive drift detection stays off so the forced switch is the only
+    // re-plan and the counter pins hold.
     let engine = WukongS::with_strings(
         EngineConfig::cluster(2)
-            .with_workers(EngineConfig::worker_threads_from_env())
-            .with_incremental(true)
-            .with_adaptive(false),
+            .with_workers(workers)
+            .with_incremental(true),
         Arc::clone(&strings),
     );
     let s = engine.register_stream(StreamSchema::timeless(StreamId(0), "S", INTERVAL_MS));
@@ -98,6 +97,7 @@ fn run(force_at: Option<Timestamp>) -> (Vec<FiringRows>, WukongS) {
             (f.window_end, rows)
         })
         .collect();
+    wukong_bench::assert_mode_engaged(&format!("w{workers}+inc"), &engine);
     (rows, engine)
 }
 
@@ -117,25 +117,28 @@ fn expected(e: &[Vid]) -> Vec<FiringRows> {
     out
 }
 
-/// One assertion body shared by every forced switch point.
+/// One assertion body shared by every forced switch point, at 1 and 4
+/// worker lanes.
 fn check_switch_point(force_at: Timestamp) {
-    let (forced, engine) = run(Some(force_at));
-    let (control, _) = run(None);
     let strings = Arc::new(StringServer::new());
     let e = vocab(&strings);
+    for workers in [1, 4] {
+        let (forced, engine) = run(workers, Some(force_at));
+        let (control, _) = run(workers, None);
 
-    assert_eq!(
-        forced, control,
-        "re-plan at {force_at} perturbed the firing sequence"
-    );
-    assert_eq!(
-        forced,
-        expected(&e),
-        "re-plan at {force_at} broke absolute death-timestamp semantics"
-    );
-    let snap = engine.cluster().obs().plan().snapshot();
-    assert_eq!(snap.replans, 1, "the forced re-plan must be recorded");
-    assert_eq!(snap.delta_rebuilds, 1, "the switch must rebuild state");
+        assert_eq!(
+            forced, control,
+            "re-plan at {force_at} perturbed the firing sequence on {workers} workers"
+        );
+        assert_eq!(
+            forced,
+            expected(&e),
+            "re-plan at {force_at} broke absolute death-timestamp semantics on {workers} workers"
+        );
+        let snap = engine.cluster().obs().plan().snapshot();
+        assert_eq!(snap.replans, 1, "the forced re-plan must be recorded");
+        assert_eq!(snap.delta_rebuilds, 1, "the switch must rebuild state");
+    }
 }
 
 #[test]
