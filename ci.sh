@@ -95,6 +95,12 @@ table6_injection||'
         exit 1
     fi
 
+    # The value-layout micro benches, once each under the criterion shim,
+    # so they keep compiling *and* running.
+    echo "== micro benches: value_cell/*"
+    cargo bench -q --bench micro -p wukong-bench -- value_cell | tee "$out/value_cell.txt"
+    [[ "$(grep -c '^bench value_cell/' "$out/value_cell.txt")" -eq 3 ]]
+
     # The benchmark crate builds against the workspace's public API and
     # checks seed 42's result digests: an API break or a changed result
     # shows here, before the benchmark driver finds it.

@@ -306,6 +306,44 @@ fn bench_read_path(c: &mut Criterion) {
     }
     g.finish();
 
+    // What the value layout costs, on the same 27 MB store: an append that
+    // opens a new snapshot on a cache-cold key (the mark two snapshots
+    // back is dropped, a new one written, one value pushed), a
+    // consolidation sweep of the whole shard after 64 such appends, and a
+    // fat-pointer range read from a user's likes, a list that still
+    // retains several snapshots.
+    let shard = cluster.shard(0);
+    let mut g = c.benchmark_group("value_cell");
+    let mut cold_keys = stored_keys.iter().cycle();
+    let mut sn = 100u64;
+    g.bench_function("append_new_snapshot", |b| {
+        b.iter(|| {
+            sn += 1;
+            let key = *cold_keys.next().expect("cycles");
+            let merge = Some(SnapshotId(sn - 2));
+            black_box(shard.append_owned(key, Vid(sn), SnapshotId(sn), merge))
+        })
+    });
+    g.bench_function("consolidate", |b| {
+        b.iter(|| {
+            sn += 1;
+            for &key in cold_keys.by_ref().take(64) {
+                shard.append_owned(key, Vid(sn), SnapshotId(sn), None);
+            }
+            shard.consolidate(SnapshotId(sn));
+        })
+    });
+    let mut likers = probes.iter().cycle();
+    g.bench_function("window_range", |b| {
+        b.iter(|| {
+            let key = Key::new(*likers.next().expect("cycles"), li, Dir::Out);
+            shard.with_cell(key, |cell| {
+                black_box(cell.map_or(0, |c| c.range(1, 4).len()))
+            })
+        })
+    });
+    g.finish();
+
     // `?X ht ?T` over 100 K tagged posts: one index scan, 100 K expansions.
     let ss = StringServer::new();
     let ht = ss.intern_predicate("ht").unwrap();

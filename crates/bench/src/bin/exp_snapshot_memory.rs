@@ -84,7 +84,7 @@ fn main() {
         .map(|n| engine.cluster().shard(n).max_retained_snapshots())
         .max()
         .unwrap_or(0);
-    println!("\nMax snapshot intervals retained by any key: {max_retained} (bound: 2 + in-flight)");
+    println!("\nMax snapshots retained by any key: {max_retained} (bound: 2 + in-flight)");
     jr.counter("max_retained_snapshots", max_retained as f64);
     jr.engine(&engine);
     jr.finish();

@@ -11,7 +11,6 @@ use wukong_net::{NodeId, TaskTimer};
 use wukong_query::exec::{ExecContext, GraphAccess, PatternSource, TimedGraphAccess};
 use wukong_query::GraphName;
 use wukong_rdf::{Key, Timestamp, Vid};
-use wukong_store::base::ValueCell;
 use wukong_store::SnapshotId;
 
 /// Keys per chunk of a batched stored-graph read: several times the
@@ -50,8 +49,8 @@ impl<'a> NodeAccess<'a> {
     }
 
     /// The stored-graph read of [`GraphAccess::neighbors_batch`]:
-    /// `visit(i, seg)` sees the segments of `keys[i]`, key by key in slice
-    /// order, and every key is charged exactly as its own
+    /// `visit(i, run)` sees the neighbours of `keys[i]`, key by key in
+    /// slice order, and every key is charged exactly as its own
     /// [`Cluster::for_each_stored_slice`] would be, in the same order —
     /// rows, fabric counters and charged time cannot tell the two apart.
     ///
@@ -61,9 +60,9 @@ impl<'a> NodeAccess<'a> {
     /// Here a chunk of [`LOOKUP_CHUNK`] keys takes each partition it
     /// touches once — ascending `(node, partition)`, the reader half of
     /// the lock order in [`PersistentShard::read_partition`] — then probes
-    /// all its cells, then touches each cell's first value line, and only
-    /// then visits: every stage is a run of independent loads the core
-    /// can keep in flight together.
+    /// all its cells, then loads the first word of each cell's values (the
+    /// cache line its read starts on), and only then visits: every stage
+    /// is a run of independent loads the core can keep in flight together.
     ///
     /// Lives here rather than beside `for_each_stored_slice`: placed in
     /// `cluster.rs` it re-partitioned the crate's codegen units and the
@@ -104,20 +103,19 @@ impl<'a> NodeAccess<'a> {
                 guard_of[j] = taken - 1;
             }
 
-            let mut cells: [Option<&ValueCell>; LOOKUP_CHUNK] = [None; LOOKUP_CHUNK];
+            let mut runs: [&[Vid]; LOOKUP_CHUNK] = [&[]; LOOKUP_CHUNK];
             for (j, &key) in chunk.iter().enumerate() {
-                cells[j] = guards[guard_of[j]].as_ref().and_then(|g| g.cell(key));
+                let store = guards[guard_of[j]].as_ref().expect("taken above");
+                runs[j] = store.visible(key, sn);
             }
-            let warmed = cells.iter().flatten().fold(0, |w, cell| w ^ cell.touch());
+            let warmed = runs
+                .iter()
+                .fold(0, |w, run| w ^ run.first().map_or(0, |v| v.0));
             std::hint::black_box(warmed);
 
-            for (j, cell) in cells[..chunk.len()].iter().enumerate() {
-                let mut read = 0;
-                for seg in cell.iter().flat_map(|c| c.slices_at(sn)) {
-                    read += seg.len();
-                    visit(c * LOOKUP_CHUNK + j, seg);
-                }
-                cluster.charge_stored_read(self.home, NodeId(place[j].0), read, timer);
+            for (j, run) in runs[..chunk.len()].iter().enumerate() {
+                visit(c * LOOKUP_CHUNK + j, run);
+                cluster.charge_stored_read(self.home, NodeId(place[j].0), run.len(), timer);
             }
         }
     }
@@ -483,9 +481,9 @@ mod tests {
     #[test]
     fn batched_stored_reads_match_per_key_reads_and_their_charges() {
         // Vertices 1..=60 with uneven degrees and duplicate edges in the
-        // base segment, then three snapshots of appends, so a read at
-        // snapshot 2 walks multi-segment cells and stops below the newest
-        // interval. Vertices above 60 have no cell at all.
+        // initial data, then three snapshots of appends, so a read at
+        // snapshot 2 crosses retained marks and stops below the newest
+        // one. Vertices above 60 have no cell at all.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(11);
         let mut next = move |n: u64| rng.gen_range(0..n);
@@ -530,7 +528,7 @@ mod tests {
                     if nodes > 1 && size > 0 {
                         assert!(got.1.one_sided_reads > 0, "remote keys are charged");
                     }
-                    // The newest interval stays invisible at snapshot 2.
+                    // The newest snapshot stays invisible at snapshot 2.
                     partial += keys
                         .iter()
                         .filter(|&&k| {

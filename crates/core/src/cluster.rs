@@ -282,9 +282,9 @@ impl Cluster {
         Arc::clone(&self.streams.read())
     }
 
-    /// Visits the stored-graph neighbours of `key` at `sn` for a task on
-    /// `home`, segment by segment, charging remote access as two one-sided
-    /// reads (key lookup + value read, §5).
+    /// Shows `visit` the stored-graph neighbours of `key` at `sn` for a
+    /// task on `home` — one slice, the key's value up to `sn` — charging
+    /// remote access as two one-sided reads (key lookup + value read, §5).
     ///
     /// The owner partition's read lock is taken and the key's cell looked
     /// up once; `visit` runs under that lock.
@@ -294,15 +294,13 @@ impl Cluster {
         key: Key,
         sn: SnapshotId,
         timer: &mut TaskTimer,
-        mut visit: impl FnMut(&[Vid]),
+        visit: impl FnOnce(&[Vid]),
     ) {
         let owner = self.owner(key);
-        let mut read = 0;
-        self.shards[owner.idx()].with_cell(key, |cell| {
-            for seg in cell.into_iter().flat_map(|c| c.slices_at(sn)) {
-                read += seg.len();
-                visit(seg);
-            }
+        let read = self.shards[owner.idx()].with_cell(key, |cell| {
+            let seen = cell.map_or(&[][..], |c| c.visible(sn));
+            visit(seen);
+            seen.len()
         });
         self.charge_stored_read(home, owner, read, timer);
     }
@@ -401,10 +399,9 @@ impl Cluster {
                 self.shards[owner.idx()].with_cell(key, |cell| {
                     let Some(cell) = cell else { return };
                     for (ts, fp) in pointers {
-                        for part in cell.range_slices(fp.start, fp.len) {
-                            read += part.len();
-                            visit(ts, part);
-                        }
+                        let run = cell.range(fp.start, fp.len);
+                        read += run.len();
+                        visit(ts, run);
                     }
                 });
             }
@@ -609,7 +606,7 @@ mod tests {
         // and into a cluster (read through the lock-once, cell-once
         // path): in time order first, then as catch-up replays that
         // `insert_batch` slots between batches already pushed, with a
-        // consolidation in between so ranges straddle base and intervals.
+        // consolidation in between so ranges straddle dropped marks.
         let c = Cluster::new(&config(1));
         let sidx = c.add_stream(StreamSchema::timeless(StreamId(0), "S", 100));
         let stream = c.stream(sidx);

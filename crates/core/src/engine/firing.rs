@@ -49,7 +49,7 @@ pub(super) struct Registered {
     home: NodeId,
     /// The obs series / flight-recorder class: the `REGISTER QUERY` name,
     /// or `query-{id}`.
-    class: String,
+    class: Arc<str>,
     /// For CONSTRUCT queries: the derived stream firings feed.
     construct_target: Option<StreamId>,
     /// Set when the query is unregistered; retired queries stop firing
@@ -160,7 +160,11 @@ impl Registered {
             text: text.to_owned(),
             ranges: query.streams.iter().map(|(_, w)| w.range_ms).collect(),
             home,
-            class: query.name.clone().unwrap_or_else(|| format!("query-{id}")),
+            class: query
+                .name
+                .clone()
+                .unwrap_or_else(|| format!("query-{id}"))
+                .into(),
             construct_target,
             retired: AtomicBool::new(false),
             next_fire: AtomicU64::new(window.next_fire()),
@@ -307,7 +311,7 @@ impl WukongS {
             let rows = delta.rows();
             for i in (0..rows.len()).filter(|&i| rows.death(i) <= hi) {
                 out.push(ScrubViolation::DeathBound {
-                    query: r.class.clone(),
+                    query: r.class.to_string(),
                     death: rows.death(i),
                     hi,
                 });
@@ -635,25 +639,27 @@ impl WukongS {
     /// `(stream, timestamp)`, so the lineage is exact without retaining
     /// any per-batch state — and identical across recovery replays.
     fn lineage_of(&self, windows: &[WindowInstance]) -> Vec<BatchId> {
-        let mut out = Vec::new();
+        let streams = self.cluster.streams();
+        // A window's first grid point and the grid's step.
+        let grid = |w: &WindowInstance| {
+            let interval = streams[w.stream.0 as usize].schema.batch_interval_ms;
+            let interval = interval.max(1);
+            (w.lo.div_ceil(interval) * interval, interval)
+        };
+        // One past the cap is enough for `mint_firing` to set the
+        // truncation flag; no point enumerating further.
+        let cap = TraceRecorder::LINEAGE_CAP + 1;
+        let points = |w: &WindowInstance| match grid(w) {
+            (first, _) if first > w.hi => 0,
+            (first, interval) => ((w.hi - first) / interval + 1) as usize,
+        };
+        let total: usize = windows.iter().map(points).sum();
+        let mut out = Vec::with_capacity(total.min(cap));
         for w in windows {
-            let s = w.stream.0;
-            let interval = self
-                .cluster
-                .stream(s as usize)
-                .schema
-                .batch_interval_ms
-                .max(1);
-            let mut ts = w.lo.div_ceil(interval) * interval;
-            while ts <= w.hi {
-                out.push(BatchId::mint(s, ts));
-                // One past the cap is enough for `mint_firing` to set the
-                // truncation flag; no point enumerating further.
-                if out.len() > TraceRecorder::LINEAGE_CAP {
-                    return out;
-                }
-                ts += interval;
-            }
+            let (first, interval) = grid(w);
+            let room = cap - out.len();
+            let grid_points = (first..=w.hi).step_by(interval as usize).take(room);
+            out.extend(grid_points.map(|ts| BatchId::mint(w.stream.0, ts)));
         }
         out
     }
@@ -690,7 +696,7 @@ impl WukongS {
             let pl = self.pipeline.lock();
             let mut st = r.state.lock();
             let cur_sn = pl.coordinator.stable_sn();
-            let mut ready = Vec::new();
+            let mut ready = Vec::with_capacity(st.window.ready_count(&stable));
             while st.window.ready(&stable) {
                 let sn = assigned_sn(&pl.coordinator, &r.stream_map, st.window.next_fire())
                     .unwrap_or(cur_sn);
@@ -729,7 +735,8 @@ impl WukongS {
             for f in &mut ready {
                 let ws = &f.ctx.windows;
                 let windows = ws.iter().map(|w| (w.stream.0, w.lo, w.hi)).collect();
-                f.fid = tracer.mint_firing(&r.class, windows, f.ctx.sn.0, self.lineage_of(ws));
+                let class = Arc::clone(&r.class);
+                f.fid = tracer.mint_firing(class, windows, f.ctx.sn.0, self.lineage_of(ws));
             }
             let run_one =
                 |f: ReadyFiring, delta: Option<(&mut Option<DeltaState>, &[Timestamp])>| {
@@ -809,7 +816,8 @@ impl WukongS {
                 }
                 out.push(Firing {
                     query: id,
-                    name: r.query.name.clone(),
+                    // A named query's class *is* its name.
+                    name: r.query.name.as_ref().map(|_| Arc::clone(&r.class)),
                     window_end,
                     results: run.results,
                     latency_ms: run.latency_ms,

@@ -483,8 +483,8 @@ impl WukongS {
 
     /// The consolidation horizon actually applied to installs: the raw
     /// stable-SN horizon, clamped at every un-fired window's *assigned*
-    /// snapshot. Consolidation merges snapshot intervals into the
-    /// timeless base — visible at **every** snapshot — so merging past a
+    /// snapshot. Consolidation drops a key's snapshot marks, which makes
+    /// those appends visible at **every** snapshot — so merging past a
     /// window's assigned snapshot would inflate its historical read and
     /// its rows would stop being a pure function of the window (the
     /// assigned-snapshot firing contract, DESIGN.md §13). On-cadence

@@ -119,8 +119,8 @@ pub enum OverloadState {
 pub struct Firing {
     /// The registered query that fired.
     pub query: ContinuousId,
-    /// Its `REGISTER QUERY` name, if any.
-    pub name: Option<String>,
+    /// Its `REGISTER QUERY` name, if any (shared with the registration).
+    pub name: Option<Arc<str>>,
     /// End timestamp (inclusive) of the fired windows.
     pub window_end: Timestamp,
     /// The results.

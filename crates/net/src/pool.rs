@@ -139,19 +139,23 @@ impl WorkerPool {
         let region0 = Instant::now();
         let lanes = self.workers.min(n);
         if lanes <= 1 {
-            let mut durations = Vec::with_capacity(n);
+            let mut serial = 0u64;
             IN_POOL_TASK.with(|c| c.set(true));
             let out = items
                 .into_iter()
                 .enumerate()
                 .map(|(i, item)| {
                     let (r, ns) = timed(|| f(i, item));
-                    durations.push(ns);
+                    serial += ns;
                     r
                 })
                 .collect();
             IN_POOL_TASK.with(|c| c.set(false));
-            self.record(&durations, lanes, 0, region0.elapsed().as_nanos() as u64);
+            // On one lane the list schedule is the serial order: no
+            // per-task durations to keep, nothing to allocate.
+            let wall = region0.elapsed().as_nanos() as u64;
+            self.counters
+                .record_region(n as u64, 0, n as u64, serial, serial, wall);
             return out;
         }
 

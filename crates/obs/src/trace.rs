@@ -19,8 +19,9 @@
 //!   when tracing is disabled. Events carry a global sequence number;
 //!   [`TraceRecorder::merged_events`] drains every ring into one causally
 //!   ordered timeline. A firing's lineage ([`TraceRecorder::mint_firing`])
-//!   is three allocations into a FIFO ring of [`TraceRecorder::FIRING_CAP`]
-//!   entries — O(1) however many firings came before.
+//!   is two allocations (its windows and its batch grid; the class name
+//!   is shared) into a FIFO ring of [`TraceRecorder::FIRING_CAP`] entries
+//!   — O(1) however many firings came before.
 //! * **Anomaly dumps.** [`TraceRecorder::anomaly`] marks an anomalous
 //!   event (shed, re-plan, quarantine, checksum failure, deadline miss),
 //!   freezes the recorder, and emits a `trace_dump` [`Json`] containing
@@ -133,8 +134,9 @@ impl FiringId {
 pub struct FiringMeta {
     /// The firing's identity.
     pub id: FiringId,
-    /// Query class (the registered query's name).
-    pub query: String,
+    /// Query class (the registered query's name), shared with the
+    /// registration: a firing clones a reference, not the name.
+    pub query: Arc<str>,
     /// Per-stream window `(stream, lo, hi)` the firing evaluated.
     pub windows: Vec<(u16, u64, u64)>,
     /// The SN-VTS snapshot the firing was assigned.
@@ -567,7 +569,7 @@ impl TraceRecorder {
     /// oldest entry in O(1) once [`Self::FIRING_CAP`] metas are held.
     pub fn mint_firing(
         &self,
-        query: &str,
+        query: impl Into<Arc<str>>,
         windows: Vec<(u16, u64, u64)>,
         snapshot: u64,
         mut batches: Vec<BatchId>,
@@ -584,7 +586,7 @@ impl TraceRecorder {
         }
         metas.push_back(FiringMeta {
             id,
-            query: query.to_string(),
+            query: query.into(),
             windows,
             snapshot,
             batches,
@@ -781,7 +783,7 @@ impl TraceRecorder {
 pub fn firing_meta_json(m: &FiringMeta) -> Json {
     let mut j = Json::object();
     j.set("id", Json::Num(m.id.0 as f64));
-    j.set("query", Json::Str(m.query.clone()));
+    j.set("query", Json::Str(m.query.to_string()));
     j.set("snapshot", Json::Num(m.snapshot as f64));
     j.set(
         "windows",

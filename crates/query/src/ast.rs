@@ -1,5 +1,6 @@
 //! Abstract syntax of the supported C-SPARQL subset.
 
+use std::sync::Arc;
 use wukong_rdf::{Pid, Vid};
 
 /// A variable's index within a query (dense, assigned in first-use order).
@@ -195,6 +196,13 @@ pub struct Query {
     pub var_count: u8,
     /// Variable names by [`VarId`] (for result printing).
     pub var_names: Vec<String>,
+    /// The names of `select`, in `SELECT` order (derived from
+    /// `var_names` by the parser): what every result of this query
+    /// carries as [`ResultSet::var_names`], shared rather than copied per
+    /// execution.
+    ///
+    /// [`ResultSet::var_names`]: crate::ResultSet::var_names
+    pub select_names: Arc<[String]>,
 }
 
 impl Query {

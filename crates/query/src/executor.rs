@@ -14,6 +14,7 @@ use crate::ast::{AggFunc, Aggregate, Filter, Query, Term};
 use crate::bindings::{BindingTable, UNBOUND};
 use crate::exec::{ExecContext, GraphAccess, LiteralResolver};
 use crate::plan::{Plan, Step, StepMode};
+use std::sync::Arc;
 use wukong_net::TaskTimer;
 use wukong_obs::{Stage, StageTrace};
 use wukong_rdf::{Dir, Key, Vid};
@@ -21,8 +22,9 @@ use wukong_rdf::{Dir, Key, Vid};
 /// The outcome of one query execution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultSet {
-    /// Projected variable names, in `SELECT` order.
-    pub var_names: Vec<String>,
+    /// Projected variable names, in `SELECT` order — the query's own
+    /// list ([`Query::select_names`]), shared by all its results.
+    pub var_names: Arc<[String]>,
     /// Projected rows. With `GROUP BY`, one row per group (the group
     /// keys), sorted for determinism.
     pub rows: Vec<Vec<Vid>>,
@@ -77,7 +79,7 @@ impl ResultSet {
     /// instead of hand-rolling the literal.
     pub fn empty(var_names: Vec<String>) -> Self {
         ResultSet {
-            var_names,
+            var_names: var_names.into(),
             rows: Vec::new(),
             aggregates: Vec::new(),
             group_aggregates: Vec::new(),
@@ -497,11 +499,7 @@ pub fn finalize(
         });
     }
 
-    let var_names: Vec<String> = query
-        .select
-        .iter()
-        .map(|&v| query.var_names[v as usize].clone())
-        .collect();
+    let var_names = Arc::clone(&query.select_names);
 
     if !query.group_by.is_empty() {
         // Group rows by the GROUP BY key; aggregates compute per group.

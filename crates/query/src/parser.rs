@@ -648,6 +648,10 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
     }
 
     Ok(Query {
+        select_names: select
+            .iter()
+            .map(|&v| p.var_names[v as usize].clone())
+            .collect(),
         name,
         kind,
         distinct,

@@ -6,40 +6,108 @@
 //! such an edge, so queries can start from a predicate alone.
 //!
 //! The continuous persistent store extends the same structure with
-//! incremental, snapshot-numbered appends: each value is a [`ValueCell`]
-//! holding a base segment (visible to everyone) plus a bounded queue of
-//! per-snapshot intervals (§4.3, "bounded snapshot scalarization").
-//! Values are append-only, which gives every neighbour a *stable logical
-//! offset* within its key — the property the stream index's fat pointers
-//! rely on (§4.2).
+//! incremental, snapshot-numbered appends: each value is a [`ValueCell`],
+//! one contiguous, append-only neighbour list plus the start offsets of
+//! the snapshots still retained for it (§4.3, "bounded snapshot
+//! scalarization"). A reader at snapshot `sn` sees the prefix that ends
+//! at the first retained snapshot above `sn`; the Injector recycles an
+//! expired snapshot by dropping its mark, never by moving data. Values
+//! are append-only, which gives every neighbour a *stable logical offset*
+//! within its key — the property the stream index's fat pointers rely on
+//! (§4.2) — and that offset is simply the neighbour's position in the
+//! list.
 
 use crate::snapshot::SnapshotId;
 use wukong_rdf::{Dir, Key, KeyMap, Pid, Triple, Vid};
 
-/// One key's value: the base segment plus bounded snapshot intervals.
+/// Neighbours a cell's first buffer holds: three words fill the smallest
+/// block the allocator hands out (a 32-byte chunk on 64-bit glibc), where
+/// `Vec`'s own first step of four would take the next size up for the
+/// same one to three neighbours most keys ever have.
+const FIRST_CAPACITY: usize = 3;
+
+/// Where a retained snapshot's appends begin in a cell's values.
+type Mark = (SnapshotId, u32);
+
+/// A cell's retained-snapshot marks, oldest first.
+///
+/// Almost every cell retains at most one snapshot (the one being
+/// inserted), so that many live inline; only a key written under
+/// several live snapshots spills to the heap, and it returns inline as
+/// soon as consolidation leaves it one mark again.
+#[derive(Debug, Default, Clone)]
+enum Marks {
+    #[default]
+    None,
+    One(Mark),
+    /// Two or more. Boxed so the enum stays 16 bytes — the spill is rare,
+    /// the cell sits in every map entry.
+    #[allow(clippy::box_collection)]
+    Spilled(Box<Vec<Mark>>),
+}
+
+impl Marks {
+    fn as_slice(&self) -> &[Mark] {
+        match self {
+            Marks::None => &[],
+            Marks::One(m) => std::slice::from_ref(m),
+            Marks::Spilled(v) => v,
+        }
+    }
+
+    fn push(&mut self, m: Mark) {
+        match self {
+            Marks::None => *self = Marks::One(m),
+            Marks::One(first) => *self = Marks::Spilled(Box::new(vec![*first, m])),
+            Marks::Spilled(v) => v.push(m),
+        }
+    }
+
+    /// Drops every mark with snapshot ≤ `upto` (a prefix: marks are
+    /// snapshot-ordered).
+    fn drop_upto(&mut self, upto: SnapshotId) {
+        let n = self
+            .as_slice()
+            .iter()
+            .take_while(|(s, _)| *s <= upto)
+            .count();
+        let kept = &self.as_slice()[n..];
+        match (n, kept) {
+            (0, _) => {}
+            (_, []) => *self = Marks::None,
+            (_, [last]) => *self = Marks::One(*last),
+            _ => {
+                if let Marks::Spilled(v) = self {
+                    v.drain(..n);
+                }
+            }
+        }
+    }
+}
+
+/// One key's value: its neighbours in append order, plus where each
+/// retained snapshot's appends begin.
+///
+/// Values ahead of the first mark are visible at every snapshot (initial
+/// load and consolidated appends); a mark `(sn, start)` gates
+/// `values[start..]` behind snapshot `sn`.
 #[derive(Debug, Default, Clone)]
 pub struct ValueCell {
-    /// Neighbours visible at every snapshot (initial load + consolidated).
-    base: Vec<Vid>,
-    /// Per-snapshot appended intervals, oldest first.
-    intervals: Vec<(SnapshotId, Vec<Vid>)>,
+    values: Vec<Vid>,
+    marks: Marks,
 }
 
 impl ValueCell {
     /// Total logical length (all snapshots).
     pub fn total_len(&self) -> usize {
-        self.base.len() + self.intervals.iter().map(|(_, v)| v.len()).sum::<usize>()
+        self.values.len()
     }
 
-    /// Logical length visible at snapshot `sn`.
+    /// Logical length visible at snapshot `sn`: up to the first retained
+    /// snapshot above `sn`.
     pub fn len_at(&self, sn: SnapshotId) -> usize {
-        self.base.len()
-            + self
-                .intervals
-                .iter()
-                .take_while(|(s, _)| *s <= sn)
-                .map(|(_, v)| v.len())
-                .sum::<usize>()
+        let hidden = self.marks.as_slice().iter().find(|(s, _)| *s > sn);
+        hidden.map_or(self.values.len(), |&(_, start)| start as usize)
     }
 
     /// Appends one neighbour under snapshot `sn`, returning its logical
@@ -49,106 +117,67 @@ impl ValueCell {
     /// guarantees this because a key partition is owned by one thread and
     /// batches of one stream are inserted in order (§4.1).
     fn append(&mut self, v: Vid, sn: SnapshotId) -> u32 {
-        let off = self.total_len() as u32;
-        match self.intervals.last_mut() {
-            Some((last_sn, seg)) if *last_sn == sn => seg.push(v),
-            Some((last_sn, _)) => {
-                debug_assert!(*last_sn < sn, "appends must be snapshot-ordered");
-                self.intervals.push((sn, vec![v]));
-            }
-            None => self.intervals.push((sn, vec![v])),
+        let off = self.values.len() as u32;
+        // Snapshot-0 data ahead of every mark is visible to everyone
+        // already, so the initial load needs no mark at all.
+        let newest = self
+            .marks
+            .as_slice()
+            .last()
+            .map_or(SnapshotId::BASE, |m| m.0);
+        if newest != sn {
+            debug_assert!(newest < sn, "appends must be snapshot-ordered");
+            self.marks.push((sn, off));
         }
+        if self.values.capacity() == 0 {
+            self.values.reserve_exact(FIRST_CAPACITY);
+        }
+        self.values.push(v);
         off
     }
 
-    /// Merges every interval with snapshot ≤ `upto` into the base segment.
+    /// Makes every append under a snapshot ≤ `upto` visible at every
+    /// snapshot, by dropping those snapshots' marks ("overwrite the
+    /// snapshot number 2 by 4", §4.3). No data moves, so logical offsets
+    /// are unchanged.
     ///
     /// The caller (the coordinator) must guarantee that no in-flight query
-    /// reads at a snapshot older than `upto`; afterwards those intervals'
-    /// data is visible at every snapshot, exactly as if it had been initial
-    /// data. Logical offsets are unchanged because order is preserved.
+    /// reads at a snapshot older than `upto`.
     fn consolidate(&mut self, upto: SnapshotId) {
-        let n = self
-            .intervals
-            .iter()
-            .take_while(|(s, _)| *s <= upto)
-            .count();
-        for (_, seg) in self.intervals.drain(..n) {
-            self.base.extend(seg);
-        }
+        self.marks.drop_upto(upto);
     }
 
-    /// Number of snapshot intervals currently retained.
+    /// Number of snapshots currently retained, i.e. of marks: snapshot-0
+    /// data needs none and counts as none, consolidated data likewise.
     pub fn retained_snapshots(&self) -> usize {
-        self.intervals.len()
+        self.marks.as_slice().len()
     }
 
-    /// The segments visible at snapshot `sn`, in logical order: the base
-    /// segment, then every interval with snapshot ≤ `sn`.
-    pub fn slices_at(&self, sn: SnapshotId) -> impl Iterator<Item = &[Vid]> {
-        std::iter::once(self.base.as_slice()).chain(
-            self.intervals
-                .iter()
-                .take_while(move |(s, _)| *s <= sn)
-                .map(|(_, seg)| seg.as_slice()),
-        )
+    /// The neighbours visible at snapshot `sn`, in logical order.
+    pub fn visible(&self, sn: SnapshotId) -> &[Vid] {
+        &self.values[..self.len_at(sn)]
     }
 
-    /// Loads the first word of the cell's values — the cache line a read
-    /// starts on — and returns it, so a reader about to visit many cells
-    /// can have all those misses in flight at once instead of meeting
-    /// them one visit at a time.
-    pub fn touch(&self) -> u64 {
-        let first = self.base.first();
-        let first = first.or_else(|| self.intervals.first().and_then(|(_, seg)| seg.first()));
-        first.map_or(0, |v| v.0)
-    }
-
-    /// Visits the neighbours visible at snapshot `sn`.
-    pub fn for_each_at(&self, sn: SnapshotId, mut f: impl FnMut(Vid)) {
-        for seg in self.slices_at(sn) {
-            seg.iter().copied().for_each(&mut f);
-        }
-    }
-
-    /// The parts of the logical range `[start, start + len)`, segment by
-    /// segment, in logical order.
+    /// The logical range `[start, start + len)`.
     ///
     /// Ranges come from stream-index fat pointers and always lie within the
     /// already-written part of the cell; out-of-range requests are clipped.
-    pub fn range_slices(&self, start: u32, len: u32) -> impl Iterator<Item = &[Vid]> {
-        let mut skip = start as usize;
-        let mut take = len as usize;
-        std::iter::once(self.base.as_slice())
-            .chain(self.intervals.iter().map(|(_, seg)| seg.as_slice()))
-            .map_while(move |seg| {
-                if take == 0 {
-                    return None;
-                }
-                let from = skip.min(seg.len());
-                skip -= from;
-                let part = &seg[from..(from + take).min(seg.len())];
-                take -= part.len();
-                Some(part)
-            })
+    pub fn range(&self, start: u32, len: u32) -> &[Vid] {
+        let from = (start as usize).min(self.values.len());
+        let to = from.saturating_add(len as usize).min(self.values.len());
+        &self.values[from..to]
     }
 
-    /// Copies the logical range `[start, start + len)` into `out`.
-    pub fn read_range(&self, start: u32, len: u32, out: &mut Vec<Vid>) {
-        for part in self.range_slices(start, len) {
-            out.extend_from_slice(part);
-        }
-    }
-
-    /// Approximate heap bytes held by this cell.
+    /// Heap bytes this cell owns: the value buffer and, when spilled, the
+    /// mark list with its boxed header.
     pub fn heap_bytes(&self) -> usize {
-        let vid = std::mem::size_of::<Vid>();
-        let mut bytes = self.base.capacity() * vid;
-        for (_, seg) in &self.intervals {
-            // Interval payload plus the (SnapshotId, Vec) bookkeeping.
-            bytes += seg.capacity() * vid + std::mem::size_of::<(SnapshotId, Vec<Vid>)>();
-        }
-        bytes
+        let spilled = match &self.marks {
+            Marks::Spilled(v) => {
+                std::mem::size_of::<Vec<Mark>>() + v.capacity() * std::mem::size_of::<Mark>()
+            }
+            _ => 0,
+        };
+        self.values.capacity() * std::mem::size_of::<Vid>() + spilled
     }
 }
 
@@ -201,7 +230,7 @@ impl BaseStore {
     }
 
     /// Like [`BaseStore::append_edge`], additionally consolidating this
-    /// cell's intervals up to `merge_upto` first.
+    /// cell's snapshots up to `merge_upto` first.
     ///
     /// This is the paper's injection-time recycling of expired snapshots
     /// ("The Injector can continue to absorb the streaming data and
@@ -218,8 +247,8 @@ impl BaseStore {
         if let Some(upto) = merge_upto {
             cell.consolidate(upto);
         }
-        let was_empty = cell.total_len() == 0;
-        (cell.append(v, sn), was_empty)
+        let off = cell.append(v, sn);
+        (off, off == 0)
     }
 
     /// Bumps the triple counter (the shard layer counts a triple once even
@@ -284,35 +313,36 @@ impl BaseStore {
     }
 
     /// The value cell of `key`, if the store holds one — the one hash
-    /// probe a read needs; every range or snapshot view is then served
-    /// from the cell.
+    /// probe a read needs; every range or snapshot view is then a slice
+    /// of the cell.
     pub fn cell(&self, key: Key) -> Option<&ValueCell> {
         self.map.get(&key)
     }
 
+    /// The neighbours of `key` visible at snapshot `sn` (empty if absent).
+    pub fn visible(&self, key: Key, sn: SnapshotId) -> &[Vid] {
+        self.map.get(&key).map_or(&[], |c| c.visible(sn))
+    }
+
     /// Visits the neighbours of `key` visible at snapshot `sn`.
     pub fn for_each_neighbor(&self, key: Key, sn: SnapshotId, f: impl FnMut(Vid)) {
-        if let Some(cell) = self.map.get(&key) {
-            cell.for_each_at(sn, f);
-        }
+        self.visible(key, sn).iter().copied().for_each(f);
     }
 
     /// Collects the neighbours of `key` visible at snapshot `sn`.
     pub fn neighbors_at(&self, key: Key, sn: SnapshotId) -> Vec<Vid> {
-        let mut out = Vec::new();
-        self.for_each_neighbor(key, sn, |v| out.push(v));
-        out
+        self.visible(key, sn).to_vec()
     }
 
     /// Length of `key`'s neighbour list at snapshot `sn` (0 if absent).
     pub fn len_at(&self, key: Key, sn: SnapshotId) -> usize {
-        self.map.get(&key).map(|c| c.len_at(sn)).unwrap_or(0)
+        self.visible(key, sn).len()
     }
 
     /// Reads the logical range of `key` designated by a fat pointer.
     pub fn read_range(&self, key: Key, start: u32, len: u32, out: &mut Vec<Vid>) {
         if let Some(cell) = self.map.get(&key) {
-            cell.read_range(start, len, out);
+            out.extend_from_slice(cell.range(start, len));
         }
     }
 
@@ -320,28 +350,26 @@ impl BaseStore {
     ///
     /// Scans the smaller of the two adjacency lists.
     pub fn exists_at(&self, s: Vid, p: Pid, o: Vid, sn: SnapshotId) -> bool {
-        let out_key = Key::new(s, p, Dir::Out);
-        let in_key = Key::new(o, p, Dir::In);
-        let (key, needle) = if self.len_at(out_key, sn) <= self.len_at(in_key, sn) {
-            (out_key, o)
+        let outs = self.visible(Key::new(s, p, Dir::Out), sn);
+        let ins = self.visible(Key::new(o, p, Dir::In), sn);
+        if outs.len() <= ins.len() {
+            outs.contains(&o)
         } else {
-            (in_key, s)
-        };
-        let mut found = false;
-        self.for_each_neighbor(key, sn, |v| found |= v == needle);
-        found
+            ins.contains(&s)
+        }
     }
 
-    /// Consolidates every cell's intervals with snapshot ≤ `upto` into its
-    /// base segment. The caller must guarantee that no in-flight query
-    /// reads at a snapshot older than `upto` (see the cell-level method).
+    /// Drops every cell's snapshot marks ≤ `upto`, making those appends
+    /// visible at every snapshot. The caller must guarantee that no
+    /// in-flight query reads at a snapshot older than `upto` (see the
+    /// cell-level method).
     pub fn consolidate(&mut self, upto: SnapshotId) {
         for cell in self.map.values_mut() {
             cell.consolidate(upto);
         }
     }
 
-    /// Largest number of snapshot intervals retained by any cell.
+    /// Largest number of snapshots retained by any cell.
     pub fn max_retained_snapshots(&self) -> usize {
         self.map
             .values()
@@ -350,7 +378,8 @@ impl BaseStore {
             .unwrap_or(0)
     }
 
-    /// Approximate heap bytes of the whole store.
+    /// Heap bytes of the whole store: what every cell owns plus its map
+    /// entry (the map's unoccupied buckets are not counted).
     pub fn heap_bytes(&self) -> usize {
         let entry = std::mem::size_of::<(Key, ValueCell)>();
         self.map
@@ -363,6 +392,7 @@ impl BaseStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(s: u64, p: u64, o: u64) -> Triple {
         Triple::new(Vid(s), Pid(p), Vid(o))
@@ -491,92 +521,175 @@ mod tests {
         assert!(st.exists_at(Vid(1), Pid(2), Vid(3), SnapshotId(5)));
     }
 
-    /// The pre-rewrite `read_range`: collects the segments into a `Vec`
-    /// first. Kept as the oracle the slice walk is compared against.
-    fn read_range_oracle(cell: &ValueCell, start: u32, len: u32, out: &mut Vec<Vid>) {
-        let mut remaining_skip = start as usize;
-        let mut remaining_take = len as usize;
-        let mut segs: Vec<&[Vid]> = Vec::with_capacity(1 + cell.intervals.len());
-        segs.push(&cell.base);
-        for (_, seg) in &cell.intervals {
-            segs.push(seg);
+    /// The layout `ValueCell` had before it became one contiguous value:
+    /// a base segment plus one heap segment per retained snapshot, merged
+    /// into the base by copying. Kept as the oracle the contiguous cell is
+    /// compared against.
+    #[derive(Default)]
+    struct SegmentedCell {
+        base: Vec<Vid>,
+        intervals: Vec<(SnapshotId, Vec<Vid>)>,
+    }
+
+    impl SegmentedCell {
+        fn segments(&self) -> impl Iterator<Item = &[Vid]> {
+            let intervals = self.intervals.iter().map(|(_, seg)| seg.as_slice());
+            std::iter::once(self.base.as_slice()).chain(intervals)
         }
-        for seg in segs {
-            if remaining_take == 0 {
-                break;
+
+        fn total_len(&self) -> usize {
+            self.segments().map(<[Vid]>::len).sum()
+        }
+
+        fn append(&mut self, v: Vid, sn: SnapshotId) -> u32 {
+            let off = self.total_len() as u32;
+            match self.intervals.last_mut() {
+                Some((last_sn, seg)) if *last_sn == sn => seg.push(v),
+                _ => self.intervals.push((sn, vec![v])),
             }
-            if remaining_skip >= seg.len() {
-                remaining_skip -= seg.len();
-                continue;
+            off
+        }
+
+        fn consolidate(&mut self, upto: SnapshotId) {
+            let n = self
+                .intervals
+                .iter()
+                .take_while(|(s, _)| *s <= upto)
+                .count();
+            for (_, seg) in self.intervals.drain(..n) {
+                self.base.extend(seg);
             }
-            let avail = &seg[remaining_skip..];
-            let take = avail.len().min(remaining_take);
-            out.extend_from_slice(&avail[..take]);
-            remaining_take -= take;
-            remaining_skip = 0;
+        }
+
+        fn visible(&self, sn: SnapshotId) -> Vec<Vid> {
+            let mut out = self.base.clone();
+            for (_, seg) in self.intervals.iter().take_while(|(s, _)| *s <= sn) {
+                out.extend_from_slice(seg);
+            }
+            out
+        }
+
+        fn range(&self, start: u32, len: u32) -> Vec<Vid> {
+            let (mut skip, mut take) = (start as usize, len as usize);
+            let mut out = Vec::new();
+            for seg in self.segments() {
+                let from = skip.min(seg.len());
+                skip -= from;
+                let part = &seg[from..(from + take).min(seg.len())];
+                take -= part.len();
+                out.extend_from_slice(part);
+            }
+            out
+        }
+
+        /// Intervals the contiguous cell keeps a mark for: all but a
+        /// snapshot-0 one, whose data it stores unmarked.
+        fn marked_snapshots(&self) -> usize {
+            let marked = |(s, _): &&(SnapshotId, Vec<Vid>)| *s != SnapshotId::BASE;
+            self.intervals.iter().filter(marked).count()
         }
     }
 
-    /// The pre-rewrite `for_each_at`: one closure call per element.
-    fn for_each_at_oracle(cell: &ValueCell, sn: SnapshotId, mut f: impl FnMut(Vid)) {
-        for &v in &cell.base {
-            f(v);
+    /// Every read of `cell` against the oracle: lengths and views at
+    /// snapshots `0..=top`, ranges at every `(start, len)` — across every
+    /// snapshot boundary and past the end.
+    fn assert_reads_match(cell: &ValueCell, oracle: &SegmentedCell, top: u64) {
+        assert_eq!(cell.total_len(), oracle.total_len());
+        assert_eq!(cell.retained_snapshots(), oracle.marked_snapshots());
+        for sn in (0..=top).map(SnapshotId) {
+            let want = oracle.visible(sn);
+            assert_eq!(cell.visible(sn), want, "visible at {sn:?}");
+            assert_eq!(cell.len_at(sn), want.len(), "len at {sn:?}");
         }
-        for (s, seg) in &cell.intervals {
-            if *s > sn {
-                break;
-            }
-            for &v in seg {
-                f(v);
+        let total = cell.total_len() as u32;
+        for start in 0..=total + 1 {
+            for len in 0..=total + 2 {
+                let want = oracle.range(start, len);
+                assert_eq!(cell.range(start, len), want, "range ({start}, {len})");
             }
         }
     }
 
     #[test]
     fn slice_walks_match_the_old_segment_vector() {
-        // A cell with a base segment and intervals of uneven length
-        // (including an empty base before the first consolidation), probed
-        // at every (start, len) — across every segment boundary, past the
-        // end — and at every snapshot, before and after consolidation.
+        // A cell with initial data and snapshots of uneven length
+        // (including no initial data at all), probed at every (start, len)
+        // and at every snapshot, before and after consolidation.
         let mut next = 100u64;
         for base_len in [0usize, 1, 3] {
-            let mut cell = ValueCell::default();
-            for _ in 0..base_len {
-                cell.append(Vid(next), SnapshotId::BASE);
+            let (mut cell, mut oracle) = (ValueCell::default(), SegmentedCell::default());
+            let mut append = |cell: &mut ValueCell, oracle: &mut SegmentedCell, sn| {
+                assert_eq!(cell.append(Vid(next), sn), oracle.append(Vid(next), sn));
                 next += 1;
+            };
+            for _ in 0..base_len {
+                append(&mut cell, &mut oracle, SnapshotId::BASE);
             }
-            cell.consolidate(SnapshotId::BASE);
+            assert_reads_match(&cell, &oracle, 1);
             for (sn, n) in [(1u64, 2usize), (2, 1), (4, 4), (5, 1)] {
                 for _ in 0..n {
-                    cell.append(Vid(next), SnapshotId(sn));
-                    next += 1;
+                    append(&mut cell, &mut oracle, SnapshotId(sn));
                 }
             }
-            for consolidate_upto in [None, Some(1u64), Some(3), Some(5)] {
+            for consolidate_upto in [None, Some(0u64), Some(1), Some(3), Some(5)] {
                 if let Some(upto) = consolidate_upto {
                     cell.consolidate(SnapshotId(upto));
+                    oracle.consolidate(SnapshotId(upto));
                 }
-                let total = cell.total_len() as u32;
-                for start in 0..=total + 1 {
-                    for len in 0..=total + 2 {
-                        let (mut got, mut want) = (Vec::new(), Vec::new());
-                        cell.read_range(start, len, &mut got);
-                        read_range_oracle(&cell, start, len, &mut want);
-                        assert_eq!(got, want, "range ({start}, {len})");
-                    }
-                }
-                for sn in 0..=6u64 {
-                    let (mut got, mut want) = (Vec::new(), Vec::new());
-                    cell.for_each_at(SnapshotId(sn), |v| got.push(v));
-                    for_each_at_oracle(&cell, SnapshotId(sn), |v| want.push(v));
-                    assert_eq!(got, want, "snapshot {sn}");
-                    assert_eq!(got.len(), cell.len_at(SnapshotId(sn)));
-                    let joined: Vec<Vid> =
-                        cell.slices_at(SnapshotId(sn)).flatten().copied().collect();
-                    assert_eq!(joined, want, "slices at snapshot {sn}");
-                }
+                assert_reads_match(&cell, &oracle, 6);
             }
         }
+    }
+
+    /// One step of a cell's life.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Append under the snapshot this many above the newest one used.
+        Append(u64),
+        /// Consolidate up to this many below the newest snapshot used.
+        Consolidate(u64),
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0..3u64).prop_map(Op::Append),
+            (0..3u64).prop_map(Op::Append),
+            (0..4u64).prop_map(Op::Consolidate),
+        ]
+    }
+
+    proptest! {
+        /// Any interleaving of appends at non-decreasing snapshots and
+        /// consolidations reads exactly like the segmented layout, at every
+        /// step.
+        #[test]
+        fn contiguous_cell_reads_like_the_segmented_one(
+            ops in proptest::collection::vec(arb_op(), 1..24),
+        ) {
+            let (mut cell, mut oracle) = (ValueCell::default(), SegmentedCell::default());
+            let mut newest = 0u64;
+            for (i, op) in ops.into_iter().enumerate() {
+                match op {
+                    Op::Append(ahead) => {
+                        newest += ahead;
+                        let (v, sn) = (Vid(1_000 + i as u64), SnapshotId(newest));
+                        prop_assert_eq!(cell.append(v, sn), oracle.append(v, sn));
+                    }
+                    Op::Consolidate(behind) => {
+                        let upto = SnapshotId(newest.saturating_sub(behind));
+                        cell.consolidate(upto);
+                        oracle.consolidate(upto);
+                    }
+                }
+                assert_reads_match(&cell, &oracle, newest + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn cell_stays_within_six_words() {
+        // The cell sits in every map entry; `state_mb` counts it per key.
+        assert!(std::mem::size_of::<ValueCell>() <= 48);
     }
 
     #[test]

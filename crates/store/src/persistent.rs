@@ -94,7 +94,7 @@ impl PersistentShard {
     }
 
     /// Like [`PersistentShard::inject_triple`], consolidating each touched
-    /// cell's intervals up to `merge_upto` along the way (injection-time
+    /// cell's snapshots up to `merge_upto` along the way (injection-time
     /// snapshot recycling, §4.3).
     pub fn inject_triple_merging(
         &self,
@@ -216,7 +216,7 @@ impl PersistentShard {
 
     /// Runs `f` on `key`'s value cell under its partition's read lock:
     /// one lock and one hash probe, however many snapshot views or
-    /// fat-pointer ranges `f` then reads from the cell.
+    /// fat-pointer ranges `f` then slices out of the cell.
     pub fn with_cell<R>(&self, key: Key, f: impl FnOnce(Option<&ValueCell>) -> R) -> R {
         f(self.parts[self.partition_of(key)].read().cell(key))
     }
@@ -269,19 +269,19 @@ impl PersistentShard {
         } else {
             (in_key, s)
         };
-        let mut found = false;
-        self.for_each_neighbor(key, sn, |v| found |= v == needle);
-        found
+        self.with_cell(key, |cell| {
+            cell.is_some_and(|c| c.visible(sn).contains(&needle))
+        })
     }
 
-    /// Consolidates snapshot intervals ≤ `upto` in every partition.
+    /// Consolidates snapshots ≤ `upto` in every partition.
     pub fn consolidate(&self, upto: SnapshotId) {
         for p in &self.parts {
             p.write().consolidate(upto);
         }
     }
 
-    /// Largest number of retained snapshot intervals across partitions.
+    /// Largest number of snapshots any cell retains, across partitions.
     pub fn max_retained_snapshots(&self) -> usize {
         self.parts
             .iter()

@@ -3,11 +3,13 @@
 //! Bounded snapshot scalarization projects the cluster's vector timestamps
 //! onto a single scalar [`SnapshotId`]; one-shot queries read the store at
 //! a *stable* snapshot number instead of carrying a whole vector timestamp.
-//! The store side of the mechanism lives here and in
-//! [`crate::persistent`]: each key retains at most a bounded number of
-//! snapshot intervals (typically two — "one is for using and another is
-//! for inserting"), and older intervals are consolidated into the base
-//! value.
+//! The store side of the mechanism lives here and in [`crate::base`]:
+//! a key's value is one append-only list, and each snapshot still
+//! retained for it is a *mark* — the snapshot number and the offset its
+//! appends start at. A key retains a bounded number of marks (typically
+//! two — "one is for using and another is for inserting"); the Injector
+//! recycles an older snapshot by dropping its mark, which makes those
+//! appends visible to every reader without moving them.
 
 /// A scalar snapshot number.
 ///
@@ -26,7 +28,7 @@ impl SnapshotId {
     }
 }
 
-/// How many snapshot intervals each key may retain before consolidation.
+/// How many snapshots each key may retain before consolidation.
 ///
 /// The paper's coordinator publishes one new mapping after the current one
 /// has been reached on all nodes, so two retained snapshots suffice; the

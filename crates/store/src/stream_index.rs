@@ -219,9 +219,7 @@ impl StreamIndex {
         }
         if let Some(cell) = store.cell(key) {
             for (ts, fp) in pointers {
-                for part in cell.range_slices(fp.start, fp.len) {
-                    visit(ts, part);
-                }
+                visit(ts, cell.range(fp.start, fp.len));
             }
         }
     }

@@ -19,7 +19,7 @@ use wukong_store::SnapshotId;
 pub struct CoordinatorEvent {
     /// The stable snapshot advanced to this value.
     pub new_stable_sn: Option<SnapshotId>,
-    /// Shards may consolidate intervals up to this snapshot (inclusive);
+    /// Shards may consolidate snapshots up to this one (inclusive);
     /// no new query will read below it.
     pub consolidate_upto: Option<SnapshotId>,
 }

@@ -187,8 +187,8 @@ impl Injector {
         self.apply_merging(shard, store, sub, ts, sn, None)
     }
 
-    /// Like [`Injector::apply`], consolidating touched cells' snapshot
-    /// intervals up to `merge_upto` while appending (§4.3's injection-time
+    /// Like [`Injector::apply`], consolidating touched cells' snapshots
+    /// up to `merge_upto` while appending (§4.3's injection-time
     /// snapshot recycling).
     pub fn apply_merging(
         &self,

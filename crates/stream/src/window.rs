@@ -68,6 +68,15 @@ impl WindowState {
             .all(|w| stable.get(w.stream) >= self.next_fire)
     }
 
+    /// How many executions, from the next one on, `stable` covers.
+    pub fn ready_count(&self, stable: &Vts) -> usize {
+        let covered = self.windows.iter().map(|w| stable.get(w.stream)).min();
+        match covered.expect("a continuous query has a window") {
+            t if t < self.next_fire => 0,
+            t => ((t - self.next_fire) / self.step_ms.max(1) + 1) as usize,
+        }
+    }
+
     /// Fires the next execution: returns per-stream `(stream, lo, hi)`
     /// window instances (inclusive bounds) and advances the cursor.
     pub fn fire(&mut self) -> Vec<(usize, Timestamp, Timestamp)> {
@@ -125,7 +134,12 @@ mod tests {
         // Fig. 10: needs batch #5 of S0; stable [4,12] is not enough.
         assert_eq!(w.next_fire(), 5);
         assert!(!w.ready(&vts(&[4, 12])));
+        assert_eq!(w.ready_count(&vts(&[4, 12])), 0);
         assert!(w.ready(&vts(&[5, 12])));
+        // The count is how often `ready` would hold across `fire`s: the
+        // slower stream covers executions 5, 6 and 7.
+        assert_eq!(w.ready_count(&vts(&[5, 12])), 1);
+        assert_eq!(w.ready_count(&vts(&[12, 7])), 3);
         let inst = w.fire();
         // Window bounds are inclusive: hi=5, lo=hi-range+1 (clamped to
         // stream start, where the earliest batch timestamp is positive).

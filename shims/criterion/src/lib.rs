@@ -6,7 +6,8 @@
 //! `BenchmarkId`, `Bencher::iter`, and the `criterion_group!` /
 //! `criterion_main!` macros. Timing is a simple calibrated loop (no
 //! statistics, no plots): each benchmark is warmed up briefly, then the
-//! mean ns/iter over a fixed measurement window is printed.
+//! mean ns/iter over a fixed measurement window is printed. As with the
+//! real crate, a positional argument selects benchmarks by substring.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -50,7 +51,18 @@ impl Bencher {
     }
 }
 
+/// The substring filter criterion takes as its first positional
+/// argument (`cargo bench --bench micro -- value_cell`): benchmarks whose
+/// name does not contain it are skipped.
+fn selected(name: &str) -> bool {
+    let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
+    filter.is_none_or(|f| name.contains(&f))
+}
+
 fn run_one<F: FnMut(&mut Bencher)>(name: &str, mut f: F) {
+    if !selected(name) {
+        return;
+    }
     let mut b = Bencher {
         iters: 0,
         elapsed: Duration::ZERO,

@@ -98,8 +98,12 @@ fn a_firing_allocates_the_same_whatever_came_before() {
         early, late,
         "firing {LATE} allocates differently from firing {EARLY}"
     );
+    // Eight fewer since: the lineage is sized from the window grid (3 → 1),
+    // a one-lane pool region keeps no per-task lists (2 → 0), and the
+    // recorder, the `Firing` and the `ResultSet` share the query's class
+    // name and projected variable names instead of copying them (4 → 0).
     assert!(
-        late <= BEFORE_THE_RING,
+        late + 8 <= BEFORE_THE_RING,
         "{late} allocations per firing, {BEFORE_THE_RING} before the lineage ring"
     );
 }

@@ -3,8 +3,8 @@
 //!
 //! One `advance_time` seals a round's batches and installs them. What it
 //! allocates may scale with the *distinct keys* the round touches (new
-//! cells, per-snapshot intervals, transient adjacency lists) but not
-//! with the number of tuples: raw-bytes accounting, dispatch and the
+//! cells and their value buffers' growth, transient adjacency lists) but
+//! not with the number of tuples: raw-bytes accounting, dispatch and the
 //! checksum checks allocate nothing per tuple. A `to_owned()` put back on
 //! that path fails here before a benchmark run finds it.
 //!
@@ -115,11 +115,14 @@ fn advance_time_allocates_per_key_not_per_tuple() {
         tuples > 2 * keys / 3,
         "the workload must repeat keys, or per-key and per-tuple costs look alike"
     );
-    // A touched key costs a cell or a new snapshot interval, its first
-    // segment, and some growth; everything else is per batch. One more
-    // allocation per tuple (668 here) does not fit under this.
+    // A touched key costs at most its value buffer's first block or a
+    // doubling of it — a new snapshot on an existing key is a mark written
+    // in place, an append a push (1 435 allocations while every (key,
+    // snapshot) pair owned a segment, about 1 000 now); everything else is
+    // per batch. One more allocation per tuple (668 here) does not fit
+    // under this.
     assert!(
-        allocs <= 2 * keys + 200,
+        allocs <= 3 * keys / 2 + 200,
         "{allocs} allocations for {keys} keys: something allocates per tuple again"
     );
     assert!(

@@ -314,6 +314,8 @@ fn snapshot_bound_holds_under_continuous_injection() {
         engine.advance_time(3_000);
         // Injection-time consolidation keeps the per-key snapshot count
         // bounded ("one for using and another is for inserting" + in-flight).
+        // The count is of retained marks: initial (snapshot-0) data and
+        // consolidated appends sit ahead of every mark and count as none.
         for n in 0..2u16 {
             assert!(
                 engine.cluster().shard(n).max_retained_snapshots() <= 3,

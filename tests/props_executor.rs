@@ -127,6 +127,7 @@ proptest! {
             filters: Vec::new(),
             var_count: 4,
             var_names: (0..4).map(|i| format!("v{i}")).collect(),
+            select_names: vars.iter().map(|v| format!("v{v}")).collect(),
         };
 
         let access = LocalAccess(&store);
@@ -180,6 +181,7 @@ proptest! {
             filters: Vec::new(),
             var_count: 4,
             var_names: (0..4).map(|i| format!("v{i}")).collect(),
+            select_names: vars.iter().map(|v| format!("v{v}")).collect(),
         };
         let access = LocalAccess(&store);
         let ctx = ExecContext::stored(SnapshotId::BASE);
