@@ -1,28 +1,41 @@
 #![warn(missing_docs)]
-//! Shared harness for the evaluation reproduction (§6).
+//! The evaluation reproduction (§6): every table, figure and drill is one
+//! row of [`experiments::ALL`], run by the `wukong-bench` binary
+//! (`wukong-bench <name> [--quick] [--json <path>] [--dump <path>]`,
+//! `wukong-bench --list`, `wukong-bench trace <dump.json>`) and, at tiny
+//! scale, by the tier-1 smoke test `tests/experiments_smoke.rs`.
 //!
-//! Every table and figure of the paper has a binary under `src/bin/`
-//! (see `DESIGN.md`'s experiment index). This library holds what they
-//! share: workload construction, engine feeding, latency sampling, and
-//! table/series printing.
+//! An experiment is a plain function over a [`Run`] — scale, seed,
+//! `--quick`, the JSON report and the text sink, built once in `main.rs`,
+//! the only place that reads the process environment — returning a
+//! [`Verdict`] of the gates it checked. What experiments share is plain
+//! functions too: [`workload`] builds LSBench / CityBench and boots the
+//! systems compared on them, [`grid`] is the arms × query-classes latency
+//! table (and the Fig. 14/15 throughput mix), [`replay`] the tick loop,
+//! firing digest and best-of-N repetition of the gate experiments,
+//! [`modes`] the execution-mode sweep, [`report`] the `--json` document.
 //!
 //! # Scale
 //!
-//! The environment variable `WUKONG_SCALE` picks the workload size:
-//! `tiny` (CI-sized), `small` (default; seconds per experiment) or
-//! `paper` (larger, minutes per experiment). Absolute numbers differ from
-//! the paper (simulated fabric, scaled data, one host core) — the *shape*
-//! of each comparison is the reproduction target; `EXPERIMENTS.md`
-//! records both.
+//! `WUKONG_SCALE` picks the workload size: `tiny` (CI-sized), `small`
+//! (default; seconds per experiment) or `paper` (larger, minutes per
+//! experiment); `WUKONG_SEED` (default 42) seeds the generators. Absolute
+//! numbers differ from the paper (simulated fabric, scaled data, one host
+//! core) — the *shape* of each comparison is the reproduction target;
+//! `EXPERIMENTS.md` records both.
 
+pub mod experiments;
+pub mod grid;
 pub mod modes;
+pub mod replay;
 pub mod report;
+pub mod run;
+pub mod trace_view;
 pub mod workload;
 
 pub use modes::{assert_budget_engaged, assert_mode_engaged, modes, recompute_modes};
-pub use report::{fmt_ms, print_header, print_row, BenchJson, JSON_SCHEMA_VERSION};
+pub use report::{fmt_ms, BenchJson, JSON_SCHEMA_VERSION};
+pub use run::{Run, Verdict};
 pub use workload::{
-    city_workload, city_workload_seeded, feed_composite, feed_engine, feed_spark, feed_wukong_ext,
-    ls_workload, ls_workload_seeded, measure_mix, mix_throughput, sample_composite,
-    sample_continuous, seed_from_env, CityWorkload, LsWorkload, Scale,
+    city_workload_seeded, ls_workload_seeded, CityWorkload, LsWorkload, Scale, Workload,
 };

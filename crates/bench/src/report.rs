@@ -1,5 +1,5 @@
-//! Table formatting helpers for the experiment binaries, plus the
-//! machine-readable `--json <path>` report every binary supports.
+//! The machine-readable `--json <path>` report every experiment
+//! supports, and the paper's number formatting.
 
 use std::path::PathBuf;
 
@@ -33,9 +33,9 @@ use wukong_obs::{HistogramSnapshot, Json, RegistrySnapshot};
 pub const JSON_SCHEMA_VERSION: u64 = 8;
 
 /// Collects an experiment's machine-readable results and writes them as
-/// one schema-stable JSON document when the binary was invoked with
+/// one schema-stable JSON document when `wukong-bench` was invoked with
 /// `--json <path>`. When the flag is absent every method is a cheap
-/// no-op, so binaries record unconditionally.
+/// no-op, so experiments record unconditionally.
 ///
 /// Document layout (`schema_version` 8):
 ///
@@ -101,14 +101,9 @@ fn histogram_json(h: &HistogramSnapshot) -> Json {
     let mut o = Json::object();
     o.set("count", Json::from(h.count));
     o.set("sum_ns", Json::from(h.sum));
-    o.set(
-        "p50_ns",
-        h.percentile(0.50).map(Json::from).unwrap_or(Json::Null),
-    );
-    o.set(
-        "p99_ns",
-        h.percentile(0.99).map(Json::from).unwrap_or(Json::Null),
-    );
+    for (key, p) in [("p50_ns", 0.50), ("p99_ns", 0.99)] {
+        o.set(key, h.percentile(p).map(Json::from).unwrap_or(Json::Null));
+    }
     o
 }
 
@@ -137,29 +132,14 @@ fn stages_json(reg: &RegistrySnapshot) -> Json {
 }
 
 impl BenchJson {
-    /// Builds a sink for `experiment`, reading `--json <path>` from the
-    /// process arguments. Without the flag the sink is inactive.
-    pub fn from_env(experiment: &str) -> Self {
-        let mut args = std::env::args();
-        let mut path = None;
-        while let Some(a) = args.next() {
-            if a == "--json" {
-                path = args.next().map(PathBuf::from);
-                if path.is_none() {
-                    eprintln!("--json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        Self::build(experiment, path)
-    }
-
     /// Builds an always-active sink writing to `path` (tests).
     pub fn to_path(experiment: &str, path: impl Into<PathBuf>) -> Self {
-        Self::build(experiment, Some(path.into()))
+        Self::new(experiment, Some(path.into()))
     }
 
-    fn build(experiment: &str, path: Option<PathBuf>) -> Self {
+    /// Builds the sink for `experiment`: active when `path` (the `--json`
+    /// argument) is given, a no-op otherwise.
+    pub fn new(experiment: &str, path: Option<PathBuf>) -> Self {
         let mut doc = Json::object();
         doc.set("schema_version", Json::from(JSON_SCHEMA_VERSION));
         doc.set("experiment", Json::from(experiment));
@@ -190,7 +170,7 @@ impl BenchJson {
 
     fn member(&mut self, key: &str) -> &mut Json {
         match &mut self.doc {
-            Json::Obj(map) => map.get_mut(key).expect("member created in build()"),
+            Json::Obj(map) => map.get_mut(key).expect("member created in new()"),
             _ => unreachable!("doc is an object"),
         }
     }
@@ -286,23 +266,16 @@ impl BenchJson {
         ] {
             self.counter(name, v);
         }
-        self.section("faults", engine.handle().fault_counters().entries());
-        self.section("pool", engine.handle().obs().pool().snapshot().entries());
-        self.section(
-            "incremental",
-            engine.handle().obs().incremental().snapshot().entries(),
-        );
-        self.section(
-            "overload",
-            engine.handle().obs().overload().snapshot().entries(),
-        );
-        self.section("plan", engine.handle().obs().plan().snapshot().entries());
-        self.section(
-            "integrity",
-            engine.handle().obs().integrity().snapshot().entries(),
-        );
-        self.section("trace", engine.handle().trace_snapshot().entries());
-        *self.member("stages") = stages_json(&engine.handle().obs_snapshot());
+        let handle = engine.handle();
+        let obs = handle.obs();
+        self.section("faults", handle.fault_counters().entries());
+        self.section("pool", obs.pool().snapshot().entries());
+        self.section("incremental", obs.incremental().snapshot().entries());
+        self.section("overload", obs.overload().snapshot().entries());
+        self.section("plan", obs.plan().snapshot().entries());
+        self.section("integrity", obs.integrity().snapshot().entries());
+        self.section("trace", handle.trace_snapshot().entries());
+        *self.member("stages") = stages_json(&handle.obs_snapshot());
     }
 
     /// The document built so far (tests).
@@ -319,7 +292,6 @@ impl BenchJson {
         }
         std::fs::write(&path, self.doc.to_string_pretty())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-        println!("wrote JSON report to {}", path.display());
         Some(path)
     }
 }
@@ -334,7 +306,7 @@ mod bench_json_tests {
 
     #[test]
     fn inactive_sink_is_a_noop() {
-        let mut j = BenchJson::build("t", None);
+        let mut j = BenchJson::new("t", None);
         let mut rec = LatencyRecorder::new();
         rec.record(1.0);
         j.series("a", &rec);
@@ -375,9 +347,28 @@ mod bench_json_tests {
         }
     }
 
+    /// Writes `entries` as section `name` and checks every entry reads
+    /// back under its own name.
+    fn section_round_trips<const N: usize>(
+        name: &str,
+        entries: [(&'static str, u64); N],
+    ) -> BenchJson {
+        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
+        j.section(name, entries);
+        let section = j.document().get(name).expect("section").clone();
+        assert_eq!(section.as_obj().map(|o| o.len()), Some(N));
+        for (key, value) in entries {
+            assert_eq!(
+                section.get(key).and_then(Json::as_u64),
+                Some(value),
+                "{name}.{key}"
+            );
+        }
+        j
+    }
+
     #[test]
     fn plan_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = PlanSnapshot {
             cache_hits: 12,
             cache_misses: 3,
@@ -389,17 +380,7 @@ mod bench_json_tests {
             mode_forkjoin: 5,
             edges_traversed: 7_000,
         };
-        j.section("plan", snap.entries());
-        let p = j.document().get("plan").unwrap();
-        assert_eq!(p.get("cache_hits").and_then(Json::as_u64), Some(12));
-        assert_eq!(p.get("cache_misses").and_then(Json::as_u64), Some(3));
-        assert_eq!(p.get("feedback_firings").and_then(Json::as_u64), Some(40));
-        assert_eq!(p.get("drifted_firings").and_then(Json::as_u64), Some(9));
-        assert_eq!(p.get("replans").and_then(Json::as_u64), Some(2));
-        assert_eq!(p.get("delta_rebuilds").and_then(Json::as_u64), Some(1));
-        assert_eq!(p.get("mode_inplace").and_then(Json::as_u64), Some(35));
-        assert_eq!(p.get("mode_forkjoin").and_then(Json::as_u64), Some(5));
-        assert_eq!(p.get("edges_traversed").and_then(Json::as_u64), Some(7_000));
+        let j = section_round_trips("plan", snap.entries());
         // The serialized document parses back byte-identically.
         let text = j.document().to_string_pretty();
         let parsed = wukong_obs::json::parse(&text).expect("round-trips");
@@ -408,7 +389,6 @@ mod bench_json_tests {
 
     #[test]
     fn overload_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = OverloadSnapshot {
             sheds_drop_oldest: 4,
             tuples_shed: 320,
@@ -419,24 +399,11 @@ mod bench_json_tests {
             degraded_firings: 9,
             ..Default::default()
         };
-        j.section("overload", snap.entries());
-        let o = j.document().get("overload").unwrap();
-        assert_eq!(o.get("sheds_drop_oldest").and_then(Json::as_u64), Some(4));
-        assert_eq!(o.get("tuples_shed").and_then(Json::as_u64), Some(320));
-        assert_eq!(o.get("admission_rejected").and_then(Json::as_u64), Some(2));
-        assert_eq!(o.get("state_transitions").and_then(Json::as_u64), Some(3));
-        assert_eq!(o.get("catchup_replays").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            o.get("catchup_replayed_tuples").and_then(Json::as_u64),
-            Some(320)
-        );
-        assert_eq!(o.get("degraded_firings").and_then(Json::as_u64), Some(9));
-        assert_eq!(o.get("sheds_sampled").and_then(Json::as_u64), Some(0));
+        section_round_trips("overload", snap.entries());
     }
 
     #[test]
     fn incremental_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = IncrementalSnapshot {
             incremental_firings: 30,
             rebuild_firings: 1,
@@ -445,22 +412,11 @@ mod bench_json_tests {
             rows_recomputed: 120,
             rows_retracted: 110,
         };
-        j.section("incremental", snap.entries());
-        let i = j.document().get("incremental").unwrap();
-        assert_eq!(
-            i.get("incremental_firings").and_then(Json::as_u64),
-            Some(30)
-        );
-        assert_eq!(i.get("rebuild_firings").and_then(Json::as_u64), Some(1));
-        assert_eq!(i.get("fallback_firings").and_then(Json::as_u64), Some(2));
-        assert_eq!(i.get("rows_reused").and_then(Json::as_u64), Some(900));
-        assert_eq!(i.get("rows_recomputed").and_then(Json::as_u64), Some(120));
-        assert_eq!(i.get("rows_retracted").and_then(Json::as_u64), Some(110));
+        section_round_trips("incremental", snap.entries());
     }
 
     #[test]
     fn pool_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = PoolSnapshot {
             tasks: 40,
             regions: 5,
@@ -470,26 +426,17 @@ mod bench_json_tests {
             modeled_busy_ns: 300,
             region_wall_ns: 1_200,
         };
-        j.section("pool", snap.entries());
-        let p = j.document().get("pool").unwrap();
-        assert_eq!(p.get("tasks").and_then(Json::as_u64), Some(40));
-        assert_eq!(p.get("regions").and_then(Json::as_u64), Some(5));
-        assert_eq!(p.get("steals").and_then(Json::as_u64), Some(3));
-        assert_eq!(p.get("max_queue_depth").and_then(Json::as_u64), Some(16));
-        assert_eq!(p.get("serial_busy_ns").and_then(Json::as_u64), Some(1_000));
-        assert_eq!(p.get("modeled_busy_ns").and_then(Json::as_u64), Some(300));
-        assert_eq!(p.get("region_wall_ns").and_then(Json::as_u64), Some(1_200));
+        section_round_trips("pool", snap.entries());
     }
 
     #[test]
     fn faults_and_recovery_sections_round_trip() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = FaultSnapshot {
             msgs_dropped: 7,
             retransmits: 7,
             ..Default::default()
         };
-        j.section("faults", snap.entries());
+        let mut j = section_round_trips("faults", snap.entries());
         let rep = RecoveryReport {
             recovery_ms: 1.25,
             replayed_batches: 40,
@@ -504,11 +451,7 @@ mod bench_json_tests {
             ],
         };
         j.recovery(&rep);
-        let doc = j.document();
-        let f = doc.get("faults").unwrap();
-        assert_eq!(f.get("msgs_dropped").and_then(Json::as_u64), Some(7));
-        assert_eq!(f.get("rpc_timeouts").and_then(Json::as_u64), Some(0));
-        let r = doc.get("recovery").unwrap();
+        let r = j.document().get("recovery").unwrap();
         assert_eq!(r.get("replayed_batches").and_then(Json::as_u64), Some(40));
         assert_eq!(r.get("recovery_ms").and_then(Json::as_f64), Some(1.25));
         assert_eq!(r.get("restored_stable_sn").and_then(Json::as_u64), Some(9));
@@ -525,7 +468,6 @@ mod bench_json_tests {
 
     #[test]
     fn integrity_section_round_trips() {
-        let mut j = BenchJson::to_path("t", "/tmp/ignored.json");
         let snap = IntegritySnapshot {
             checksum_fail_batch: 1,
             checksum_fail_message: 5,
@@ -535,21 +477,7 @@ mod bench_json_tests {
             rebuilds: 3,
             rebuild_ns: 42_000,
         };
-        j.section("integrity", snap.entries());
-        let i = j.document().get("integrity").unwrap();
-        assert_eq!(i.get("checksum_fail_batch").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            i.get("checksum_fail_message").and_then(Json::as_u64),
-            Some(5)
-        );
-        assert_eq!(
-            i.get("checksum_fail_checkpoint").and_then(Json::as_u64),
-            Some(2)
-        );
-        assert_eq!(i.get("scrub_violations").and_then(Json::as_u64), Some(0));
-        assert_eq!(i.get("quarantines").and_then(Json::as_u64), Some(3));
-        assert_eq!(i.get("rebuilds").and_then(Json::as_u64), Some(3));
-        assert_eq!(i.get("rebuild_ns").and_then(Json::as_u64), Some(42_000));
+        section_round_trips("integrity", snap.entries());
     }
 }
 /// Formats milliseconds the way the paper's tables do: two decimals below
@@ -574,19 +502,6 @@ pub fn fmt_ms(ms: f64) -> String {
         }
         out
     }
-}
-
-/// Prints a table header row plus a separator.
-pub fn print_header(title: &str, cols: &[&str]) {
-    println!("\n=== {title} ===");
-    print_row(cols.iter().map(|s| s.to_string()).collect());
-    println!("{}", "-".repeat(cols.len() * 14));
-}
-
-/// Prints one table row with fixed-width columns.
-pub fn print_row(cells: Vec<String>) {
-    let row: Vec<String> = cells.iter().map(|c| format!("{c:>13}")).collect();
-    println!("{}", row.join(" "));
 }
 
 #[cfg(test)]

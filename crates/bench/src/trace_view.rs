@@ -1,7 +1,8 @@
-//! `wukong-trace` — black-box dump inspector (DESIGN.md §14).
+//! `wukong-bench trace <dump.json>` — black-box dump inspector
+//! (DESIGN.md §14).
 //!
-//! Reads a `trace_dump` JSON file (as written by `exp_trace --dump` or
-//! embedded in an anomaly report) and renders, as text:
+//! Renders a `trace_dump` JSON document (as written by `exp_trace --dump`
+//! or embedded in an anomaly report) as text:
 //!
 //! * the trigger line (marker, firing, batch, payload),
 //! * the firing's lineage tree — query, assigned snapshot, window
@@ -10,12 +11,12 @@
 //!   span nesting and per-span elapsed time.
 //!
 //! Accepts a single dump object, an array of dumps, or any JSON object
-//! with a `dumps` array member. Exits non-zero only on unreadable input
-//! — a structurally thin dump still renders with `?` placeholders, so
-//! the inspector stays usable on truncated black boxes.
+//! with a `dumps` array member. A structurally thin dump still renders
+//! with `?` placeholders, so the inspector stays usable on truncated
+//! black boxes.
 
-use wukong_obs::json::{parse, Json};
-use wukong_obs::trace::TraceEvent;
+use std::io::{Result, Write};
+use wukong_obs::json::Json;
 
 fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000 {
@@ -35,49 +36,45 @@ fn num_of(j: Option<&Json>) -> u64 {
     j.and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn render_lineage(firing: &Json) {
-    println!(
+fn render_lineage(firing: &Json, out: &mut dyn Write) -> Result<()> {
+    writeln!(
+        out,
         "  firing #{}  query {}  snapshot {}",
         num_of(firing.get("id")),
         str_of(firing.get("query")),
         num_of(firing.get("snapshot")),
-    );
+    )?;
     for w in firing.get("windows").and_then(Json::as_arr).unwrap_or(&[]) {
-        println!(
+        writeln!(
+            out,
             "    window stream {} [{}, {}]",
             num_of(w.get("stream")),
             num_of(w.get("lo")),
             num_of(w.get("hi")),
-        );
+        )?;
     }
     let batches = firing.get("batches").and_then(Json::as_arr).unwrap_or(&[]);
     for b in batches {
-        println!("      batch {}", b.as_str().unwrap_or("?"));
+        writeln!(out, "      batch {}", b.as_str().unwrap_or("?"))?;
     }
     if firing.get("lineage_truncated").and_then(Json::as_bool) == Some(true) {
-        println!("      (lineage truncated)");
+        writeln!(out, "      (lineage truncated)")?;
     }
+    Ok(())
 }
 
-fn render_timeline(events: &[Json]) {
+fn render_timeline(events: &[Json], out: &mut dyn Write) -> Result<()> {
     let mut depth: i64 = 0;
     for ej in events {
         let seq = num_of(ej.get("seq"));
         let firing = num_of(ej.get("firing"));
         let batch = str_of(ej.get("batch"));
         let arg = num_of(ej.get("arg"));
-        // Decode through the canonical parser where possible so the
-        // inspector and the recorder agree on the schema; fall back to
-        // raw fields for thin/foreign events.
-        let parsed = TraceEvent::from_json(ej);
         let kind = str_of(ej.get("kind"));
         let (label, detail) = match kind {
             "exit" => {
                 depth = (depth - 1).max(0);
-                (
-                    format!("exit  {}", str_of(ej.get("stage"))),
-                    fmt_ns(parsed.map_or(arg, |e| e.arg)),
-                )
+                (format!("exit  {}", str_of(ej.get("stage"))), fmt_ns(arg))
             }
             "enter" => (format!("enter {}", str_of(ej.get("stage"))), String::new()),
             "marker" => (
@@ -92,29 +89,32 @@ fn render_timeline(events: &[Json]) {
             (f, "-") => format!("firing #{f}"),
             (f, b) => format!("firing #{f} batch {b}"),
         };
-        println!(
+        writeln!(
+            out,
             "    [{seq:>6}] {:indent$}{label:<24} {detail:<12} {ctx}",
             "",
             indent = (depth.max(0) as usize) * 2,
-        );
+        )?;
         if kind == "enter" {
             depth += 1;
         }
     }
+    Ok(())
 }
 
-fn render_dump(dump: &Json) {
+fn render_dump(dump: &Json, out: &mut dyn Write) -> Result<()> {
     let trigger = dump.get("trigger");
-    println!(
+    writeln!(
+        out,
         "trace_dump: trigger {}  firing #{}  batch {}  arg {}",
         str_of(trigger.and_then(|t| t.get("marker"))),
         num_of(trigger.and_then(|t| t.get("firing"))),
         str_of(trigger.and_then(|t| t.get("batch"))),
         num_of(trigger.and_then(|t| t.get("arg"))),
-    );
+    )?;
     if let Some(firing) = dump.get("firing") {
-        println!("  lineage:");
-        render_lineage(firing);
+        writeln!(out, "  lineage:")?;
+        render_lineage(firing, out)?;
     }
     let linked = dump
         .get("linked_batches")
@@ -122,15 +122,16 @@ fn render_dump(dump: &Json) {
         .unwrap_or(&[]);
     if !linked.is_empty() {
         let labels: Vec<&str> = linked.iter().map(|b| b.as_str().unwrap_or("?")).collect();
-        println!("  linked batches: {}", labels.join(" "));
+        writeln!(out, "  linked batches: {}", labels.join(" "))?;
     }
     let events = dump.get("events").and_then(Json::as_arr).unwrap_or(&[]);
-    println!("  timeline ({} events, causal order):", events.len());
-    render_timeline(events);
+    writeln!(out, "  timeline ({} events, causal order):", events.len())?;
+    render_timeline(events, out)?;
     let evicted = num_of(dump.get("evicted"));
     if evicted > 0 {
-        println!("  ({evicted} older events evicted by ring wraparound)");
+        writeln!(out, "  ({evicted} older events evicted by ring wraparound)")?;
     }
+    Ok(())
 }
 
 /// Collects every `trace_dump` object reachable from the document root.
@@ -148,34 +149,15 @@ fn collect_dumps(doc: &Json) -> Vec<&Json> {
     Vec::new()
 }
 
-fn main() {
-    let Some(path) = std::env::args().nth(1) else {
-        eprintln!("usage: wukong-trace <trace_dump.json>");
-        std::process::exit(2);
-    };
-    let raw = match std::fs::read_to_string(&path) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("wukong-trace: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let doc = match parse(&raw) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("wukong-trace: {path} is not JSON: {e}");
-            std::process::exit(2);
-        }
-    };
-    let dumps = collect_dumps(&doc);
-    if dumps.is_empty() {
-        eprintln!("wukong-trace: no trace_dump objects in {path}");
-        std::process::exit(1);
-    }
+/// Renders every `trace_dump` object reachable from `doc` to `out`;
+/// returns how many there were.
+pub fn render(doc: &Json, out: &mut dyn Write) -> Result<usize> {
+    let dumps = collect_dumps(doc);
     for (i, d) in dumps.iter().enumerate() {
         if i > 0 {
-            println!();
+            writeln!(out)?;
         }
-        render_dump(d);
+        render_dump(d, out)?;
     }
+    Ok(dumps.len())
 }

@@ -77,10 +77,6 @@ pub struct EngineConfig {
     /// Which tuples go when the ingest budget overflows. Only consulted
     /// when [`EngineConfig::ingest_budget`] is set.
     pub shed_policy: ShedPolicy,
-    /// Seed for the deterministic sample-within-batch shed mask. Shed
-    /// decisions are a pure function of (seed, stream, batch timestamp),
-    /// so the same seed reproduces the same shed log bit-for-bit.
-    pub shed_seed: u64,
     /// Deadline/degradation policy for the overload state machine. Only
     /// consulted when [`EngineConfig::ingest_budget`] is set.
     pub overload: OverloadPolicy,
@@ -151,7 +147,6 @@ impl EngineConfig {
             incremental: false,
             ingest_budget: None,
             shed_policy: ShedPolicy::DropOldestWindow,
-            shed_seed: 42,
             overload: OverloadPolicy::default(),
             adaptive: false,
             trace: true,
@@ -263,7 +258,6 @@ mod tests {
             incremental: false,
             ingest_budget: None,
             shed_policy: ShedPolicy::DropOldestWindow,
-            shed_seed: 42,
             overload: OverloadPolicy {
                 latency_budget_ms: 1.0,
                 catchup_quiet_ms: 2_000,

@@ -31,6 +31,11 @@ const LOGGING_DELAY_NS: u64 = 300_000;
 /// point — replays identically under the same workload.
 const STATS_EPOCH_BATCHES: u64 = 32;
 
+/// Seed of the sample-within-batch shed mask. Shed decisions are a pure
+/// function of (seed, stream, batch timestamp), so every run reproduces
+/// the same shed log bit for bit.
+const SHED_SEED: u64 = 42;
+
 /// The streaming pipeline's state, guarded by one mutex on [`WukongS`].
 pub(super) struct Pipeline {
     adaptors: Vec<Adaptor>,
@@ -48,6 +53,9 @@ pub(super) struct Pipeline {
     inject_stats: Vec<InjectStats>,
     /// Injection-time consolidation horizon (stable SN − 1).
     merge_upto: Option<SnapshotId>,
+    /// The newest snapshot `process_batch` has installed under; the
+    /// floor for `catch_up`'s replay (see there).
+    newest_install_sn: SnapshotId,
     /// Batches logged since the last checkpoint (fault tolerance).
     log: Vec<LoggedBatch>,
     /// Bounded-ingest shedder (inert while `ingest_budget` is `None`).
@@ -86,8 +94,9 @@ impl Pipeline {
             batches_done: Vec::new(),
             inject_stats: Vec::new(),
             merge_upto: None,
+            newest_install_sn: SnapshotId::BASE,
             log: Vec::new(),
-            shedder: Shedder::new(cfg.shed_policy, cfg.shed_seed),
+            shedder: Shedder::new(cfg.shed_policy, SHED_SEED),
             overload: OverloadState::Normal,
             miss_streak: 0,
             tripped_at: None,
@@ -387,12 +396,22 @@ impl WukongS {
     }
 
     /// Shed-then-catch-up recovery: re-inserts every retained shed tuple
-    /// at its original timestamp, directly into the hybrid store at the
-    /// current stable snapshot. The coordinator, its at-least-once dedup,
-    /// and the durable log are all bypassed — these batches already
-    /// passed the pipeline once; this is repair, not re-ingestion. After
-    /// the replay, windows covering the shed suffix are whole again:
-    /// their firings byte-match a never-overloaded run (DESIGN.md §11).
+    /// at its original timestamp, directly into the hybrid store. The
+    /// coordinator, its at-least-once dedup, and the durable log are all
+    /// bypassed — these batches already passed the pipeline once; this is
+    /// repair, not re-ingestion. After the replay, windows covering the
+    /// shed suffix are whole again: their firings byte-match a
+    /// never-overloaded run (DESIGN.md §11).
+    ///
+    /// The replay becomes visible at the newest snapshot any live batch
+    /// has been installed under, which is the stable snapshot or a
+    /// planned one above it. Live batches keep installing under planned
+    /// snapshots while the engine sheds, so a key they share with a shed
+    /// tuple already holds appends newer than the stable snapshot; a
+    /// replay tagged with the stable one would land behind them, out of
+    /// snapshot order, and leave a mark consolidation cannot reach. A
+    /// reader sees the same prefix either way: appends behind a newer
+    /// mark are hidden until that snapshot is stable.
     fn catch_up(&self, pl: &mut Pipeline) {
         let t0 = std::time::Instant::now();
         let _span = self
@@ -403,7 +422,7 @@ impl WukongS {
         overload.inc_state_transition();
 
         let retained = pl.shedder.take_retained();
-        let sn = pl.coordinator.stable_sn();
+        let sn = pl.coordinator.stable_sn().max(pl.newest_install_sn);
         let merge = self.clamped_merge(pl);
         let nodes = self.cluster.nodes();
         let fabric = self.cluster.fabric();
@@ -705,6 +724,7 @@ impl WukongS {
         // shards, transient rings, and pending index updates — race-free
         // by construction, identical receipts for any thread count.
         let merge = self.clamped_merge(pl);
+        pl.newest_install_sn = pl.newest_install_sn.max(sn);
         let ts = batch.timestamp;
         let nodes = self.cluster.nodes();
         for sub in &subs {
@@ -973,7 +993,8 @@ impl WukongS {
 mod tests {
     use super::super::tests::engine_with_stream;
     use super::*;
-    use wukong_rdf::ntriples;
+    use crate::EngineConfig;
+    use wukong_rdf::{ntriples, Dir, Key};
 
     #[test]
     fn stats_epoch_advances_with_batch_processing() {
@@ -988,5 +1009,64 @@ mod tests {
         }
         engine.advance_time(STATS_EPOCH_BATCHES * 100);
         assert_eq!(engine.stats_epoch(), 1);
+    }
+
+    /// Catch-up must not append behind a newer snapshot: a burst on one
+    /// key is shed, live batches keep appending to the same key under
+    /// planned snapshots (PO runs one interval ahead of the quiet GPS
+    /// stream, so its newest batch is installed above the stable
+    /// snapshot), and the replay then lands on that key.
+    #[test]
+    fn catch_up_keeps_a_keys_appends_snapshot_ordered() {
+        let mut cfg = EngineConfig::single_node()
+            .with_ingest_budget(Some(wukong_stream::IngestBudget::tuples(8)));
+        cfg.overload.latency_budget_ms = 1e9;
+        cfg.overload.catchup_quiet_ms = 300;
+        let engine = WukongS::new(cfg);
+        let ss = engine.strings().clone();
+        let po = engine.register_stream(StreamSchema::timeless(StreamId(0), "PO", 100));
+        engine.register_stream(StreamSchema::timeless(StreamId(1), "GPS", 100));
+        let feed = |line: String| {
+            let t = ntriples::parse_tuple(&ss, &line, 1).expect("tuple");
+            engine.ingest(po, t.triple, t.timestamp);
+        };
+        // 20 posts by one user in one interval: 2.5x the budget.
+        for i in 0..20u64 {
+            feed(format!("u0 po T-{i} {}", 110 + i));
+        }
+        // One more post per interval, each installed under the snapshot
+        // planned for it, until the quiet period has passed. Stop right
+        // there: later consolidation would drop the marks under test.
+        let replays = || engine.handle().obs().overload().snapshot().catchup_replays;
+        let mut live = 0;
+        while replays() == 0 {
+            assert!(live < 10, "the quiet period never passed");
+            live += 1;
+            feed(format!("u0 po L-{live} {}", (live + 1) * 100 + 50));
+        }
+        assert_eq!(engine.total_shed(), 20);
+        assert_eq!(engine.shed_outstanding(), 0);
+        assert_eq!(engine.scrub(), Vec::new());
+
+        // Every retained mark of the key gates its own prefix: an
+        // out-of-order mark (snapshot 6 after 7) would hide behind the
+        // newer one and gate nothing.
+        let u0 = ss.intern_entity("u0").expect("interns");
+        let posts = ss.intern_predicate("po").expect("interns");
+        let newest = engine.pipeline.lock().newest_install_sn;
+        engine
+            .cluster()
+            .shard(0)
+            .with_cell(Key::new(u0, posts, Dir::Out), |cell| {
+                let cell = cell.expect("u0 posted");
+                // The newest live post is still in its open batch.
+                assert_eq!(cell.total_len() as u64, 20 + live - 1, "burst replayed");
+                let mut prefixes: Vec<usize> = (0..=newest.0)
+                    .map(|sn| cell.len_at(SnapshotId(sn)))
+                    .collect();
+                prefixes.dedup();
+                assert!(prefixes.windows(2).all(|w| w[0] < w[1]));
+                assert_eq!(cell.retained_snapshots() + 1, prefixes.len());
+            });
     }
 }

@@ -6,38 +6,45 @@
 //! about it" for an experiment interval. The counters follow the same
 //! monotonic snapshot/delta discipline as `FabricMetrics`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::{bump, counter_family};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of injected faults and the engine's reactions.
-#[derive(Debug, Default)]
-pub struct FaultCounters {
-    msgs_dropped: AtomicU64,
-    msgs_duplicated: AtomicU64,
-    msgs_delayed: AtomicU64,
-    retransmits: AtomicU64,
-    rpc_timeouts: AtomicU64,
-    rpc_retries: AtomicU64,
-    dead_reads: AtomicU64,
-    degraded_answers: AtomicU64,
-    dedup_suppressed: AtomicU64,
-    replayed_batches: AtomicU64,
-    recoveries: AtomicU64,
-    node_kills: AtomicU64,
-    node_restarts: AtomicU64,
-    ops_slowed: AtomicU64,
-    msgs_corrupted: AtomicU64,
-    checkpoints_corrupted: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($(#[$doc:meta])* $fn_name:ident => $field:ident),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $fn_name(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
-            }
-        )*
-    };
+counter_family! {
+    /// Monotonic counters of injected faults and the engine's reactions.
+    FaultCounters => FaultSnapshot {
+        /// Messages dropped by lossy links or dead destinations.
+        msgs_dropped,
+        /// Messages delivered twice by duplicating links.
+        msgs_duplicated,
+        /// Messages delivered late by delaying links.
+        msgs_delayed,
+        /// Drops repaired by the at-least-once retransmit layer.
+        retransmits,
+        /// RPC waits that expired before a reply arrived.
+        rpc_timeouts,
+        /// RPC attempts made after a timeout.
+        rpc_retries,
+        /// One-sided reads that targeted a dead node.
+        dead_reads,
+        /// Queries answered with partial results.
+        degraded_answers,
+        /// Duplicated/replayed batches suppressed by VTS dedup.
+        dedup_suppressed,
+        /// Logged batches replayed during recovery.
+        replayed_batches,
+        /// Completed checkpoint-and-log recoveries.
+        recoveries,
+        /// Nodes killed by the fault schedule or a drill.
+        node_kills,
+        /// Dead nodes restarted.
+        node_restarts,
+        /// Fabric operations charged extra by slow-node (gray failure) rules.
+        ops_slowed,
+        /// In-flight message payloads that had a bit flipped.
+        msgs_corrupted,
+        /// Captured checkpoint images that had a bit flipped.
+        checkpoints_corrupted,
+    }
 }
 
 impl FaultCounters {
@@ -85,111 +92,6 @@ impl FaultCounters {
     pub fn add_replayed_batches(&self, n: u64) {
         self.replayed_batches.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> FaultSnapshot {
-        FaultSnapshot {
-            msgs_dropped: self.msgs_dropped.load(Ordering::Relaxed),
-            msgs_duplicated: self.msgs_duplicated.load(Ordering::Relaxed),
-            msgs_delayed: self.msgs_delayed.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            rpc_timeouts: self.rpc_timeouts.load(Ordering::Relaxed),
-            rpc_retries: self.rpc_retries.load(Ordering::Relaxed),
-            dead_reads: self.dead_reads.load(Ordering::Relaxed),
-            degraded_answers: self.degraded_answers.load(Ordering::Relaxed),
-            dedup_suppressed: self.dedup_suppressed.load(Ordering::Relaxed),
-            replayed_batches: self.replayed_batches.load(Ordering::Relaxed),
-            recoveries: self.recoveries.load(Ordering::Relaxed),
-            node_kills: self.node_kills.load(Ordering::Relaxed),
-            node_restarts: self.node_restarts.load(Ordering::Relaxed),
-            ops_slowed: self.ops_slowed.load(Ordering::Relaxed),
-            msgs_corrupted: self.msgs_corrupted.load(Ordering::Relaxed),
-            checkpoints_corrupted: self.checkpoints_corrupted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`FaultCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FaultSnapshot {
-    /// Messages dropped by lossy links or dead destinations.
-    pub msgs_dropped: u64,
-    /// Messages delivered twice by duplicating links.
-    pub msgs_duplicated: u64,
-    /// Messages delivered late by delaying links.
-    pub msgs_delayed: u64,
-    /// Drops repaired by the at-least-once retransmit layer.
-    pub retransmits: u64,
-    /// RPC waits that expired before a reply arrived.
-    pub rpc_timeouts: u64,
-    /// RPC attempts made after a timeout.
-    pub rpc_retries: u64,
-    /// One-sided reads that targeted a dead node.
-    pub dead_reads: u64,
-    /// Queries answered with partial results.
-    pub degraded_answers: u64,
-    /// Duplicated/replayed batches suppressed by VTS dedup.
-    pub dedup_suppressed: u64,
-    /// Logged batches replayed during recovery.
-    pub replayed_batches: u64,
-    /// Completed checkpoint-and-log recoveries.
-    pub recoveries: u64,
-    /// Nodes killed by the fault schedule or a drill.
-    pub node_kills: u64,
-    /// Dead nodes restarted.
-    pub node_restarts: u64,
-    /// Fabric operations charged extra by slow-node (gray failure) rules.
-    pub ops_slowed: u64,
-    /// In-flight message payloads that had a bit flipped.
-    pub msgs_corrupted: u64,
-    /// Captured checkpoint images that had a bit flipped.
-    pub checkpoints_corrupted: u64,
-}
-
-impl FaultSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &FaultSnapshot) -> FaultSnapshot {
-        FaultSnapshot {
-            msgs_dropped: later.msgs_dropped - self.msgs_dropped,
-            msgs_duplicated: later.msgs_duplicated - self.msgs_duplicated,
-            msgs_delayed: later.msgs_delayed - self.msgs_delayed,
-            retransmits: later.retransmits - self.retransmits,
-            rpc_timeouts: later.rpc_timeouts - self.rpc_timeouts,
-            rpc_retries: later.rpc_retries - self.rpc_retries,
-            dead_reads: later.dead_reads - self.dead_reads,
-            degraded_answers: later.degraded_answers - self.degraded_answers,
-            dedup_suppressed: later.dedup_suppressed - self.dedup_suppressed,
-            replayed_batches: later.replayed_batches - self.replayed_batches,
-            recoveries: later.recoveries - self.recoveries,
-            node_kills: later.node_kills - self.node_kills,
-            node_restarts: later.node_restarts - self.node_restarts,
-            ops_slowed: later.ops_slowed - self.ops_slowed,
-            msgs_corrupted: later.msgs_corrupted - self.msgs_corrupted,
-            checkpoints_corrupted: later.checkpoints_corrupted - self.checkpoints_corrupted,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 16] {
-        [
-            ("msgs_dropped", self.msgs_dropped),
-            ("msgs_duplicated", self.msgs_duplicated),
-            ("msgs_delayed", self.msgs_delayed),
-            ("retransmits", self.retransmits),
-            ("rpc_timeouts", self.rpc_timeouts),
-            ("rpc_retries", self.rpc_retries),
-            ("dead_reads", self.dead_reads),
-            ("degraded_answers", self.degraded_answers),
-            ("dedup_suppressed", self.dedup_suppressed),
-            ("replayed_batches", self.replayed_batches),
-            ("recoveries", self.recoveries),
-            ("node_kills", self.node_kills),
-            ("node_restarts", self.node_restarts),
-            ("ops_slowed", self.ops_slowed),
-            ("msgs_corrupted", self.msgs_corrupted),
-            ("checkpoints_corrupted", self.checkpoints_corrupted),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -219,23 +121,23 @@ mod tests {
     #[test]
     fn entries_cover_every_field() {
         let c = FaultCounters::default();
+        c.inc_dropped();
         c.inc_duplicated();
         c.inc_delayed();
+        c.inc_retransmit();
         c.inc_rpc_timeout();
         c.inc_rpc_retry();
         c.inc_dead_read();
         c.inc_degraded();
+        c.inc_dedup_suppressed();
+        c.inc_replayed_batch();
+        c.inc_recovery();
         c.inc_kill();
         c.inc_restart();
-        c.inc_replayed_batch();
-        c.inc_dedup_suppressed();
         c.inc_slowed();
         c.inc_corrupt_msg();
         c.inc_corrupt_checkpoint();
         let s = c.snapshot();
-        let names: std::collections::HashSet<_> = s.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 16);
-        let lit: u64 = s.entries().iter().map(|(_, v)| v).sum();
-        assert_eq!(lit, 13);
+        crate::family::assert_entries_cover_every_field::<16>(&s, s.entries());
     }
 }

@@ -8,17 +8,26 @@
 //! over, re-derived, and retracted. The bench harness diffs snapshots
 //! around an experiment, like the fabric / fault / pool counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::counter_family;
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of incremental-execution activity.
-#[derive(Debug, Default)]
-pub struct IncrementalCounters {
-    incremental_firings: AtomicU64,
-    rebuild_firings: AtomicU64,
-    fallback_firings: AtomicU64,
-    rows_reused: AtomicU64,
-    rows_recomputed: AtomicU64,
-    rows_retracted: AtomicU64,
+counter_family! {
+    /// Monotonic counters of incremental-execution activity.
+    IncrementalCounters => IncrementalSnapshot {
+        /// Firings maintained by delta application over retained state.
+        incremental_firings,
+        /// Firings that rebuilt state from scratch (first firing of a query,
+        /// post-recovery, or non-monotone window movement).
+        rebuild_firings,
+        /// Firings that ran the full recompute path instead.
+        fallback_firings,
+        /// State rows carried over across maintained firings.
+        rows_reused,
+        /// Rows newly derived by delta application or rebuild.
+        rows_recomputed,
+        /// State rows dropped because a contributing edge expired.
+        rows_retracted,
+    }
 }
 
 impl IncrementalCounters {
@@ -40,62 +49,6 @@ impl IncrementalCounters {
     /// non-incrementalizable plan, or fault plan active).
     pub fn record_fallback(&self) {
         self.fallback_firings.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> IncrementalSnapshot {
-        IncrementalSnapshot {
-            incremental_firings: self.incremental_firings.load(Ordering::Relaxed),
-            rebuild_firings: self.rebuild_firings.load(Ordering::Relaxed),
-            fallback_firings: self.fallback_firings.load(Ordering::Relaxed),
-            rows_reused: self.rows_reused.load(Ordering::Relaxed),
-            rows_recomputed: self.rows_recomputed.load(Ordering::Relaxed),
-            rows_retracted: self.rows_retracted.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`IncrementalCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IncrementalSnapshot {
-    /// Firings maintained by delta application over retained state.
-    pub incremental_firings: u64,
-    /// Firings that rebuilt state from scratch (first firing of a query,
-    /// post-recovery, or non-monotone window movement).
-    pub rebuild_firings: u64,
-    /// Firings that ran the full recompute path instead.
-    pub fallback_firings: u64,
-    /// State rows carried over across maintained firings.
-    pub rows_reused: u64,
-    /// Rows newly derived by delta application or rebuild.
-    pub rows_recomputed: u64,
-    /// State rows dropped because a contributing edge expired.
-    pub rows_retracted: u64,
-}
-
-impl IncrementalSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &IncrementalSnapshot) -> IncrementalSnapshot {
-        IncrementalSnapshot {
-            incremental_firings: later.incremental_firings - self.incremental_firings,
-            rebuild_firings: later.rebuild_firings - self.rebuild_firings,
-            fallback_firings: later.fallback_firings - self.fallback_firings,
-            rows_reused: later.rows_reused - self.rows_reused,
-            rows_recomputed: later.rows_recomputed - self.rows_recomputed,
-            rows_retracted: later.rows_retracted - self.rows_retracted,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 6] {
-        [
-            ("incremental_firings", self.incremental_firings),
-            ("rebuild_firings", self.rebuild_firings),
-            ("fallback_firings", self.fallback_firings),
-            ("rows_reused", self.rows_reused),
-            ("rows_recomputed", self.rows_recomputed),
-            ("rows_retracted", self.rows_retracted),
-        ]
     }
 }
 
@@ -125,11 +78,10 @@ mod tests {
     #[test]
     fn entries_cover_every_field() {
         let c = IncrementalCounters::default();
-        c.record_maintained(false, 5, 2, 1);
-        let names: Vec<_> = c.snapshot().entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 6);
-        assert!(names.contains(&"rows_reused"));
-        assert!(names.contains(&"rows_recomputed"));
-        assert!(names.contains(&"fallback_firings"));
+        c.record_maintained(true, 1, 1, 1);
+        c.record_maintained(false, 1, 1, 1);
+        c.record_fallback();
+        let s = c.snapshot();
+        crate::family::assert_entries_cover_every_field::<6>(&s, s.entries());
     }
 }

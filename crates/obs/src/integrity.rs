@@ -7,29 +7,27 @@
 //! Counters follow the same monotonic snapshot/delta discipline as
 //! [`FaultCounters`](crate::FaultCounters).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::{bump, counter_family};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of detected corruption and its repair.
-#[derive(Debug, Default)]
-pub struct IntegrityCounters {
-    checksum_fail_batch: AtomicU64,
-    checksum_fail_message: AtomicU64,
-    checksum_fail_checkpoint: AtomicU64,
-    scrub_violations: AtomicU64,
-    quarantines: AtomicU64,
-    rebuilds: AtomicU64,
-    rebuild_ns: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($(#[$doc:meta])* $fn_name:ident => $field:ident),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $fn_name(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
-            }
-        )*
-    };
+counter_family! {
+    /// Monotonic counters of detected corruption and its repair.
+    IntegrityCounters => IntegritySnapshot {
+        /// Sealed batches rejected at the engine boundary (site: batch).
+        checksum_fail_batch,
+        /// Sub-batches rejected at store install (site: message).
+        checksum_fail_message,
+        /// Checkpoint sections rejected during decode (site: checkpoint).
+        checksum_fail_checkpoint,
+        /// Violated engine invariants found by the scrubber.
+        scrub_violations,
+        /// Shard transitions into the Quarantined state.
+        quarantines,
+        /// Quarantined shards rebuilt from checkpoint + log replay.
+        rebuilds,
+        /// Total nanoseconds spent in quarantine rebuilds.
+        rebuild_ns,
+    }
 }
 
 impl IntegrityCounters {
@@ -57,71 +55,12 @@ impl IntegrityCounters {
     pub fn add_rebuild_ns(&self, ns: u64) {
         self.rebuild_ns.fetch_add(ns, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> IntegritySnapshot {
-        IntegritySnapshot {
-            checksum_fail_batch: self.checksum_fail_batch.load(Ordering::Relaxed),
-            checksum_fail_message: self.checksum_fail_message.load(Ordering::Relaxed),
-            checksum_fail_checkpoint: self.checksum_fail_checkpoint.load(Ordering::Relaxed),
-            scrub_violations: self.scrub_violations.load(Ordering::Relaxed),
-            quarantines: self.quarantines.load(Ordering::Relaxed),
-            rebuilds: self.rebuilds.load(Ordering::Relaxed),
-            rebuild_ns: self.rebuild_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`IntegrityCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct IntegritySnapshot {
-    /// Sealed batches rejected at the engine boundary (site: batch).
-    pub checksum_fail_batch: u64,
-    /// Sub-batches rejected at store install (site: message).
-    pub checksum_fail_message: u64,
-    /// Checkpoint sections rejected during decode (site: checkpoint).
-    pub checksum_fail_checkpoint: u64,
-    /// Violated engine invariants found by the scrubber.
-    pub scrub_violations: u64,
-    /// Shard transitions into the Quarantined state.
-    pub quarantines: u64,
-    /// Quarantined shards rebuilt from checkpoint + log replay.
-    pub rebuilds: u64,
-    /// Total nanoseconds spent in quarantine rebuilds.
-    pub rebuild_ns: u64,
 }
 
 impl IntegritySnapshot {
     /// Total detected checksum failures across all sites.
     pub fn checksum_failures(&self) -> u64 {
         self.checksum_fail_batch + self.checksum_fail_message + self.checksum_fail_checkpoint
-    }
-
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &IntegritySnapshot) -> IntegritySnapshot {
-        IntegritySnapshot {
-            checksum_fail_batch: later.checksum_fail_batch - self.checksum_fail_batch,
-            checksum_fail_message: later.checksum_fail_message - self.checksum_fail_message,
-            checksum_fail_checkpoint: later.checksum_fail_checkpoint
-                - self.checksum_fail_checkpoint,
-            scrub_violations: later.scrub_violations - self.scrub_violations,
-            quarantines: later.quarantines - self.quarantines,
-            rebuilds: later.rebuilds - self.rebuilds,
-            rebuild_ns: later.rebuild_ns - self.rebuild_ns,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 7] {
-        [
-            ("checksum_fail_batch", self.checksum_fail_batch),
-            ("checksum_fail_message", self.checksum_fail_message),
-            ("checksum_fail_checkpoint", self.checksum_fail_checkpoint),
-            ("scrub_violations", self.scrub_violations),
-            ("quarantines", self.quarantines),
-            ("rebuilds", self.rebuilds),
-            ("rebuild_ns", self.rebuild_ns),
-        ]
     }
 }
 
@@ -163,9 +102,6 @@ mod tests {
         c.inc_rebuild();
         c.add_rebuild_ns(7);
         let s = c.snapshot();
-        let names: std::collections::HashSet<_> = s.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 7);
-        let sum: u64 = s.entries().iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, 13);
+        crate::family::assert_entries_cover_every_field::<7>(&s, s.entries());
     }
 }

@@ -22,6 +22,7 @@
 //! the engine's reactions (drops, retries, timeouts, recoveries).
 
 pub mod digest;
+mod family;
 pub mod faults;
 pub mod histogram;
 pub mod incremental;

@@ -7,31 +7,31 @@
 //! experiment interval. Same monotonic snapshot/delta discipline as
 //! [`crate::FaultCounters`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::{bump, counter_family};
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of load shedding, admission control, and catch-up.
-#[derive(Debug, Default)]
-pub struct OverloadCounters {
-    sheds_drop_oldest: AtomicU64,
-    sheds_sampled: AtomicU64,
-    tuples_shed: AtomicU64,
-    admission_rejected: AtomicU64,
-    state_transitions: AtomicU64,
-    catchup_replays: AtomicU64,
-    catchup_replayed_tuples: AtomicU64,
-    degraded_firings: AtomicU64,
-    incremental_rebuilds: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($(#[$doc:meta])* $fn_name:ident => $field:ident),* $(,)?) => {
-        $(
-            $(#[$doc])*
-            pub fn $fn_name(&self) {
-                self.$field.fetch_add(1, Ordering::Relaxed);
-            }
-        )*
-    };
+counter_family! {
+    /// Monotonic counters of load shedding, admission control, and catch-up.
+    OverloadCounters => OverloadSnapshot {
+        /// Shed events under the drop-oldest-window policy.
+        sheds_drop_oldest,
+        /// Shed events under the sample-within-batch policy.
+        sheds_sampled,
+        /// Tuples dropped by the shed policy (before any catch-up replay).
+        tuples_shed,
+        /// One-shot queries rejected by admission control.
+        admission_rejected,
+        /// Degradation state-machine transitions.
+        state_transitions,
+        /// Completed catch-up replay episodes.
+        catchup_replays,
+        /// Tuples re-inserted by catch-up replays.
+        catchup_replayed_tuples,
+        /// Firings that carried a `degraded` staleness marker.
+        degraded_firings,
+        /// Incremental state rebuilds forced by a shed gap.
+        incremental_rebuilds,
+    }
 }
 
 impl OverloadCounters {
@@ -60,76 +60,6 @@ impl OverloadCounters {
     /// Adds `n` tuples re-inserted by a catch-up replay.
     pub fn add_replayed_tuples(&self, n: u64) {
         self.catchup_replayed_tuples.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> OverloadSnapshot {
-        OverloadSnapshot {
-            sheds_drop_oldest: self.sheds_drop_oldest.load(Ordering::Relaxed),
-            sheds_sampled: self.sheds_sampled.load(Ordering::Relaxed),
-            tuples_shed: self.tuples_shed.load(Ordering::Relaxed),
-            admission_rejected: self.admission_rejected.load(Ordering::Relaxed),
-            state_transitions: self.state_transitions.load(Ordering::Relaxed),
-            catchup_replays: self.catchup_replays.load(Ordering::Relaxed),
-            catchup_replayed_tuples: self.catchup_replayed_tuples.load(Ordering::Relaxed),
-            degraded_firings: self.degraded_firings.load(Ordering::Relaxed),
-            incremental_rebuilds: self.incremental_rebuilds.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`OverloadCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OverloadSnapshot {
-    /// Shed events under the drop-oldest-window policy.
-    pub sheds_drop_oldest: u64,
-    /// Shed events under the sample-within-batch policy.
-    pub sheds_sampled: u64,
-    /// Tuples dropped by the shed policy (before any catch-up replay).
-    pub tuples_shed: u64,
-    /// One-shot queries rejected by admission control.
-    pub admission_rejected: u64,
-    /// Degradation state-machine transitions.
-    pub state_transitions: u64,
-    /// Completed catch-up replay episodes.
-    pub catchup_replays: u64,
-    /// Tuples re-inserted by catch-up replays.
-    pub catchup_replayed_tuples: u64,
-    /// Firings that carried a `degraded` staleness marker.
-    pub degraded_firings: u64,
-    /// Incremental state rebuilds forced by a shed gap.
-    pub incremental_rebuilds: u64,
-}
-
-impl OverloadSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &OverloadSnapshot) -> OverloadSnapshot {
-        OverloadSnapshot {
-            sheds_drop_oldest: later.sheds_drop_oldest - self.sheds_drop_oldest,
-            sheds_sampled: later.sheds_sampled - self.sheds_sampled,
-            tuples_shed: later.tuples_shed - self.tuples_shed,
-            admission_rejected: later.admission_rejected - self.admission_rejected,
-            state_transitions: later.state_transitions - self.state_transitions,
-            catchup_replays: later.catchup_replays - self.catchup_replays,
-            catchup_replayed_tuples: later.catchup_replayed_tuples - self.catchup_replayed_tuples,
-            degraded_firings: later.degraded_firings - self.degraded_firings,
-            incremental_rebuilds: later.incremental_rebuilds - self.incremental_rebuilds,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
-        [
-            ("sheds_drop_oldest", self.sheds_drop_oldest),
-            ("sheds_sampled", self.sheds_sampled),
-            ("tuples_shed", self.tuples_shed),
-            ("admission_rejected", self.admission_rejected),
-            ("state_transitions", self.state_transitions),
-            ("catchup_replays", self.catchup_replays),
-            ("catchup_replayed_tuples", self.catchup_replayed_tuples),
-            ("degraded_firings", self.degraded_firings),
-            ("incremental_rebuilds", self.incremental_rebuilds),
-        ]
     }
 }
 
@@ -169,9 +99,6 @@ mod tests {
         c.inc_degraded_firing();
         c.inc_incremental_rebuild();
         let s = c.snapshot();
-        let names: std::collections::HashSet<_> = s.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 9);
-        let total: u64 = s.entries().iter().map(|(_, v)| v).sum();
-        assert_eq!(total, 9);
+        crate::family::assert_entries_cover_every_field::<9>(&s, s.entries());
     }
 }

@@ -10,20 +10,32 @@
 //! harness diffs snapshots around an experiment, like the fabric /
 //! fault / pool / incremental / overload counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::counter_family;
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of adaptive-planning activity.
-#[derive(Debug, Default)]
-pub struct PlanCounters {
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    feedback_firings: AtomicU64,
-    drifted_firings: AtomicU64,
-    replans: AtomicU64,
-    delta_rebuilds: AtomicU64,
-    mode_inplace: AtomicU64,
-    mode_forkjoin: AtomicU64,
-    edges_traversed: AtomicU64,
+counter_family! {
+    /// Monotonic counters of adaptive-planning activity.
+    PlanCounters => PlanSnapshot {
+        /// Plan-cache probes answered from the cache.
+        cache_hits,
+        /// Plan-cache probes that had to plan from scratch.
+        cache_misses,
+        /// Firings whose per-step fan-out fed the drift detector.
+        feedback_firings,
+        /// Observed firings whose fan-out left the tolerance band.
+        drifted_firings,
+        /// Re-plans of registered continuous queries (detector trips).
+        replans,
+        /// Maintained-query delta states invalidated by a plan switch.
+        delta_rebuilds,
+        /// Firings the cost model ran in place.
+        mode_inplace,
+        /// Firings the cost model fanned out across partitions.
+        mode_forkjoin,
+        /// Index edges traversed (sum of per-step output rows) across
+        /// recompute firings — the modeled plan-quality metric.
+        edges_traversed,
+    }
 }
 
 impl PlanCounters {
@@ -70,77 +82,6 @@ impl PlanCounters {
     pub fn record_edges(&self, n: u64) {
         self.edges_traversed.fetch_add(n, Ordering::Relaxed);
     }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> PlanSnapshot {
-        PlanSnapshot {
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            feedback_firings: self.feedback_firings.load(Ordering::Relaxed),
-            drifted_firings: self.drifted_firings.load(Ordering::Relaxed),
-            replans: self.replans.load(Ordering::Relaxed),
-            delta_rebuilds: self.delta_rebuilds.load(Ordering::Relaxed),
-            mode_inplace: self.mode_inplace.load(Ordering::Relaxed),
-            mode_forkjoin: self.mode_forkjoin.load(Ordering::Relaxed),
-            edges_traversed: self.edges_traversed.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`PlanCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanSnapshot {
-    /// Plan-cache probes answered from the cache.
-    pub cache_hits: u64,
-    /// Plan-cache probes that had to plan from scratch.
-    pub cache_misses: u64,
-    /// Firings whose per-step fan-out fed the drift detector.
-    pub feedback_firings: u64,
-    /// Observed firings whose fan-out left the tolerance band.
-    pub drifted_firings: u64,
-    /// Re-plans of registered continuous queries (detector trips).
-    pub replans: u64,
-    /// Maintained-query delta states invalidated by a plan switch.
-    pub delta_rebuilds: u64,
-    /// Firings the cost model ran in place.
-    pub mode_inplace: u64,
-    /// Firings the cost model fanned out across partitions.
-    pub mode_forkjoin: u64,
-    /// Index edges traversed (sum of per-step output rows) across
-    /// recompute firings — the modeled plan-quality metric.
-    pub edges_traversed: u64,
-}
-
-impl PlanSnapshot {
-    /// Difference of two snapshots (`later - self`).
-    pub fn delta(&self, later: &PlanSnapshot) -> PlanSnapshot {
-        PlanSnapshot {
-            cache_hits: later.cache_hits - self.cache_hits,
-            cache_misses: later.cache_misses - self.cache_misses,
-            feedback_firings: later.feedback_firings - self.feedback_firings,
-            drifted_firings: later.drifted_firings - self.drifted_firings,
-            replans: later.replans - self.replans,
-            delta_rebuilds: later.delta_rebuilds - self.delta_rebuilds,
-            mode_inplace: later.mode_inplace - self.mode_inplace,
-            mode_forkjoin: later.mode_forkjoin - self.mode_forkjoin,
-            edges_traversed: later.edges_traversed - self.edges_traversed,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
-        [
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("feedback_firings", self.feedback_firings),
-            ("drifted_firings", self.drifted_firings),
-            ("replans", self.replans),
-            ("delta_rebuilds", self.delta_rebuilds),
-            ("mode_inplace", self.mode_inplace),
-            ("mode_forkjoin", self.mode_forkjoin),
-            ("edges_traversed", self.edges_traversed),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -179,14 +120,15 @@ mod tests {
     #[test]
     fn entries_cover_every_field() {
         let c = PlanCounters::default();
+        c.record_cache(true);
+        c.record_cache(false);
+        c.record_feedback(true);
         c.record_replan();
-        let snap = c.snapshot();
-        let names: Vec<_> = snap.entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 9);
-        let unique: std::collections::HashSet<_> = names.iter().collect();
-        assert_eq!(unique.len(), names.len());
-        assert!(names.contains(&"replans"));
-        assert!(names.contains(&"edges_traversed"));
-        assert_eq!(snap.entries()[4], ("replans", 1));
+        c.record_delta_rebuild();
+        c.record_mode(true);
+        c.record_mode(false);
+        c.record_edges(3);
+        let s = c.snapshot();
+        crate::family::assert_entries_cover_every_field::<9>(&s, s.entries());
     }
 }

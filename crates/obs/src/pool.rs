@@ -7,18 +7,28 @@
 //! harness diffs snapshots around an experiment to report pool activity
 //! the same way it reports fabric and fault counters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::family::counter_family;
+use std::sync::atomic::Ordering;
 
-/// Monotonic counters of worker-pool activity.
-#[derive(Debug, Default)]
-pub struct PoolCounters {
-    tasks: AtomicU64,
-    regions: AtomicU64,
-    steals: AtomicU64,
-    max_queue_depth: AtomicU64,
-    serial_busy_ns: AtomicU64,
-    modeled_busy_ns: AtomicU64,
-    region_wall_ns: AtomicU64,
+counter_family! {
+    /// Monotonic counters of worker-pool activity.
+    PoolCounters => PoolSnapshot {
+        /// Tasks executed across all regions.
+        tasks,
+        /// Parallel regions run (one per `WorkerPool::map` call).
+        regions,
+        /// Tasks claimed by a lane other than their round-robin home.
+        steals,
+        /// Deepest queue observed at the start of any region.
+        max_queue_depth [high_water],
+        /// Sum of per-task durations (the serial cost of all regions).
+        serial_busy_ns,
+        /// Sum of modeled parallel region durations (list-schedule makespan
+        /// per region).
+        modeled_busy_ns,
+        /// Sum of region wall-clock durations as the host actually ran them.
+        region_wall_ns,
+    }
 }
 
 impl PoolCounters {
@@ -48,68 +58,6 @@ impl PoolCounters {
         self.modeled_busy_ns
             .fetch_add(modeled_ns, Ordering::Relaxed);
         self.region_wall_ns.fetch_add(wall_ns, Ordering::Relaxed);
-    }
-
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> PoolSnapshot {
-        PoolSnapshot {
-            tasks: self.tasks.load(Ordering::Relaxed),
-            regions: self.regions.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
-            serial_busy_ns: self.serial_busy_ns.load(Ordering::Relaxed),
-            modeled_busy_ns: self.modeled_busy_ns.load(Ordering::Relaxed),
-            region_wall_ns: self.region_wall_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`PoolCounters`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PoolSnapshot {
-    /// Tasks executed across all regions.
-    pub tasks: u64,
-    /// Parallel regions run (one per `WorkerPool::map` call).
-    pub regions: u64,
-    /// Tasks claimed by a lane other than their round-robin home.
-    pub steals: u64,
-    /// Deepest queue observed at the start of any region.
-    pub max_queue_depth: u64,
-    /// Sum of per-task durations (the serial cost of all regions).
-    pub serial_busy_ns: u64,
-    /// Sum of modeled parallel region durations (list-schedule makespan
-    /// per region).
-    pub modeled_busy_ns: u64,
-    /// Sum of region wall-clock durations as the host actually ran them.
-    pub region_wall_ns: u64,
-}
-
-impl PoolSnapshot {
-    /// Difference of two snapshots (`later - self`). `max_queue_depth`
-    /// is a high-water mark, not a sum, so the later value is kept.
-    pub fn delta(&self, later: &PoolSnapshot) -> PoolSnapshot {
-        PoolSnapshot {
-            tasks: later.tasks - self.tasks,
-            regions: later.regions - self.regions,
-            steals: later.steals - self.steals,
-            max_queue_depth: later.max_queue_depth,
-            serial_busy_ns: later.serial_busy_ns - self.serial_busy_ns,
-            modeled_busy_ns: later.modeled_busy_ns - self.modeled_busy_ns,
-            region_wall_ns: later.region_wall_ns - self.region_wall_ns,
-        }
-    }
-
-    /// `(name, value)` pairs in display order, for report writers.
-    pub fn entries(&self) -> [(&'static str, u64); 7] {
-        [
-            ("tasks", self.tasks),
-            ("regions", self.regions),
-            ("steals", self.steals),
-            ("max_queue_depth", self.max_queue_depth),
-            ("serial_busy_ns", self.serial_busy_ns),
-            ("modeled_busy_ns", self.modeled_busy_ns),
-            ("region_wall_ns", self.region_wall_ns),
-        ]
     }
 }
 
@@ -146,10 +94,7 @@ mod tests {
     fn entries_cover_every_field() {
         let c = PoolCounters::default();
         c.record_region(3, 1, 3, 30, 10, 40);
-        let names: Vec<_> = c.snapshot().entries().iter().map(|(n, _)| *n).collect();
-        assert_eq!(names.len(), 7);
-        assert!(names.contains(&"steals"));
-        assert!(names.contains(&"modeled_busy_ns"));
-        assert!(names.contains(&"region_wall_ns"));
+        let s = c.snapshot();
+        crate::family::assert_entries_cover_every_field::<7>(&s, s.entries());
     }
 }

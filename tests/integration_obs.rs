@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use wukong_bench::{
-    assert_budget_engaged, assert_mode_engaged, feed_engine, ls_workload_seeded, BenchJson, Scale,
+    assert_budget_engaged, assert_mode_engaged, ls_workload_seeded, BenchJson, Scale,
     JSON_SCHEMA_VERSION,
 };
 use wukong_benchdata::lsbench;
@@ -331,14 +331,7 @@ fn replan_and_recovery_stages_keep_the_invariant() {
 fn json_report_round_trips_with_stable_schema() {
     let w = ls_workload_seeded(Scale::Tiny, 42);
     for (leg, cfg) in observed(EngineConfig::cluster(2)) {
-        let engine = feed_engine(
-            cfg.clone(),
-            &w.strings,
-            w.schemas(),
-            &w.stored,
-            &w.timeline,
-            w.duration,
-        );
+        let engine = w.engine(cfg.clone());
         let id = engine
             .register_continuous(&lsbench::continuous_query(&w.bench, 1, 0))
             .expect("register");
