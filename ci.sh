@@ -59,6 +59,9 @@ echo "== crates/bench reads the environment in main.rs only and links one binary
 if grep -rn 'std::env' crates/bench/src | grep -v '^crates/bench/src/main.rs:'; then exit 1; fi
 [[ "$(grep -c '^\[\[bin\]\]' crates/bench/Cargo.toml)" -eq 1 ]]
 
+echo "== one step loop: only wukong-query's executor finalizes a result (fork-join passes it a Fork)"
+if grep -rn 'finalize(' crates/{core,baselines}/src; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

@@ -15,7 +15,7 @@ use super::{ContinuousId, Firing, OverloadState, WukongS};
 use crate::access::NodeAccess;
 use crate::checkpoint::LoggedQuery;
 use crate::config::ExecMode;
-use crate::forkjoin::execute_forkjoin_traced;
+use crate::forkjoin;
 use crate::scrub::ScrubViolation;
 use parking_lot::Mutex;
 use std::borrow::Borrow;
@@ -28,7 +28,7 @@ use wukong_obs::{Stage, StageTrace};
 use wukong_query::exec::{ExecContext, GraphAccess, StringLiteralResolver, WindowInstance};
 use wukong_query::{
     parse_query, plan_query, Degraded, DeltaState, Plan, PlanFeedback, Query, QueryError,
-    QueryKind, ResultSet, StepMode, Term,
+    QueryKind, ResultSet, Term,
 };
 use wukong_rdf::{Dir, Key, StreamId, Timestamp, Triple, Vid};
 use wukong_store::SnapshotId;
@@ -112,8 +112,8 @@ struct Evaluated {
     latency_ms: f64,
     stages: StageTrace,
     /// `(input rows, output rows)` per plan step of an in-place run;
-    /// empty otherwise (fork-join per-partition fan-out is not comparable
-    /// to whole-plan estimates, maintained firings skip the step loop).
+    /// empty otherwise (fork-join runs feed no drift detector, maintained
+    /// firings skip the step loop).
     fanout: Vec<(u64, u64)>,
 }
 
@@ -477,20 +477,16 @@ impl WukongS {
             obs.plan().record_mode(strategy == Strategy::ForkJoin);
         }
         let results = match strategy {
-            Strategy::ForkJoin => execute_forkjoin_traced(
-                query,
-                plan,
-                ctx,
-                &self.cluster,
-                home,
-                self.cfg.cores_per_query,
-                &lit,
-                &mut timer,
-                &mut stages,
-            ),
-            Strategy::InPlace => {
+            Strategy::InPlace | Strategy::ForkJoin => {
+                // One step loop either way; fork-join only swaps in its
+                // partitioned expansion of each step.
                 let access = NodeAccess::new(&self.cluster, home);
-                let results = wukong_query::execute_with_fanout(
+                let mut unreachable = Vec::new();
+                let mut fork = (strategy == Strategy::ForkJoin).then(|| {
+                    let cores = self.cfg.cores_per_query;
+                    forkjoin::partitioned(&self.cluster, home, cores, ctx, &mut unreachable)
+                });
+                let mut results = wukong_query::execute_with_fanout(
                     query,
                     plan,
                     ctx,
@@ -499,10 +495,13 @@ impl WukongS {
                     &mut timer,
                     &mut stages,
                     &mut fanout,
+                    fork.as_mut().map(|f| f as wukong_query::Fork),
                 );
+                drop(fork);
+                forkjoin::mark_unreachable(&self.cluster, unreachable, &mut results);
                 // The modeled work metric, recorded for every in-place
-                // execution so static and adaptive runs expose comparable
-                // plan-quality numbers.
+                // execution (a forked one reports no fan-out) so static
+                // and adaptive runs expose comparable plan-quality numbers.
                 obs.plan()
                     .record_edges(fanout.iter().map(|&(_, out)| out).sum());
                 results
@@ -558,18 +557,10 @@ impl WukongS {
             .map(|step| {
                 let p = &step.pattern;
                 let probe = |key: Key| access.estimate(key, p.graph, ctx) as u64;
-                match step.mode {
-                    StepMode::FromSubject => match p.s {
-                        Term::Const(c) => (1, probe(Key::new(c, p.p, Dir::Out))),
-                        Term::Var(_) => (0, 0),
-                    },
-                    StepMode::FromObject => match p.o {
-                        Term::Const(c) => (1, probe(Key::new(c, p.p, Dir::In))),
-                        Term::Var(_) => (0, 0),
-                    },
-                    StepMode::IndexScan => {
-                        (1, probe(Key::index(p.p, Dir::Out)).max(1).saturating_mul(4))
-                    }
+                match step.anchoring() {
+                    Some((Term::Const(c), _, dir)) => (1, probe(Key::new(c, p.p, dir))),
+                    Some((Term::Var(_), ..)) => (0, 0),
+                    None => (1, probe(Key::index(p.p, Dir::Out)).max(1).saturating_mul(4)),
                 }
             })
             .collect()
@@ -997,6 +988,17 @@ mod tests {
     use crate::config::EngineConfig;
     use wukong_net::FaultPlan;
     use wukong_stream::StreamSchema;
+
+    /// A query naming more distinct variables than `Query::var_count`
+    /// can count is an error, not a panic in the planner.
+    #[test]
+    fn one_shot_rejects_too_many_variables() {
+        let engine = WukongS::new(EngineConfig::single_node());
+        let chain: Vec<String> = (1..257).map(|i| format!("?V{} p ?V{i}", i - 1)).collect();
+        let text = format!("SELECT ?V0 WHERE {{ {} }}", chain.join(" . "));
+        let got = engine.one_shot(&text);
+        assert!(matches!(got, Err(QueryError::Unsupported(_))), "{got:?}");
+    }
 
     /// Every `ExecMode × adaptive × incremental × fault plan × nodes {1, 8}
     /// × {incrementalizable, not}` cell, for firings and for probes.

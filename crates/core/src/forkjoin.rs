@@ -9,49 +9,22 @@
 //! this synchronisation is why fork-join trails in-place execution for
 //! selective queries (Table 5) yet wins for queries that scan large
 //! portions of the stored graph (Fig. 12's group II speedup).
+//!
+//! Only the partitioning lives here: [`partitioned`] is the per-step
+//! expansion the executor's one step loop
+//! ([`wukong_query::execute_with_fanout`]) takes in place of its own;
+//! filters, UNION / NOT EXISTS / OPTIONAL and projection stay in the loop.
 
 use crate::access::NodeAccess;
 use crate::cluster::Cluster;
 use std::time::Duration;
 use wukong_net::{Endpoint, NodeId, TaskTimer};
-use wukong_obs::{Stage, StageTrace};
-use wukong_query::ast::Term;
-use wukong_query::bindings::{BindingTable, UNBOUND};
-use wukong_query::exec::{ExecContext, GraphAccess, LiteralResolver};
-use wukong_query::plan::{Plan, Step, StepMode};
-use wukong_query::{apply_ready_filters, execute_step, finalize, Query, ResultSet};
+use wukong_query::bindings::BindingTable;
+use wukong_query::exec::{ExecContext, GraphAccess};
+use wukong_query::executor::concrete;
+use wukong_query::plan::{Step, StepMode};
+use wukong_query::{execute_step, ResultSet};
 use wukong_rdf::{Dir, Key, Vid};
-
-fn anchor_vid(step: &Step, row: &[Vid]) -> Option<Vid> {
-    let term = match step.mode {
-        StepMode::FromSubject => step.pattern.s,
-        StepMode::FromObject => step.pattern.o,
-        StepMode::IndexScan => return None,
-    };
-    match term {
-        Term::Const(c) => Some(c),
-        Term::Var(v) => {
-            let val = row[v as usize];
-            (val != UNBOUND).then_some(val)
-        }
-    }
-}
-
-fn anchor_key(step: &Step, v: Vid) -> Key {
-    match step.mode {
-        StepMode::FromSubject => Key::new(v, step.pattern.p, Dir::Out),
-        StepMode::FromObject => Key::new(v, step.pattern.p, Dir::In),
-        StepMode::IndexScan => unreachable!("index scans are rewritten before partitioning"),
-    }
-}
-
-/// What failed during one fork-join execution (graceful degradation).
-#[derive(Debug, Default, Clone)]
-pub struct FaultTally {
-    /// Nodes whose partitions never answered within the RPC retry
-    /// budget; their rows are missing from the result.
-    pub unreachable: Vec<u16>,
-}
 
 /// Real-time wait per RPC attempt before declaring a timeout. (These five
 /// constants are the whole RPC failure policy; DESIGN.md §8 describes the
@@ -73,6 +46,28 @@ const RPC_BACKOFF_CAP_NS: u64 = 1_600_000;
 pub(crate) fn backoff_ns(attempt: u32) -> u64 {
     let shifted = RPC_BACKOFF_BASE_NS.saturating_mul(1u64 << attempt.saturating_sub(1).min(32));
     shifted.min(RPC_BACKOFF_CAP_NS)
+}
+
+/// Runs one partition's step on `node`: returns the expanded rows, the
+/// real nanoseconds the run took, and its hop cost — real plus charged
+/// time over the node's per-query worker cores (§6.4: a partition's rows
+/// split across them; messaging, charged by the callers, is not
+/// divisible).
+fn run_partition(
+    step: &Step,
+    part: &BindingTable,
+    ctx: &ExecContext,
+    cluster: &Cluster,
+    node: NodeId,
+    cores: usize,
+) -> (BindingTable, u64, u64) {
+    let access = NodeAccess::new(cluster, node);
+    let started = std::time::Instant::now();
+    let mut timer = TaskTimer::start();
+    let out = execute_step(step, part, ctx, &access, &mut timer);
+    let real = started.elapsed().as_nanos() as u64;
+    let c = cores.max(1).min(part.len().max(1)) as u64;
+    (out, real, (real + timer.charged_ns()) / c)
 }
 
 /// Runs one remote partition as an RPC with per-attempt deadlines and
@@ -126,14 +121,8 @@ fn rpc_partition(
         // request copy; re-execution is idempotent, so duplicated
         // requests only cost (excluded) compute and an extra reply.
         while let Some(_req) = worker_ep.try_recv() {
-            let access = NodeAccess::new(cluster, node);
-            let started = std::time::Instant::now();
-            let mut sub_timer = TaskTimer::start();
-            let out = execute_step(step, part, ctx, &access, &mut sub_timer);
-            let real = started.elapsed().as_nanos() as u64;
+            let (out, real, work_ns) = run_partition(step, part, ctx, cluster, node, cores);
             *sequential_real += real;
-            let c = cores.max(1).min(part.len().max(1)) as u64;
-            let work_ns = (real + sub_timer.charged_ns()) / c;
             worker_ep.send(home, out.wire_bytes(), work_ns);
             result = Some(out);
         }
@@ -159,145 +148,124 @@ fn rpc_partition(
     (None, net_ns)
 }
 
-/// Executes one anchored step with per-node partitioning and parallel
-/// workers; returns the joined table. Under an installed fault plan,
-/// remote partitions run as deadline-bounded RPCs (see
-/// [`rpc_partition`]); unreachable shards land in `tally` and their rows
-/// are omitted.
-#[allow(clippy::too_many_arguments)]
-fn partitioned_step(
-    step: &Step,
-    input: &BindingTable,
-    ctx: &ExecContext,
-    cluster: &Cluster,
+/// The fork-join expansion of one plan step, as the executor's step loop
+/// takes it ([`wukong_query::Fork`]): an index scan is first rewritten
+/// into a subject-anchored step ([`expand_index_scan`]), then the rows
+/// partition by their anchor's owner node, every non-empty partition runs
+/// on its node with `cores` worker cores serving the query there (§6.4's
+/// latency/resource knob), and the results join into the output table in
+/// node order. Under an installed fault plan remote partitions run as
+/// deadline-bounded RPCs ([`rpc_partition`]); shards that never answered
+/// land in `unreachable` (see [`mark_unreachable`]) and their rows are
+/// omitted.
+pub fn partitioned<'a>(
+    cluster: &'a Cluster,
     home: NodeId,
     cores: usize,
-    timer: &mut TaskTimer,
-    tally: &mut FaultTally,
-) -> BindingTable {
-    let nodes = cluster.nodes();
-    let mut parts: Vec<BindingTable> = (0..nodes)
-        .map(|_| BindingTable::empty(input.width()))
-        .collect();
-    for row in input.iter() {
-        match anchor_vid(step, row) {
-            Some(v) => parts[cluster.owner(anchor_key(step, v)).idx()].push_row(row),
-            None => parts[home.idx()].push_row(row),
-        }
-    }
-
-    let faulty = cluster.fabric().faults_enabled();
-    let mut joined = BindingTable::empty(input.width());
-
-    // Fork: run each non-empty partition on its owning node.
-    //
-    // Fault-free, the partitions execute on the home node's worker pool
-    // (really concurrent when `worker_threads` > 1) and join back in
-    // node order — the merge order, and therefore the result, is
-    // identical for any pool width. Cost stays modelled either way: the
-    // region's real time is excluded and the *maximum* per-partition
-    // latency charged, since a real fork-join waits only for its slowest
-    // partition.
-    if !faulty {
-        let work: Vec<(usize, &BindingTable)> = parts
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| !p.is_empty())
+    ctx: &'a ExecContext,
+    unreachable: &'a mut Vec<u16>,
+) -> impl FnMut(&Step, &BindingTable, &mut TaskTimer, &mut BindingTable) + 'a {
+    move |step, input, timer, out| {
+        let rewritten;
+        let (step, input) = if step.mode == StepMode::IndexScan {
+            rewritten = expand_index_scan(step, input, ctx, cluster, home, timer);
+            (&rewritten.1, &rewritten.0)
+        } else {
+            (step, input)
+        };
+        let (anchor, _, dir) = step.anchoring().expect("index scans are rewritten");
+        let mut parts: Vec<BindingTable> = (0..cluster.nodes())
+            .map(|_| BindingTable::empty(input.width()))
             .collect();
-        let region = std::time::Instant::now();
-        // Pool workers have their own thread-locals: capture the calling
-        // thread's recorder context and re-install it inside each task so
-        // per-partition events keep the firing's causal attribution.
-        let trace_ctx = wukong_obs::trace::current();
-        let executed = cluster.pool(home).map(work, |_, (n, part)| {
-            let _scope = trace_ctx
-                .as_ref()
-                .map(|(rec, fid, bid)| wukong_obs::trace::install_recorder(rec, *fid, *bid));
-            let node = NodeId(n as u16);
-            let access = NodeAccess::new(cluster, node);
-            let started = std::time::Instant::now();
-            let mut sub_timer = TaskTimer::start();
-            let out = execute_step(step, part, ctx, &access, &mut sub_timer);
-            let real = started.elapsed().as_nanos() as u64;
-            // A partition's rows split across the node's per-query worker
-            // cores (§6.4); messaging is not divisible.
-            let c = cores.max(1).min(part.len().max(1)) as u64;
-            let mut hop = (real + sub_timer.charged_ns()) / c;
-            if node != home {
-                let mut hop_timer = TaskTimer::start();
-                cluster
-                    .fabric()
-                    .charge_message(home, node, part.wire_bytes(), &mut hop_timer);
-                cluster
-                    .fabric()
-                    .charge_message(node, home, out.wire_bytes(), &mut hop_timer);
-                hop += hop_timer.charged_ns();
-            }
-            (out, hop)
-        });
+        for row in input.iter() {
+            let node = match concrete(anchor, row) {
+                Some(v) => cluster.owner(Key::new(v, step.pattern.p, dir)),
+                None => home,
+            };
+            parts[node.idx()].push_row(row);
+        }
+        out.clear();
+        let work = parts.iter().enumerate().filter(|(_, p)| !p.is_empty());
         let mut max_hop = 0u64;
-        for (out, hop) in executed {
-            max_hop = max_hop.max(hop);
-            for row in out.iter() {
-                joined.push_row(row);
-            }
-        }
-        timer.exclude(region.elapsed().as_nanos() as u64);
-        timer.charge(max_hop);
-        return joined;
-    }
 
-    // Under an installed fault plan remote partitions go through the
-    // deadline-bounded RPC path, which owns the outer timer (per-attempt
-    // waits, exclusions) — they stay sequential.
-    let endpoints = cluster.fabric().endpoints::<u64>();
-    let mut max_hop = 0u64;
-    let mut sequential_real = 0u64;
-    for (n, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        let node = NodeId(n as u16);
-        if node != home {
-            let (out, hop) = rpc_partition(
-                step,
-                part,
-                ctx,
-                cluster,
-                home,
-                node,
-                cores,
-                &endpoints,
-                timer,
-                &mut sequential_real,
-            );
-            max_hop = max_hop.max(hop);
-            match out {
-                Some(out) => {
-                    for row in out.iter() {
-                        joined.push_row(row);
-                    }
+        // Fork: run each non-empty partition on its owning node.
+        //
+        // Fault-free, the partitions execute on the home node's worker
+        // pool (really concurrent when `worker_threads` > 1) and join back
+        // in node order — the merge order, and therefore the result, is
+        // identical for any pool width. Cost stays modelled either way:
+        // the region's real time is excluded and the *maximum*
+        // per-partition latency charged, since a real fork-join waits only
+        // for its slowest partition.
+        if !cluster.fabric().faults_enabled() {
+            let region = std::time::Instant::now();
+            // Pool workers have their own thread-locals: capture the
+            // calling thread's recorder context and re-install it inside
+            // each task so per-partition events keep the firing's causal
+            // attribution.
+            let trace_ctx = wukong_obs::trace::current();
+            let executed = cluster.pool(home).map(work.collect(), |_, (n, part)| {
+                let _scope = trace_ctx
+                    .as_ref()
+                    .map(|(rec, fid, bid)| wukong_obs::trace::install_recorder(rec, *fid, *bid));
+                let node = NodeId(n as u16);
+                let (rows, _, mut hop) = run_partition(step, part, ctx, cluster, node, cores);
+                if node != home {
+                    let mut hop_timer = TaskTimer::start();
+                    let fabric = cluster.fabric();
+                    fabric.charge_message(home, node, part.wire_bytes(), &mut hop_timer);
+                    fabric.charge_message(node, home, rows.wire_bytes(), &mut hop_timer);
+                    hop += hop_timer.charged_ns();
                 }
-                None => tally.unreachable.push(n as u16),
+                (rows, hop)
+            });
+            for (rows, hop) in executed {
+                max_hop = max_hop.max(hop);
+                rows.iter().for_each(|row| out.push_row(row));
             }
-            continue;
+            timer.exclude(region.elapsed().as_nanos() as u64);
+            timer.charge(max_hop);
+            return;
         }
-        let access = NodeAccess::new(cluster, node);
-        let started = std::time::Instant::now();
-        let mut sub_timer = TaskTimer::start();
-        let out = execute_step(step, part, ctx, &access, &mut sub_timer);
-        let real = started.elapsed().as_nanos() as u64;
-        sequential_real += real;
-        let c = cores.max(1).min(part.len().max(1)) as u64;
-        let hop = (real + sub_timer.charged_ns()) / c;
-        max_hop = max_hop.max(hop);
-        for row in out.iter() {
-            joined.push_row(row);
+
+        // Under an installed fault plan remote partitions go through the
+        // deadline-bounded RPC path, which owns the outer timer
+        // (per-attempt waits, exclusions) — they stay sequential.
+        let endpoints = cluster.fabric().endpoints::<u64>();
+        let mut real = 0u64;
+        for (n, part) in work {
+            let node = NodeId(n as u16);
+            let (rows, hop) = if node == home {
+                let (rows, ns, hop) = run_partition(step, part, ctx, cluster, node, cores);
+                real += ns;
+                (Some(rows), hop)
+            } else {
+                let eps = &endpoints;
+                rpc_partition(
+                    step, part, ctx, cluster, home, node, cores, eps, timer, &mut real,
+                )
+            };
+            max_hop = max_hop.max(hop);
+            match rows {
+                Some(rows) => rows.iter().for_each(|row| out.push_row(row)),
+                None => unreachable.push(n as u16),
+            }
         }
+        timer.exclude(real);
+        timer.charge(max_hop);
     }
-    timer.exclude(sequential_real);
-    timer.charge(max_hop);
-    joined
+}
+
+/// Marks `results` degraded by the shards [`partitioned`] collected in
+/// `unreachable`; a complete answer is left alone.
+pub fn mark_unreachable(cluster: &Cluster, mut unreachable: Vec<u16>, results: &mut ResultSet) {
+    if unreachable.is_empty() {
+        return;
+    }
+    unreachable.sort_unstable();
+    unreachable.dedup();
+    results.unreachable_shards = unreachable;
+    cluster.obs().faults().inc_degraded();
 }
 
 /// Rewrites an index-scan step: fetch the subject list (from the index
@@ -348,119 +316,19 @@ fn expand_index_scan(
     subjects.sort_unstable();
     subjects.dedup();
     let mut bound = BindingTable::empty(input.width());
-    let s_var = step.pattern.s.var();
     for row in input.iter() {
-        for &s in &subjects {
-            match s_var {
-                Some(v) if row[v as usize] == UNBOUND => bound.push_bound(row, v, s),
-                Some(v) if row[v as usize] == s => bound.push_row(row),
-                Some(_) => {}
-                // Constant subjects never plan as index scans.
+        let Some((candidates, bind_s)) = step.scan_candidates(&subjects, row) else {
+            continue;
+        };
+        for &s in candidates {
+            match bind_s {
+                Some(v) => bound.push_bound(row, v, s),
                 None => bound.push_row(row),
             }
         }
     }
-    (
-        bound,
-        Step {
-            pattern: step.pattern,
-            mode: StepMode::FromSubject,
-            estimate: step.estimate,
-        },
-    )
-}
-
-/// Executes `plan` in fork-join mode from `home` with `cores` worker
-/// cores serving the query on each node (§6.4's latency/resource knob).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_forkjoin(
-    query: &Query,
-    plan: &Plan,
-    ctx: &ExecContext,
-    cluster: &Cluster,
-    home: NodeId,
-    cores: usize,
-    lit: &impl LiteralResolver,
-    timer: &mut TaskTimer,
-) -> ResultSet {
-    let mut trace = StageTrace::new();
-    execute_forkjoin_traced(
-        query, plan, ctx, cluster, home, cores, lit, timer, &mut trace,
-    )
-}
-
-/// [`execute_forkjoin`] with staged latency attribution. The whole
-/// matching phase lands in [`Stage::PatternMatch`]; within it, the
-/// partitioned step loop is additionally attributed to
-/// [`Stage::ForkJoinFanout`] and the home-node UNION / NOT EXISTS /
-/// OPTIONAL joining to [`Stage::ForkJoinMerge`] (both overlap
-/// `PatternMatch` — attribution, not additional latency). Projection
-/// lands in [`Stage::ResultEmit`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_forkjoin_traced(
-    query: &Query,
-    plan: &Plan,
-    ctx: &ExecContext,
-    cluster: &Cluster,
-    home: NodeId,
-    cores: usize,
-    lit: &impl LiteralResolver,
-    timer: &mut TaskTimer,
-    trace: &mut StageTrace,
-) -> ResultSet {
-    let mut table = BindingTable::seed(query.var_count as usize);
-    let mut applied = vec![false; query.filters.len()];
-    let mut tally = FaultTally::default();
-    let t0 = timer.total_ns();
-    let mut fanout_ns = 0u64;
-
-    let match_span = wukong_obs::trace::scoped_span(Stage::PatternMatch);
-    {
-        let _fanout_span = wukong_obs::trace::scoped_span(Stage::ForkJoinFanout);
-        for step in &plan.steps {
-            let fork_start = timer.total_ns();
-            let (input, anchored) = if step.mode == StepMode::IndexScan {
-                expand_index_scan(step, &table, ctx, cluster, home, timer)
-            } else {
-                (table, *step)
-            };
-            table = partitioned_step(
-                &anchored, &input, ctx, cluster, home, cores, timer, &mut tally,
-            );
-            fanout_ns += timer.total_ns().saturating_sub(fork_start);
-            apply_ready_filters(&mut table, &query.filters, &mut applied, lit);
-            if table.is_empty() {
-                break;
-            }
-        }
-    }
-
-    // UNION and OPTIONAL blocks run in-place on the home node (they
-    // expand rows branch by branch; remote reads are charged through the
-    // access layer).
-    let merge_start = timer.total_ns();
-    let merge_span = wukong_obs::trace::scoped_span(Stage::ForkJoinMerge);
-    let access = NodeAccess::new(cluster, home);
-    let table = wukong_query::executor::apply_union(query, table, ctx, &access, timer);
-    let table = wukong_query::executor::apply_not_exists(query, table, ctx, &access, timer);
-    let table = wukong_query::executor::apply_optional(query, table, ctx, &access, timer);
-    drop(merge_span);
-    drop(match_span);
-    let matched = timer.total_ns();
-    trace.add(Stage::PatternMatch, matched.saturating_sub(t0));
-    trace.add(Stage::ForkJoinFanout, fanout_ns);
-    trace.add(Stage::ForkJoinMerge, matched.saturating_sub(merge_start));
-    let emit_span = wukong_obs::trace::scoped_span(Stage::ResultEmit);
-    let mut out = finalize(query, table, &applied, lit);
-    drop(emit_span);
-    trace.add(Stage::ResultEmit, timer.total_ns().saturating_sub(matched));
-    if !tally.unreachable.is_empty() {
-        tally.unreachable.sort_unstable();
-        tally.unreachable.dedup();
-        out.unreachable_shards = tally.unreachable;
-        cluster.obs().faults().inc_degraded();
-    }
-    out
+    let mode = StepMode::FromSubject;
+    (bound, Step { mode, ..*step })
 }
 
 #[cfg(test)]
@@ -468,10 +336,35 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use wukong_net::TaskTimer;
+    use wukong_obs::StageTrace;
     use wukong_query::exec::NoLiterals;
-    use wukong_query::{parse_query, plan_query};
+    use wukong_query::{parse_query, plan_query, Plan, Query};
     use wukong_rdf::Triple;
     use wukong_store::SnapshotId;
+
+    /// Runs `q` fork-join from node 0 with one core per node, through the
+    /// executor's step loop as the engine's evaluation does.
+    fn run_forkjoin(cluster: &Cluster, q: &Query, plan: &Plan, ctx: &ExecContext) -> ResultSet {
+        let access = NodeAccess::new(cluster, NodeId(0));
+        let mut unreachable = Vec::new();
+        let mut fork = partitioned(cluster, NodeId(0), 1, ctx, &mut unreachable);
+        let (mut timer, mut trace) = (TaskTimer::start(), StageTrace::new());
+        let mut rs = wukong_query::execute_with_fanout(
+            q,
+            plan,
+            ctx,
+            &access,
+            &NoLiterals,
+            &mut timer,
+            &mut trace,
+            &mut Vec::new(),
+            Some(&mut fork),
+        );
+        assert!(trace.get(wukong_obs::Stage::ForkJoinFanout) > 0);
+        drop(fork);
+        mark_unreachable(cluster, unreachable, &mut rs);
+        rs
+    }
 
     fn load_follow_graph(cluster: &Cluster, n: u64) {
         let ss = cluster.strings();
@@ -499,17 +392,7 @@ mod tests {
         let mut t1 = TaskTimer::start();
         let inplace = wukong_query::execute(&q, &plan, &ctx, &access, &NoLiterals, &mut t1);
 
-        let mut t2 = TaskTimer::start();
-        let forkjoin = execute_forkjoin(
-            &q,
-            &plan,
-            &ctx,
-            &cluster,
-            NodeId(0),
-            1,
-            &NoLiterals,
-            &mut t2,
-        );
+        let forkjoin = run_forkjoin(&cluster, &q, &plan, &ctx);
 
         assert_eq!(inplace.rows.len(), 64);
         let mut a = inplace.rows.clone();
@@ -544,17 +427,7 @@ mod tests {
             let plan = plan_query(&q, &access, &ctx);
             let mut t1 = TaskTimer::start();
             let inplace = wukong_query::execute(&q, &plan, &ctx, &access, &NoLiterals, &mut t1);
-            let mut t2 = TaskTimer::start();
-            let forked = execute_forkjoin(
-                &q,
-                &plan,
-                &ctx,
-                &cluster,
-                NodeId(0),
-                1,
-                &NoLiterals,
-                &mut t2,
-            );
+            let forked = run_forkjoin(&cluster, &q, &plan, &ctx);
             assert_eq!(inplace.rows.len(), expect, "{text}");
             let mut a = inplace.rows.clone();
             let mut b = forked.rows.clone();
@@ -562,6 +435,31 @@ mod tests {
             b.sort();
             assert_eq!(a, b, "{text}");
         }
+    }
+
+    #[test]
+    fn bound_subject_index_scan_agrees_across_executors() {
+        // The planner never index-scans over a subject its plan already
+        // binds, so force one: both steps scan, the second over rows
+        // that bind ?X, which the rewrite must bisect, not walk.
+        let cluster = Cluster::new(&EngineConfig::cluster(4));
+        load_follow_graph(&cluster, 32);
+        let ss = cluster.strings();
+        let q = parse_query(ss, "SELECT ?X ?Y ?Z WHERE { ?X fo ?Y . ?X po ?Z }").unwrap();
+        let ctx = ExecContext::stored(SnapshotId::BASE);
+        let access = NodeAccess::new(&cluster, NodeId(0));
+        let mut plan = plan_query(&q, &access, &ctx);
+        for step in &mut plan.steps {
+            step.mode = StepMode::IndexScan;
+        }
+        let mut timer = TaskTimer::start();
+        let inplace = wukong_query::execute(&q, &plan, &ctx, &access, &NoLiterals, &mut timer);
+        let mut forked = run_forkjoin(&cluster, &q, &plan, &ctx).rows;
+        let mut a = inplace.rows;
+        assert_eq!(a.len(), 32);
+        a.sort();
+        forked.sort();
+        assert_eq!(a, forked);
     }
 
     #[test]
@@ -575,17 +473,7 @@ mod tests {
         let plan = plan_query(&q, &access, &ctx);
 
         let before = cluster.fabric().metrics();
-        let mut timer = TaskTimer::start();
-        let rs = execute_forkjoin(
-            &q,
-            &plan,
-            &ctx,
-            &cluster,
-            NodeId(0),
-            1,
-            &NoLiterals,
-            &mut timer,
-        );
+        let rs = run_forkjoin(&cluster, &q, &plan, &ctx);
         let delta = before.delta(&cluster.fabric().metrics());
         assert_eq!(rs.rows.len(), 64);
         assert!(delta.messages > 0, "fork-join must message remote nodes");
@@ -597,8 +485,7 @@ mod tests {
         let ctx = ExecContext::stored(SnapshotId::BASE);
         let access = NodeAccess::new(cluster, NodeId(0));
         let plan = plan_query(&q, &access, &ctx);
-        let mut t = TaskTimer::start();
-        execute_forkjoin(&q, &plan, &ctx, cluster, NodeId(0), 1, &NoLiterals, &mut t)
+        run_forkjoin(cluster, &q, &plan, &ctx)
     }
 
     #[test]

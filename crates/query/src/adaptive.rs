@@ -8,10 +8,10 @@
 //! engine-independent pieces of the fix:
 //!
 //! * [`PlanCache`] — memoizes plans keyed on `(normalized query text,
-//!   stats epoch)`. One-shot bursts and fork-join sub-queries re-submit
-//!   textually identical queries many times per second; as long as the
-//!   store's statistics epoch has not advanced, the cached plan is
-//!   exactly what the planner would produce again.
+//!   stats epoch)`. One-shot bursts re-submit textually identical
+//!   queries many times per second; as long as the store's statistics
+//!   epoch has not advanced, the cached plan is exactly what the planner
+//!   would produce again.
 //! * [`PlanFeedback`] + [`DriftPolicy`] — per-step cardinality feedback.
 //!   The executor reports each step's actual fan-out next to the
 //!   planner's [`crate::plan::Step::estimate`]; a drift detector trips
@@ -114,17 +114,6 @@ impl PlanCache {
             }
         }
         map.insert(key, plan);
-    }
-
-    /// The cached plan for `text` at `epoch`, planning via `plan_fn` and
-    /// caching on a miss.
-    pub fn get_or_plan(&self, text: &str, epoch: u64, plan_fn: impl FnOnce() -> Plan) -> Plan {
-        if let Some(p) = self.get(text, epoch) {
-            return p;
-        }
-        let p = plan_fn();
-        self.insert(text, epoch, p.clone());
-        p
     }
 
     /// Cache hits so far.
@@ -323,20 +312,6 @@ mod tests {
         assert!(cache.get("q3", 2).is_some());
         assert!(cache.get("q1", 1).is_none());
         assert!(cache.get("q2", 1).is_none());
-    }
-
-    #[test]
-    fn get_or_plan_plans_once_per_key() {
-        let cache = PlanCache::default();
-        let mut calls = 0;
-        for _ in 0..3 {
-            cache.get_or_plan("q", 7, || {
-                calls += 1;
-                plan_with_estimates(&[9])
-            });
-        }
-        assert_eq!(calls, 1);
-        assert_eq!(cache.hits(), 2);
     }
 
     #[test]

@@ -6,14 +6,19 @@
 //! composite design cannot push selectivity across the system boundary
 //! (§2.3, Fig. 4).
 //!
-//! The step function is public so distribution drivers (the engine's
-//! fork-join mode, the baselines' bolt pipelines) can interleave their own
-//! partitioning and communication between steps.
+//! [`execute_with_fanout`] is the one step loop. In place it expands each
+//! step with [`execute_step_into`] on the home node; the engine's fork-join
+//! mode hands it a [`Fork`] that partitions the step's rows by anchor
+//! owner and runs the same kernel ([`execute_step`]) on every node.
+//! Filters, UNION / NOT EXISTS / OPTIONAL on the home node and
+//! [`finalize`] stay in the loop either way. The step function is public
+//! so fork-join's partitions and the baselines' bolt pipelines run it.
 
-use crate::ast::{AggFunc, Aggregate, Filter, Query, Term};
+use crate::ast::{AggFunc, Aggregate, Filter, Query, Term, TriplePattern};
 use crate::bindings::{BindingTable, UNBOUND};
 use crate::exec::{ExecContext, GraphAccess, LiteralResolver};
-use crate::plan::{Plan, Step, StepMode};
+use crate::plan::{Plan, Step};
+use crate::planner::{mark_bound, plan_patterns};
 use std::sync::Arc;
 use wukong_net::TaskTimer;
 use wukong_obs::{Stage, StageTrace};
@@ -100,7 +105,9 @@ impl ResultSet {
     }
 }
 
-pub(crate) fn concrete(term: Term, row: &[Vid]) -> Option<Vid> {
+/// `term`'s value in `row`: the constant, or the variable's binding
+/// (`None` while unbound).
+pub fn concrete(term: Term, row: &[Vid]) -> Option<Vid> {
     match term {
         Term::Const(c) => Some(c),
         Term::Var(v) => {
@@ -163,13 +170,8 @@ pub fn execute_step_into(
     let p = &step.pattern;
     let buf = &mut scratch.neighbors;
 
-    match step.mode {
-        StepMode::FromSubject | StepMode::FromObject => {
-            let (anchor_term, target_term, dir) = if step.mode == StepMode::FromSubject {
-                (p.s, p.o, Dir::Out)
-            } else {
-                (p.o, p.s, Dir::In)
-            };
+    match step.anchoring() {
+        Some((anchor_term, target_term, dir)) => {
             if input.len() >= BATCH_MIN_ANCHORS
                 && expand_batched(step, input, ctx, access, timer, &mut scratch.keys, out)
             {
@@ -200,7 +202,7 @@ pub fn execute_step_into(
                 }
             }
         }
-        StepMode::IndexScan => {
+        None => {
             // Enumerate subjects from the predicate index, then expand
             // each subject to its objects. The index is duplicate-free on
             // the persistent store but only per-slice on transient
@@ -212,15 +214,8 @@ pub fn execute_step_into(
             subjects.dedup();
             let s_var = p.s.var();
             for row in input.iter() {
-                // A subject variable a previous step already bound keeps
-                // only that subject — found by bisection, not by walking
-                // the whole list; an unbound one takes the enumerated value.
-                let (candidates, bind_s) = match concrete(p.s, row) {
-                    Some(bound) => match subjects.binary_search(&bound) {
-                        Ok(i) => (&subjects[i..=i], None),
-                        Err(_) => continue,
-                    },
-                    None => (subjects.as_slice(), s_var),
+                let Some((candidates, bind_s)) = step.scan_candidates(subjects, row) else {
+                    continue;
                 };
                 let bound_o = concrete(p.o, row);
                 // Repeated variable (`?X p ?X`): both positions must
@@ -278,10 +273,8 @@ fn expand_batched(
     out: &mut BindingTable,
 ) -> bool {
     let p = &step.pattern;
-    let (anchor_term, target_term, dir) = if step.mode == StepMode::FromSubject {
-        (p.s, p.o, Dir::Out)
-    } else {
-        (p.o, p.s, Dir::In)
+    let Some((anchor_term, target_term, dir)) = step.anchoring() else {
+        return false;
     };
     let Some(var) = target_term.var() else {
         return false;
@@ -409,11 +402,9 @@ impl StepRunner {
     }
 }
 
-/// Applies every not-yet-applied filter whose variable is now bound.
-///
-/// `applied` tracks filter state across steps; exposed so distribution
-/// drivers (fork-join, baselines) can prune between their own stages.
-pub fn apply_ready_filters(
+/// Applies every not-yet-applied filter whose variable is now bound;
+/// `applied` tracks filter state across steps.
+fn apply_ready_filters(
     table: &mut BindingTable,
     filters: &[Filter],
     applied: &mut [bool],
@@ -509,33 +500,28 @@ pub fn finalize(
             let key: Vec<Vid> = query.group_by.iter().map(|&v| row[v as usize]).collect();
             groups.entry(key).or_default().push(row);
         }
-        let mut rows = Vec::with_capacity(groups.len());
-        let mut group_aggregates = Vec::with_capacity(groups.len());
-        for (key, members) in groups {
-            // Projection re-derives select values from the key order.
-            let projected: Vec<Vid> = query
-                .select
-                .iter()
-                .map(|v| {
-                    let pos = query
-                        .group_by
-                        .iter()
-                        .position(|g| g == v)
-                        .expect("select ⊆ group_by is parser-enforced");
-                    key[pos]
-                })
-                .collect();
-            rows.push(projected);
-            group_aggregates.push(aggregate_rows(
-                members.iter().copied(),
-                &query.aggregates,
-                lit,
-            ));
-        }
+        let group_pos = |var: u8| {
+            let pos = query.group_by.iter().position(|&g| g == var);
+            pos.expect("select and ORDER BY ⊆ group_by is parser-enforced")
+        };
+        // (key, projected row, aggregates) per group, in key order.
+        let mut grouped: Vec<_> = groups
+            .into_iter()
+            .map(|(key, members)| {
+                // Projection re-derives select values from the key order.
+                let select = query.select.iter();
+                let projected: Vec<Vid> = select.map(|&v| key[group_pos(v)]).collect();
+                let aggs = aggregate_rows(members.iter().copied(), &query.aggregates, lit);
+                (key, projected, aggs)
+            })
+            .collect();
+        order_rows(query, lit, &mut grouped, |(key, ..), var| {
+            key[group_pos(var)]
+        });
         if let Some(n) = query.limit {
-            rows.truncate(n);
-            group_aggregates.truncate(n);
+            grouped.truncate(n);
         }
+        let (rows, group_aggregates) = grouped.into_iter().map(|(_, r, a)| (r, a)).unzip();
         return ResultSet {
             var_names,
             rows,
@@ -548,46 +534,36 @@ pub fn finalize(
     }
 
     let aggregates = aggregate_rows(table.iter(), &query.aggregates, lit);
+    // Sort keys the projection drops ride along as trailing columns until
+    // the rows are ordered.
+    let hidden: Vec<u8> = query
+        .order_by
+        .iter()
+        .map(|&(v, _)| v)
+        .filter(|v| !query.select.contains(v))
+        .collect();
+    let columns = || query.select.iter().chain(&hidden);
     let mut rows: Vec<Vec<Vid>> = table
         .iter()
-        .map(|r| query.select.iter().map(|&v| r[v as usize]).collect())
+        .map(|r| columns().map(|&v| r[v as usize]).collect())
         .collect();
+    let width = query.select.len();
     if query.distinct {
+        // Sorted, so each projected row keeps its smallest hidden keys.
         rows.sort();
-        rows.dedup();
+        rows.dedup_by(|a, b| a[..width] == b[..width]);
     }
-    if !query.order_by.is_empty() {
-        // SPARQL ordering: numeric when the value is a number, otherwise
-        // lexical by display name, otherwise by ID; unbound sorts last.
-        let key_of = |v: Vid| -> (u8, f64, String, u64) {
-            if v == UNBOUND {
-                return (3, 0.0, String::new(), u64::MAX);
-            }
-            if let Some(n) = lit.numeric(v) {
-                (0, n, String::new(), v.0)
-            } else if let Some(s) = lit.display(v) {
-                (1, 0.0, s, v.0)
-            } else {
-                (2, 0.0, String::new(), v.0)
-            }
-        };
-        let sel_pos = |var: u8| query.select.iter().position(|&s| s == var);
-        rows.sort_by(|a, b| {
-            for &(var, desc) in &query.order_by {
-                let Some(col) = sel_pos(var) else { continue };
-                let ka = key_of(a[col]);
-                let kb = key_of(b[col]);
-                let ord = ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal);
-                let ord = if desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
+    let col = |var: u8| {
+        columns()
+            .position(|&c| c == var)
+            .expect("every key is a column")
+    };
+    order_rows(query, lit, &mut rows, |row, var| row[col(var)]);
     if let Some(n) = query.limit {
         rows.truncate(n);
+    }
+    if !hidden.is_empty() {
+        rows.iter_mut().for_each(|r| r.truncate(width));
     }
     ResultSet {
         var_names,
@@ -600,10 +576,55 @@ pub fn finalize(
     }
 }
 
+/// Stable-sorts `items` by the query's `ORDER BY` keys, `value(item, var)`
+/// reading a key. SPARQL ordering: numeric when the value is a number,
+/// otherwise lexical by display name, otherwise by ID; unbound sorts last.
+fn order_rows<T>(
+    query: &Query,
+    lit: &impl LiteralResolver,
+    items: &mut [T],
+    value: impl Fn(&T, u8) -> Vid,
+) {
+    if query.order_by.is_empty() {
+        return;
+    }
+    let key_of = |v: Vid| -> (u8, f64, String, u64) {
+        if v == UNBOUND {
+            return (3, 0.0, String::new(), u64::MAX);
+        }
+        if let Some(n) = lit.numeric(v) {
+            (0, n, String::new(), v.0)
+        } else if let Some(s) = lit.display(v) {
+            (1, 0.0, s, v.0)
+        } else {
+            (2, 0.0, String::new(), v.0)
+        }
+    };
+    items.sort_by(|a, b| {
+        for &(var, desc) in &query.order_by {
+            let ka = key_of(value(a, var));
+            let kb = key_of(value(b, var));
+            let ord = ka.partial_cmp(&kb).unwrap_or(std::cmp::Ordering::Equal);
+            let ord = if desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+}
+
+/// The variables `patterns` bind: what a nested block plans against.
+fn bound_by<'a>(query: &Query, patterns: impl IntoIterator<Item = &'a TriplePattern>) -> Vec<bool> {
+    let mut bound = vec![false; query.var_count as usize];
+    patterns.into_iter().for_each(|p| mark_bound(p, &mut bound));
+    bound
+}
+
 /// Applies the query's `OPTIONAL` block to `table`: rows that match the
 /// optional patterns extend with the new bindings; rows that do not are
 /// kept unchanged (left outer join).
-pub fn apply_optional(
+fn apply_optional(
     query: &Query,
     table: BindingTable,
     ctx: &ExecContext,
@@ -613,16 +634,8 @@ pub fn apply_optional(
     if query.optional.is_empty() || table.is_empty() {
         return table;
     }
-    // Plan the optional patterns with the required variables pre-bound.
-    let mut bound = vec![false; query.var_count as usize];
-    for p in &query.patterns {
-        for t in [p.s, p.o] {
-            if let crate::ast::Term::Var(v) = t {
-                bound[v as usize] = true;
-            }
-        }
-    }
-    let plan = crate::planner::plan_patterns(&query.optional, &bound, access, ctx);
+    let bound = bound_by(query, &query.patterns);
+    let plan = plan_patterns(&query.optional, &bound, access, ctx);
 
     let mut out = BindingTable::empty(table.width());
     let mut run = StepRunner::new(BindingTable::empty(table.width()));
@@ -641,7 +654,7 @@ pub fn apply_optional(
 
 /// Applies the query's `UNION` groups to `table`: each group joins the
 /// required bindings independently; results concatenate (bag union).
-pub fn apply_union(
+fn apply_union(
     query: &Query,
     table: BindingTable,
     ctx: &ExecContext,
@@ -651,17 +664,10 @@ pub fn apply_union(
     if query.union_groups.is_empty() || table.is_empty() {
         return table;
     }
-    let mut bound = vec![false; query.var_count as usize];
-    for p in &query.patterns {
-        for t in [p.s, p.o] {
-            if let crate::ast::Term::Var(v) = t {
-                bound[v as usize] = true;
-            }
-        }
-    }
+    let bound = bound_by(query, &query.patterns);
     let mut out = BindingTable::empty(table.width());
     for group in &query.union_groups {
-        let plan = crate::planner::plan_patterns(group, &bound, access, ctx);
+        let plan = plan_patterns(group, &bound, access, ctx);
         let mut run = StepRunner::new(table.clone());
         for row in run.steps(&plan.steps, ctx, access, timer).iter() {
             out.push_row(row);
@@ -672,7 +678,7 @@ pub fn apply_union(
 
 /// Applies the query's `FILTER NOT EXISTS` groups: a row survives only
 /// when no group matches under its bindings.
-pub fn apply_not_exists(
+fn apply_not_exists(
     query: &Query,
     table: BindingTable,
     ctx: &ExecContext,
@@ -682,22 +688,12 @@ pub fn apply_not_exists(
     if query.not_exists.is_empty() || table.is_empty() {
         return table;
     }
-    let mut bound = vec![false; query.var_count as usize];
-    for p in query
-        .patterns
-        .iter()
-        .chain(query.union_groups.iter().flatten())
-    {
-        for t in [p.s, p.o] {
-            if let crate::ast::Term::Var(v) = t {
-                bound[v as usize] = true;
-            }
-        }
-    }
+    let required = query.patterns.iter();
+    let bound = bound_by(query, required.chain(query.union_groups.iter().flatten()));
     let plans: Vec<Plan> = query
         .not_exists
         .iter()
-        .map(|g| crate::planner::plan_patterns(g, &bound, access, ctx))
+        .map(|g| plan_patterns(g, &bound, access, ctx))
         .collect();
 
     let mut out = BindingTable::empty(table.width());
@@ -744,16 +740,38 @@ pub fn execute_traced(
     trace: &mut StageTrace,
 ) -> ResultSet {
     let mut fanout = Vec::new();
-    execute_with_fanout(query, plan, ctx, access, lit, timer, trace, &mut fanout)
+    execute_with_fanout(
+        query,
+        plan,
+        ctx,
+        access,
+        lit,
+        timer,
+        trace,
+        &mut fanout,
+        None,
+    )
 }
 
-/// [`execute_traced`], additionally recording the per-step cardinality
-/// feedback the adaptive planner consumes: for every main-loop step, the
-/// binding-table sizes `(input_rows, output_rows)` measured *before*
-/// filters prune the step's output — the raw fan-out comparable to
-/// `Step::estimate`. `fanout` is cleared first and gets exactly one
-/// entry per plan step (steps skipped by the empty-table short-circuit
-/// report `(0, 0)`).
+/// A distributed expansion of one main-plan step (the engine's fork-join):
+/// fills the last argument (cleared first) with the second expanded by
+/// the step, charging its cost to the timer.
+pub type Fork<'a> = &'a mut dyn FnMut(&Step, &BindingTable, &mut TaskTimer, &mut BindingTable);
+
+/// The step loop behind every execution: [`execute_traced`], additionally
+/// recording the per-step cardinality feedback the adaptive planner
+/// consumes — for every main-loop step, the binding-table sizes
+/// `(input_rows, output_rows)` measured *before* filters prune the step's
+/// output, the raw fan-out comparable to `Step::estimate`. `fanout` is
+/// cleared first and gets exactly one entry per plan step (steps skipped
+/// by the empty-table short-circuit report `(0, 0)`).
+///
+/// With a `fork`, the main plan's steps expand through it instead of
+/// in place: they are additionally attributed to
+/// [`Stage::ForkJoinFanout`] and the home-node UNION / NOT EXISTS /
+/// OPTIONAL to [`Stage::ForkJoinMerge`] (both overlap `PatternMatch` —
+/// attribution, not additional latency), and `fanout` stays empty: a
+/// forked run feeds no drift detector.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_with_fanout(
     query: &Query,
@@ -764,33 +782,59 @@ pub fn execute_with_fanout(
     timer: &mut TaskTimer,
     trace: &mut StageTrace,
     fanout: &mut Vec<(u64, u64)>,
+    mut fork: Option<Fork<'_>>,
 ) -> ResultSet {
     let mut run = StepRunner::new(BindingTable::seed(query.var_count as usize));
     let mut applied = vec![false; query.filters.len()];
+    let forked = fork.is_some();
     let t0 = timer.total_ns();
+    let mut forked_ns = 0u64;
 
     let match_span = wukong_obs::trace::scoped_span(Stage::PatternMatch);
+    let fanout_span = forked.then(|| wukong_obs::trace::scoped_span(Stage::ForkJoinFanout));
     fanout.clear();
-    fanout.resize(plan.steps.len(), (0, 0));
+    if !forked {
+        fanout.resize(plan.steps.len(), (0, 0));
+    }
     for (si, step) in plan.steps.iter().enumerate() {
-        let in_rows = run.table.len() as u64;
-        run.step(step, ctx, access, timer);
-        fanout[si] = (in_rows, run.table.len() as u64);
+        match fork.as_deref_mut() {
+            None => {
+                let in_rows = run.table.len() as u64;
+                run.step(step, ctx, access, timer);
+                fanout[si] = (in_rows, run.table.len() as u64);
+            }
+            Some(expand) => {
+                let start = timer.total_ns();
+                expand(step, &run.table, timer, &mut run.spare);
+                std::mem::swap(&mut run.table, &mut run.spare);
+                forked_ns += timer.total_ns().saturating_sub(start);
+            }
+        }
         apply_ready_filters(&mut run.table, &query.filters, &mut applied, lit);
         if run.table.is_empty() {
             break;
         }
     }
+    drop(fanout_span);
     // Frees the spare table and the scratch before projection allocates.
     let mut table = run.into_table();
 
+    let merge = forked.then(|| {
+        let start = timer.total_ns();
+        (start, wukong_obs::trace::scoped_span(Stage::ForkJoinMerge))
+    });
     table = apply_union(query, table, ctx, access, timer);
     apply_ready_filters(&mut table, &query.filters, &mut applied, lit);
     table = apply_not_exists(query, table, ctx, access, timer);
     table = apply_optional(query, table, ctx, access, timer);
+    let merge_start = merge.map(|(start, _merge_span)| start);
     drop(match_span);
     let matched = timer.total_ns();
     trace.add(Stage::PatternMatch, matched.saturating_sub(t0));
+    if let Some(start) = merge_start {
+        trace.add(Stage::ForkJoinFanout, forked_ns);
+        trace.add(Stage::ForkJoinMerge, matched.saturating_sub(start));
+    }
     let emit_span = wukong_obs::trace::scoped_span(Stage::ResultEmit);
     let out = finalize(query, table, &applied, lit);
     drop(emit_span);
@@ -803,6 +847,7 @@ mod tests {
     use super::*;
     use crate::exec::{NoLiterals, PatternSource, StringLiteralResolver};
     use crate::parse_query;
+    use crate::plan::StepMode;
     use crate::planner::plan_query;
     use wukong_rdf::{StringServer, Triple};
     use wukong_store::{BaseStore, SnapshotId};
@@ -1061,6 +1106,33 @@ mod tests {
             .map(|r| ss.entity_name(r[0]).unwrap())
             .collect();
         assert_eq!(names, ["a", "b", "c"]);
+
+        // Keys the projection drops still order the rows (with DISTINCT
+        // too), and grouped results order by their group keys.
+        let names = |text: &str| -> Vec<String> {
+            let q = parse_query(&ss, text).unwrap();
+            let plan = plan_query(&q, &access, &ctx);
+            let lit = StringLiteralResolver(&ss);
+            let rs = execute(&q, &plan, &ctx, &access, &lit, &mut TaskTimer::start());
+            let first = rs.rows.iter().map(|r| ss.entity_name(r[0]).unwrap());
+            first.collect()
+        };
+        assert_eq!(
+            names("SELECT ?S WHERE { ?S val ?V } ORDER BY ?V"),
+            ["b", "a", "c"]
+        );
+        assert_eq!(
+            names("SELECT DISTINCT ?S WHERE { ?S val ?V } ORDER BY DESC(?V) LIMIT 2"),
+            ["c", "a"]
+        );
+        assert_eq!(
+            names("SELECT ?S COUNT(?V) WHERE { ?S val ?V } GROUP BY ?S ORDER BY DESC(?S)"),
+            ["c", "b", "a"]
+        );
+        assert_eq!(
+            names("SELECT COUNT(?S) ?V WHERE { ?S val ?V } GROUP BY ?V ?S ORDER BY ?S"),
+            ["30", "7", "100"]
+        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use crate::ast::{GraphName, Query};
 use crate::bindings::{BindingTable, UNBOUND};
 use crate::exec::{ExecContext, LiteralResolver, TimedGraphAccess, WindowInstance};
 use crate::executor::{concrete, finalize, ResultSet};
-use crate::plan::{Plan, Step, StepMode};
+use crate::plan::{Plan, Step};
 use wukong_net::TaskTimer;
 use wukong_obs::{Stage, StageTrace};
 use wukong_rdf::{Dir, Key, KeyMap, Timestamp, Vid};
@@ -306,13 +306,8 @@ fn execute_step_tagged(
     let p = &step.pattern;
     let mut memo = ScanMemo::default();
 
-    match step.mode {
-        StepMode::FromSubject | StepMode::FromObject => {
-            let (anchor_term, target_term, dir) = if step.mode == StepMode::FromSubject {
-                (p.s, p.o, Dir::Out)
-            } else {
-                (p.o, p.s, Dir::In)
-            };
+    match step.anchoring() {
+        Some((anchor_term, target_term, dir)) => {
             for i in 0..input.len() {
                 let anchor = match concrete(anchor_term, input.vals(i)) {
                     Some(v) => v,
@@ -339,7 +334,7 @@ fn execute_step_tagged(
                 }
             }
         }
-        StepMode::IndexScan => {
+        None => {
             // Subject enumeration is untimed: a subject's membership in
             // the slice is implied by its expansion edge, whose timestamp
             // is the one that matters for expiry.
@@ -355,12 +350,11 @@ fn execute_step_tagged(
             subjects.dedup();
             let s_var = p.s.var();
             for i in 0..input.len() {
-                for &s in &subjects {
-                    if let Some(bound_s) = concrete(p.s, input.vals(i)) {
-                        if bound_s != s {
-                            continue;
-                        }
-                    }
+                let Some((candidates, bind_s)) = step.scan_candidates(&subjects, input.vals(i))
+                else {
+                    continue;
+                };
+                for &s in candidates {
                     let key = Key::new(s, p.p, Dir::Out);
                     let r = memo.scan(key, p.graph, ctx, access, timer);
                     match concrete(p.o, input.vals(i)) {
@@ -370,10 +364,7 @@ fn execute_step_tagged(
                                 if n != t {
                                     continue;
                                 }
-                                let bind = match s_var {
-                                    Some(v) if input.vals(i)[v as usize] == UNBOUND => Some((v, s)),
-                                    _ => None,
-                                };
+                                let bind = bind_s.map(|v| (v, s));
                                 out.push_derived(input, i, bind, ts.saturating_add(range));
                             }
                         }
@@ -383,10 +374,8 @@ fn execute_step_tagged(
                                 let (n, ts) = memo.arena[k];
                                 let ni = out.push_derived(input, i, None, ts.saturating_add(range));
                                 let nr = &mut out.vals[ni * out.width..(ni + 1) * out.width];
-                                if let Some(v) = s_var {
-                                    if nr[v as usize] == UNBOUND {
-                                        nr[v as usize] = s;
-                                    }
+                                if let Some(v) = bind_s {
+                                    nr[v as usize] = s;
                                 }
                                 // Repeated variable (`?X p ?X`): both
                                 // positions must agree.

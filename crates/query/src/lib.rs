@@ -46,9 +46,8 @@ pub use bindings::BindingTable;
 pub use error::QueryError;
 pub use exec::{GraphAccess, LiteralResolver, PatternSource, TimedGraphAccess};
 pub use executor::{
-    apply_not_exists, apply_optional, apply_ready_filters, apply_union, execute, execute_step,
-    execute_step_into, execute_traced, execute_with_fanout, finalize, Degraded, ResultSet,
-    StepScratch,
+    execute, execute_step, execute_step_into, execute_traced, execute_with_fanout, finalize,
+    Degraded, Fork, ResultSet, StepScratch,
 };
 pub use incremental::{incrementalizable, DeltaState, DeltaStats};
 pub use parser::parse_query;

@@ -80,14 +80,22 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn var_id(&mut self, name: &str) -> u8 {
+    /// The id of variable `name`, minted on first use. Ids are `u8` and
+    /// `Query::var_count` counts them in a `u8`, so a query may name at
+    /// most 255 distinct variables.
+    fn var_id(&mut self, name: &str) -> Result<u8, QueryError> {
         if let Some(&id) = self.vars.get(name) {
-            return id;
+            return Ok(id);
+        }
+        if self.vars.len() >= u8::MAX as usize {
+            return Err(QueryError::Unsupported(
+                "more than 255 distinct variables".into(),
+            ));
         }
         let id = self.vars.len() as u8;
         self.vars.insert(name.to_owned(), id);
         self.var_names.push(name.to_owned());
-        id
+        Ok(id)
     }
 
     /// Expands `ns:local` through the declared prefixes.
@@ -102,7 +110,7 @@ impl<'a> Parser<'a> {
 
     fn term(&mut self) -> Result<Term, QueryError> {
         match self.next() {
-            Some(Token::Var(v)) => Ok(Term::Var(self.var_id(&v))),
+            Some(Token::Var(v)) => Ok(Term::Var(self.var_id(&v)?)),
             Some(Token::Ident(s)) => {
                 let name = self.expand(&s);
                 Ok(Term::Const(
@@ -174,7 +182,7 @@ impl<'a> Parser<'a> {
         // `FILTER` keyword already consumed.
         self.expect_tok(&Token::LParen, "(")?;
         let var = match self.next() {
-            Some(Token::Var(v)) => self.var_id(&v),
+            Some(Token::Var(v)) => self.var_id(&v)?,
             _ => {
                 self.pos = self.pos.saturating_sub(1);
                 return Err(self.err("filtered variable"));
@@ -374,7 +382,7 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
             match p.peek().cloned() {
                 Some(Token::Var(v)) => {
                     p.next();
-                    let id = p.var_id(&v);
+                    let id = p.var_id(&v)?;
                     select.push(id);
                 }
                 Some(Token::Ident(f)) if Parser::agg_func(&f).is_some() => {
@@ -382,7 +390,7 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
                     let func = Parser::agg_func(&f).expect("checked above");
                     p.expect_tok(&Token::LParen, "(")?;
                     let var = match p.next() {
-                        Some(Token::Var(v)) => p.var_id(&v),
+                        Some(Token::Var(v)) => p.var_id(&v)?,
                         _ => return Err(p.err("aggregated variable")),
                     };
                     p.expect_tok(&Token::RParen, ")")?;
@@ -566,7 +574,7 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
         p.expect_kw("BY")?;
         while let Some(Token::Var(v)) = p.peek().cloned() {
             p.next();
-            let id = p.var_id(&v);
+            let id = p.var_id(&v)?;
             group_by.push(id);
         }
         if group_by.is_empty() {
@@ -583,7 +591,7 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
             match p.peek().cloned() {
                 Some(Token::Var(v)) => {
                     p.next();
-                    let id = p.var_id(&v);
+                    let id = p.var_id(&v)?;
                     order_by.push((id, false));
                 }
                 Some(Token::Ident(f))
@@ -593,7 +601,7 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
                     let descending = f.eq_ignore_ascii_case("DESC");
                     p.expect_tok(&Token::LParen, "(")?;
                     let id = match p.next() {
-                        Some(Token::Var(v)) => p.var_id(&v),
+                        Some(Token::Var(v)) => p.var_id(&v)?,
                         _ => return Err(p.err("variable inside ASC()/DESC()")),
                     };
                     p.expect_tok(&Token::RParen, ")")?;
@@ -636,14 +644,18 @@ pub fn parse_query(ss: &StringServer, text: &str) -> Result<Query, QueryError> {
         }
     }
 
-    // SPARQL: with GROUP BY, every projected variable must be grouped.
+    // SPARQL: with GROUP BY, every projected variable must be grouped —
+    // and so must every sort key, since groups are what gets ordered.
     if !group_by.is_empty() {
-        for v in &select {
-            if !group_by.contains(v) {
-                return Err(QueryError::Unsupported(
-                    "projected variables must appear in GROUP BY".into(),
-                ));
-            }
+        if select.iter().any(|v| !group_by.contains(v)) {
+            return Err(QueryError::Unsupported(
+                "projected variables must appear in GROUP BY".into(),
+            ));
+        }
+        if order_by.iter().any(|(v, _)| !group_by.contains(v)) {
+            return Err(QueryError::Unsupported(
+                "ORDER BY keys must appear in GROUP BY".into(),
+            ));
         }
     }
 
@@ -925,6 +937,27 @@ mod tests {
         assert!(parse_query(&ss, "SELECT ?V WHERE { ?S density ?V } GROUP BY ?S",).is_err());
         // GROUP BY with no variable is rejected.
         assert!(parse_query(&ss, "SELECT ?S WHERE { ?S density ?V } GROUP BY").is_err());
+        // Groups sort by grouped variables only, projected or not.
+        let grouped = "SELECT COUNT(?V) WHERE { ?S density ?V . ?S zone ?Z } GROUP BY ?S ?Z";
+        assert!(parse_query(&ss, &format!("{grouped} ORDER BY DESC(?Z)")).is_ok());
+        let e = parse_query(&ss, &format!("{grouped} ORDER BY ?V")).unwrap_err();
+        assert!(matches!(e, QueryError::Unsupported(_)), "{e}");
+    }
+
+    #[test]
+    fn variable_count_is_bounded() {
+        // A chain over `n` distinct variables.
+        let chain = |n: usize| {
+            let patterns: Vec<String> = (1..n).map(|i| format!("?V{} p ?V{i}", i - 1)).collect();
+            format!("SELECT ?V0 WHERE {{ {} }}", patterns.join(" . "))
+        };
+        let ss = ss();
+        let q = parse_query(&ss, &chain(255)).unwrap();
+        assert_eq!(q.var_count, 255);
+        // The 256th would wrap `var_count` and alias `?V0`.
+        let e = parse_query(&ss, &chain(256)).unwrap_err();
+        assert!(matches!(e, QueryError::Unsupported(_)), "{e}");
+        assert!(parse_query(&ss, &chain(300)).is_err());
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! (§4.1: "queries that rely on retrieving a set of normal vertices
 //! connected by edges with a certain label").
 
-use std::collections::HashSet;
-
-use crate::ast::{GraphName, TriplePattern};
+use crate::ast::{Term, TriplePattern};
+use crate::bindings::UNBOUND;
+use wukong_rdf::{Dir, Vid};
 
 /// How a step anchors its pattern.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,6 +35,41 @@ pub struct Step {
     pub estimate: usize,
 }
 
+impl Step {
+    /// How a `FromSubject` / `FromObject` step reads its pattern:
+    /// `(anchor, target, direction)` — the term whose value keys the
+    /// lookup, the term the looked-up neighbours match or bind, and the
+    /// key's direction. `None` for an index scan.
+    pub fn anchoring(&self) -> Option<(Term, Term, Dir)> {
+        let p = &self.pattern;
+        match self.mode {
+            StepMode::FromSubject => Some((p.s, p.o, Dir::Out)),
+            StepMode::FromObject => Some((p.o, p.s, Dir::In)),
+            StepMode::IndexScan => None,
+        }
+    }
+
+    /// The subjects an index scan expands for `row`, out of the sorted,
+    /// duplicate-free enumeration `subjects`, and the subject variable to
+    /// bind. A subject the row already binds (or a constant) keeps only
+    /// itself — found by bisection, not by walking the list — and binds
+    /// nothing; `None` when it is not enumerated (the row drops). An
+    /// unbound subject variable takes every enumerated value.
+    pub fn scan_candidates<'s>(
+        &self,
+        subjects: &'s [Vid],
+        row: &[Vid],
+    ) -> Option<(&'s [Vid], Option<u8>)> {
+        let bound = match self.pattern.s {
+            Term::Var(v) if row[v as usize] == UNBOUND => return Some((subjects, Some(v))),
+            Term::Var(v) => row[v as usize],
+            Term::Const(c) => c,
+        };
+        let i = subjects.binary_search(&bound).ok()?;
+        Some((&subjects[i..=i], None))
+    }
+}
+
 /// An ordered graph-exploration plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
@@ -43,21 +78,6 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The sources (stored graph / streams) the plan touches, deduped in
-    /// first-appearance order. Fork-join fan-out iterates this per
-    /// firing, so dedup runs through a seen-set rather than the old
-    /// O(n²) `Vec::contains` scan.
-    pub fn sources(&self) -> Vec<GraphName> {
-        let mut seen: HashSet<GraphName> = HashSet::with_capacity(self.steps.len());
-        let mut out: Vec<GraphName> = Vec::new();
-        for s in &self.steps {
-            if seen.insert(s.pattern.graph) {
-                out.push(s.pattern.graph);
-            }
-        }
-        out
-    }
-
     /// Whether any step requires an index scan (non-selective start).
     pub fn has_index_scan(&self) -> bool {
         self.steps.iter().any(|s| s.mode == StepMode::IndexScan)
@@ -65,8 +85,9 @@ impl Plan {
 
     /// The plan's modeled cost: the sum of per-step cardinality
     /// estimates, i.e. the number of index-edge traversals the planner
-    /// expects execution to perform. Used by the adaptive layer to
-    /// compare candidate plans and pick an execution mode.
+    /// expects execution to perform. Nothing picks a plan or an execution
+    /// mode by it; the planner's permutation-invariance property test
+    /// compares it.
     pub fn cost(&self) -> u64 {
         self.steps
             .iter()
@@ -77,8 +98,8 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Term;
-    use wukong_rdf::{Pid, Vid};
+    use crate::ast::GraphName;
+    use wukong_rdf::Pid;
 
     fn step(graph: GraphName, estimate: usize) -> Step {
         Step {
@@ -91,31 +112,6 @@ mod tests {
             mode: StepMode::FromSubject,
             estimate,
         }
-    }
-
-    #[test]
-    fn sources_dedup_preserves_first_appearance_order() {
-        // Fork-join shard fan-out iterates `sources()` per firing, so
-        // the order must be the step order (first appearance), not some
-        // hash order — and repeats must collapse.
-        let plan = Plan {
-            steps: vec![
-                step(GraphName::Stream(2), 1),
-                step(GraphName::Stored, 1),
-                step(GraphName::Stream(2), 1),
-                step(GraphName::Stream(0), 1),
-                step(GraphName::Stored, 1),
-                step(GraphName::Stream(0), 1),
-            ],
-        };
-        assert_eq!(
-            plan.sources(),
-            vec![
-                GraphName::Stream(2),
-                GraphName::Stored,
-                GraphName::Stream(0)
-            ]
-        );
     }
 
     #[test]

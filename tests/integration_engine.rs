@@ -474,12 +474,20 @@ fn mixed_batch_intervals_stay_consistent() {
 
 #[test]
 fn language_features_agree_across_exec_modes() {
-    // OPTIONAL / UNION / NOT EXISTS / GROUP BY / ORDER BY / DISTINCT on a
-    // multi-node deployment must answer identically in-place and
-    // fork-join (both drivers wire the extended operators).
+    // OPTIONAL / UNION / NOT EXISTS / GROUP BY / ORDER BY / DISTINCT /
+    // FILTER on a multi-node deployment must answer identically in-place
+    // and fork-join (one step loop; fork-join only partitions its steps).
     let strings = Arc::new(StringServer::new());
     let mut gen = LsBench::new(LsBenchConfig::tiny(), Arc::clone(&strings));
-    let stored = gen.stored_triples();
+    let mut stored = gen.stored_triples();
+    // Numeric ages for the FILTER queries.
+    let age = strings.intern_predicate("age").expect("id space");
+    for i in 0..gen.config().users {
+        let user = strings.intern_entity(&format!("u{i}")).expect("id space");
+        let years = (i % 50).to_string();
+        let years = strings.intern_entity(&years).expect("id space");
+        stored.push(wukong_rdf::Triple::new(user, age, years));
+    }
     let timeline = gen.generate(0, 1_500);
 
     let queries = [
@@ -499,6 +507,21 @@ fn language_features_agree_across_exec_modes() {
         // DISTINCT + ORDER BY + LIMIT.
         "REGISTER QUERY q5 SELECT DISTINCT ?X FROM PO [RANGE 1s STEP 100ms] \
          WHERE { GRAPH PO { ?X po ?Z } } ORDER BY ?X LIMIT 5",
+        // A numeric FILTER on a stored join.
+        "REGISTER QUERY q6 SELECT ?X ?A FROM PO [RANGE 1s STEP 100ms] \
+         WHERE { GRAPH PO { ?X po ?Z } ?X age ?A FILTER(?A > 20) }",
+        // UNION + FILTER on a variable only one alternative binds: the
+        // filter applies right after the UNION, before OPTIONAL could
+        // bind it for the other alternative's rows.
+        "REGISTER QUERY q7 SELECT ?X ?A FROM PO [RANGE 1s STEP 100ms] \
+         WHERE { GRAPH PO { ?X po ?Z } UNION { ?X age ?A } UNION { ?X ty User } \
+         FILTER(?A < 30) OPTIONAL { ?X age ?A } }",
+        // A join whose second step is an index scan over rows that
+        // already bind its subject: the OPTIONAL plans against the
+        // required variables only, but the UNION bound ?Y.
+        "REGISTER QUERY q8 SELECT ?X ?Y ?W FROM PO [RANGE 1s STEP 100ms] \
+         WHERE { GRAPH PO { ?X po ?Z } UNION { ?X fo ?Y } \
+         OPTIONAL { ?X ty ?C . ?Y po ?W } }",
     ];
 
     type QueryOutput = (Vec<Vec<wukong_rdf::Vid>>, Vec<Vec<Option<f64>>>);
@@ -547,7 +570,11 @@ fn language_features_agree_across_exec_modes() {
     }
     // The queries actually produced data (non-vacuous comparison).
     let r = reference.expect("ran");
-    assert!(r.iter().filter(|(rows, _)| !rows.is_empty()).count() >= 3);
+    assert!(r.iter().filter(|(rows, _)| !rows.is_empty()).count() >= 6);
+    // The new shapes matched rows, and the scan found bound subjects.
+    assert!(r[5..].iter().all(|(rows, _)| !rows.is_empty()));
+    let unbound = wukong_query::bindings::UNBOUND;
+    assert!(r[7].0.iter().any(|row| row[2] != unbound));
 }
 
 /// Runs `f` on its own thread and fails — instead of hanging CI — if it
