@@ -62,6 +62,9 @@ if grep -rn 'std::env' crates/bench/src | grep -v '^crates/bench/src/main.rs:'; 
 echo "== one step loop: only wukong-query's executor finalizes a result (fork-join passes it a Fork)"
 if grep -rn 'finalize(' crates/{core,baselines}/src; then exit 1; fi
 
+echo "== one step kernel: delta maintenance runs execute_step_into over death-tagged rows"
+if grep -rnE 'execute_step_tagged|TaggedTable|passes_filters' crates/query/src; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

@@ -220,21 +220,12 @@ impl TimedGraphAccess for NodeAccess<'_> {
         timer: &mut TaskTimer,
         out: &mut Vec<(Vid, Timestamp)>,
     ) {
-        match src {
-            GraphName::Stored => {
-                // The stored graph never expires: tag 0 keeps stored
-                // contributions permanently inside any window.
-                self.cluster
-                    .for_each_stored_slice(self.home, key, ctx.sn, timer, |seg| {
-                        out.extend(seg.iter().map(|&v| (v, 0)))
-                    });
-            }
-            GraphName::Stream(i) => {
-                let (stream, lo, hi) = self.window(i, ctx);
-                self.cluster
-                    .stream_neighbors_timed(self.home, stream, key, lo, hi, timer, out);
-            }
-        }
+        let GraphName::Stream(i) = src else {
+            unreachable!("timed reads are stream-only (TimedGraphAccess)");
+        };
+        let (stream, lo, hi) = self.window(i, ctx);
+        self.cluster
+            .stream_neighbors_timed(self.home, stream, key, lo, hi, timer, out);
     }
 }
 
@@ -307,8 +298,8 @@ mod tests {
             1
         );
 
-        // The timed path sees the same edges, each tagged with its
-        // contributing batch timestamp (stored edges tag 0: permanent).
+        // The timed path sees the same stream edges, each tagged with its
+        // contributing batch timestamp.
         let mut timed = Vec::new();
         access.neighbors_timed(
             Key::new(Vid(1), Pid(4), Dir::Out),
@@ -318,15 +309,6 @@ mod tests {
             &mut timed,
         );
         assert_eq!(timed, vec![(Vid(3), 100)]);
-        timed.clear();
-        access.neighbors_timed(
-            Key::new(Vid(1), Pid(2), Dir::Out),
-            GraphName::Stored,
-            &ctx,
-            &mut timer,
-            &mut timed,
-        );
-        assert_eq!(timed, vec![(Vid(2), 0)]);
     }
 
     /// [`NodeAccess`] minus its overrides: counting falls back to the

@@ -1,5 +1,7 @@
 //! Abstract syntax of the supported C-SPARQL subset.
 
+use crate::bindings::UNBOUND;
+use crate::exec::LiteralResolver;
 use std::sync::Arc;
 use wukong_rdf::{Pid, Vid};
 
@@ -104,6 +106,16 @@ impl Filter {
             CmpOp::Eq => v == self.value,
             CmpOp::Ne => v != self.value,
         }
+    }
+
+    /// Whether `row` passes the filter: the filtered variable is bound, its
+    /// value is numeric, and the number is accepted. The one acceptance
+    /// rule — a filter applied once its variable binds, one never applied
+    /// by the step loop, and the maintained path's filter on fresh rows
+    /// all call it.
+    pub fn keeps(&self, row: &[Vid], lit: &impl LiteralResolver) -> bool {
+        let v = row[self.var as usize];
+        v != UNBOUND && lit.numeric(v).is_some_and(|x| self.accepts(x))
     }
 }
 

@@ -5,34 +5,82 @@
 //! another. Rows are fixed-width (one slot per query variable) with an
 //! explicit *unbound* sentinel, which keeps row handling branch-light and
 //! lets the fork-join driver repartition rows cheaply.
+//!
+//! Each row also carries a [`RowTag`] in a column beside its slots:
+//! nothing (`()`) for recompute and fork-join, its death timestamp for
+//! delta maintenance. The untagged column stores nothing, so an untagged
+//! table costs what it did before rows had tags.
 
-use wukong_rdf::Vid;
+use crate::exec::ScanMemo;
+use std::fmt::Debug;
+use wukong_rdf::{Timestamp, Vid};
 
 /// Sentinel marking an unbound variable slot.
 pub const UNBOUND: Vid = Vid(u64::MAX);
 
-/// A table of partial bindings: `rows.len()` rows, each `width` slots.
+/// What a binding row carries besides its variable slots — and with it,
+/// how a step reads the edges the row consumes
+/// ([`crate::exec::EdgeReads`]).
+pub trait RowTag: Copy + Debug + Default + Eq {
+    /// One neighbour as a step reads it for such rows.
+    type Edge: Copy;
+    /// What a step's reads keep between lookups (one per
+    /// [`crate::executor::StepScratch`]).
+    type Reads: Default + Debug;
+    /// The seed row's tag.
+    const SEED: Self;
+    /// The neighbour `edge` names, and the tag of a row once it consumed
+    /// the edge.
+    fn consume(self, edge: Self::Edge) -> (Vid, Self);
+}
+
+/// Recompute and fork-join rows: a plain neighbour, read into a reused
+/// buffer.
+impl RowTag for () {
+    type Edge = Vid;
+    type Reads = Vec<Vid>;
+    const SEED: Self = ();
+
+    #[inline]
+    fn consume(self, edge: Vid) -> (Vid, ()) {
+        (edge, ())
+    }
+}
+
+/// Delta-maintained rows carry their *death*: the first window end at
+/// which the row stops being derivable. Edges are read with their expiry
+/// (`ts + RANGE` of their stream, [`ScanMemo`]), and a row that consumes
+/// one keeps the earlier of the two. The seed row never expires.
+impl RowTag for Timestamp {
+    type Edge = (Vid, Timestamp);
+    type Reads = ScanMemo;
+    const SEED: Self = Timestamp::MAX;
+
+    #[inline]
+    fn consume(self, (n, expiry): (Vid, Timestamp)) -> (Vid, Timestamp) {
+        (n, self.min(expiry))
+    }
+}
+
+/// A table of partial bindings: `len()` rows of `width` slots, each with
+/// its tag. A zero-sized tag (`()`) has one value, so its column stores
+/// nothing and an untagged table does no per-row tag work.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BindingTable {
+pub struct BindingTable<T = ()> {
     width: usize,
     rows: Vec<Vid>,
+    tags: Vec<T>,
 }
 
 impl BindingTable {
     /// Creates a table with a single all-unbound seed row.
     pub fn seed(width: usize) -> Self {
-        BindingTable {
-            width: width.max(1),
-            rows: vec![UNBOUND; width.max(1)],
-        }
+        Self::seed_tagged(width)
     }
 
     /// Creates an empty table (no rows) of the given width.
     pub fn empty(width: usize) -> Self {
-        BindingTable {
-            width: width.max(1),
-            rows: Vec::new(),
-        }
+        Self::empty_tagged(width)
     }
 
     /// Wraps an already width-strided flat buffer as a table (one move,
@@ -44,27 +92,8 @@ impl BindingTable {
     pub fn from_flat(width: usize, rows: Vec<Vid>) -> Self {
         let width = width.max(1);
         assert_eq!(rows.len() % width, 0, "flat buffer is not width-strided");
-        BindingTable { width, rows }
-    }
-
-    /// Number of variable slots per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows.len() / self.width
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The `i`-th row.
-    pub fn row(&self, i: usize) -> &[Vid] {
-        &self.rows[i * self.width..(i + 1) * self.width]
+        let tags = Vec::new();
+        BindingTable { width, rows, tags }
     }
 
     /// Appends a row.
@@ -73,51 +102,12 @@ impl BindingTable {
     ///
     /// Panics if `row.len() != width`.
     pub fn push_row(&mut self, row: &[Vid]) {
-        assert_eq!(row.len(), self.width, "row width mismatch");
-        self.rows.extend_from_slice(row);
+        self.push_tagged(row, ());
     }
 
     /// Appends `base` with slot `var` replaced by `value`.
     pub fn push_bound(&mut self, base: &[Vid], var: u8, value: Vid) {
-        let start = self.rows.len();
-        self.rows.extend_from_slice(base);
-        self.rows[start + var as usize] = value;
-    }
-
-    /// Appends `base` with two distinct slots replaced.
-    pub fn push_bound2(&mut self, base: &[Vid], a: (u8, Vid), b: (u8, Vid)) {
-        let start = self.rows.len();
-        self.rows.extend_from_slice(base);
-        self.rows[start + a.0 as usize] = a.1;
-        self.rows[start + b.0 as usize] = b.1;
-    }
-
-    /// Drops every row, keeping the allocation — lets a caller reuse one
-    /// table as the output of step after step.
-    pub fn clear(&mut self) {
-        self.rows.clear();
-    }
-
-    /// Retains only rows for which `keep` returns true, compacting in
-    /// place.
-    pub fn retain(&mut self, mut keep: impl FnMut(&[Vid]) -> bool) {
-        let width = self.width;
-        let mut kept = 0;
-        for i in 0..self.len() {
-            let at = i * width;
-            if keep(&self.rows[at..at + width]) {
-                if kept != at {
-                    self.rows.copy_within(at..at + width, kept);
-                }
-                kept += width;
-            }
-        }
-        self.rows.truncate(kept);
-    }
-
-    /// Iterates over rows.
-    pub fn iter(&self) -> impl Iterator<Item = &[Vid]> + Clone {
-        self.rows.chunks_exact(self.width)
+        self.push_bound_tagged(base, (), var, value);
     }
 
     /// Sorts rows lexicographically (unbound slots sort last — the
@@ -141,6 +131,143 @@ impl BindingTable {
     /// Approximate wire size when shipped between nodes (fork-join cost).
     pub fn wire_bytes(&self) -> usize {
         self.rows.len() * std::mem::size_of::<Vid>()
+    }
+}
+
+impl<T: RowTag> BindingTable<T> {
+    /// Whether the tag column holds one tag per row: a zero-sized tag has
+    /// one value, [`RowTag::SEED`], and its column stays empty.
+    const STORES_TAGS: bool = std::mem::size_of::<T>() != 0;
+
+    /// [`BindingTable::seed`] for any tag: the one row is tagged
+    /// [`RowTag::SEED`].
+    pub(crate) fn seed_tagged(width: usize) -> Self {
+        let mut t = Self::empty_tagged(width);
+        t.rows = vec![UNBOUND; t.width];
+        t.push_tag(T::SEED);
+        t
+    }
+
+    /// [`BindingTable::empty`] for any tag.
+    pub(crate) fn empty_tagged(width: usize) -> Self {
+        BindingTable {
+            width: width.max(1),
+            rows: Vec::new(),
+            tags: Vec::new(),
+        }
+    }
+
+    /// Number of variable slots per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows.len() / self.width
+    }
+
+    /// Whether the table has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// The `i`-th row.
+    pub fn row(&self, i: usize) -> &[Vid] {
+        &self.rows[i * self.width..(i + 1) * self.width]
+    }
+
+    /// The `i`-th row's tag.
+    pub(crate) fn tag(&self, i: usize) -> T {
+        if Self::STORES_TAGS {
+            self.tags[i]
+        } else {
+            T::SEED
+        }
+    }
+
+    fn push_tag(&mut self, tag: T) {
+        if Self::STORES_TAGS {
+            self.tags.push(tag);
+        }
+    }
+
+    /// Appends a row tagged `tag`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != width`.
+    pub(crate) fn push_tagged(&mut self, row: &[Vid], tag: T) {
+        assert_eq!(row.len(), self.width, "row width mismatch");
+        self.rows.extend_from_slice(row);
+        self.push_tag(tag);
+    }
+
+    /// Appends `base` with slot `var` replaced by `value`, tagged `tag`.
+    pub(crate) fn push_bound_tagged(&mut self, base: &[Vid], tag: T, var: u8, value: Vid) {
+        let start = self.rows.len();
+        self.rows.extend_from_slice(base);
+        self.rows[start + var as usize] = value;
+        self.push_tag(tag);
+    }
+
+    /// Appends `base` with two distinct slots replaced, tagged `tag`.
+    pub(crate) fn push_bound2_tagged(&mut self, base: &[Vid], tag: T, a: (u8, Vid), b: (u8, Vid)) {
+        let start = self.rows.len();
+        self.rows.extend_from_slice(base);
+        self.rows[start + a.0 as usize] = a.1;
+        self.rows[start + b.0 as usize] = b.1;
+        self.push_tag(tag);
+    }
+
+    /// Appends every row of `other`, tags included.
+    pub(crate) fn append(&mut self, other: &Self) {
+        debug_assert_eq!(self.width, other.width, "appended width mismatch");
+        self.rows.extend_from_slice(&other.rows);
+        self.tags.extend_from_slice(&other.tags);
+    }
+
+    /// Drops every row, keeping the allocation — lets a caller reuse one
+    /// table as the output of step after step.
+    pub fn clear(&mut self) {
+        self.rows.clear();
+        self.tags.clear();
+    }
+
+    /// Retains only rows for which `keep(row, tag)` returns true,
+    /// compacting in place.
+    pub fn retain(&mut self, mut keep: impl FnMut(&[Vid], T) -> bool) {
+        let width = self.width;
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let at = i * width;
+            if keep(&self.rows[at..at + width], self.tag(i)) {
+                if kept != i {
+                    self.rows.copy_within(at..at + width, kept * width);
+                    if Self::STORES_TAGS {
+                        self.tags[kept] = self.tags[i];
+                    }
+                }
+                kept += 1;
+            }
+        }
+        self.rows.truncate(kept * width);
+        self.tags.truncate(kept);
+    }
+
+    /// Iterates over rows.
+    pub fn iter(&self) -> impl Iterator<Item = &[Vid]> + Clone {
+        self.rows.chunks_exact(self.width)
+    }
+
+    /// Iterates over rows with their tags.
+    pub(crate) fn iter_tagged(&self) -> impl Iterator<Item = (&[Vid], T)> {
+        self.iter().enumerate().map(|(i, row)| (row, self.tag(i)))
+    }
+
+    /// The rows without their tags.
+    pub(crate) fn untagged(&self) -> BindingTable {
+        BindingTable::from_flat(self.width, self.rows.clone())
     }
 }
 
@@ -170,7 +297,7 @@ mod tests {
         for i in 0..10 {
             t.push_row(&[Vid(i)]);
         }
-        t.retain(|r| r[0].0 % 2 == 0);
+        t.retain(|r, ()| r[0].0 % 2 == 0);
         assert_eq!(t.len(), 5);
         assert!(t.iter().all(|r| r[0].0 % 2 == 0));
     }
@@ -261,7 +388,7 @@ mod tests {
                 ];
                 for (i, keep) in predicates.into_iter().enumerate() {
                     let mut got = t.clone();
-                    got.retain(keep);
+                    got.retain(|r, ()| keep(r));
                     assert_eq!(got, retain_oracle(&t, keep), "width {width}, predicate {i}");
                 }
             }
@@ -271,8 +398,32 @@ mod tests {
     #[test]
     fn push_bound2_replaces_two_slots() {
         let mut t = BindingTable::empty(3);
-        t.push_bound2(&[UNBOUND, Vid(5), UNBOUND], (2, Vid(9)), (0, Vid(1)));
+        t.push_bound2_tagged(&[UNBOUND, Vid(5), UNBOUND], (), (2, Vid(9)), (0, Vid(1)));
         assert_eq!(t.row(0), &[Vid(1), Vid(5), Vid(9)]);
+    }
+
+    #[test]
+    fn tags_follow_their_rows() {
+        // Death-tagged rows: retain, append and the untagged copy keep
+        // each tag with its row.
+        let mut t = BindingTable::<Timestamp>::seed_tagged(2);
+        assert_eq!(t.tag(0), Timestamp::MAX);
+        for i in 0..6 {
+            t.push_bound_tagged(&[Vid(i), UNBOUND], 100 + i, 1, Vid(i * 10));
+        }
+        t.retain(|row, death| row[0] == UNBOUND || death % 2 == 0);
+        assert_eq!(t.len(), 4);
+        let deaths: Vec<Timestamp> = t.iter_tagged().map(|(_, d)| d).collect();
+        assert_eq!(deaths, [Timestamp::MAX, 100, 102, 104]);
+        assert_eq!(t.row(2), &[Vid(2), Vid(20)]);
+        let mut u = BindingTable::<Timestamp>::empty_tagged(2);
+        u.append(&t);
+        assert_eq!(u, t);
+        let plain = t.untagged();
+        assert_eq!(plain.len(), 4);
+        assert!(plain.iter().eq(t.iter()));
+        assert_eq!(Timestamp::MAX.consume((Vid(3), 150)), (Vid(3), 150));
+        assert_eq!(120u64.consume((Vid(3), 150)), (Vid(3), 120));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! RDMA charges and the stream-index fast path), and the baselines.
 
 use crate::ast::GraphName;
+use crate::bindings::RowTag;
 use wukong_net::TaskTimer;
-use wukong_rdf::{Key, StreamId, Timestamp, Vid};
+use wukong_rdf::{Key, KeyMap, StreamId, Timestamp, Vid};
 use wukong_store::SnapshotId;
 
 /// A resolved window over one of the query's streams.
@@ -120,20 +121,24 @@ pub trait GraphAccess {
     }
 }
 
-/// [`GraphAccess`] that can also report *when* each edge arrived.
+/// [`GraphAccess`] that can also report *when* each stream edge arrived.
 ///
-/// The incremental (delta-maintenance) executor tags every binding row
-/// with the batch timestamps of its contributing stream edges, so that a
-/// later firing can retract exactly the rows whose edges slid out of the
-/// window. Implementations return one `(neighbour, timestamp)` pair per
+/// Delta maintenance tags every binding row with its death, folded from
+/// the batch timestamps of its contributing edges, so that a later firing
+/// can retract exactly the rows whose edges slid out of the window. The
+/// one step kernel reads these through [`EdgeReads`] for death-tagged
+/// rows. Implementations return one `(neighbour, timestamp)` pair per
 /// edge *occurrence* — duplicated edges appear once per occurrence, which
 /// is what preserves SPARQL bag semantics under delta maintenance.
 ///
-/// Only [`GraphName::Stream`] sources are read through this trait (the
-/// incremental classifier rejects stored-graph patterns); implementations
-/// may tag stored edges with timestamp 0.
+/// Stream sources only: a stored edge has no arrival time, so no
+/// timestamp could retract it correctly, and
+/// [`crate::incremental::incrementalizable`] keeps stored-graph patterns
+/// off the maintained path. Implementations may panic on
+/// [`GraphName::Stored`].
 pub trait TimedGraphAccess: GraphAccess {
-    /// Appends `(neighbour, batch timestamp)` pairs of `key` in `src`.
+    /// Appends `(neighbour, batch timestamp)` pairs of `key` in stream
+    /// source `src`.
     fn neighbors_timed(
         &self,
         key: Key,
@@ -142,6 +147,163 @@ pub trait TimedGraphAccess: GraphAccess {
         timer: &mut TaskTimer,
         out: &mut Vec<(Vid, Timestamp)>,
     );
+}
+
+/// How a step reads the edges its rows consume, for rows tagged `T`: what
+/// [`crate::executor::execute_step_into`] reads through.
+///
+/// Untagged rows (recompute, fork-join) keep the plain [`GraphAccess`]
+/// reads: a contains-check counts occurrences, an expansion reads one
+/// neighbour list, a wide expansion one batch. Death-tagged rows (delta
+/// maintenance) read every edge with its expiry through a [`ScanMemo`].
+pub trait EdgeReads<T: RowTag>: GraphAccess {
+    /// Calls `each` for every edge of `key` in `src` — only those to `to`
+    /// when it is given — in [`GraphAccess::neighbors`] order.
+    #[allow(clippy::too_many_arguments)]
+    fn edges(
+        &self,
+        key: Key,
+        to: Option<Vid>,
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        reads: &mut T::Reads,
+        each: impl FnMut(T::Edge),
+    );
+
+    /// [`GraphAccess::neighbors_batch`]: `visit(i, run)` for `keys[i]`,
+    /// key by key in slice order.
+    fn edges_batch(
+        &self,
+        keys: &[Key],
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        reads: &mut T::Reads,
+        visit: &mut dyn FnMut(usize, &[T::Edge]),
+    );
+}
+
+impl<A: GraphAccess> EdgeReads<()> for A {
+    #[inline]
+    fn edges(
+        &self,
+        key: Key,
+        to: Option<Vid>,
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        buf: &mut Vec<Vid>,
+        mut each: impl FnMut(Vid),
+    ) {
+        match to {
+            Some(v) => (0..self.count_occurrences(key, v, src, ctx, timer)).for_each(|_| each(v)),
+            None => {
+                buf.clear();
+                self.neighbors(key, src, ctx, timer, buf);
+                buf.iter().for_each(|&n| each(n));
+            }
+        }
+    }
+
+    #[inline]
+    fn edges_batch(
+        &self,
+        keys: &[Key],
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        _: &mut Vec<Vid>,
+        visit: &mut dyn FnMut(usize, &[Vid]),
+    ) {
+        self.neighbors_batch(keys, src, ctx, timer, visit)
+    }
+}
+
+/// The death-tagged reads of one step: each key's edges, read once
+/// through [`TimedGraphAccess::neighbors_timed`] and kept with their
+/// expiry, `ts + RANGE` of the step's stream — the first window end that
+/// no longer holds the edge.
+///
+/// Join fan-in makes many input rows share one anchor vertex, and the
+/// slice is fixed for a whole step, so same-key scans repeat verbatim.
+/// Fixed per-scan costs — lock acquisition, batch-list bisection, remote
+/// read charging — dominate small delta slices, so the memo turns
+/// per-*row* scan pricing into per-*key* pricing. The immutable firing
+/// snapshot is what makes replaying a cached result sound; bag
+/// multiplicities are preserved because results are replayed per input
+/// row, never deduplicated. Valid for one step only: the maintained path
+/// restarts it with the next step's RANGE before each step.
+#[derive(Debug, Default)]
+pub struct ScanMemo {
+    range: Timestamp,
+    map: KeyMap<(usize, usize)>,
+    arena: Vec<(Vid, Timestamp)>,
+}
+
+impl ScanMemo {
+    /// Forgets the previous step's reads; the next step's stream has RANGE
+    /// `range`.
+    pub(crate) fn start(&mut self, range: Timestamp) {
+        self.range = range;
+        self.map.clear();
+        self.arena.clear();
+    }
+
+    fn scan(
+        &mut self,
+        key: Key,
+        src: PatternSource,
+        ctx: &ExecContext,
+        access: &impl TimedGraphAccess,
+        timer: &mut TaskTimer,
+    ) -> &[(Vid, Timestamp)] {
+        let (s, e) = match self.map.get(&key) {
+            Some(&run) => run,
+            None => {
+                let s = self.arena.len();
+                access.neighbors_timed(key, src, ctx, timer, &mut self.arena);
+                let range = self.range;
+                self.arena[s..]
+                    .iter_mut()
+                    .for_each(|(_, ts)| *ts = ts.saturating_add(range));
+                self.map.insert(key, (s, self.arena.len()));
+                (s, self.arena.len())
+            }
+        };
+        &self.arena[s..e]
+    }
+}
+
+impl<A: TimedGraphAccess> EdgeReads<Timestamp> for A {
+    fn edges(
+        &self,
+        key: Key,
+        to: Option<Vid>,
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        memo: &mut ScanMemo,
+        mut each: impl FnMut((Vid, Timestamp)),
+    ) {
+        let run = memo.scan(key, src, ctx, self, timer).iter();
+        run.filter(|e| to.is_none_or(|v| e.0 == v))
+            .for_each(|&e| each(e));
+    }
+
+    fn edges_batch(
+        &self,
+        keys: &[Key],
+        src: PatternSource,
+        ctx: &ExecContext,
+        timer: &mut TaskTimer,
+        memo: &mut ScanMemo,
+        visit: &mut dyn FnMut(usize, &[(Vid, Timestamp)]),
+    ) {
+        for (i, &key) in keys.iter().enumerate() {
+            visit(i, memo.scan(key, src, ctx, self, timer));
+        }
+    }
 }
 
 /// Resolves entity IDs to numeric literal values for `FILTER` and

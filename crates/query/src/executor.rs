@@ -6,17 +6,19 @@
 //! composite design cannot push selectivity across the system boundary
 //! (§2.3, Fig. 4).
 //!
-//! [`execute_with_fanout`] is the one step loop. In place it expands each
-//! step with [`execute_step_into`] on the home node; the engine's fork-join
-//! mode hands it a [`Fork`] that partitions the step's rows by anchor
-//! owner and runs the same kernel ([`execute_step`]) on every node.
-//! Filters, UNION / NOT EXISTS / OPTIONAL on the home node and
-//! [`finalize`] stay in the loop either way. The step function is public
-//! so fork-join's partitions and the baselines' bolt pipelines run it.
+//! [`execute_step_into`] is the one step kernel, generic over what a row
+//! carries ([`RowTag`]). [`execute_with_fanout`] is the one step loop. In
+//! place it expands each step with the kernel on the home node; the
+//! engine's fork-join mode hands it a [`Fork`] that partitions the step's
+//! rows by anchor owner and runs the same kernel ([`execute_step`]) on
+//! every node. Filters, UNION / NOT EXISTS / OPTIONAL on the home node and
+//! [`finalize`] stay in the loop either way. The kernel is public so
+//! fork-join's partitions and the baselines' bolt pipelines run it; delta
+//! maintenance ([`crate::incremental`]) runs it over death-tagged rows.
 
 use crate::ast::{AggFunc, Aggregate, Filter, Query, Term, TriplePattern};
-use crate::bindings::{BindingTable, UNBOUND};
-use crate::exec::{ExecContext, GraphAccess, LiteralResolver};
+use crate::bindings::{BindingTable, RowTag, UNBOUND};
+use crate::exec::{EdgeReads, ExecContext, GraphAccess, LiteralResolver};
 use crate::plan::{Plan, Step};
 use crate::planner::{mark_bound, plan_patterns};
 use std::sync::Arc;
@@ -119,10 +121,12 @@ pub fn concrete(term: Term, row: &[Vid]) -> Option<Vid> {
 
 /// Buffers [`execute_step_into`] reuses from step to step; owned by the
 /// caller (one per execution), so repeated steps stop allocating once the
-/// buffers have grown to the step's fan-out.
+/// buffers have grown to the step's fan-out. `reads` is what the rows'
+/// tag reads through: the neighbour buffer untagged, the
+/// [`crate::exec::ScanMemo`] death-tagged.
 #[derive(Debug, Default)]
-pub struct StepScratch {
-    neighbors: Vec<Vid>,
+pub struct StepScratch<T: RowTag = ()> {
+    pub(crate) reads: T::Reads,
     subjects: Vec<Vid>,
     keys: Vec<Key>,
 }
@@ -156,28 +160,36 @@ pub fn execute_step(
 /// [`execute_step`] into a caller-owned table: `out` is cleared, then
 /// filled with the expanded rows, keeping whatever capacity it (and
 /// `scratch`) already had.
-pub fn execute_step_into(
+///
+/// The one step kernel, generic over what a row carries. Every derived
+/// row consumes one edge occurrence and takes its input row's tag folded
+/// with that edge ([`RowTag::consume`]); the tag decides how edges are
+/// read ([`EdgeReads`]). Untagged rows read exactly what they did before
+/// rows had tags; death-tagged rows read each key once per step, in the
+/// same key order, and come out in the same row order.
+pub fn execute_step_into<T: RowTag>(
     step: &Step,
-    input: &BindingTable,
+    input: &BindingTable<T>,
     ctx: &ExecContext,
-    access: &impl GraphAccess,
+    access: &impl EdgeReads<T>,
     timer: &mut TaskTimer,
-    scratch: &mut StepScratch,
-    out: &mut BindingTable,
+    scratch: &mut StepScratch<T>,
+    out: &mut BindingTable<T>,
 ) {
     debug_assert_eq!(out.width(), input.width(), "step output width mismatch");
     out.clear();
     let p = &step.pattern;
-    let buf = &mut scratch.neighbors;
+    let reads = &mut scratch.reads;
 
     match step.anchoring() {
         Some((anchor_term, target_term, dir)) => {
+            let keys = &mut scratch.keys;
             if input.len() >= BATCH_MIN_ANCHORS
-                && expand_batched(step, input, ctx, access, timer, &mut scratch.keys, out)
+                && expand_batched(step, input, ctx, access, timer, keys, reads, out)
             {
                 return;
             }
-            for row in input.iter() {
+            for (row, tag) in input.iter_tagged() {
                 let anchor = match concrete(anchor_term, row) {
                     Some(v) => v,
                     // The planner anchors only on concrete sides; an
@@ -186,18 +198,15 @@ pub fn execute_step_into(
                 };
                 let key = Key::new(anchor, p.p, dir);
                 match concrete(target_term, row) {
-                    Some(t) => {
-                        for _ in 0..access.count_occurrences(key, t, p.graph, ctx, timer) {
-                            out.push_row(row);
-                        }
-                    }
+                    to @ Some(_) => access.edges(key, to, p.graph, ctx, timer, reads, |e| {
+                        out.push_tagged(row, tag.consume(e).1)
+                    }),
                     None => {
                         let var = target_term.var().expect("non-concrete term is a var");
-                        buf.clear();
-                        access.neighbors(key, p.graph, ctx, timer, buf);
-                        for &n in buf.iter() {
-                            out.push_bound(row, var, n);
-                        }
+                        access.edges(key, None, p.graph, ctx, timer, reads, |e| {
+                            let (n, tag) = tag.consume(e);
+                            out.push_bound_tagged(row, tag, var, n);
+                        });
                     }
                 }
             }
@@ -213,7 +222,7 @@ pub fn execute_step_into(
             subjects.sort_unstable();
             subjects.dedup();
             let s_var = p.s.var();
-            for row in input.iter() {
+            for (row, tag) in input.iter_tagged() {
                 let Some((candidates, bind_s)) = step.scan_candidates(subjects, row) else {
                     continue;
                 };
@@ -223,32 +232,32 @@ pub fn execute_step_into(
                 let o_is_s = s_var.is_some() && s_var == p.o.var();
                 if bound_o.is_none() && !o_is_s && candidates.len() >= BATCH_MIN_ANCHORS {
                     let keys = &mut scratch.keys;
-                    scan_batched(step, row, candidates, ctx, access, timer, keys, out);
+                    let row = (row, tag);
+                    scan_batched(step, row, candidates, ctx, access, timer, keys, reads, out);
                     continue;
                 }
                 for &s in candidates {
                     let key = Key::new(s, p.p, Dir::Out);
                     match bound_o {
-                        Some(t) => {
-                            for _ in 0..access.count_occurrences(key, t, p.graph, ctx, timer) {
-                                match bind_s {
-                                    Some(v) => out.push_bound(row, v, s),
-                                    None => out.push_row(row),
-                                }
+                        to @ Some(_) => access.edges(key, to, p.graph, ctx, timer, reads, |e| {
+                            let tag = tag.consume(e).1;
+                            match bind_s {
+                                Some(v) => out.push_bound_tagged(row, tag, v, s),
+                                None => out.push_tagged(row, tag),
                             }
-                        }
+                        }),
                         None => {
                             let o_var = p.o.var().expect("non-concrete term is a var");
-                            buf.clear();
-                            access.neighbors(key, p.graph, ctx, timer, buf);
-                            for &n in buf.iter().filter(|&&n| !o_is_s || n == s) {
+                            access.edges(key, None, p.graph, ctx, timer, reads, |e| {
+                                let (n, tag) = tag.consume(e);
                                 match bind_s {
+                                    _ if o_is_s && n != s => {}
                                     Some(v) if v != o_var => {
-                                        out.push_bound2(row, (v, s), (o_var, n))
+                                        out.push_bound2_tagged(row, tag, (v, s), (o_var, n))
                                     }
-                                    _ => out.push_bound(row, o_var, n),
+                                    _ => out.push_bound_tagged(row, tag, o_var, n),
                                 }
-                            }
+                            });
                         }
                     }
                 }
@@ -263,14 +272,16 @@ pub fn execute_step_into(
 /// leaves `out` alone. Out of line: it runs once per wide step, and the
 /// per-key loop beside its call site is every selective firing's hot path.
 #[inline(never)]
-fn expand_batched(
+#[allow(clippy::too_many_arguments)]
+fn expand_batched<T: RowTag>(
     step: &Step,
-    input: &BindingTable,
+    input: &BindingTable<T>,
     ctx: &ExecContext,
-    access: &impl GraphAccess,
+    access: &impl EdgeReads<T>,
     timer: &mut TaskTimer,
     keys: &mut Vec<Key>,
-    out: &mut BindingTable,
+    reads: &mut T::Reads,
+    out: &mut BindingTable<T>,
 ) -> bool {
     let p = &step.pattern;
     let Some((anchor_term, target_term, dir)) = step.anchoring() else {
@@ -287,10 +298,11 @@ fn expand_batched(
     if keys.len() != input.len() {
         return false;
     }
-    access.neighbors_batch(keys, p.graph, ctx, timer, &mut |i, run| {
-        let row = input.row(i);
-        for &n in run {
-            out.push_bound(row, var, n);
+    access.edges_batch(keys, p.graph, ctx, timer, reads, &mut |i, run| {
+        let (row, tag) = (input.row(i), input.tag(i));
+        for &e in run {
+            let (n, tag) = tag.consume(e);
+            out.push_bound_tagged(row, tag, var, n);
         }
     });
     true
@@ -302,15 +314,16 @@ fn expand_batched(
 /// the same reason as [`expand_batched`].
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
-fn scan_batched(
+fn scan_batched<T: RowTag>(
     step: &Step,
-    row: &[Vid],
+    (row, tag): (&[Vid], T),
     candidates: &[Vid],
     ctx: &ExecContext,
-    access: &impl GraphAccess,
+    access: &impl EdgeReads<T>,
     timer: &mut TaskTimer,
     keys: &mut Vec<Key>,
-    out: &mut BindingTable,
+    reads: &mut T::Reads,
+    out: &mut BindingTable<T>,
 ) {
     let p = &step.pattern;
     let o_var = p.o.var().expect("non-concrete term is a var");
@@ -318,12 +331,13 @@ fn scan_batched(
     let bind_s = p.s.var().filter(|&v| row[v as usize] == UNBOUND);
     keys.clear();
     keys.extend(candidates.iter().map(|&s| Key::new(s, p.p, Dir::Out)));
-    access.neighbors_batch(keys, p.graph, ctx, timer, &mut |i, run| {
+    access.edges_batch(keys, p.graph, ctx, timer, reads, &mut |i, run| {
         let s = candidates[i];
-        for &n in run {
+        for &e in run {
+            let (n, tag) = tag.consume(e);
             match bind_s {
-                Some(v) => out.push_bound2(row, (v, s), (o_var, n)),
-                None => out.push_bound(row, o_var, n),
+                Some(v) => out.push_bound2_tagged(row, tag, (v, s), (o_var, n)),
+                None => out.push_bound_tagged(row, tag, o_var, n),
             }
         }
     });
@@ -332,26 +346,26 @@ fn scan_batched(
 /// A binding table stepped in place: each step writes into the spare
 /// table and the two swap, so a chain of steps allocates only while the
 /// pair and the scratch are still growing.
-struct StepRunner {
-    table: BindingTable,
-    spare: BindingTable,
-    scratch: StepScratch,
+pub(crate) struct StepRunner<T: RowTag = ()> {
+    pub(crate) table: BindingTable<T>,
+    spare: BindingTable<T>,
+    pub(crate) scratch: StepScratch<T>,
 }
 
-impl StepRunner {
-    fn new(table: BindingTable) -> Self {
+impl<T: RowTag> StepRunner<T> {
+    pub(crate) fn new(table: BindingTable<T>) -> Self {
         StepRunner {
-            spare: BindingTable::empty(table.width()),
+            spare: BindingTable::empty_tagged(table.width()),
             table,
             scratch: StepScratch::default(),
         }
     }
 
-    fn step(
+    pub(crate) fn step(
         &mut self,
         step: &Step,
         ctx: &ExecContext,
-        access: &impl GraphAccess,
+        access: &impl EdgeReads<T>,
         timer: &mut TaskTimer,
     ) {
         execute_step_into(
@@ -366,10 +380,12 @@ impl StepRunner {
         std::mem::swap(&mut self.table, &mut self.spare);
     }
 
-    fn into_table(self) -> BindingTable {
+    pub(crate) fn into_table(self) -> BindingTable<T> {
         self.table
     }
+}
 
+impl StepRunner {
     /// Runs `steps` until one leaves no rows; returns the resulting table.
     fn steps(
         &mut self,
@@ -422,11 +438,7 @@ fn apply_ready_filters(
             .map(|r| r[f.var as usize] != UNBOUND)
             .unwrap_or(false);
         if ready {
-            table.retain(|row| {
-                lit.numeric(row[f.var as usize])
-                    .map(|v| f.accepts(v))
-                    .unwrap_or(false)
-            });
+            table.retain(|row, ()| f.keeps(row, lit));
             applied[i] = true;
         }
     }
@@ -482,12 +494,7 @@ pub fn finalize(
             .filter(|(_, a)| !**a)
             .map(|(f, _)| f)
             .collect();
-        table.retain(|row| {
-            unappl.iter().all(|f| {
-                let v = row[f.var as usize];
-                v != UNBOUND && lit.numeric(v).map(|x| f.accepts(x)).unwrap_or(false)
-            })
-        });
+        table.retain(|row, ()| unappl.iter().all(|f| f.keeps(row, lit)));
     }
 
     let var_names = Arc::clone(&query.select_names);

@@ -8,8 +8,10 @@
 //! firings instead:
 //!
 //! * [`DeltaState`] materializes the previous firing's full-width binding
-//!   rows, each carrying a precomputed **death timestamp** — the first
-//!   window end at which the row stops being derivable ([`TaggedTable`]).
+//!   rows, each tagged with a precomputed **death timestamp** — the first
+//!   window end at which the row stops being derivable (a
+//!   [`BindingTable`] whose [`crate::bindings::RowTag`] is a
+//!   `Timestamp`).
 //! * A firing over overlapping windows first **retracts** rows whose
 //!   death is not past the new window end (a contributing edge expired),
 //!   then derives only the rows that touch the **inserted** slice
@@ -31,6 +33,12 @@
 //! *delta*, not the window: `d(1 + s)` of the full derivation at overlap
 //! `s = 1 - d`, which is what `exp_incremental` gates on.
 //!
+//! Each term runs the recompute path's own step kernel,
+//! [`crate::executor::execute_step_into`], over death-tagged rows: the
+//! tag makes it read every edge with its expiry and fold that into the
+//! row's death. This module keeps only what is maintenance's own:
+//! retraction, the telescoping schedule and the state.
+//!
 //! Not every query is incrementalizable (see [`incrementalizable`]):
 //! `OPTIONAL` / `UNION` / `NOT EXISTS` are non-monotone or re-plan per
 //! row, and stored-graph patterns read state that mutates between
@@ -42,154 +50,44 @@
 //! subtract-combiner would not be).
 
 use crate::ast::{GraphName, Query};
-use crate::bindings::{BindingTable, UNBOUND};
+use crate::bindings::BindingTable;
 use crate::exec::{ExecContext, LiteralResolver, TimedGraphAccess, WindowInstance};
-use crate::executor::{concrete, finalize, ResultSet};
-use crate::plan::{Plan, Step};
+use crate::executor::{finalize, ResultSet, StepRunner};
+use crate::plan::Plan;
 use wukong_net::TaskTimer;
 use wukong_obs::{Stage, StageTrace};
-use wukong_rdf::{Dir, Key, KeyMap, Timestamp, Vid};
-
-/// Death of a row no stream edge has contributed to yet (never expires).
-pub const NO_DEATH: Timestamp = Timestamp::MAX;
-
-/// Materialized binding rows with expiry provenance, stored flat.
-///
-/// Layout mirrors [`BindingTable`]: `vals` is `width`-strided variable
-/// bindings ([`UNBOUND`] for never-bound slots); `death[i]` is row `i`'s
-/// death timestamp, folded in during derivation as
-/// `min` over contributing edges of `edge ts + RANGE(edge's stream)`.
-/// Every window of a firing ends at the common fire time `hi`
-/// ([`WindowInstance`]s from one `WindowState::fire`), so a row is
-/// derivable from windows ending at `hi` iff `death > hi` — retraction
-/// is one compacting sweep over a flat timestamp column, no per-stream
-/// re-checks. Flat strides matter here: delta derivation appends
-/// thousands of short-lived rows per firing, and heap allocations per
-/// row (the naive `Vec<Vec<_>>` shape) cost more than the join itself.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TaggedTable {
-    width: usize,
-    vals: Vec<Vid>,
-    death: Vec<Timestamp>,
-}
-
-impl TaggedTable {
-    fn empty(width: usize) -> Self {
-        TaggedTable {
-            width: width.max(1),
-            vals: Vec::new(),
-            death: Vec::new(),
-        }
-    }
-
-    /// A single all-unbound, never-expiring seed row.
-    fn seed(width: usize) -> Self {
-        let mut t = Self::empty(width);
-        t.vals.extend(std::iter::repeat_n(UNBOUND, t.width));
-        t.death.push(NO_DEATH);
-        t
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.death.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.death.is_empty()
-    }
-
-    /// The `i`-th row's variable bindings.
-    pub fn vals(&self, i: usize) -> &[Vid] {
-        &self.vals[i * self.width..(i + 1) * self.width]
-    }
-
-    /// The `i`-th row's death timestamp: the first window end it is no
-    /// longer derivable at.
-    pub fn death(&self, i: usize) -> Timestamp {
-        self.death[i]
-    }
-
-    /// Appends row `i` of `src` with optional rebinding of one variable
-    /// slot, lowering the death to `expiry` (the consumed edge's
-    /// `ts + RANGE`); returns the new row's index. The only per-row cost
-    /// is one `extend_from_slice` and one timestamp push.
-    fn push_derived(
-        &mut self,
-        src: &TaggedTable,
-        i: usize,
-        bind: Option<(u8, Vid)>,
-        expiry: Timestamp,
-    ) -> usize {
-        let vbase = self.vals.len();
-        self.vals.extend_from_slice(src.vals(i));
-        if let Some((v, val)) = bind {
-            self.vals[vbase + v as usize] = val;
-        }
-        self.death.push(src.death[i].min(expiry));
-        vbase / self.width
-    }
-
-    /// Drops the last row (a derivation that failed a post-bind check).
-    fn pop(&mut self) {
-        self.vals.truncate(self.vals.len() - self.width);
-        self.death.pop();
-    }
-
-    /// In-place compaction keeping rows accepted by `keep(vals, death)`.
-    fn retain(&mut self, mut keep: impl FnMut(&[Vid], Timestamp) -> bool) {
-        let mut w = 0;
-        for i in 0..self.len() {
-            if keep(
-                &self.vals[i * self.width..(i + 1) * self.width],
-                self.death[i],
-            ) {
-                if w != i {
-                    self.vals
-                        .copy_within(i * self.width..(i + 1) * self.width, w * self.width);
-                    self.death[w] = self.death[i];
-                }
-                w += 1;
-            }
-        }
-        self.vals.truncate(w * self.width);
-        self.death.truncate(w);
-    }
-
-    /// Appends every row of `other` accepted by `keep`; returns how many.
-    fn absorb(&mut self, other: &TaggedTable, mut keep: impl FnMut(&[Vid]) -> bool) -> u64 {
-        debug_assert_eq!(self.width, other.width);
-        let mut n = 0;
-        for i in 0..other.len() {
-            if keep(other.vals(i)) {
-                self.vals.extend_from_slice(other.vals(i));
-                self.death.push(other.death[i]);
-                n += 1;
-            }
-        }
-        n
-    }
-}
+use wukong_rdf::Timestamp;
 
 /// The delta-maintenance state of one registered query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DeltaState {
     /// Window instances of the firing the state reflects.
     windows: Vec<WindowInstance>,
-    /// Materialized post-filter binding rows with death timestamps.
-    rows: TaggedTable,
+    /// Materialized post-filter binding rows, each tagged with its death.
+    /// Every window of a firing ends at the common fire time `hi`
+    /// ([`WindowInstance`]s from one `WindowState::fire`), so a row is
+    /// derivable from windows ending at `hi` iff `death > hi` — retraction
+    /// is one compacting sweep over the flat tag column.
+    rows: BindingTable<Timestamp>,
 }
 
 impl DeltaState {
     /// The materialized rows.
-    pub fn rows(&self) -> &TaggedTable {
+    pub fn rows(&self) -> &BindingTable<Timestamp> {
         &self.rows
     }
 
     /// The windows the state reflects.
     pub fn windows(&self) -> &[WindowInstance] {
         &self.windows
+    }
+}
+
+impl BindingTable<Timestamp> {
+    /// The `i`-th row's death timestamp: the first window end it is no
+    /// longer derivable at.
+    pub fn death(&self, i: usize) -> Timestamp {
+        self.tag(i)
     }
 }
 
@@ -233,206 +131,48 @@ pub fn incrementalizable(q: &Query) -> bool {
             .all(|p| matches!(p.graph, GraphName::Stream(_)))
 }
 
-fn stream_of(step: &Step) -> usize {
-    match step.pattern.graph {
-        GraphName::Stream(g) => g,
-        GraphName::Stored => unreachable!("incremental plans read streams only"),
-    }
-}
-
-/// `base` with stream `g`'s window overridden to `[lo, hi]`.
-///
-/// Slices are per *step*, not per stream: in one telescoped term, two
-/// steps reading the same stream can need different slices (full window
-/// before the delta step, survivors after it).
-fn step_ctx(base: &ExecContext, g: usize, lo: Timestamp, hi: Timestamp) -> ExecContext {
-    let mut ctx = base.clone();
-    ctx.windows[g].lo = lo;
-    ctx.windows[g].hi = hi;
-    ctx
-}
-
-/// Within-step scan memo.
-///
-/// Join fan-in makes many input rows share one anchor vertex, and the
-/// slice context is fixed for a whole step, so same-key scans repeat
-/// verbatim. Fixed per-scan costs — lock acquisition, batch-list
-/// bisection, remote read charging — dominate small delta slices, so
-/// memoizing turns per-*row* scan pricing into per-*key* pricing. The
-/// immutable firing snapshot is what makes replaying a cached result
-/// sound; bag multiplicities are preserved because results are replayed
-/// per input row, never deduplicated.
-#[derive(Default)]
-struct ScanMemo {
-    map: KeyMap<(usize, usize)>,
-    arena: Vec<(Vid, Timestamp)>,
-}
-
-impl ScanMemo {
-    fn scan(
-        &mut self,
-        key: Key,
-        src: crate::exec::PatternSource,
-        ctx: &ExecContext,
-        access: &impl TimedGraphAccess,
-        timer: &mut TaskTimer,
-    ) -> std::ops::Range<usize> {
-        if let Some(&(s, e)) = self.map.get(&key) {
-            return s..e;
-        }
-        let s = self.arena.len();
-        access.neighbors_timed(key, src, ctx, timer, &mut self.arena);
-        let e = self.arena.len();
-        self.map.insert(key, (s, e));
-        s..e
-    }
-}
-
-/// One plan step over death-carrying rows — mirrors
-/// [`crate::executor::execute_step`], with every derivation consuming
-/// exactly one `(edge, timestamp)` occurrence so bag multiplicities and
-/// death timestamps stay exact. `range` is the step's stream's RANGE:
-/// an edge at `ts` stops being visible once the window end passes
-/// `ts + range`, so that is the expiry it imposes on derived rows.
-fn execute_step_tagged(
-    step: &Step,
-    input: &TaggedTable,
-    ctx: &ExecContext,
-    range: Timestamp,
-    access: &impl TimedGraphAccess,
-    timer: &mut TaskTimer,
-) -> TaggedTable {
-    let mut out = TaggedTable::empty(input.width);
-    let p = &step.pattern;
-    let mut memo = ScanMemo::default();
-
-    match step.anchoring() {
-        Some((anchor_term, target_term, dir)) => {
-            for i in 0..input.len() {
-                let anchor = match concrete(anchor_term, input.vals(i)) {
-                    Some(v) => v,
-                    None => continue,
-                };
-                let key = Key::new(anchor, p.p, dir);
-                let r = memo.scan(key, p.graph, ctx, access, timer);
-                match concrete(target_term, input.vals(i)) {
-                    Some(t) => {
-                        for k in r {
-                            let (n, ts) = memo.arena[k];
-                            if n == t {
-                                out.push_derived(input, i, None, ts.saturating_add(range));
-                            }
-                        }
-                    }
-                    None => {
-                        let var = target_term.var().expect("non-concrete term is a var");
-                        for k in r {
-                            let (n, ts) = memo.arena[k];
-                            out.push_derived(input, i, Some((var, n)), ts.saturating_add(range));
-                        }
-                    }
-                }
-            }
-        }
-        None => {
-            // Subject enumeration is untimed: a subject's membership in
-            // the slice is implied by its expansion edge, whose timestamp
-            // is the one that matters for expiry.
-            let mut subjects: Vec<Vid> = Vec::new();
-            access.neighbors(
-                Key::index(p.p, Dir::Out),
-                p.graph,
-                ctx,
-                timer,
-                &mut subjects,
-            );
-            subjects.sort_unstable();
-            subjects.dedup();
-            let s_var = p.s.var();
-            for i in 0..input.len() {
-                let Some((candidates, bind_s)) = step.scan_candidates(&subjects, input.vals(i))
-                else {
-                    continue;
-                };
-                for &s in candidates {
-                    let key = Key::new(s, p.p, Dir::Out);
-                    let r = memo.scan(key, p.graph, ctx, access, timer);
-                    match concrete(p.o, input.vals(i)) {
-                        Some(t) => {
-                            for k in r {
-                                let (n, ts) = memo.arena[k];
-                                if n != t {
-                                    continue;
-                                }
-                                let bind = bind_s.map(|v| (v, s));
-                                out.push_derived(input, i, bind, ts.saturating_add(range));
-                            }
-                        }
-                        None => {
-                            let o_var = p.o.var().expect("non-concrete term is a var");
-                            for k in r {
-                                let (n, ts) = memo.arena[k];
-                                let ni = out.push_derived(input, i, None, ts.saturating_add(range));
-                                let nr = &mut out.vals[ni * out.width..(ni + 1) * out.width];
-                                if let Some(v) = bind_s {
-                                    nr[v as usize] = s;
-                                }
-                                // Repeated variable (`?X p ?X`): both
-                                // positions must agree.
-                                if s_var == Some(o_var) && nr[o_var as usize] != n {
-                                    out.pop();
-                                    continue;
-                                }
-                                nr[o_var as usize] = n;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs the full step chain with per-step window slices chosen by
-/// `slice_for(step_index, stream)`. `ranges[g]` is stream `g`'s
-/// registered RANGE (not the possibly-clamped instance span — early
+/// Runs the full step chain from the seed row, step `j` reading its
+/// stream `g` over the slice `slice(j, g)`, and returns the rows that pass
+/// every filter. Slices are per *step*, not per stream: in one telescoped
+/// term, two steps reading the same stream can need different slices
+/// (full window before the delta step, survivors after it), so each step
+/// sets its stream's window in `ctx` before it runs. `ranges[g]` is stream
+/// `g`'s registered RANGE (not the possibly-clamped instance span — early
 /// windows pin `lo` at the stream epoch, which must not shorten expiry).
+///
+/// Filters are per-row predicates, so applying them once to every fresh
+/// row (state rows already passed) commutes with the telescoping.
+#[allow(clippy::too_many_arguments)]
 fn run_term(
     query: &Query,
     plan: &Plan,
-    base: &ExecContext,
+    ctx: &mut ExecContext,
     ranges: &[Timestamp],
-    slice_for: impl Fn(usize, usize) -> (Timestamp, Timestamp),
+    slice: impl Fn(usize, usize) -> (Timestamp, Timestamp),
     access: &impl TimedGraphAccess,
+    lit: &impl LiteralResolver,
     timer: &mut TaskTimer,
-) -> TaggedTable {
-    let width = (query.var_count as usize).max(1);
-    let mut rows = TaggedTable::seed(width);
+) -> BindingTable<Timestamp> {
+    let width = query.var_count as usize;
+    let mut run = StepRunner::<Timestamp>::new(BindingTable::seed_tagged(width));
     for (j, step) in plan.steps.iter().enumerate() {
-        let g = stream_of(step);
-        let (lo, hi) = slice_for(j, g);
+        let GraphName::Stream(g) = step.pattern.graph else {
+            unreachable!("incremental plans read streams only");
+        };
+        let (lo, hi) = slice(j, g);
         if lo > hi {
-            return TaggedTable::empty(width);
+            return BindingTable::empty_tagged(width);
         }
-        let sctx = step_ctx(base, g, lo, hi);
-        rows = execute_step_tagged(step, &rows, &sctx, ranges[g], access, timer);
-        if rows.is_empty() {
+        (ctx.windows[g].lo, ctx.windows[g].hi) = (lo, hi);
+        run.scratch.reads.start(ranges[g]);
+        run.step(step, ctx, access, timer);
+        if run.table.is_empty() {
             break;
         }
     }
+    let mut rows = run.into_table();
+    rows.retain(|row, _| query.filters.iter().all(|f| f.keeps(row, lit)));
     rows
-}
-
-/// All filters, with the shared [`finalize`] "unapplied" semantics: a
-/// row passes iff the filtered variable is bound, numeric, and accepted.
-/// Filters are per-row predicates, so applying them once to every fresh
-/// row (state rows already passed) commutes with the telescoping.
-fn passes_filters(query: &Query, lit: &impl LiteralResolver, vals: &[Vid]) -> bool {
-    query.filters.iter().all(|f| {
-        let v = vals[f.var as usize];
-        v != UNBOUND && lit.numeric(v).map(|x| f.accepts(x)).unwrap_or(false)
-    })
 }
 
 /// One maintained firing: retract expired state, derive the delta,
@@ -465,6 +205,8 @@ pub fn maintain(
 ) -> (ResultSet, DeltaStats) {
     let mut stats = DeltaStats::default();
     let t0 = timer.total_ns();
+    // The one context every step of every term reads through.
+    let mut step_ctx = ctx.clone();
 
     let rebuild = match state {
         Some(st) => {
@@ -480,16 +222,8 @@ pub fn maintain(
 
     if rebuild {
         let _delta_span = wukong_obs::trace::scoped_span(Stage::DeltaApply);
-        let mut rows = run_term(
-            query,
-            plan,
-            ctx,
-            ranges,
-            |_, g| (ctx.windows[g].lo, ctx.windows[g].hi),
-            access,
-            timer,
-        );
-        rows.retain(|vals, _| passes_filters(query, lit, vals));
+        let full = |_, g: usize| (ctx.windows[g].lo, ctx.windows[g].hi);
+        let rows = run_term(query, plan, &mut step_ctx, ranges, full, access, lit, timer);
         stats.rebuilt = true;
         stats.rows_recomputed = rows.len() as u64;
         *state = Some(DeltaState {
@@ -537,29 +271,31 @@ pub fn maintain(
 
         // Telescoped delta terms: term i derives every new row whose
         // *first* delta-slice edge (in plan-step order) is at step i.
-        // Fresh rows absorb straight into state — no intermediate copy.
         for i in 0..plan.steps.len() {
-            let gi = stream_of(&plan.steps[i]);
+            let GraphName::Stream(gi) = plan.steps[i].pattern.graph else {
+                unreachable!("incremental plans read streams only");
+            };
             let (dlo, dhi) = delta[gi];
             if dlo > dhi {
                 continue;
             }
+            let slice = |j: usize, g: usize| match j.cmp(&i) {
+                std::cmp::Ordering::Less => full[g],
+                std::cmp::Ordering::Equal => delta[g],
+                std::cmp::Ordering::Greater => surv[g],
+            };
             let fresh = run_term(
                 query,
                 plan,
-                ctx,
+                &mut step_ctx,
                 ranges,
-                |j, g| match j.cmp(&i) {
-                    std::cmp::Ordering::Less => full[g],
-                    std::cmp::Ordering::Equal => delta[g],
-                    std::cmp::Ordering::Greater => surv[g],
-                },
+                slice,
                 access,
+                lit,
                 timer,
             );
-            stats.rows_recomputed += st
-                .rows
-                .absorb(&fresh, |vals| passes_filters(query, lit, vals));
+            stats.rows_recomputed += fresh.len() as u64;
+            st.rows.append(&fresh);
         }
         st.windows = ctx.windows.clone();
         trace.add(
@@ -571,9 +307,8 @@ pub fn maintain(
     let st = state.as_ref().expect("state just written");
     let emit_at = timer.total_ns();
     let emit_span = wukong_obs::trace::scoped_span(Stage::ResultEmit);
-    let table = BindingTable::from_flat(query.var_count as usize, st.rows.vals.clone());
     let applied = vec![true; query.filters.len()];
-    let out = finalize(query, table, &applied, lit);
+    let out = finalize(query, st.rows.untagged(), &applied, lit);
     drop(emit_span);
     trace.add(Stage::ResultEmit, timer.total_ns().saturating_sub(emit_at));
     (out, stats)
@@ -593,7 +328,7 @@ mod tests {
     use crate::parse_query;
     use crate::planner::plan_query;
     use std::collections::HashMap;
-    use wukong_rdf::{Pid, StringServer};
+    use wukong_rdf::{Dir, Key, Pid, StringServer, Vid};
     use wukong_store::SnapshotId;
 
     /// In-memory timed stream edges: window filtering over explicit
@@ -710,47 +445,150 @@ mod tests {
         FROM S [RANGE 10s STEP 1s] \
         WHERE { GRAPH S { ?X po ?Z } GRAPH S { ?Y li ?Z } }";
 
-    /// Slides a window over the workload in every overlap regime
-    /// (tumbling, 50/75% overlap, disjoint) and checks each maintained
-    /// firing equals a from-scratch recompute of the same window.
+    /// Seeds `po` / `li` edges over a ten-entity pool — constant anchors
+    /// hit, edges repeat inside a batch, self-loops occur — and `wd` edges
+    /// from a hundred subjects, so an index scan can reach
+    /// `BATCH_MIN_ANCHORS` subjects.
+    fn shapes_workload(ss: &StringServer, toy: &mut ToyStreams, horizon: u64) {
+        let [po, li, wd] = ["po", "li", "wd"].map(|p| ss.intern_predicate(p).unwrap());
+        let e = |i: u64| ss.intern_entity(&format!("e{i}")).unwrap();
+        let mut state = 0x2545f4914f6cdd1du64;
+        let mut rng = move |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for ts in (100..=horizon).step_by(100) {
+            for p in [po, li] {
+                let (s, o) = (e(rng(10)), e(rng(10)));
+                // One edge occurs twice in the batch.
+                toy.add(0, s, p, o, ts);
+                toy.add(0, s, p, o, ts);
+                for _ in 0..22 {
+                    toy.add(0, e(rng(10)), p, e(rng(10)), ts);
+                }
+            }
+            for _ in 0..40 {
+                toy.add(0, e(rng(100)), wd, e(rng(10)), ts);
+            }
+        }
+    }
+
+    /// Slides a window over every step shape the kernel has in every
+    /// overlap regime (tumbling, 50/75% overlap, disjoint) and checks each
+    /// maintained firing equals a from-scratch recompute of the same
+    /// window.
     #[test]
     fn maintained_firings_equal_recompute_at_every_overlap() {
-        for (range, step) in [(100u64, 100u64), (200, 100), (400, 100), (100, 300)] {
-            let ss = StringServer::new();
-            let mut toy = ToyStreams::new(1);
-            workload(&ss, &mut toy, 2_000);
-            let q = parse_query(&ss, Q).unwrap();
-            let lit = StringLiteralResolver(&ss);
-
-            let plan_ctx = ctx_for(&[0], 1, 2_000);
-            let plan = plan_query(&q, &toy, &plan_ctx);
-            let mut state: Option<DeltaState> = None;
-            let mut nonempty = 0;
-            let mut hi = range;
-            while hi <= 2_000 {
-                let ctx = ctx_for(&[0], hi.saturating_sub(range) + 1, hi);
-                let mut timer = TaskTimer::start();
-                let mut trace = StageTrace::new();
-                let (inc, _) = maintain(
-                    &q,
-                    &plan,
-                    &mut state,
-                    &ctx,
-                    &[range],
-                    &toy,
-                    &lit,
-                    &mut timer,
-                    &mut trace,
-                );
-                let full = execute(&q, &plan, &ctx, &toy, &lit, &mut timer);
-                assert_eq!(
-                    inc, full,
-                    "range {range} step {step} window ending {hi} diverged"
-                );
-                nonempty += usize::from(!inc.rows.is_empty());
-                hi += step;
+        use crate::executor::{execute_step, BATCH_MIN_ANCHORS};
+        use crate::plan::StepMode::{self, FromObject, FromSubject, IndexScan};
+        // (select, patterns on S, step 0's mode, force step 1 to an index
+        // scan, some window must feed a step `BATCH_MIN_ANCHORS` anchors
+        // or subjects)
+        let cases = [
+            (
+                "?X ?Y ?Z",
+                "{ ?X po ?Z } GRAPH S { ?Y li ?Z }",
+                IndexScan,
+                false,
+                false,
+            ),
+            (
+                "?Y ?Z",
+                "{ e1 po ?Z } GRAPH S { ?Z li ?Y }",
+                FromSubject,
+                false,
+                false,
+            ),
+            (
+                "?X ?Y",
+                "{ ?X po e2 } GRAPH S { ?X li ?Y }",
+                FromObject,
+                false,
+                false,
+            ),
+            (
+                "?X ?Y ?Z",
+                "{ ?X po ?Z } GRAPH S { ?Y li ?Z }",
+                IndexScan,
+                true,
+                false,
+            ),
+            ("?X", "{ ?X po ?X }", IndexScan, false, false),
+            (
+                "?X ?Y ?Z",
+                "{ ?X po ?Z } GRAPH S { ?Z li ?Y }",
+                IndexScan,
+                false,
+                true,
+            ),
+            ("?X ?Y", "{ ?X wd ?Y }", IndexScan, false, true),
+        ];
+        let ss = StringServer::new();
+        let mut toy = ToyStreams::new(1);
+        shapes_workload(&ss, &mut toy, 2_000);
+        let lit = StringLiteralResolver(&ss);
+        for (select, patterns, first_mode, force_scan, wide) in cases {
+            let text = format!(
+                "REGISTER QUERY C SELECT {select} FROM S [RANGE 10s STEP 1s] \
+                 WHERE {{ GRAPH S {patterns} }}"
+            );
+            let q = parse_query(&ss, &text).unwrap();
+            let mut plan = plan_query(&q, &toy, &ctx_for(&[0], 1, 2_000));
+            assert_eq!(plan.steps[0].mode, first_mode, "{patterns}");
+            if force_scan {
+                // Step 0 binds `?Z`: the scan's object is bound.
+                plan.steps[1].mode = StepMode::IndexScan;
+                assert_eq!(plan.steps[0].pattern.o, plan.steps[1].pattern.o);
             }
-            assert!(nonempty > 3, "workload must exercise non-empty windows");
+            let mut widest = 0;
+            for (range, step) in [(100u64, 100u64), (200, 100), (400, 100), (100, 300)] {
+                let mut state: Option<DeltaState> = None;
+                let mut nonempty = 0;
+                let mut hi = range;
+                while hi <= 2_000 {
+                    let ctx = ctx_for(&[0], hi.saturating_sub(range) + 1, hi);
+                    let mut timer = TaskTimer::start();
+                    let mut trace = StageTrace::new();
+                    let (inc, _) = maintain(
+                        &q,
+                        &plan,
+                        &mut state,
+                        &ctx,
+                        &[range],
+                        &toy,
+                        &lit,
+                        &mut timer,
+                        &mut trace,
+                    );
+                    let full = execute(&q, &plan, &ctx, &toy, &lit, &mut timer);
+                    assert_eq!(
+                        inc, full,
+                        "{patterns}: range {range} step {step} window ending {hi} diverged"
+                    );
+                    nonempty += usize::from(!inc.rows.is_empty());
+                    // The widest input a batched arm could take: step 1's
+                    // anchors, or a lone index scan's subjects.
+                    widest = widest.max(if plan.steps.len() > 1 {
+                        let seed = BindingTable::seed(q.var_count as usize);
+                        execute_step(&plan.steps[0], &seed, &ctx, &toy, &mut timer).len()
+                    } else {
+                        let p = plan.steps[0].pattern;
+                        let mut subjects = Vec::new();
+                        let key = Key::index(p.p, Dir::Out);
+                        toy.neighbors(key, p.graph, &ctx, &mut timer, &mut subjects);
+                        subjects.sort_unstable();
+                        subjects.dedup();
+                        subjects.len()
+                    });
+                    hi += step;
+                }
+                assert!(nonempty > 3, "{patterns}: windows must be non-empty");
+            }
+            if wide {
+                assert!(widest >= BATCH_MIN_ANCHORS, "{patterns}: {widest} wide");
+            }
         }
     }
 
