@@ -326,14 +326,15 @@ pub enum FaultEvent {
 /// dropped, 2 = duplicated) and any extra charged delay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Delivery {
-    /// Copies delivered to the destination mailbox.
+    /// Copies that reach the destination.
     pub copies: u32,
     /// Extra nanoseconds the copies are charged with.
     pub extra_ns: u64,
 }
 
 impl Delivery {
-    const CLEAN: Delivery = Delivery {
+    /// One copy, on time: every message without a fault plan.
+    pub(crate) const CLEAN: Delivery = Delivery {
         copies: 1,
         extra_ns: 0,
     };
@@ -442,23 +443,18 @@ impl FaultState {
 
     /// Decides the fate of one message `from → to`: a dead destination
     /// drops it, otherwise the first matching link rule draws from the
-    /// seeded RNG.
+    /// seeded RNG. A zero probability consumes no draw, and a dropped
+    /// message skips the duplicate/delay draws, so the draw sequence is a
+    /// pure function of the outcomes.
     pub fn decide(&self, from: NodeId, to: NodeId) -> Delivery {
+        const DROPPED: Delivery = Delivery {
+            copies: 0,
+            extra_ns: 0,
+        };
         if !self.is_up(to) {
             self.record_drop(from, to);
-            return Delivery {
-                copies: 0,
-                extra_ns: 0,
-            };
+            return DROPPED;
         }
-        self.decide_link(from, to)
-    }
-
-    /// Link-rule verdict only (liveness checked by the caller). A zero
-    /// probability consumes no RNG draw, and a dropped message skips the
-    /// duplicate/delay draws, so the draw sequence is a pure function of
-    /// the outcomes.
-    pub fn decide_link(&self, from: NodeId, to: NodeId) -> Delivery {
         let now = self.clock_ms.load(Ordering::Relaxed);
         let Some(rule) = self.plan.links.iter().find(|r| r.matches(from, to, now)) else {
             return Delivery::CLEAN;
@@ -467,10 +463,7 @@ impl FaultState {
         if rule.drop_p > 0.0 && rng.gen_bool(rule.drop_p) {
             drop(rng);
             self.record_drop(from, to);
-            return Delivery {
-                copies: 0,
-                extra_ns: 0,
-            };
+            return DROPPED;
         }
         let copies = if rule.dup_p > 0.0 && rng.gen_bool(rule.dup_p) {
             self.counters.inc_duplicated();

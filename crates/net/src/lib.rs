@@ -9,8 +9,10 @@
 //!   one-sided RDMA READ is emulated by reading the remote shard's memory
 //!   directly and **charging** the calibrated latency of the verb to the
 //!   calling task's [`TaskTimer`].
-//! - Two-sided messaging (used by fork-join execution) is emulated with
-//!   channels plus a (higher) per-message charge.
+//! - Two-sided messaging (fork-join's sub-queries and replies, stream
+//!   dispatch) is a (higher) per-message charge plus a delivery verdict
+//!   drawn from the seeded fault plan ([`Fabric::send`]); no channel
+//!   carries it and nothing waits on a real clock.
 //! - A [`NetworkProfile`] switches between the RDMA cost model and a
 //!   TCP-over-10GbE model, which is how the Table 5 experiment (RDMA vs
 //!   Non-RDMA) is reproduced.
@@ -32,19 +34,17 @@ pub mod chaos;
 pub mod clock;
 pub mod fabric;
 pub mod fault;
-pub mod message;
 pub mod metrics;
 pub mod pool;
 pub mod profile;
 
 pub use chaos::{shrink_schedule, ChaosEvent, ChaosSchedule};
 pub use clock::TaskTimer;
-pub use fabric::{Endpoint, Fabric, NodeDown, NodeId};
+pub use fabric::{Fabric, NodeDown, NodeId};
 pub use fault::{
     CorruptFault, CorruptTarget, Delivery, FaultEvent, FaultPlan, FaultState, LinkFault,
     ScheduledEvent,
 };
-pub use message::Envelope;
 pub use metrics::{FabricMetrics, MetricsSnapshot};
 pub use pool::WorkerPool;
 pub use profile::NetworkProfile;
