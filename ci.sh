@@ -65,6 +65,9 @@ if grep -rn 'finalize(' crates/{core,baselines}/src; then exit 1; fi
 echo "== one step kernel: delta maintenance runs execute_step_into over death-tagged rows"
 if grep -rnE 'execute_step_tagged|TaggedTable|passes_filters' crates/query/src; then exit 1; fi
 
+echo "== the simulated fabric decides delivery from the seeded fault state and never waits on a real clock"
+if grep -rnE 'crossbeam|mpsc|recv_timeout|Endpoint|Envelope' crates/{net,core}/src; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

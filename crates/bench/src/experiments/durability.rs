@@ -64,7 +64,8 @@ fn serve_loop(
     (executed as f64 / start.elapsed().as_secs_f64(), rec)
 }
 
-/// §6.8: fault-tolerance overhead, plus a crash/recovery check.
+/// §6.8: fault-tolerance overhead. (Whether recovery reproduces a
+/// never-failed run is [`exp_recovery_drill`]'s gate.)
 ///
 /// Paper shape: enabling per-batch logging + periodic checkpointing costs
 /// ≈ 11% throughput on the L1-L3 mix and raises the p99 latency
@@ -87,16 +88,15 @@ pub fn exp_fault_tolerance(run: &mut Run) -> Verdict {
     gen2.stored_triples();
     let live = gen2.generate(0, 2_000);
     let seconds = if run.scale == Scale::Tiny { 1.0 } else { 3.0 };
-    let ft_cfg = EngineConfig {
-        fault_tolerance: true,
-        ..EngineConfig::cluster(nodes)
-    };
 
     // Both configurations stream the same live data; only logging and
     // checkpointing differ, so the delta isolates the FT machinery.
     let plain = w.engine(EngineConfig::cluster(nodes));
     let (thr_plain, rec_plain) = serve_loop(&plain, &w, &live, None, seconds);
-    let ft = w.engine(ft_cfg.clone());
+    let ft = w.engine(EngineConfig {
+        fault_tolerance: true,
+        ..EngineConfig::cluster(nodes)
+    });
     let every = Some(Duration::from_millis(250));
     let (thr_ft, rec_ft) = serve_loop(&ft, &w, &live, every, seconds);
 
@@ -132,52 +132,8 @@ pub fn exp_fault_tolerance(run: &mut Run) -> Verdict {
         inject_ms(&ft),
     );
 
-    // Crash/recovery round trip on the biggest class (Fig. 2's QC).
-    let cp = ft.checkpoint();
-    let mut cps = ft.checkpoints();
-    if !cps.contains(&cp) {
-        cps.push(cp);
-    }
-    let (recovered, report) = WukongS::recover_with_report(
-        ft_cfg,
-        w.stored.iter().copied(),
-        w.schemas(),
-        &w.strings,
-        &cps,
-    )
-    .expect("recovery");
-    say!(
-        run,
-        "\nRecovery: {:.2} ms, {} batches and {} queries replayed, {} duplicates suppressed",
-        report.recovery_ms,
-        report.replayed_batches,
-        report.replayed_queries,
-        report.dedup_suppressed,
-    );
-    run.json.recovery(&report);
-    let qc = lsbench::continuous_query(&w.bench, 5, 0);
-    let sorted_rows = |engine: &WukongS| {
-        let id = engine.register_continuous(&qc).expect("register");
-        let mut rows = engine.execute_registered(id).0.rows;
-        rows.sort();
-        rows
-    };
-    let (a, b) = (sorted_rows(&ft), sorted_rows(&recovered));
-    say!(
-        run,
-        "\nRecovery check (QC): original {} rows, recovered {} rows — {}",
-        a.len(),
-        b.len(),
-        if a == b { "MATCH" } else { "MISMATCH" }
-    );
-    run.json
-        .counter("recovery_match", if a == b { 1.0 } else { 0.0 });
     run.json.engine(&ft);
-    let mut verdict = Verdict::default();
-    verdict.gate(a == b, || {
-        "the recovered deployment answers QC differently".into()
-    });
-    verdict
+    Verdict::default()
 }
 
 struct CellOutcome {

@@ -119,7 +119,7 @@ pub const ALL: &[Experiment] = &[
     Experiment {
         name: "exp_fault_tolerance",
         paper: "§6.8",
-        about: "throughput and tail-latency cost of logging + checkpoints; recovery round trip",
+        about: "throughput and tail-latency cost of logging + checkpoints",
         run: durability::exp_fault_tolerance,
     },
     Experiment {

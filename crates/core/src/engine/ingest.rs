@@ -616,10 +616,9 @@ impl WukongS {
         let dispatch_span = tracer.span(Stage::Dispatch, FiringId::NONE, bid);
         let mut subs = dispatch(&batch, self.cluster.shard_map());
         let fabric = self.cluster.fabric();
-        let faulty = fabric.faults_enabled();
         let nodes = self.cluster.nodes();
         let mut entry_idx = s % nodes;
-        if faulty && !fabric.is_up(NodeId(entry_idx as u16)) {
+        if !fabric.is_up(NodeId(entry_idx as u16)) {
             if let Some(live) = (0..nodes)
                 .map(|k| (entry_idx + k) % nodes)
                 .find(|&n| fabric.is_up(NodeId(n as u16)))
@@ -645,27 +644,18 @@ impl WukongS {
                 // node — no send, no install, no report (DESIGN.md §13).
                 continue;
             }
-            if faulty && !fabric.is_up(to) {
-                delivered[sub.node as usize] = false;
-                if !sub.tuples.is_empty() {
-                    // Counts the drops; returns 0 copies for a dead node.
-                    fabric.send_at_least_once(entry, to, sub.wire_bytes(), &mut scratch);
-                }
-                continue;
-            }
+            delivered[sub.node as usize] = fabric.is_up(to);
             if sub.tuples.is_empty() {
                 continue;
             }
-            if faulty {
-                let copies = fabric.send_at_least_once(entry, to, sub.wire_bytes(), &mut scratch);
-                if copies > 1 {
-                    self.cluster
-                        .obs()
-                        .faults()
-                        .add_dedup_suppressed(u64::from(copies - 1));
-                }
-            } else {
-                fabric.charge_message(entry, to, sub.wire_bytes(), &mut scratch);
+            // One charged message without a fault plan; a dead node gets
+            // 0 copies (the drop is counted), a duplicating link 2.
+            let copies = fabric.send_at_least_once(entry, to, sub.wire_bytes(), &mut scratch);
+            if copies > 1 {
+                self.cluster
+                    .obs()
+                    .faults()
+                    .add_dedup_suppressed(u64::from(copies - 1));
             }
         }
         let dispatch_ns = dispatch_start.elapsed().as_nanos() as u64;
@@ -676,17 +666,15 @@ impl WukongS {
         // and the store. Only delivered non-empty remote subs are
         // candidates, so every injected flip meets the install-site
         // check below — the 100%-detection gate in `exp_chaos`.
-        if faulty {
-            if let Some(fs) = fabric.fault_state() {
-                for sub in subs.iter_mut() {
-                    let node = sub.node as usize;
-                    if node == entry_idx || sub.tuples.is_empty() || !delivered[node] {
-                        continue;
-                    }
-                    if let Some(bits) = fs.corrupt_message(entry, NodeId(sub.node)) {
-                        let i = (bits >> 8) as usize % sub.tuples.len();
-                        sub.tuples[i].triple.o.0 ^= 1 << (bits & 63);
-                    }
+        if let Some(fs) = fabric.fault_state() {
+            for sub in subs.iter_mut() {
+                let node = sub.node as usize;
+                if node == entry_idx || sub.tuples.is_empty() || !delivered[node] {
+                    continue;
+                }
+                if let Some(bits) = fs.corrupt_message(entry, NodeId(sub.node)) {
+                    let i = (bits >> 8) as usize % sub.tuples.len();
+                    sub.tuples[i].triple.o.0 ^= 1 << (bits & 63);
                 }
             }
         }

@@ -148,15 +148,6 @@ impl Coordinator {
     pub fn stable_sn(&self) -> SnapshotId {
         self.planner.stable_sn()
     }
-
-    /// Restores the coordinator's VTS state after recovery (§5, fault
-    /// tolerance: "the local and stable vector timestamps should also be
-    /// persistent").
-    pub fn restore(&mut self, local_vts: Vec<Vts>) {
-        assert_eq!(local_vts.len(), self.local_vts.len(), "node count changed");
-        self.local_vts = local_vts;
-        self.refresh();
-    }
 }
 
 #[cfg(test)]
@@ -231,15 +222,5 @@ mod tests {
         assert!(!c.already_inserted(1, 0, 100));
         // ts 0 is the NEVER sentinel, never "already inserted".
         assert!(!c.already_inserted(0, 0, 0));
-    }
-
-    #[test]
-    fn restore_recomputes_stable() {
-        let mut c = Coordinator::new(2, vec![100], StalenessBound(1));
-        c.restore(vec![
-            Vts::from_entries(vec![300]),
-            Vts::from_entries(vec![200]),
-        ]);
-        assert_eq!(c.stable_vts().get(0), 200);
     }
 }

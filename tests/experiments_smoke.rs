@@ -125,7 +125,7 @@ fn every_experiment_runs_clean_at_tiny_scale() {
         // The report's own gate counters agree with the verdict: every
         // hash equality and per-cell pass flag is set.
         for (name, value) in counters {
-            let gate = ["all_match", "recovery_match"].contains(&name.as_str())
+            let gate = name == "all_match"
                 || ["/hash_match", "/match", "/pass"]
                     .iter()
                     .any(|s| name.ends_with(s))
