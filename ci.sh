@@ -68,6 +68,9 @@ if grep -rnE 'execute_step_tagged|TaggedTable|passes_filters' crates/query/src; 
 echo "== the simulated fabric decides delivery from the seeded fault state and never waits on a real clock"
 if grep -rnE 'crossbeam|mpsc|recv_timeout|Endpoint|Envelope' crates/{net,core}/src; then exit 1; fi
 
+echo "== one install stage, one injector call, one drill; no dead-read path"
+if grep -rnwE 'insert_slice|insert_batch|apply_split|apply_merging|try_charge_read|NodeDown|drill_verified' crates/*/src; then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

@@ -131,7 +131,7 @@ fn run_cell(
 
     // Crash, capture (bit-rot applies here), recover verified, and fire
     // the windows the faults delayed.
-    let (recovered, report) = mgr.drill_verified(&engine, None).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, None).expect("recovery");
     recovered.advance_time(horizon(w, anomaly));
     conflicts += collect(recovered.fire_ready(), &mut fired).conflicts;
     scrub_hits.extend(

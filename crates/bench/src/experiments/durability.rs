@@ -190,7 +190,7 @@ fn drill_cell(
 
     // Crash and recover. The drill captures the durable state exactly as
     // the dying process leaves it and replays it into a fresh engine.
-    let (recovered, report) = mgr.drill(&engine, NodeId(victim)).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, Some(NodeId(victim))).expect("recovery");
     fold(recovered.fire_ready(), &mut fired);
     CellOutcome {
         refired,

@@ -29,19 +29,20 @@ use wukong_obs::{HistogramSnapshot, Json, RegistrySnapshot};
 /// `trace` top-level member (flight-recorder counters: enabled, events
 /// recorded/evicted, firings minted, anomaly dumps held/suppressed) and
 /// extended `recovery` with `replayed_batch_ids` (causal batch labels of
-/// the replayed log, capped at the first 32).
-pub const JSON_SCHEMA_VERSION: u64 = 8;
+/// the replayed log, capped at the first 32); 9 = removed
+/// `faults.dead_reads` (the engine never fails a one-sided read).
+pub const JSON_SCHEMA_VERSION: u64 = 9;
 
 /// Collects an experiment's machine-readable results and writes them as
 /// one schema-stable JSON document when `wukong-bench` was invoked with
 /// `--json <path>`. When the flag is absent every method is a cheap
 /// no-op, so experiments record unconditionally.
 ///
-/// Document layout (`schema_version` 8):
+/// Document layout (`schema_version` 9):
 ///
 /// ```json
 /// {
-///   "schema_version": 8,
+///   "schema_version": 9,
 ///   "experiment": "table2_latency_single",
 ///   "latency_ms": { "<series>": {"samples", "p50", "p90", "p99", "p999", "mean"} },
 ///   "counters":   { "<name>": <number> },
@@ -325,7 +326,7 @@ mod bench_json_tests {
         j.series("L1", &rec);
         j.counter("ops", 42.0);
         let doc = j.document();
-        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(8));
+        assert_eq!(doc.get("schema_version").and_then(Json::as_u64), Some(9));
         assert_eq!(doc.get("experiment").and_then(Json::as_str), Some("t"));
         let l1 = doc.get("latency_ms").unwrap().get("L1").unwrap();
         assert_eq!(l1.get("samples").and_then(Json::as_u64), Some(3));

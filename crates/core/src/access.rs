@@ -236,7 +236,6 @@ mod tests {
     use wukong_query::exec::WindowInstance;
     use wukong_rdf::{Dir, Pid, StreamId, StreamTuple, Triple};
     use wukong_store::SnapshotId;
-    use wukong_store::StreamIndex;
     use wukong_stream::{dispatch, Batch, Injector, NodeStreamStore, StreamSchema};
 
     #[test]
@@ -368,6 +367,8 @@ mod tests {
         schema.timing_predicates.insert(Pid(5));
         let sidx = cluster.add_stream(schema);
         let stream = cluster.stream(sidx);
+        let mut stores: Vec<NodeStreamStore> =
+            (0..2).map(|_| NodeStreamStore::new(1 << 20)).collect();
         for ts in [100u64, 200, 300] {
             let mut tuples = Vec::new();
             for (s, o) in [(1, 7), (1, 7), (2, 7), (3, 8)] {
@@ -382,18 +383,14 @@ mod tests {
             }
             let batch = Batch::sealed(StreamId(0), ts, tuples, 0);
             for sub in dispatch(&batch, cluster.shard_map()) {
-                let node = sub.node as usize;
-                let (ib, _) = Injector.apply_split(
-                    cluster.shard(sub.node),
-                    &mut stream.transients[node].write(),
-                    &mut StreamIndex::new(),
-                    &sub,
-                    ts,
-                    SnapshotId(ts / 100),
-                    None,
-                );
-                stream.indexes[node].write().push_batch(ib);
+                let store = &mut stores[sub.node as usize];
+                let sn = SnapshotId(ts / 100);
+                Injector.apply(cluster.shard(sub.node), store, &sub, ts, sn);
             }
+        }
+        for (node, store) in stores.into_iter().enumerate() {
+            *stream.transients[node].write() = store.transient;
+            *stream.indexes[node].write() = store.index;
         }
 
         let ctx = ExecContext {

@@ -44,8 +44,6 @@ pub struct StreamState {
     pub subscribers: RwLock<HashSet<u16>>,
     /// Raw stream bytes received so far (Table 7 accounting).
     pub raw_bytes: RwLock<u64>,
-    /// Cumulative GC sweep results across nodes.
-    pub gc_stats: RwLock<wukong_store::gc::GcStats>,
 }
 
 impl StreamState {
@@ -60,7 +58,6 @@ impl StreamState {
                 .collect(),
             subscribers: RwLock::new(HashSet::new()),
             raw_bytes: RwLock::new(0),
-            gc_stats: RwLock::new(Default::default()),
         }
     }
 
@@ -605,7 +602,7 @@ mod tests {
         // (read pointer by pointer through `StreamIndex::neighbors_in`)
         // and into a cluster (read through the lock-once, cell-once
         // path): in time order first, then as catch-up replays that
-        // `insert_batch` slots between batches already pushed, with a
+        // `push_batch` slots between batches already pushed, with a
         // consolidation in between so ranges straddle dropped marks.
         let c = Cluster::new(&config(1));
         let sidx = c.add_stream(StreamSchema::timeless(StreamId(0), "S", 100));
@@ -616,7 +613,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut next = move |n: u64| rng.gen_range(0..n);
         let mut sn = 0u64;
-        let mut feed = |ts: u64, replay: bool, next: &mut dyn FnMut(u64) -> u64| {
+        let mut feed = |ts: u64, next: &mut dyn FnMut(u64) -> u64| {
             sn += 1;
             let triples: Vec<Triple> = (0..next(12))
                 .map(|_| Triple::new(Vid(next(6) + 1), Pid(next(2) + 1), Vid(next(9) + 20)))
@@ -627,24 +624,20 @@ mod tests {
             }
             let mirrored = c.shard(0).inject_batch(&triples, SnapshotId(sn));
             assert_eq!(mirrored, receipts, "both stores append at the same offsets");
-            let mut index = stream.indexes[0].write();
-            if replay {
-                reference.insert_batch(IndexBatch::from_receipts(ts, &receipts));
-                index.insert_batch(IndexBatch::from_receipts(ts, &mirrored));
-            } else {
-                reference.push_batch(IndexBatch::from_receipts(ts, &receipts));
-                index.push_batch(IndexBatch::from_receipts(ts, &mirrored));
-            }
+            reference.push_batch(IndexBatch::from_receipts(ts, &receipts));
+            stream.indexes[0]
+                .write()
+                .push_batch(IndexBatch::from_receipts(ts, &mirrored));
             if sn == 12 {
                 base.consolidate(SnapshotId(8));
                 c.shard(0).consolidate(SnapshotId(8));
             }
         };
         for b in 1..=20u64 {
-            feed(b * 100, false, &mut next);
+            feed(b * 100, &mut next);
         }
         for ts in [250, 250, 1_000, 1_950, 2_000] {
-            feed(ts, true, &mut next);
+            feed(ts, &mut next);
         }
 
         let mut timer = TaskTimer::start();

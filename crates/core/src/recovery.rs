@@ -79,14 +79,6 @@ impl RecoveryManager {
         self.capture(engine, true)
     }
 
-    /// The pristine upstream copy of the same state (§5 assumes stream
-    /// sources can re-serve history): never bit-rotted, the fallback
-    /// [`RecoveryManager::recover_verified`] reaches for when the durable
-    /// chain fails its section checksums.
-    pub fn backup_state(&self, engine: &WukongS) -> Vec<Bytes> {
-        self.capture(engine, false)
-    }
-
     /// Boots a fresh engine from durable state. The recovered deployment
     /// runs fault-free: the fault plan (and any dead node) died with the
     /// failed process.
@@ -102,24 +94,11 @@ impl RecoveryManager {
         )
     }
 
-    /// The full drill: kill `node` on the running engine, capture the
-    /// durable state exactly as the crash would see it, and recover a
-    /// fresh engine from it.
-    pub fn drill(
-        &self,
-        engine: &WukongS,
-        node: NodeId,
-    ) -> Result<(WukongS, RecoveryReport), CheckpointError> {
-        engine.cluster().fabric().kill_node(node);
-        let durable = self.durable_state(engine);
-        self.recover(&durable)
-    }
-
     /// Integrity-checked recovery: try the (possibly bit-rotted) durable
     /// chain first; if its section checksums reject it, fall back to the
     /// pristine upstream copy. Detection is never silent — the recovered
     /// engine's integrity counters and the report both record it.
-    pub fn recover_verified(
+    fn recover_verified(
         &self,
         durable: &[Bytes],
         backup: &[Bytes],
@@ -139,14 +118,21 @@ impl RecoveryManager {
         }
     }
 
-    /// The chaos drill: capture both copies of the durable state (backup
-    /// before durable, so the corruption draw sequence matches a single
-    /// capture), optionally kill `node` first, recover through the
-    /// verified path, and account any quarantined shards the rebuild
-    /// cleared. The recovered engine starts with no quarantine: recovery
-    /// replays the pristine *logged* batches — corruption happened on the
-    /// wire after logging — so the rebuilt shards are whole.
-    pub fn drill_verified(
+    /// The drill: optionally kill `node` on the running engine, capture
+    /// the durable state exactly as the crash would see it, recover a
+    /// fresh engine from it, and account any quarantined shards the
+    /// rebuild cleared.
+    ///
+    /// Two copies are captured, neither draining the log: the pristine
+    /// upstream copy (§5 assumes stream sources can re-serve history)
+    /// first, then the durable one, which an active checkpoint-corruption
+    /// rule may bit-rot; recovery falls back to the first when the second
+    /// fails its section checksums. Without such a rule no corruption
+    /// draw is made and the two are equal. The recovered engine starts
+    /// with no quarantine: recovery replays the pristine *logged*
+    /// batches — corruption happened on the wire after logging — so the
+    /// rebuilt shards are whole.
+    pub fn drill(
         &self,
         engine: &WukongS,
         node: Option<NodeId>,
@@ -155,7 +141,7 @@ impl RecoveryManager {
         if let Some(n) = node {
             engine.cluster().fabric().kill_node(n);
         }
-        let backup = self.backup_state(engine);
+        let backup = self.capture(engine, false);
         let durable = self.durable_state(engine);
         let t0 = std::time::Instant::now();
         let (recovered, mut report) = self.recover_verified(&durable, &backup)?;

@@ -26,19 +26,6 @@ impl NodeId {
     }
 }
 
-/// Error returned by [`Fabric::try_charge_read`] when the target node is
-/// dead: the one-sided verb has no live NIC to complete against.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeDown(pub NodeId);
-
-impl std::fmt::Display for NodeDown {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node {} is down", self.0 .0)
-    }
-}
-
-impl std::error::Error for NodeDown {}
-
 /// The interconnect of a simulated cluster.
 pub struct Fabric {
     profile: NetworkProfile,
@@ -190,30 +177,6 @@ impl Fabric {
         ns
     }
 
-    /// Like [`Fabric::charge_read`], but fails when the target node is
-    /// dead — the injected-fault analogue of an RDMA verb completing with
-    /// an error status.
-    pub fn try_charge_read(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        bytes: usize,
-        timer: &mut TaskTimer,
-    ) -> Result<u64, NodeDown> {
-        if from != to {
-            if let Some(f) = &self.faults {
-                if !f.is_up(to) {
-                    f.record_dead_read(from, to);
-                    // The verb completed with an error: to the issuing
-                    // firing this is a missed read deadline.
-                    deadline_miss(to);
-                    return Err(NodeDown(to));
-                }
-            }
-        }
-        Ok(self.charge_read(from, to, bytes, timer))
-    }
-
     /// Sends one logical message `from → to` with at-least-once
     /// semantics: dropped transmissions are re-sent (each attempt charges
     /// the hop cost and any delay) until one is delivered, up to
@@ -258,8 +221,8 @@ impl Fabric {
     }
 }
 
-/// Marks a missed delivery or read deadline against `to` in the calling
-/// firing's scoped flight recorder.
+/// Marks a missed delivery deadline against `to` in the calling firing's
+/// scoped flight recorder.
 fn deadline_miss(to: NodeId) {
     wukong_obs::trace::scoped_marker(wukong_obs::trace::Marker::DeadlineMiss, u64::from(to.0));
 }
@@ -355,20 +318,13 @@ mod tests {
     }
 
     #[test]
-    fn killed_node_swallows_messages_and_fails_reads() {
+    fn killed_node_swallows_messages() {
         let f = faulty(3, FaultPlan::seeded(5));
-        let mut t = TaskTimer::start();
-        assert!(f.try_charge_read(NodeId(0), NodeId(2), 64, &mut t).is_ok());
-
         assert!(f.kill_node(NodeId(2)));
         assert!(!f.is_up(NodeId(2)));
         assert!(!f.kill_node(NodeId(2)), "already dead");
         let dead = f.send(NodeId(0), NodeId(2), 16).1;
         assert_eq!(dead.copies, 0, "a dead node gets nothing");
-        assert_eq!(
-            f.try_charge_read(NodeId(0), NodeId(2), 64, &mut t),
-            Err(NodeDown(NodeId(2)))
-        );
 
         assert!(f.restart_node(NodeId(2)));
         let alive = f.send(NodeId(0), NodeId(2), 16).1;
@@ -381,10 +337,6 @@ mod tests {
         assert!(log.contains(&FaultEvent::Killed {
             node: NodeId(2),
             at_ms: 0
-        }));
-        assert!(log.contains(&FaultEvent::DeadRead {
-            from: NodeId(0),
-            to: NodeId(2)
         }));
     }
 

@@ -301,13 +301,6 @@ pub enum FaultEvent {
         /// Extra charged nanoseconds.
         extra_ns: u64,
     },
-    /// A one-sided read targeted a dead node.
-    DeadRead {
-        /// Reader.
-        from: NodeId,
-        /// Dead target.
-        to: NodeId,
-    },
     /// A bit was flipped in an in-flight message payload.
     CorruptedMsg {
         /// Sender.
@@ -557,12 +550,6 @@ impl FaultState {
     pub fn record_drop(&self, from: NodeId, to: NodeId) {
         self.counters.inc_dropped();
         self.log.lock().push(FaultEvent::Dropped { from, to });
-    }
-
-    /// Records a one-sided read that hit the dead node `to`.
-    pub fn record_dead_read(&self, from: NodeId, to: NodeId) {
-        self.counters.inc_dead_read();
-        self.log.lock().push(FaultEvent::DeadRead { from, to });
     }
 
     /// A copy of the event log so far, in occurrence order.

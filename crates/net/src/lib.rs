@@ -26,9 +26,8 @@
 //!
 //! The [`fault`] module makes the simulation misbehave on demand: a
 //! seeded [`FaultPlan`] can kill/restart nodes at scheduled times, make
-//! links drop/duplicate/delay messages, and fail one-sided reads against
-//! dead nodes — deterministically per seed, so failure drills are
-//! reproducible.
+//! links drop/duplicate/delay messages, slow nodes down and flip bits —
+//! deterministically per seed, so failure drills are reproducible.
 
 pub mod chaos;
 pub mod clock;
@@ -40,7 +39,7 @@ pub mod profile;
 
 pub use chaos::{shrink_schedule, ChaosEvent, ChaosSchedule};
 pub use clock::TaskTimer;
-pub use fabric::{Fabric, NodeDown, NodeId};
+pub use fabric::{Fabric, NodeId};
 pub use fault::{
     CorruptFault, CorruptTarget, Delivery, FaultEvent, FaultPlan, FaultState, LinkFault,
     ScheduledEvent,

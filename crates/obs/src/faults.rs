@@ -24,8 +24,6 @@ counter_family! {
         rpc_timeouts,
         /// RPC attempts made after a timeout.
         rpc_retries,
-        /// One-sided reads that targeted a dead node.
-        dead_reads,
         /// Queries answered with partial results.
         degraded_answers,
         /// Duplicated/replayed batches suppressed by VTS dedup.
@@ -61,8 +59,6 @@ impl FaultCounters {
         inc_rpc_timeout => rpc_timeouts,
         /// An RPC was retried after a timeout.
         inc_rpc_retry => rpc_retries,
-        /// A one-sided read targeted a dead node.
-        inc_dead_read => dead_reads,
         /// A query answered with partial results (unreachable shards).
         inc_degraded => degraded_answers,
         /// A duplicated or replayed batch was suppressed by VTS dedup.
@@ -127,7 +123,6 @@ mod tests {
         c.inc_retransmit();
         c.inc_rpc_timeout();
         c.inc_rpc_retry();
-        c.inc_dead_read();
         c.inc_degraded();
         c.inc_dedup_suppressed();
         c.inc_replayed_batch();
@@ -138,6 +133,6 @@ mod tests {
         c.inc_corrupt_msg();
         c.inc_corrupt_checkpoint();
         let s = c.snapshot();
-        crate::family::assert_entries_cover_every_field::<16>(&s, s.entries());
+        crate::family::assert_entries_cover_every_field::<15>(&s, s.entries());
     }
 }

@@ -701,7 +701,7 @@ impl TraceRecorder {
         // Matches wukong-bench's `JSON_SCHEMA_VERSION` (the dump is part
         // of the same report family); the bench golden test pins the two
         // together, so bump both or neither.
-        dump.set("schema_version", Json::Num(8.0));
+        dump.set("schema_version", Json::Num(9.0));
         dump.set("trigger", trigger);
         if let Some(m) = &meta {
             dump.set("firing", firing_meta_json(m));

@@ -20,14 +20,6 @@ pub struct GcStats {
     pub index_batches_retired: usize,
 }
 
-impl GcStats {
-    /// Folds another sweep's counts into this one (per-stream totals).
-    pub fn absorb(&mut self, other: GcStats) {
-        self.slices_freed += other.slices_freed;
-        self.index_batches_retired += other.index_batches_retired;
-    }
-}
-
 /// Sweeps one stream's transient store and stream index up to `expiry`.
 pub fn sweep(
     transient: &mut TransientStore,

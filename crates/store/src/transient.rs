@@ -122,42 +122,20 @@ impl TransientStore {
         }
     }
 
-    /// Appends a batch at the new side.
+    /// Inserts a batch's slice at its time-ordered position, behind every
+    /// slice with an equal or older timestamp: an in-order push appends
+    /// at the new side, and a catch-up replay at its original timestamp
+    /// slots in behind newer slices. The deque stays sorted, so the
+    /// `partition_point` window scans remain correct.
     ///
     /// If the budget is exceeded the oldest slices are evicted immediately
     /// (the "explicitly invoked when the ring buffer is full" GC path).
     pub fn push_batch(&mut self, slice: TransientSlice) {
-        debug_assert!(
-            self.slices
-                .back()
-                .map(|s| s.timestamp <= slice.timestamp)
-                .unwrap_or(true),
-            "batches must arrive in time order"
-        );
-        self.used_bytes += slice.heap_bytes();
-        self.slices.push_back(slice);
-        while self.used_bytes > self.budget_bytes && self.slices.len() > 1 {
-            self.evict_oldest();
-        }
-    }
-
-    /// Inserts a slice at its time-ordered position (slices with equal
-    /// timestamps keep arrival order), then enforces the budget. The
-    /// normal ingest path appends via [`TransientStore::push_batch`];
-    /// this is the catch-up replay path, which re-inserts shed timing
-    /// tuples at their *original* timestamps after newer slices were
-    /// already appended. The deque stays sorted, so the
-    /// `partition_point` window scans remain correct.
-    pub fn insert_slice(&mut self, slice: TransientSlice) {
         let pos = self
             .slices
             .partition_point(|s| s.timestamp <= slice.timestamp);
         self.used_bytes += slice.heap_bytes();
-        if pos == self.slices.len() {
-            self.slices.push_back(slice);
-        } else {
-            self.slices.insert(pos, slice);
-        }
+        self.slices.insert(pos, slice);
         while self.used_bytes > self.budget_bytes && self.slices.len() > 1 {
             self.evict_oldest();
         }
@@ -343,13 +321,13 @@ mod tests {
     }
 
     #[test]
-    fn insert_slice_keeps_time_order_for_replay() {
+    fn push_batch_keeps_time_order_for_replay() {
         let mut st = TransientStore::new(1 << 20);
         for ts in [100, 300] {
             st.push_batch(TransientSlice::from_batch(ts, &[timing(1, 2, ts, ts)]));
         }
         // Replay a shed slice at the old timestamp 200.
-        st.insert_slice(TransientSlice::from_batch(200, &[timing(1, 2, 200, 200)]));
+        st.push_batch(TransientSlice::from_batch(200, &[timing(1, 2, 200, 200)]));
         let key = Key::new(Vid(1), Pid(2), wukong_rdf::Dir::Out);
         assert_eq!(st.neighbors_in(key, 150, 250), vec![Vid(200)]);
         assert_eq!(

@@ -11,10 +11,10 @@
 //! owns; its first-edge events become index-vertex updates that
 //! [`apply_index_updates`] lands on the index keys' owners, because one
 //! triple's four key updates may live on three different nodes. The
-//! distributed engine (`wukong-core`'s batch processing and catch-up
-//! replay) runs phase 1 per node and phase 2 across nodes;
-//! [`Injector::apply_split`] is the same two calls with every key owned
-//! locally, for single-node deployments, tests and baselines.
+//! distributed engine (`wukong-core`'s one install stage, shared by batch
+//! processing and catch-up replay) runs phase 1 per node and phase 2
+//! across nodes; [`Injector::apply`] is the same two calls with every key
+//! owned locally, for tests and benchmarks.
 
 use crate::dispatcher::SubBatch;
 use std::time::Instant;
@@ -170,12 +170,13 @@ pub struct Injector;
 
 impl Injector {
     /// Applies `sub` (a batch slice with timestamp `ts`) under snapshot
-    /// `sn`, returning the stream-index batch built from the appends plus
-    /// cost accounting.
+    /// `sn` with every key owned locally, pushing the transient slice and
+    /// the stream-index batch into `store`; returns a copy of that index
+    /// batch plus cost accounting.
     ///
     /// The returned [`IndexBatch`] is what locality-aware partitioning
-    /// replicates to subscriber nodes (§4.2) — the caller pushes it into
-    /// this node's [`NodeStreamStore`] and ships copies elsewhere.
+    /// replicates to subscriber nodes (§4.2): a replica pushes it into
+    /// its own [`StreamIndex`].
     pub fn apply(
         &self,
         shard: &PersistentShard,
@@ -184,70 +185,24 @@ impl Injector {
         ts: Timestamp,
         sn: SnapshotId,
     ) -> (IndexBatch, InjectStats) {
-        self.apply_merging(shard, store, sub, ts, sn, None)
-    }
-
-    /// Like [`Injector::apply`], consolidating touched cells' snapshots
-    /// up to `merge_upto` while appending (§4.3's injection-time
-    /// snapshot recycling).
-    pub fn apply_merging(
-        &self,
-        shard: &PersistentShard,
-        store: &mut NodeStreamStore,
-        sub: &SubBatch,
-        ts: Timestamp,
-        sn: SnapshotId,
-        merge_upto: Option<SnapshotId>,
-    ) -> (IndexBatch, InjectStats) {
-        self.apply_split(
-            shard,
-            &mut store.transient,
-            &mut store.index,
-            sub,
-            ts,
-            sn,
-            merge_upto,
-        )
-    }
-
-    /// The workhorse: like [`Injector::apply_merging`] but over separately
-    /// borrowed transient/index structures (the engine keeps them behind
-    /// independent locks).
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_split(
-        &self,
-        shard: &PersistentShard,
-        transient: &mut TransientStore,
-        index: &mut StreamIndex,
-        sub: &SubBatch,
-        ts: Timestamp,
-        sn: SnapshotId,
-        merge_upto: Option<SnapshotId>,
-    ) -> (IndexBatch, InjectStats) {
-        let (mut inst, slice) = install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, merge_upto);
-        transient.push_batch(slice);
+        let (mut inst, slice) = install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, None);
+        store.transient.push_batch(slice);
         inst.stats.inject_ns += apply_index_updates(
             &ShardMap::new(1),
             |_| shard,
             std::slice::from_mut(&mut inst),
             &[true],
             sn,
-            merge_upto,
+            None,
         );
 
         // The caller gets the batch back (it is what replication ships),
         // so this convenience path pays the one copy the engine avoids.
         let t1 = Instant::now();
-        index.push_batch(inst.index.clone());
+        store.index.push_batch(inst.index.clone());
         inst.stats.index_ns += t1.elapsed().as_nanos() as u64;
 
         (inst.index, inst.stats)
-    }
-
-    /// Replays a replicated index batch from another node (the replica
-    /// side of locality-aware partitioning).
-    pub fn apply_replica(&self, store: &mut NodeStreamStore, batch: IndexBatch) {
-        store.index.push_batch(batch);
     }
 }
 
@@ -449,7 +404,7 @@ mod tests {
             checksum: 0,
         };
         let (batch, _) = Injector.apply(&shard, &mut src, &sub, 100, SnapshotId(1));
-        Injector.apply_replica(&mut dst, batch);
+        dst.index.push_batch(batch);
         assert_eq!(dst.index.batch_count(), 1);
         let key = Key::new(Vid(1), Pid(2), Dir::Out);
         assert_eq!(dst.index.count_in(key, 100, 100), 1);

@@ -122,7 +122,7 @@ fn message_corruption_detected_quarantined_and_rebuilt() {
         );
     }
 
-    let (recovered, report) = mgr.drill_verified(&engine, None).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, None).expect("recovery");
     assert!(
         report.quarantined_shards > 0,
         "drill must account the rebuild"
@@ -176,7 +176,7 @@ fn corrupted_checkpoint_chain_falls_back_to_backup() {
     engine.advance_time(w.duration);
     engine.fire_ready();
 
-    let (recovered, report) = mgr.drill_verified(&engine, None).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, None).expect("recovery");
     let faults = engine.handle().fault_counters();
     assert!(faults.checkpoints_corrupted > 0, "plan rotted nothing");
     assert!(
@@ -237,7 +237,7 @@ fn recovery_drill_while_shedding_converges() {
     );
     assert!(engine.total_shed() > 0, "nothing was shed");
 
-    let (recovered, report) = mgr.drill_verified(&engine, None).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, None).expect("recovery");
     assert!(report.replayed_batches > 0);
     recovered.advance_time(w.duration);
     recovered.fire_ready();

@@ -121,7 +121,7 @@ fn kill_drill_recovers_to_control_equality() {
     let wounded = engine.handle().fault_counters();
     assert_eq!(wounded.node_kills, 1);
 
-    let (recovered, report) = mgr.drill(&engine, NodeId(1)).expect("recovery");
+    let (recovered, report) = mgr.drill(&engine, Some(NodeId(1))).expect("recovery");
     collect(recovered.fire_ready(), &mut fired);
 
     assert_eq!(

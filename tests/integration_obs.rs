@@ -304,7 +304,7 @@ fn replan_and_recovery_stages_keep_the_invariant() {
         assert!(replans >= 1, "the forced re-plan must record a Replan span");
 
         // Crash-recover and fire the delayed windows on the fresh engine.
-        let (recovered, _report) = mgr.drill_verified(&engine, None).expect("recovery");
+        let (recovered, _report) = mgr.drill(&engine, None).expect("recovery");
         recovered.advance_time(w.duration);
         firings.extend(recovered.fire_ready());
 
