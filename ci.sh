@@ -71,6 +71,15 @@ if grep -rnE 'crossbeam|mpsc|recv_timeout|Endpoint|Envelope' crates/{net,core}/s
 echo "== one install stage, one injector call, one drill; no dead-read path"
 if grep -rnwE 'insert_slice|insert_batch|apply_split|apply_merging|try_charge_read|NodeDown|drill_verified' crates/*/src; then exit 1; fi
 
+echo "== one install stage: only WukongS::install_batch calls install_sub_batch( or apply_index_updates("
+# Prints every call outside the body of `fn install_batch` (which ends at
+# the first line that closes a method: four spaces and a brace).
+if awk 'FNR == 1 { inside = 0 }
+        /fn install_batch\(/ { inside = 1 }
+        inside && /^    }$/ { inside = 0; next }
+        !inside && /(install_sub_batch|apply_index_updates)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        END { exit !found }' $(find crates/core/src -name '*.rs'); then exit 1; fi
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

@@ -437,7 +437,17 @@ fn bench_write_path(c: &mut Criterion) {
                         let owns = map.owner_filter(sub.node);
                         let shard = &shards[sub.node as usize];
                         let ts = sn * 100;
-                        install_sub_batch(shard, owns, &sub.tuples, ts, SnapshotId(sn), merge).0
+                        let mut share = Installed::default();
+                        install_sub_batch(
+                            shard,
+                            owns,
+                            &sub.tuples,
+                            ts,
+                            SnapshotId(sn),
+                            merge,
+                            &mut share,
+                        );
+                        share
                     })
                     .collect();
                 apply_index_updates(

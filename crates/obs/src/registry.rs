@@ -97,11 +97,16 @@ impl Registry {
         record_into(&series_for(&self.streams, stream), trace);
     }
 
-    /// Records a single batch stage span for stream `stream`.
+    /// Records a single batch stage span for stream `stream`. Allocates
+    /// only the first time the stream or the stage is seen: the ingest
+    /// path records the adaptor's work on every tuple.
     pub fn record_stream_stage(&self, stream: &str, stage: Stage, ns: u64) {
-        let mut t = StageTrace::new();
-        t.add(stage, ns);
-        self.record_stream(stream, &t);
+        let series = series_for(&self.streams, stream);
+        if let Some(h) = series.read().stages.get(&stage) {
+            h.record(ns);
+            return;
+        }
+        series.write().stages.entry(stage).or_default().record(ns);
     }
 
     /// Records a single stage span for query class `query` *without*

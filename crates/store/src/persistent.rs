@@ -20,9 +20,12 @@ use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
 /// A lock-partitioned store shard.
 pub struct PersistentShard {
     parts: Vec<RwLock<BaseStore>>,
-    /// Serialises batches: at most one stream batch injects at a time, so
-    /// one batch's appends to any key are contiguous (the stream-index
-    /// contiguity invariant).
+    /// Serialises installs: at most one stream batch, or one piece of a
+    /// batch installing while it fills, appends at a time, so each
+    /// install's appends to a key are contiguous. A batch installed in
+    /// pieces may still leave several runs on a key when another
+    /// stream's piece lands between two of its own (`IndexBatch` keeps
+    /// them all).
     batch_lock: Mutex<()>,
 }
 
@@ -177,7 +180,7 @@ impl PersistentShard {
     /// here (a triple counts on its subject key's owner).
     ///
     /// Once per call instead of once per tuple: the batch lock (installs
-    /// on one shard are serialised, so per-key appends of one batch stay
+    /// on one shard are serialised, so one call's appends to a key are
     /// contiguous) and the triple count. Each append still takes its
     /// partition's write lock on its own, so concurrent readers wait for
     /// one append at most.

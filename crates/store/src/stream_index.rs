@@ -29,74 +29,99 @@ pub struct FatPointer {
     pub len: u32,
 }
 
+/// Set on the `len` of a key's inline run when the key has earlier runs
+/// in [`IndexBatch`]'s spill list (no run reaches 2³¹ appends).
+const SPILLED: u32 = 1 << 31;
+
 /// The stream-index entries of one stream batch.
+///
+/// A key's appends by one batch usually form one run of its logical
+/// sequence, but a batch installed in pieces (DESIGN.md §5) can have
+/// another stream's piece append to the same key between two of its own,
+/// leaving several runs. The newest run of every key stays inline in the
+/// map, so a lookup is still one probe; the earlier runs of such keys sit
+/// in a side list that only a key marked [`SPILLED`] consults.
 #[derive(Debug, Clone, Default)]
 pub struct IndexBatch {
     /// Batch timestamp.
     pub timestamp: Timestamp,
     entries: KeyMap<FatPointer>,
+    /// Earlier runs of the keys whose inline run is marked [`SPILLED`],
+    /// in append order.
+    spilled: Vec<(Key, FatPointer)>,
 }
 
 impl IndexBatch {
     /// Builds an index batch from the injector's append receipts.
-    ///
-    /// Appends by one batch to one key are contiguous in that key's
-    /// logical sequence (the key partition is single-writer), so receipts
-    /// coalesce into one fat pointer per key.
     pub fn from_receipts(timestamp: Timestamp, receipts: &[AppendReceipt]) -> Self {
         let mut batch = IndexBatch {
             timestamp,
-            entries: KeyMap::default(),
+            ..IndexBatch::default()
         };
-        // A timeless tuple leaves two receipts and stream batches repeat
-        // keys, so about half the receipts name a new key: reserved for
-        // that many, the map usually fills without rehashing and ends no
-        // larger than growing from empty would leave it (index batches
-        // stay resident for as long as a window reaches back; reserving
-        // for every receipt measured +1 % `rss_peak_mb` and a slower
-        // build, the table's fresh pages costing more than the rehashes).
-        batch.entries.reserve(receipts.len() / 2);
+        batch.reserve_for(receipts.len());
         for r in receipts {
             batch.record(*r);
-        }
-        if cfg!(debug_assertions) {
-            let mut spans: KeyMap<(u32, u32)> = KeyMap::default();
-            for r in receipts {
-                let s = spans.entry(r.key).or_insert((r.offset, r.offset));
-                s.0 = s.0.min(r.offset);
-                s.1 = s.1.max(r.offset);
-            }
-            for (k, (lo, hi)) in spans {
-                let e = batch.entries[&k];
-                debug_assert_eq!(
-                    hi - lo + 1,
-                    e.len,
-                    "receipts for one key must form a contiguous range"
-                );
-            }
         }
         batch
     }
 
-    /// Folds one more append receipt of this batch into its key's fat
-    /// pointer (the index-vertex appends of a distributed install land
-    /// after the data-key receipts were folded).
-    ///
-    /// Receipts of one key may arrive out of order when multiple injector
-    /// threads split a batch, but the offsets still form a contiguous
-    /// range; track the minimum start and the count.
-    pub fn record(&mut self, r: AppendReceipt) {
-        let e = self.entries.entry(r.key).or_insert(FatPointer {
-            start: r.offset,
-            len: 0,
-        });
-        e.start = e.start.min(r.offset);
-        e.len += 1;
+    /// Sizes the map for a batch of `receipts` data-key receipts in all,
+    /// before they are recorded; a batch installed in pieces calls this
+    /// with its running total before each piece, and so ends with the
+    /// same table as a whole-batch build. A timeless tuple leaves two
+    /// receipts and stream batches repeat keys, so about half the
+    /// receipts name a new key: reserved for that many, the map usually
+    /// fills without rehashing. Index batches stay resident for as long
+    /// as a window reaches back; reserving for every receipt measured
+    /// +1 % `rss_peak_mb` and a slower build, the table's fresh pages
+    /// costing more than the rehashes.
+    pub fn reserve_for(&mut self, receipts: usize) {
+        let keys = receipts / 2;
+        self.entries
+            .reserve(keys.saturating_sub(self.entries.len()));
     }
 
-    /// The fat pointer for `key`, if this batch appended to it.
-    pub fn get(&self, key: Key) -> Option<FatPointer> {
-        self.entries.get(&key).copied()
+    /// Folds one more append receipt of this batch into its key's newest
+    /// run: a receipt right behind the run extends it, any other opens a
+    /// new run and spills the old one. A key's receipts arrive in offset
+    /// order — installs are serialised, and each key has one writer.
+    pub fn record(&mut self, r: AppendReceipt) {
+        use std::collections::hash_map::Entry;
+        match self.entries.entry(r.key) {
+            Entry::Vacant(e) => {
+                e.insert(FatPointer {
+                    start: r.offset,
+                    len: 1,
+                });
+            }
+            Entry::Occupied(mut e) => {
+                let run = e.get_mut();
+                let len = run.len & !SPILLED;
+                if r.offset == run.start + len {
+                    run.len += 1;
+                } else {
+                    debug_assert!(r.offset > run.start + len, "receipts out of offset order");
+                    self.spilled.push((
+                        r.key,
+                        FatPointer {
+                            start: run.start,
+                            len,
+                        },
+                    ));
+                    *run = FatPointer {
+                        start: r.offset,
+                        len: 1 | SPILLED,
+                    };
+                }
+            }
+        }
+    }
+
+    /// `key`'s runs in this batch, oldest first: none if the batch never
+    /// appended to it, and one unless another batch's piece appended to
+    /// it between two of this batch's.
+    pub fn runs(&self, key: Key) -> impl Iterator<Item = FatPointer> + '_ {
+        Runs::new(std::iter::once(self), key).map(|(_, run)| run)
     }
 
     /// Visits every key this batch appended to.
@@ -111,9 +136,69 @@ impl IndexBatch {
         self.entries.len()
     }
 
-    /// Approximate heap bytes of this batch's entries.
+    /// Approximate heap bytes of this batch's entries and spilled runs.
     pub fn heap_bytes(&self) -> usize {
         self.entries.len() * (std::mem::size_of::<Key>() + std::mem::size_of::<FatPointer>() + 16)
+            + self.spilled.capacity() * std::mem::size_of::<(Key, FatPointer)>()
+    }
+}
+
+/// Every run of one key in a sequence of batches, each with its batch's
+/// timestamp: one map probe per batch, and a scan of the batch's spill
+/// list only when the key's inline run is marked [`SPILLED`]. A window
+/// read calls `next` once per in-window batch, so this is written out
+/// rather than composed from adaptors.
+struct Runs<'a, I> {
+    batches: I,
+    key: Key,
+    /// The current batch's spill list still to scan for `key`.
+    spilled: std::slice::Iter<'a, (Key, FatPointer)>,
+    /// The current batch's inline run, yielded after its spilled runs.
+    newest: Option<(Timestamp, FatPointer)>,
+}
+
+impl<'a, I: Iterator<Item = &'a IndexBatch>> Runs<'a, I> {
+    fn new(batches: I, key: Key) -> Self {
+        Runs {
+            batches,
+            key,
+            spilled: [].iter(),
+            newest: None,
+        }
+    }
+}
+
+impl<'a, I: Iterator<Item = &'a IndexBatch>> Iterator for Runs<'a, I> {
+    type Item = (Timestamp, FatPointer);
+
+    #[inline]
+    fn next(&mut self) -> Option<Self::Item> {
+        if let Some((ts, _)) = self.newest {
+            let key = self.key;
+            if let Some(&(_, run)) = self.spilled.find(|(k, _)| *k == key) {
+                return Some((ts, run));
+            }
+            return self.newest.take();
+        }
+        for b in self.batches.by_ref() {
+            let Some(&run) = b.entries.get(&self.key) else {
+                continue;
+            };
+            if run.len & SPILLED == 0 {
+                return Some((b.timestamp, run));
+            }
+            self.spilled = b.spilled.iter();
+            let len = run.len & !SPILLED;
+            self.newest = Some((
+                b.timestamp,
+                FatPointer {
+                    start: run.start,
+                    len,
+                },
+            ));
+            return self.next();
+        }
+        None
     }
 }
 
@@ -165,8 +250,9 @@ impl StreamIndex {
             .take_while(move |b| b.timestamp <= hi)
     }
 
-    /// The fat pointers of `key` for batches in `[lo, hi]`, each with its
-    /// batch timestamp.
+    /// Every run of `key` in the batches in `[lo, hi]`, each with its
+    /// batch timestamp: oldest batch first, a batch's runs in append
+    /// order.
     ///
     /// This is the delta-scan primitive of the incremental execution
     /// mode: a firing over a window that overlaps its predecessor asks
@@ -180,8 +266,7 @@ impl StreamIndex {
         lo: Timestamp,
         hi: Timestamp,
     ) -> impl Iterator<Item = (Timestamp, FatPointer)> + '_ {
-        self.batches_in(lo, hi)
-            .filter_map(move |b| Some((b.timestamp, b.get(key)?)))
+        Runs::new(self.batches_in(lo, hi), key)
     }
 
     /// Visits what `key` gained in `[lo, hi]`, run by run with each run's
@@ -354,7 +439,8 @@ mod tests {
         );
         global.for_each_key(|k| {
             let node = map.node_of_key(k) as usize;
-            assert_eq!(per_node[node].get(k), global.get(k), "{k:?}");
+            let runs = |b: &IndexBatch| b.runs(k).collect::<Vec<_>>();
+            assert_eq!(runs(&per_node[node]), runs(&global), "{k:?}");
         });
     }
 
@@ -492,12 +578,12 @@ mod tests {
     #[test]
     fn contiguous_range_invariant_survives_consolidation() {
         // Delta scans resolve fat pointers against the *consolidated*
-        // store; that is only sound because (a) receipts of one key in one
-        // batch form a contiguous logical range (the from_receipts
-        // debug_assert) and (b) logical offsets are stable across snapshot
-        // consolidation. Pin both halves: interleave two keys so receipt
-        // offsets per key are non-trivial, consolidate, and check every
-        // pointer still resolves to its own batch's edges.
+        // store; that is only sound because (a) a batch's runs of one key
+        // cover exactly its appends to that key and (b) logical offsets
+        // are stable across snapshot consolidation. Pin both halves:
+        // interleave two keys so receipt offsets per key are non-trivial,
+        // consolidate, and check every pointer still resolves to its own
+        // batch's edges.
         let mut store = BaseStore::new();
         let mut idx = StreamIndex::new();
         inject(
@@ -540,18 +626,77 @@ mod tests {
     }
 
     #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "contiguous range")]
-    fn non_contiguous_receipts_for_one_key_are_rejected() {
-        // The delta scan depends on one-pointer-per-key-per-batch; a
-        // receipt set with a hole (offsets 0 and 2, nothing at 1) must
-        // trip the from_receipts invariant in debug builds.
+    fn non_contiguous_receipts_for_one_key_become_two_runs() {
+        // A receipt set with a hole (offsets 0 and 2, nothing at 1: another
+        // batch appended in between) keeps both runs, oldest first, and
+        // costs one spilled run.
         let key = Key::new(Vid(1), Pid(2), Dir::Out);
         let receipts = [
             AppendReceipt { key, offset: 0 },
             AppendReceipt { key, offset: 2 },
+            AppendReceipt { key, offset: 3 },
         ];
-        let _ = IndexBatch::from_receipts(100, &receipts);
+        let batch = IndexBatch::from_receipts(100, &receipts);
+        assert_eq!(
+            batch.runs(key).collect::<Vec<_>>(),
+            vec![
+                FatPointer { start: 0, len: 1 },
+                FatPointer { start: 2, len: 2 }
+            ]
+        );
+        assert_eq!(batch.entry_count(), 1);
+        let contiguous = IndexBatch::from_receipts(100, &receipts[1..]);
+        assert!(batch.heap_bytes() >= contiguous.heap_bytes() + 16);
+    }
+
+    /// Two streams' batches install in pieces that interleave on shared
+    /// keys (a user's out-key, the predicate's index vertex): each batch's
+    /// window read returns exactly its own appends, in order, `count_in`
+    /// agrees, and the spilled runs show in `heap_bytes`.
+    #[test]
+    fn interleaved_pieces_leave_several_runs_per_key() {
+        let mut store = BaseStore::new();
+        let (mut a, mut b) = (IndexBatch::default(), IndexBatch::default());
+        (a.timestamp, b.timestamp) = (100, 100);
+        let mut want: [Vec<Vid>; 2] = Default::default();
+        // Pieces A, B, A, B, A of subject 1's `2`-edges to fresh objects.
+        for piece in 0..5u64 {
+            let (open, mine) = if piece % 2 == 0 {
+                (&mut a, &mut want[0])
+            } else {
+                (&mut b, &mut want[1])
+            };
+            let mut rc = Vec::new();
+            for i in 0..3 {
+                let o = 10 * piece + i + 10;
+                store.insert_at(t(1, 2, o), SnapshotId(1), &mut rc);
+                mine.push(Vid(o));
+            }
+            for r in rc {
+                open.record(r);
+            }
+        }
+        let key = Key::new(Vid(1), Pid(2), Dir::Out);
+        assert_eq!(a.runs(key).count(), 3);
+        assert_eq!(b.runs(key).count(), 2);
+        // Both keys a piece shares with the other batch spilled: the
+        // subject's out-key and the in-index vertex (every object is new).
+        let single =
+            (std::mem::size_of::<Key>() + std::mem::size_of::<FatPointer>() + 16) * a.entry_count();
+        assert!(a.heap_bytes() >= single + 4 * std::mem::size_of::<(Key, FatPointer)>());
+
+        let mut index = [StreamIndex::new(), StreamIndex::new()];
+        index[0].push_batch(a);
+        index[1].push_batch(b);
+        for (idx, want) in index.iter().zip(&want) {
+            let mut got = Vec::new();
+            idx.neighbors_in(&store, key, 1, 100, &mut got);
+            assert_eq!(&got, want);
+            assert_eq!(idx.count_in(key, 1, 100), want.len());
+            let mut objects = Vec::new();
+            idx.neighbors_in(&store, Key::index(Pid(2), Dir::In), 1, 100, &mut objects);
+            assert_eq!(&objects, want, "first-edge index appends, per batch");
+        }
     }
 
     #[test]

@@ -35,21 +35,37 @@ impl TransientSlice {
     /// Like [`TransientSlice::from_batch`], keeping only entries whose key
     /// satisfies `owns` — the distributed path routes each key's entries
     /// to its owner node, so no node stores another node's slice data.
-    /// Takes any run of timing tuples: the install path feeds it a
-    /// sub-batch's timing tuples straight from a filter.
     pub fn from_batch_filtered<'a>(
         timestamp: Timestamp,
         tuples: impl IntoIterator<Item = &'a StreamTuple>,
         owns: impl Fn(Key) -> bool,
     ) -> Self {
-        let mut adj: KeyMap<Vec<Vid>> = KeyMap::default();
-        // Per-slice dedup of index entries, independent of which data
-        // keys this node owns.
-        let mut seen = KeySet::default();
-        let mut count = 0;
+        let mut slice = TransientSlice {
+            timestamp,
+            ..TransientSlice::default()
+        };
+        slice.extend_filtered(tuples, owns, &mut KeySet::default());
+        slice
+    }
+
+    /// Folds more timing tuples of the slice's batch in, keeping only
+    /// entries whose key satisfies `owns`. Takes any run of timing
+    /// tuples: the install path feeds it a piece's timing tuples straight
+    /// from a filter. `seen` holds the data keys whose index-vertex entry
+    /// the slice already has (per-slice dedup, independent of which data
+    /// keys this node owns); a batch installed piece by piece passes the
+    /// same set for every piece, so its slice ends as one
+    /// [`TransientSlice::from_batch_filtered`] over the whole batch would.
+    pub fn extend_filtered<'a>(
+        &mut self,
+        tuples: impl IntoIterator<Item = &'a StreamTuple>,
+        owns: impl Fn(Key) -> bool,
+        seen: &mut KeySet,
+    ) {
+        let adj = &mut self.adj;
         for t in tuples {
             debug_assert!(!t.is_timeless(), "timeless tuple routed to transient store");
-            count += 1;
+            self.tuples += 1;
             let out_key = t.triple.out_key();
             let in_key = t.triple.in_key();
             if owns(out_key) {
@@ -66,11 +82,6 @@ impl TransientSlice {
             if owns(idx_in) && seen.insert(in_key) {
                 adj.entry(idx_in).or_default().push(t.triple.o);
             }
-        }
-        TransientSlice {
-            timestamp,
-            adj,
-            tuples: count,
         }
     }
 

@@ -72,6 +72,11 @@ pub struct Batch {
     /// [`payload_checksum`] of `tuples`, set when the batch is sealed
     /// and re-verified at the engine boundary before any install.
     pub checksum: u64,
+    /// Whether this is the last of its interval's tuples: set on every
+    /// batch `push` and `advance_to` seal, unset on a piece
+    /// [`Adaptor::take_piece`] hands out of a still-open batch. A sealed
+    /// batch whose interval handed out pieces holds only the rest.
+    pub last: bool,
 }
 
 impl Batch {
@@ -89,6 +94,7 @@ impl Batch {
             tuples,
             discarded,
             checksum,
+            last: true,
         }
     }
 
@@ -132,6 +138,8 @@ pub struct Adaptor {
     schema: StreamSchema,
     current: Vec<StreamTuple>,
     current_end: Timestamp,
+    /// Tuples of the open batch already handed out as pieces.
+    handed_out: usize,
     discarded: usize,
     clock_anomalies: usize,
     /// Coalesced quiet gaps: `(after, to)` records that once the batch
@@ -160,6 +168,7 @@ impl Adaptor {
             schema,
             current: Vec::new(),
             current_end: end,
+            handed_out: 0,
             discarded: 0,
             clock_anomalies: 0,
             clock_jumps: Vec::new(),
@@ -291,11 +300,35 @@ impl Adaptor {
         std::mem::take(&mut self.clock_jumps)
     }
 
+    /// Hands out the open batch's next `size` tuples as a piece once that
+    /// many have arrived since the last piece: a batch at the open
+    /// batch's timestamp with [`Batch::last`] unset and no discards (the
+    /// sealed rest carries those). The tuples leave the adaptor, so what
+    /// `push` or `advance_to` later seals for this interval is only the
+    /// rest.
+    pub fn take_piece(&mut self, size: usize) -> Option<Batch> {
+        if self.current.len() < size {
+            return None;
+        }
+        let t0 = std::time::Instant::now();
+        let tuples: Vec<StreamTuple> = self.current.drain(..size).collect();
+        self.handed_out += size;
+        let piece = Batch {
+            last: false,
+            ..Batch::sealed(self.schema.id, self.current_end, tuples, 0)
+        };
+        self.work_ns += t0.elapsed().as_nanos() as u64;
+        Some(piece)
+    }
+
     /// Fast-forwards the adaptor's clock past `ts` *without* emitting
     /// batches — recovery replays logged batches directly into the store,
     /// so the adaptor must resume sealing strictly after them.
     pub fn fast_forward(&mut self, ts: Timestamp) {
-        debug_assert!(self.current.is_empty(), "fast-forward would drop tuples");
+        debug_assert!(
+            self.current.is_empty() && self.handed_out == 0,
+            "fast-forward would drop tuples"
+        );
         let interval = self.schema.batch_interval_ms;
         while self.current_end <= ts {
             self.current_end += interval;
@@ -311,6 +344,7 @@ impl Adaptor {
             std::mem::take(&mut self.discarded),
         );
         self.current_end += self.schema.batch_interval_ms;
+        self.handed_out = 0;
         b
     }
 }
@@ -461,6 +495,47 @@ mod tests {
         assert_eq!(sealed.len(), 1);
         assert_eq!(sealed[0].timestamp, 800);
         assert_eq!(sealed[0].tuples.len(), 1);
+    }
+
+    #[test]
+    fn pieces_and_the_sealed_rest_partition_the_batch() {
+        let mut a = Adaptor::new(schema());
+        let mut pieces = Vec::new();
+        for i in 0..8u64 {
+            a.push(t(1, if i == 3 { 7 } else { 4 }, i), 10 + i);
+            pieces.extend(a.take_piece(3));
+        }
+        // Six kept tuples make two pieces at the open batch's timestamp;
+        // the discard and the seventh kept tuple stay for the seal.
+        assert_eq!(pieces.len(), 2);
+        assert!(pieces
+            .iter()
+            .all(|p| !p.last && p.timestamp == 100 && p.verify()));
+        assert!(pieces
+            .iter()
+            .all(|p| p.tuples.len() == 3 && p.discarded == 0));
+        let sealed = a.advance_to(100);
+        assert_eq!(sealed.len(), 1);
+        assert!(sealed[0].last);
+        assert_eq!((sealed[0].tuples.len(), sealed[0].discarded), (1, 1));
+        let objects: Vec<u64> = pieces
+            .iter()
+            .chain(&sealed)
+            .flat_map(|b| b.tuples.iter().map(|t| t.triple.o.0))
+            .collect();
+        assert_eq!(objects, vec![0, 1, 2, 4, 5, 6, 7]);
+        // Nothing handed out in the next interval: fast-forward is safe.
+        a.fast_forward(150);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "fast-forward would drop tuples")]
+    fn fast_forward_over_a_handed_out_piece_is_refused() {
+        let mut a = Adaptor::new(schema());
+        a.push(t(1, 4, 2), 10);
+        assert!(a.take_piece(1).is_some());
+        a.fast_forward(150);
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! triple's four key updates may live on three different nodes. The
 //! distributed engine (`wukong-core`'s one install stage, shared by batch
 //! processing and catch-up replay) runs phase 1 per node and phase 2
-//! across nodes; [`Injector::apply`] is the same two calls with every key
-//! owned locally, for tests and benchmarks.
+//! across nodes, once per sub-batch: a whole batch, or each piece of a
+//! batch installing while it fills, all folding into one [`Installed`]
+//! share per node until the batch seals; [`Injector::apply`] is the same
+//! two calls with every key owned locally, for tests and benchmarks.
 
 use crate::dispatcher::SubBatch;
 use std::time::Instant;
-use wukong_rdf::{Key, StreamTuple, Timestamp, Vid};
+use wukong_rdf::{Key, KeySet, StreamTuple, Timestamp, Vid};
 use wukong_store::base::AppendReceipt;
 use wukong_store::{
     IndexBatch, PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientSlice, TransientStore,
@@ -73,31 +75,52 @@ impl InjectStats {
     }
 }
 
-/// What phase 1 of an install leaves behind for one node.
+/// One node's share of a batch while it installs, one sub-batch (the
+/// whole batch, or a piece of it cut while it fills) at a time: the
+/// stream-index batch and transient slice the sub-batches fold into
+/// until the batch seals, and the volume and time they took.
 #[derive(Debug, Default)]
 pub struct Installed {
-    /// The node's stream-index batch: its data-key appends, plus the
+    /// The node's open stream-index batch: its data-key appends, plus the
     /// index-vertex appends [`apply_index_updates`] lands on it.
     pub index: IndexBatch,
+    /// The node's open transient slice.
+    pub slice: TransientSlice,
+    /// The slice's index-vertex dedup set (see
+    /// [`TransientSlice::extend_filtered`]), kept until the batch seals.
+    seen: KeySet,
     /// Volume and the two timed phases of this node's share.
     pub stats: InjectStats,
-    /// First-edge events of this node's appends, in append order: the
-    /// index-vertex updates phase 2 routes to their owners.
+    /// First-edge events of the latest sub-batch's appends, in append
+    /// order: the index-vertex updates phase 2 routes to their owners.
     pub index_updates: Vec<(Key, Vid)>,
+    /// The latest sub-batch's append receipts (a buffer kept across the
+    /// batch's sub-batches).
+    receipts: Vec<AppendReceipt>,
+    /// Data-key receipts folded into `index` so far.
+    folded: usize,
 }
 
-/// Phase 1 of a batch install on one node: appends the timeless tuples'
-/// data keys that `owns` selects to `shard` under snapshot `sn`
-/// (consolidating touched cells up to `merge_upto`), builds the node's
-/// stream-index batch from the append receipts, and builds the transient
-/// slice of the timing tuples' owned entries. The caller moves the slice
-/// and — after phase 2 — the index batch into the stream's structures.
+impl Installed {
+    /// Seals the share: the finished stream-index batch and transient
+    /// slice, for the stream's rings, and the share's stats.
+    pub fn seal(self) -> (IndexBatch, TransientSlice, InjectStats) {
+        (self.index, self.slice, self.stats)
+    }
+}
+
+/// Phase 1 of installing one sub-batch on one node: appends the timeless
+/// tuples' data keys that `owns` selects to `shard` under snapshot `sn`
+/// (consolidating touched cells up to `merge_upto`), folds the append
+/// receipts into the node's open stream-index batch and the timing
+/// tuples' owned entries into its open transient slice. A batch's
+/// sub-batches all go into one `open` share, so the batch keeps one index
+/// batch and one slice however many pieces it installed in.
 ///
 /// What costs once per sub-batch, not per tuple: the shard's batch lock
 /// and the triple count ([`PersistentShard::install_owned`]), one
-/// receipts buffer sized up front, one reserved fat-pointer map, and one
-/// clock read per timed phase (injection, then indexing — Table 6's
-/// columns).
+/// receipts buffer sized up front, and one clock read per timed phase
+/// (injection, then indexing — Table 6's columns).
 pub fn install_sub_batch(
     shard: &PersistentShard,
     owns: impl Fn(Key) -> bool,
@@ -105,41 +128,48 @@ pub fn install_sub_batch(
     ts: Timestamp,
     sn: SnapshotId,
     merge_upto: Option<SnapshotId>,
-) -> (Installed, TransientSlice) {
-    let mut inst = Installed::default();
+    open: &mut Installed,
+) {
     let t0 = Instant::now();
+    open.index.timestamp = ts;
+    open.slice.timestamp = ts;
     let timeless = tuples.iter().filter(|t| t.is_timeless());
     // Two data-key appends per timeless tuple at most — exact when this
     // node owns every key.
-    let mut receipts = Vec::with_capacity(2 * timeless.clone().count());
-    inst.stats.timeless = shard.install_owned(
+    open.receipts.clear();
+    open.receipts.reserve(2 * timeless.clone().count());
+    open.stats.timeless += shard.install_owned(
         timeless.map(|t| t.triple),
         &owns,
         sn,
         merge_upto,
-        &mut receipts,
-        &mut inst.index_updates,
+        &mut open.receipts,
+        &mut open.index_updates,
     );
+    let before = open.slice.tuple_count();
     let timing = tuples.iter().filter(|t| !t.is_timeless());
-    let slice = TransientSlice::from_batch_filtered(ts, timing, &owns);
-    inst.stats.timing = slice.tuple_count();
+    open.slice.extend_filtered(timing, &owns, &mut open.seen);
+    open.stats.timing += open.slice.tuple_count() - before;
     let t1 = Instant::now();
-    inst.stats.inject_ns = (t1 - t0).as_nanos() as u64;
+    open.stats.inject_ns += (t1 - t0).as_nanos() as u64;
 
-    inst.index = IndexBatch::from_receipts(ts, &receipts);
-    inst.stats.index_ns = t1.elapsed().as_nanos() as u64;
-    (inst, slice)
+    open.folded += open.receipts.len();
+    open.index.reserve_for(open.folded);
+    for &r in &open.receipts {
+        open.index.record(r);
+    }
+    open.stats.index_ns += t1.elapsed().as_nanos() as u64;
 }
 
-/// Phase 2 of a batch install: lands every node's first-edge
-/// index-vertex updates on the index key's owner, in node order (the
-/// order fixes the index vertices' neighbour order), folding each append
-/// into the owner's index batch. An owner with `delivered[node]` unset
-/// never received the batch and misses the update too — recovery replays
-/// the whole batch, regenerating it. `installed[n]` is node `n`'s phase-1
-/// result. Callers install one batch at a time (the engine's pipeline
-/// lock), which keeps a batch's appends to an index key contiguous.
-/// Returns the nanoseconds spent.
+/// Phase 2 of installing one sub-batch per node: lands every node's
+/// first-edge index-vertex updates on the index key's owner, in node
+/// order (the order fixes the index vertices' neighbour order), folding
+/// each append into the owner's open index batch. An owner with
+/// `delivered[node]` unset never received the sub-batch and misses the
+/// update too — recovery replays the whole batch, regenerating it.
+/// `installed[n]` is node `n`'s open share. Callers install one sub-batch
+/// at a time (the engine's pipeline lock), so each call's appends to an
+/// index key are one run. Returns the nanoseconds spent.
 pub fn apply_index_updates<'a>(
     shards: &ShardMap,
     shard_of: impl Fn(u16) -> &'a PersistentShard,
@@ -185,8 +215,8 @@ impl Injector {
         ts: Timestamp,
         sn: SnapshotId,
     ) -> (IndexBatch, InjectStats) {
-        let (mut inst, slice) = install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, None);
-        store.transient.push_batch(slice);
+        let mut inst = Installed::default();
+        install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, None, &mut inst);
         inst.stats.inject_ns += apply_index_updates(
             &ShardMap::new(1),
             |_| shard,
@@ -195,14 +225,16 @@ impl Injector {
             sn,
             None,
         );
+        let (index, slice, mut stats) = inst.seal();
+        store.transient.push_batch(slice);
 
         // The caller gets the batch back (it is what replication ships),
         // so this convenience path pays the one copy the engine avoids.
         let t1 = Instant::now();
-        store.index.push_batch(inst.index.clone());
-        inst.stats.index_ns += t1.elapsed().as_nanos() as u64;
+        store.index.push_batch(index.clone());
+        stats.index_ns += t1.elapsed().as_nanos() as u64;
 
-        (inst.index, inst.stats)
+        (index, stats)
     }
 }
 
@@ -250,7 +282,8 @@ mod tests {
     /// The install path against the per-tuple primitives it replaced:
     /// one `BaseStore::insert_at` per timeless tuple,
     /// `IndexBatch::from_receipts` over all of a batch's receipts and one
-    /// owner-filtered `TransientSlice` per node.
+    /// owner-filtered `TransientSlice` per node — with the batch
+    /// installed whole and in pieces.
     #[test]
     fn install_matches_the_per_tuple_primitives() {
         use crate::{dispatch, Batch};
@@ -258,7 +291,13 @@ mod tests {
         use wukong_store::BaseStore;
 
         let mut rng = proptest::TestRng::for_test("install_vs_primitives");
-        for nodes in [1u16, 4, 8] {
+        for (nodes, piece) in [
+            (1u16, usize::MAX),
+            (4, usize::MAX),
+            (8, usize::MAX),
+            (1, 7),
+            (4, 16),
+        ] {
             for merging in [false, true] {
                 let map = ShardMap::new(nodes);
                 let shards: Vec<PersistentShard> =
@@ -290,47 +329,53 @@ mod tests {
                     let want_index = IndexBatch::from_receipts(ts, &receipts);
                     let timing: Vec<StreamTuple> = batch.timing().copied().collect();
 
-                    let (mut installed, slices): (Vec<Installed>, Vec<TransientSlice>) =
-                        dispatch(&batch, &map)
-                            .iter()
-                            .map(|sub| {
-                                install_sub_batch(
-                                    &shards[sub.node as usize],
-                                    map.owner_filter(sub.node),
-                                    &sub.tuples,
-                                    ts,
-                                    sn,
-                                    merge,
-                                )
-                            })
-                            .unzip();
-                    apply_index_updates(
-                        &map,
-                        |n| &shards[n as usize],
-                        &mut installed,
-                        &vec![true; nodes as usize],
-                        sn,
-                        merge,
-                    );
+                    // Every piece runs both phases before the next one.
+                    let mut installed: Vec<Installed> =
+                        (0..nodes).map(|_| Installed::default()).collect();
+                    for chunk in batch.tuples.chunks(piece.min(batch.tuples.len()).max(1)) {
+                        let part = Batch::sealed(StreamId(0), ts, chunk.to_vec(), 0);
+                        for sub in dispatch(&part, &map) {
+                            install_sub_batch(
+                                &shards[sub.node as usize],
+                                map.owner_filter(sub.node),
+                                &sub.tuples,
+                                ts,
+                                sn,
+                                merge,
+                                &mut installed[sub.node as usize],
+                            );
+                        }
+                        apply_index_updates(
+                            &map,
+                            |n| &shards[n as usize],
+                            &mut installed,
+                            &vec![true; nodes as usize],
+                            sn,
+                            merge,
+                        );
+                    }
 
                     // Same fat pointers, each on its key's owner only.
                     let got_entries: usize = installed.iter().map(|i| i.index.entry_count()).sum();
                     assert_eq!(got_entries, want_index.entry_count());
                     want_index.for_each_key(|k| {
                         let owner = map.node_of_key(k) as usize;
-                        assert_eq!(installed[owner].index.get(k), want_index.get(k), "{k:?}");
+                        let runs = |b: &IndexBatch| b.runs(k).collect::<Vec<_>>();
+                        assert_eq!(runs(&installed[owner].index), runs(&want_index), "{k:?}");
                         keys.push(k);
                     });
                     // Same volume, every tuple counted on exactly one node.
                     let timeless: usize = installed.iter().map(|i| i.stats.timeless).sum();
                     assert_eq!(timeless, batch.timeless().count());
-                    // Same transient neighbours, per owner.
-                    for (n, slice) in slices.iter().enumerate() {
+                    // Same transient neighbours and bytes, per owner.
+                    for (n, inst) in installed.iter().enumerate() {
+                        let slice = &inst.slice;
                         let want = TransientSlice::from_batch_filtered(
                             ts,
                             &timing,
                             map.owner_filter(n as u16),
                         );
+                        assert_eq!(slice.heap_bytes(), want.heap_bytes());
                         for t in &timing {
                             for k in [
                                 t.triple.out_key(),

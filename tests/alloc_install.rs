@@ -1,12 +1,16 @@
 //! Allocation guard for the batch install path (DESIGN.md §5, "The write
 //! path: per-batch, not per-tuple").
 //!
-//! One `advance_time` seals a round's batches and installs them. What it
-//! allocates may scale with the *distinct keys* the round touches (new
-//! cells and their value buffers' growth, transient adjacency lists) but
-//! not with the number of tuples: raw-bytes accounting, dispatch and the
-//! checksum checks allocate nothing per tuple. A `to_owned()` put back on
-//! that path fails here before a benchmark run finds it.
+//! A round's batches install while they fill: every 128th tuple of a
+//! stream's open batch hands the pipeline a piece, which the `ingest`
+//! call carrying it installs, and the round's `advance_time` seals each
+//! batch, installing only the rest. What the round allocates across both
+//! calls may scale with the *distinct keys* it touches (new cells and
+//! their value buffers' growth, transient adjacency lists) and by a small
+//! constant with the number of pieces, but not with the number of tuples:
+//! the per-tuple pump, raw-bytes accounting, dispatch and the checksum
+//! checks allocate nothing per tuple. A `to_owned()` put back on that path
+//! fails here before a benchmark run finds it.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
@@ -51,13 +55,21 @@ static ALLOCATOR: Counting = Counting;
 const BATCH_MS: Timestamp = 100;
 const WARM_UP_ROUNDS: u64 = 8;
 
+/// The engine's piece size (`PIECE_TUPLES` in `engine/ingest.rs`).
+const PIECE: usize = 128;
+
+/// What installing one piece may allocate beyond its keys: the piece's
+/// tuples, its dispatched copy, the worker-pool task list, the delivery
+/// mask and the index updates it routes.
+const PER_PIECE: u64 = 12;
+
 /// Allocations of the measured call at the parent of the install-path
 /// rewrite (three name clones and an owner `Vec` per tuple, a collected
 /// `Vec` per tuple family, an index-batch clone), on this exact workload.
 const BEFORE_THE_REWRITE: u64 = 4_198;
 
 #[test]
-fn advance_time_allocates_per_key_not_per_tuple() {
+fn a_round_allocates_per_key_and_piece_not_per_tuple() {
     // Tiny LSBench population at a firehose-like rate: few users, so a
     // round's tuples keep hitting the same keys.
     let w = ls_workload_with(
@@ -69,12 +81,13 @@ fn advance_time_allocates_per_key_not_per_tuple() {
     );
     let engine = WukongS::with_strings(EngineConfig::single_node(), Arc::clone(&w.strings));
     engine.load_base(w.stored.iter().copied());
+    let streams = w.schemas().len();
     for schema in w.schemas() {
         engine.register_stream(schema);
     }
 
-    // Every round's tuples stay inside their open batches until the
-    // round's `advance_time` seals and installs them all.
+    // A round's tuples all fall in one batch per stream: the one its
+    // `advance_time` seals.
     let round = |k: u64| {
         let (lo, hi) = (k * BATCH_MS, (k + 1) * BATCH_MS);
         w.timeline
@@ -88,11 +101,12 @@ fn advance_time_allocates_per_key_not_per_tuple() {
         engine.advance_time((k + 1) * BATCH_MS);
     }
 
-    let mut tuples = 0u64;
+    // Everything the assertions need is counted before the measured
+    // calls, which must be the only allocating code in between.
+    let mut per_stream = vec![0usize; streams];
     let mut keys: HashSet<Key> = HashSet::new();
     for t in round(WARM_UP_ROUNDS) {
-        engine.ingest(t.stream, t.triple, t.timestamp);
-        tuples += 1;
+        per_stream[t.stream.0 as usize] += 1;
         keys.extend([
             t.triple.out_key(),
             t.triple.in_key(),
@@ -100,30 +114,50 @@ fn advance_time_allocates_per_key_not_per_tuple() {
             Key::index(t.triple.p, Dir::In),
         ]);
     }
+    let tuples: usize = per_stream.iter().sum();
+    let pieces: usize = per_stream.iter().map(|n| n / PIECE).sum();
+    let rests: usize = per_stream.iter().map(|n| n % PIECE).sum();
+    let keys = keys.len() as u64;
+
     let stored_before = engine.stats().stored_triples;
     let before = ALLOCS.load(Ordering::Relaxed);
+    for t in round(WARM_UP_ROUNDS) {
+        engine.ingest(t.stream, t.triple, t.timestamp);
+    }
+    let filling = ALLOCS.load(Ordering::Relaxed) - before;
+    let stored_filled = engine.stats().stored_triples;
+    let before = ALLOCS.load(Ordering::Relaxed);
     engine.advance_time((WARM_UP_ROUNDS + 1) * BATCH_MS);
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = filling + ALLOCS.load(Ordering::Relaxed) - before;
     let installed = engine.stats().stored_triples - stored_before;
+    let installed_at_seal = installed - (stored_filled - stored_before);
 
-    let keys = keys.len() as u64;
     println!(
-        "{tuples} tuples ({installed} timeless) on {keys} distinct keys: {allocs} allocations"
+        "{tuples} tuples ({installed} timeless, {installed_at_seal} at the seal) in {pieces} \
+         pieces on {keys} distinct keys: {allocs} allocations"
     );
     assert!(installed > 500, "the round must install a real batch");
+    assert!(pieces > 0, "the round must cut pieces");
     assert!(
-        tuples > 2 * keys / 3,
+        tuples > 2 * keys as usize / 3,
         "the workload must repeat keys, or per-key and per-tuple costs look alike"
+    );
+    // Sealing installs only what no piece took: at most 127 tuples per
+    // stream. An engine that stops cutting pieces installs the whole
+    // round here and fails.
+    assert!(
+        installed_at_seal as usize <= rests.min(streams * (PIECE - 1)),
+        "{installed_at_seal} tuples installed at the seal, {rests} left over from pieces"
     );
     // A touched key costs at most its value buffer's first block or a
     // doubling of it — a new snapshot on an existing key is a mark written
-    // in place, an append a push (1 435 allocations while every (key,
-    // snapshot) pair owned a segment, about 1 000 now); everything else is
-    // per batch. One more allocation per tuple (668 here) does not fit
-    // under this.
+    // in place, an append a push; everything else is per batch or per
+    // piece. One more allocation per tuple does not fit under this.
+    let ceiling = 3 * keys / 2 + 200 + PER_PIECE * pieces as u64;
     assert!(
-        allocs <= 3 * keys / 2 + 200,
-        "{allocs} allocations for {keys} keys: something allocates per tuple again"
+        allocs <= ceiling,
+        "{allocs} allocations for {keys} keys and {pieces} pieces (ceiling {ceiling}): \
+         something allocates per tuple again"
     );
     assert!(
         allocs < BEFORE_THE_REWRITE,

@@ -643,6 +643,117 @@ fn hand_computed_scenario_pins_the_semantics() {
     assert!(oracle_rows(&q, &tt, &sc.timeline, 400).is_empty());
 }
 
+/// The visibility pin's companion for batches that install while they
+/// fill: a tuple stays invisible to every read until its batch seals,
+/// even after the piece carrying it has installed. 130 tuples at raw ts
+/// 150 fill batch 200; the first 128 install as a piece during `ingest`,
+/// yet a one-shot, a probe and the firing of window 100 see none of
+/// them, and window 200 then sees all 130, as the oracle says.
+#[test]
+fn hand_computed_piece_stays_invisible_until_its_batch_seals() {
+    let strings = Arc::new(StringServer::new());
+    let e0 = strings.intern_entity("e0").expect("interns");
+    let ta0 = strings.intern_predicate("ta0").expect("interns");
+    let timeline: Vec<(usize, Triple, Timestamp)> = (0..130)
+        .map(|i| {
+            let o = strings.intern_entity(&format!("x{i}")).expect("interns");
+            (0, Triple::new(e0, ta0, o), 150)
+        })
+        .collect();
+    let text = "REGISTER QUERY D0 SELECT ?V0 FROM SA [RANGE 100ms STEP 100ms] \
+                WHERE { GRAPH SA { e0 ta0 ?V0 } }";
+    let engine = WukongS::with_strings(EngineConfig::single_node(), Arc::clone(&strings));
+    let sa = engine.register_stream(StreamSchema::timeless(StreamId(0), "SA", INTERVAL_MS));
+    let id = engine.register_continuous(text).expect("registers");
+    let oneshot = "SELECT ?V0 WHERE { e0 ta0 ?V0 }";
+    engine.advance_time(100);
+    let window_100 = engine.fire_ready();
+
+    for &(_, t, ts) in &timeline {
+        engine.ingest(sa, t, ts);
+    }
+    assert_eq!(engine.stats().stored_triples, 128, "the piece installed");
+    assert!(engine.one_shot(oneshot).expect("runs").0.rows.is_empty());
+    assert!(engine.execute_registered(id).0.rows.is_empty());
+    assert!(engine.fire_ready().is_empty());
+
+    engine.advance_time(200);
+    let q = parse_query(&strings, text).expect("parses");
+    let oracle = |end| oracle_rows(&q, &TripleTable::new(), &timeline, end);
+    let fired: Vec<(Timestamp, Vec<Vec<Vid>>)> = window_100
+        .into_iter()
+        .chain(engine.fire_ready())
+        .map(|f| (f.window_end, f.results.rows))
+        .collect();
+    assert_eq!(fired, vec![(100, oracle(100)), (200, oracle(200))]);
+    assert_eq!(oracle(200).len(), 130);
+    assert_eq!(engine.one_shot(oneshot).expect("runs").0.rows.len(), 130);
+}
+
+/// The four-way check at a rate where every batch installs in pieces:
+/// two streams of about 400 tuples per 100 ms batch share the `sh`
+/// predicate on the same subjects, so their pieces interleave on shared
+/// keys and a batch's appends to a key come in several runs.
+#[test]
+fn four_way_agreement_holds_when_batches_install_in_pieces() {
+    let mut rng = StdRng::seed_from_u64(0x9E3779B9);
+    let strings = Arc::new(StringServer::new());
+    let entities: Vec<Vid> = (0..120)
+        .map(|i| strings.intern_entity(&format!("e{i}")).expect("interns"))
+        .collect();
+    let [sh, ta1, tb1, sp0] =
+        ["sh", "ta1", "tb1", "sp0"].map(|p| strings.intern_predicate(p).expect("interns"));
+    let pick = |rng: &mut StdRng| entities[rng.gen_range(0..entities.len())];
+    let mut seen = std::collections::HashSet::new();
+    let mut stored = Vec::new();
+    for _ in 0..60 {
+        let t = Triple::new(pick(&mut rng), sp0, pick(&mut rng));
+        if seen.insert((t.s, t.p, t.o)) {
+            stored.push(t);
+        }
+    }
+    let mut timeline = Vec::new();
+    for batch in 0..4u64 {
+        for (stream, own) in [(0, ta1), (1, tb1)] {
+            for _ in 0..420 {
+                let p = if rng.gen_range(0..3u64) == 0 { own } else { sh };
+                let t = Triple::new(pick(&mut rng), p, pick(&mut rng));
+                let ts = batch * INTERVAL_MS + 1 + rng.gen_range(0..INTERVAL_MS);
+                if seen.insert((t.s, t.p, t.o)) {
+                    timeline.push((stream, t, ts));
+                }
+            }
+        }
+    }
+    timeline.sort_by_key(|(_, _, ts)| *ts);
+    let sc = Scenario {
+        strings,
+        stored,
+        timeline,
+        queries: vec![
+            "REGISTER QUERY D0 SELECT ?V0 ?V1 ?V2 FROM SA [RANGE 200ms STEP 100ms] \
+             FROM SB [RANGE 200ms STEP 100ms] \
+             WHERE { GRAPH SA { ?V0 sh ?V1 } GRAPH SB { ?V0 sh ?V2 } }"
+                .to_string(),
+            "REGISTER QUERY D1 SELECT ?V0 FROM SA [RANGE 300ms STEP 100ms] \
+             WHERE { GRAPH SA { e3 sh ?V0 } }"
+                .to_string(),
+            "REGISTER QUERY D2 SELECT ?V0 ?V1 ?V2 FROM SB [RANGE 100ms STEP 100ms] \
+             WHERE { GRAPH SB { ?V0 sh ?V1 } ?V1 sp0 ?V2 }"
+                .to_string(),
+        ],
+        max_range_ms: 300,
+    };
+    let (checked, nonempty) = check_prefix(&sc, 4, sc.timeline.len()).unwrap_or_else(|d| {
+        panic!(
+            "piece-installed run diverged: {} at window {}\n  lhs rows: {:?}\n  rhs rows: {:?}",
+            d.kind, d.window_end, d.engine_rows, d.oracle_rows
+        )
+    });
+    assert!(checked >= 12, "only {checked} firings");
+    assert!(nonempty >= 9, "only {nonempty} firings had rows");
+}
+
 #[test]
 fn generator_is_deterministic() {
     let a = generate(42);
