@@ -80,6 +80,60 @@ if awk 'FNR == 1 { inside = 0 }
         !inside && /(install_sub_batch|apply_index_updates)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }' $(find crates/core/src -name '*.rs'); then exit 1; fi
 
+echo "== the docs cite live code: path.rs:NN, \`Type::item\` and open ROADMAP items"
+# Prints every stale citation, then fails if there was one.
+# (1) Each `path.rs:NN` or `path.rs:NN-MM` in DESIGN.md, README.md and
+# ROADMAP.md names a file whose path ends in `path.rs` and that has at
+# least NN (MM) lines.
+# (2) Each identifier of a backticked `A::b` or `A::{b, c}` in DESIGN.md
+# and README.md occurs in the code under crates/ or tests/ (comment lines
+# aside) or names a module file or directory there; `wukong-store::base`
+# reads as `wukong_store::base`, `tests/props.rs::name` as `props::name`.
+# (3) Each "ROADMAP item N" (or "Nx") in DESIGN.md, README.md and the
+# comments under crates/, joined across line breaks, names an item of
+# ROADMAP.md's open list (with a letter, one that has an "(x)" part).
+docs_check() {
+    local stale=0 cite path need f ok id ref
+    local rs_files words open_items
+    rs_files="$(find . \( -name target -o -name .git \) -prune -o -name '*.rs' -print | sed 's|^\./||')"
+    for cite in $(grep -ohE '[A-Za-z0-9_./-]+\.rs:[0-9]+(-[0-9]+)?' DESIGN.md README.md ROADMAP.md | sort -u); do
+        path="${cite%%:*}"
+        need="${cite##*[:-]}"
+        ok=0
+        for f in $(grep -E "(^|/)${path//./\\.}\$" <<<"$rs_files"); do
+            [[ "$(wc -l <"$f")" -ge "$need" ]] && ok=1
+        done
+        [[ $ok -eq 1 ]] || { echo "no such file or line: $cite"; stale=1; }
+    done
+
+    words="$(mktemp)"
+    {
+        find crates tests -name '*.rs' -exec grep -hv '^[[:space:]]*//' {} + |
+            grep -oE '[A-Za-z_][A-Za-z0-9_]*'
+        find crates tests -name target -prune -o -print | sed 's|.*/||; s|\.rs$||'
+    } | sort -u >"$words"
+    for id in $(grep -ohE '`[^`]+`' DESIGN.md README.md | sed 's/\.rs::/::/g' | tr '-' '_' |
+        grep -oE '[A-Za-z_][A-Za-z0-9_]*(::([A-Za-z_][A-Za-z0-9_]*|\{[^}]*\}))+' |
+        tr -s ':{}, ' '\n' | sort -u); do
+        grep -qxF "$id" "$words" || { echo "no such identifier under crates/: $id"; stale=1; }
+    done
+    rm -f "$words"
+
+    open_items="$(awk '/^## Open items/ { on = 1; next } /^## / || /^\*\*Parked/ { on = 0 }
+        on && match($0, /^[0-9]+\. /) { item = substr($0, 1, RLENGTH - 2); print item }
+        on && item != "" { s = $0
+            while (match(s, /\([a-z]\)/)) { print item substr(s, RSTART + 1, 1); s = substr(s, RSTART + RLENGTH) } }' \
+        ROADMAP.md | sort -u)"
+    for ref in $(for f in DESIGN.md README.md $(find crates -name '*.rs'); do
+        awk '{ sub(/^[[:space:]]*(\/\/[\/!]?)?[[:space:]]*/, ""); printf "%s ", $0 }' "$f" |
+            grep -oE 'ROADMAP items? [0-9]+[a-z]?' | awk '{ print $3 }'
+    done | sort -u); do
+        grep -qxF "$ref" <<<"$open_items" || { echo "no open ROADMAP item $ref"; stale=1; }
+    done
+    return "$stale"
+}
+docs_check
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q

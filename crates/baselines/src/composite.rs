@@ -151,8 +151,6 @@ pub struct Composite {
     stream_names: Vec<String>,
     windows: Vec<WindowBuffer>,
     registered: Vec<RegisteredQuery>,
-    /// Widest registered range per stream (eviction horizon).
-    max_range: Vec<u64>,
 }
 
 impl Composite {
@@ -174,7 +172,6 @@ impl Composite {
             stream_names: Vec::new(),
             windows: Vec::new(),
             registered: Vec::new(),
-            max_range: Vec::new(),
         }
     }
 
@@ -200,20 +197,12 @@ impl Composite {
     pub fn register_stream(&mut self, name: impl Into<String>) -> StreamId {
         self.stream_names.push(name.into());
         self.windows.push(WindowBuffer::new());
-        self.max_range.push(1_000);
         StreamId((self.stream_names.len() - 1) as u16)
     }
 
     /// Feeds a stream tuple (timestamps non-decreasing per stream).
     pub fn ingest(&mut self, stream: StreamId, triple: Triple, ts: Timestamp) {
         self.windows[stream.0 as usize].push(ts, triple);
-    }
-
-    /// Evicts tuples no registered window can reach at time `now`.
-    pub fn evict(&mut self, now: Timestamp) {
-        for (i, w) in self.windows.iter_mut().enumerate() {
-            w.evict_before(now.saturating_sub(self.max_range[i]));
-        }
     }
 
     /// Registers a continuous query.
@@ -236,13 +225,12 @@ impl Composite {
             ));
         }
         let mut stream_map = Vec::new();
-        for (name, spec) in &query.streams {
+        for (name, _) in &query.streams {
             let idx = self
                 .stream_names
                 .iter()
                 .position(|n| n == name)
                 .ok_or_else(|| QueryError::Unresolved(format!("stream {name}")))?;
-            self.max_range[idx] = self.max_range[idx].max(spec.range_ms);
             stream_map.push(idx);
         }
         self.registered.push(RegisteredQuery { query, stream_map });
@@ -578,16 +566,5 @@ mod tests {
         // At 802+5000 < like window start: the like has expired.
         let (rel, _) = c.execute(id, 806 + 5_000, CompositePlan::Interleaved);
         assert!(rel.is_empty());
-    }
-
-    #[test]
-    fn eviction_respects_widest_window() {
-        let mut c = fig1_setup(CompositeProfile::storm_wukong(1));
-        let _ = c.register_continuous(QC).unwrap();
-        c.evict(10_000);
-        // PO window is 10 s: the 802 tuple must survive eviction at 10 s.
-        assert_eq!(c.windows[0].len(), 1);
-        // PO-L max range is 5 s: the like at 806 is gone.
-        assert_eq!(c.windows[1].len(), 0);
     }
 }

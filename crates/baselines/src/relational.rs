@@ -57,7 +57,7 @@ impl ProcessorProfile {
     }
 
     /// Charge for an operator touching `tuples` tuples.
-    pub fn op_cost_ns(&self, tuples: usize) -> u64 {
+    pub(crate) fn op_cost_ns(&self, tuples: usize) -> u64 {
         self.per_op_ns + self.per_tuple_ns * tuples as u64
     }
 }
@@ -83,16 +83,6 @@ impl WindowBuffer {
         self.tuples.push_back((ts, t));
     }
 
-    /// Drops tuples older than `expiry` (exclusive).
-    pub fn evict_before(&mut self, expiry: Timestamp) {
-        while let Some((ts, _)) = self.tuples.front() {
-            if *ts >= expiry {
-                break;
-            }
-            self.tuples.pop_front();
-        }
-    }
-
     /// Number of buffered tuples.
     pub fn len(&self) -> usize {
         self.tuples.len()
@@ -104,7 +94,7 @@ impl WindowBuffer {
     }
 
     /// Visits tuples with timestamps in `[lo, hi]`.
-    pub fn for_each_in(&self, lo: Timestamp, hi: Timestamp, mut f: impl FnMut(&Triple)) {
+    pub(crate) fn for_each_in(&self, lo: Timestamp, hi: Timestamp, mut f: impl FnMut(&Triple)) {
         let start = self.tuples.partition_point(|(ts, _)| *ts < lo);
         for (ts, t) in self.tuples.iter().skip(start) {
             if *ts > hi {
@@ -343,7 +333,7 @@ mod tests {
     }
 
     #[test]
-    fn window_buffer_range_and_eviction() {
+    fn window_buffer_range() {
         let mut w = WindowBuffer::new();
         for ts in [100u64, 200, 300] {
             w.push(ts, t(1, 2, ts));
@@ -351,8 +341,6 @@ mod tests {
         let mut seen = Vec::new();
         w.for_each_in(150, 300, |tr| seen.push(tr.o));
         assert_eq!(seen, vec![Vid(200), Vid(300)]);
-        w.evict_before(250);
-        assert_eq!(w.len(), 1);
     }
 
     #[test]

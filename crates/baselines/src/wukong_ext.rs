@@ -95,15 +95,6 @@ impl WukongExt {
         }
     }
 
-    /// Total timestamp-log entries (the §6.2 "stale and useless
-    /// timestamps will accumulate" memory growth).
-    pub fn log_entries(&self) -> usize {
-        self.logs
-            .iter()
-            .map(|l| l.read().values().map(Vec::len).sum::<usize>())
-            .sum()
-    }
-
     /// Registers a continuous query.
     pub fn register_continuous(&mut self, text: &str) -> Result<usize, QueryError> {
         let query = parse_query(self.cluster.strings(), text)?;
@@ -294,10 +285,16 @@ mod tests {
         assert_eq!(rs.rows.len(), 1);
         assert_eq!(strings.entity_name(rs.rows[0][0]).unwrap(), "T-2");
         // Both appends live in the logs forever (no GC).
-        assert_eq!(ext.log_entries(), 4);
+        let log_entries = |ext: &WukongExt| {
+            ext.logs
+                .iter()
+                .map(|l| l.read().values().map(Vec::len).sum::<usize>())
+                .sum::<usize>()
+        };
+        assert_eq!(log_entries(&ext), 4);
         let (rs2, _) = ext.execute(id, 100_000);
         assert!(rs2.is_empty());
-        assert_eq!(ext.log_entries(), 4);
+        assert_eq!(log_entries(&ext), 4);
     }
 
     #[test]

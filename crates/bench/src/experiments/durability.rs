@@ -75,7 +75,7 @@ fn serve_loop(
 /// query mix as fast as it can while streaming fresh batches; in the FT
 /// configuration the same loop also logs them and takes periodic
 /// checkpoints — the work real deployments interleave with query serving.
-pub fn exp_fault_tolerance(run: &mut Run) -> Verdict {
+pub(crate) fn exp_fault_tolerance(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload("");
     // Extra stream data to inject during the measured loops. The FT
@@ -207,7 +207,7 @@ fn drill_cell(
 /// kill time) matrix. Every `(query, window_end)` firing — pre-crash plus
 /// post-recovery — must match the control run's result rows; any lost or
 /// divergent firing fails the run. `--quick` runs a single cell.
-pub fn exp_recovery_drill(run: &mut Run) -> Verdict {
+pub(crate) fn exp_recovery_drill(run: &mut Run) -> Verdict {
     let nodes = 4;
     let w = run.ls_workload(", 4 nodes");
 

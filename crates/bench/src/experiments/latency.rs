@@ -27,7 +27,7 @@ fn slow(runs: usize) -> usize {
 /// the stream-first plan (b) makes fewer crossings but is *slower*
 /// overall because joining the two stream relations first produces a huge
 /// intermediate result that the store side cannot prune (CC ≈ 46%).
-pub fn fig4_breakdown(run: &mut Run) -> Verdict {
+pub(crate) fn fig4_breakdown(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     let runs = run.scale.runs();
     let mut storm = w.composite(CompositeProfile::storm_wukong(1));
@@ -118,7 +118,7 @@ fn versus_storm<G>(
 /// CSPARQL-engine; rows L1-L6 plus the geometric mean. The paper's shape:
 /// Wukong+S beats Storm+Wukong by 1.6-30×, and CSPARQL-engine by about
 /// three orders of magnitude.
-pub fn table2_latency_single(run: &mut Run) -> Verdict {
+pub(crate) fn table2_latency_single(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     let mut csparql = w.composite(CompositeProfile::csparql());
     versus_storm(
@@ -138,7 +138,7 @@ pub fn table2_latency_single(run: &mut Run) -> Verdict {
 /// Streaming. Paper shape: Wukong+S beats Storm+Wukong by 2.3-29× and
 /// Spark Streaming by three orders of magnitude; Storm+Wukong's
 /// cross-system overhead runs 13.8-56.2% of total.
-pub fn table3_latency_cluster(run: &mut Run) -> Verdict {
+pub(crate) fn table3_latency_cluster(run: &mut Run) -> Verdict {
     let w = run.ls_workload(", 8 nodes");
     let mut spark = w.spark(SparkMode::MicroBatch);
     versus_storm(
@@ -160,7 +160,7 @@ pub fn table3_latency_cluster(run: &mut Run) -> Verdict {
 /// that touch stored data; Structured Streaming supports only L1-L3 (✗
 /// elsewhere) and is slower than Spark Streaming; Wukong/Ext trails
 /// Wukong+S by 1.6-4.4×.
-pub fn table4_latency_more(run: &mut Run) -> Verdict {
+pub(crate) fn table4_latency_more(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload(", 8 nodes");
     let runs = run.scale.runs();
@@ -194,7 +194,7 @@ pub fn table4_latency_more(run: &mut Run) -> Verdict {
 /// Rows: Wukong+S (RDMA, in-place for selective queries) vs Non-RDMA
 /// (TCP costs, forced fork-join). Paper shape: selective L1-L3 are
 /// insensitive (~1.0-1.1×); non-selective L4-L6 slow down 1.8-3.5×.
-pub fn table5_rdma(run: &mut Run) -> Verdict {
+pub(crate) fn table5_rdma(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload(", 8 nodes");
     let runs = run.scale.runs();
@@ -259,7 +259,7 @@ impl Contender for OneShots<'_> {
 /// continuous queries (/On). Paper shape: Wukong+S inherits Wukong's
 /// performance; enabling streams costs < 5%, and concurrent continuous
 /// queries add ≈ 5% more despite sharing the store.
-pub fn table8_oneshot(run: &mut Run) -> Verdict {
+pub(crate) fn table8_oneshot(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload(", 8 nodes");
     let runs = run.scale.runs();
@@ -319,7 +319,7 @@ pub fn table8_oneshot(run: &mut Run) -> Verdict {
 /// Streaming; rows C1-C11. Paper shape: Wukong+S wins by 2.7-18× over
 /// Storm+Wukong (whose cross-system cost runs 40-75%) and by three orders
 /// of magnitude over Spark Streaming; C10/C11 are stream-only.
-pub fn table9_citybench(run: &mut Run) -> Verdict {
+pub(crate) fn table9_citybench(run: &mut Run) -> Verdict {
     let w = city_workload_seeded(run.scale, run.seed);
     run.banner("CityBench", &w, "");
     let mut spark = w.spark(SparkMode::MicroBatch);
@@ -373,7 +373,7 @@ fn sweep(
 /// Paper shape: group I (L1-L3, selective, in-place execution) stays
 /// flat as nodes grow; group II (L4-L6, fork-join over the whole stored
 /// graph) speeds up 2.8-3.2× from 2 to 8 nodes.
-pub fn fig12_scalability(run: &mut Run) -> Verdict {
+pub(crate) fn fig12_scalability(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     let mut points = [2usize, 4, 6, 8].map(|nodes| {
         let engine = w.engine(EngineConfig::cluster(nodes));
@@ -388,7 +388,7 @@ pub fn fig12_scalability(run: &mut Run) -> Verdict {
 /// The rate sweeps ×0.25 to ×4 of the default. Paper shape: group I
 /// (selective) latency is flat regardless of rate; group II latency grows
 /// with the rate (windows hold proportionally more tuples) yet stays low.
-pub fn fig13_stream_rate(run: &mut Run) -> Verdict {
+pub(crate) fn fig13_stream_rate(run: &mut Run) -> Verdict {
     let workloads = [0.25f64, 0.5, 1.0, 2.0, 4.0].map(|m| {
         let mut cfg = run.scale.ls_config().with_seed(run.seed);
         cfg.rate_scale *= m;
@@ -410,7 +410,7 @@ pub fn fig13_stream_rate(run: &mut Run) -> Verdict {
 /// 3.5X and 2.7X respectively" — clients trade resources for latency when
 /// it matters. Selective queries run in-place on one worker and gain
 /// nothing.
-pub fn exp_multicore(run: &mut Run) -> Verdict {
+pub(crate) fn exp_multicore(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload(", 8 nodes");
     let runs = run.scale.runs();
@@ -456,7 +456,7 @@ pub fn exp_multicore(run: &mut Run) -> Verdict {
 /// pays at most one RDMA read per remote value; without it, every remote
 /// window lookup pays "an additional RDMA read" for the index itself. The
 /// price of replication is injection-time messages to subscriber nodes.
-pub fn exp_replication(run: &mut Run) -> Verdict {
+pub(crate) fn exp_replication(run: &mut Run) -> Verdict {
     let nodes = 8;
     let w = run.ls_workload(", 8 nodes");
     let runs = run.scale.runs();
@@ -506,7 +506,7 @@ pub fn exp_replication(run: &mut Run) -> Verdict {
 /// latency CDF on 8 nodes (methodology: [`throughput_mix`]). Paper shape:
 /// ~4.2× throughput from 2 to 8 nodes, ~1 M q/s peak, sub-ms median
 /// latency.
-pub fn fig14_throughput_mix3(run: &mut Run) -> Verdict {
+pub(crate) fn fig14_throughput_mix3(run: &mut Run) -> Verdict {
     let variants = if run.scale == Scale::Tiny { 4 } else { 16 };
     let runs = (run.scale.runs() / 10).max(5);
     throughput_mix(run, "14", &[1, 2, 3], variants, runs);
@@ -518,7 +518,7 @@ pub fn fig14_throughput_mix3(run: &mut Run) -> Verdict {
 /// Paper shape: lower peak than the L1-L3 mix (~802 K q/s) but *super*
 /// scaling (~5× from 2 to 8 nodes) because the group II queries
 /// themselves get faster on more nodes.
-pub fn fig15_throughput_mix6(run: &mut Run) -> Verdict {
+pub(crate) fn fig15_throughput_mix6(run: &mut Run) -> Verdict {
     let variants = if run.scale == Scale::Tiny { 2 } else { 8 };
     let runs = (run.scale.runs() / 20).max(3);
     throughput_mix(run, "15", &[1, 2, 3, 4, 5, 6], variants, runs);

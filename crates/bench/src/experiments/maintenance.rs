@@ -314,7 +314,7 @@ fn rates(regime: &str, tick: Timestamp, duration: Timestamp) -> [u64; 3] {
 /// agrees on the digest *and* on the re-plan count, since drift trips
 /// are a pure function of the seeded workload, not of wall clock.
 /// `--quick` shrinks the timeline.
-pub fn exp_adaptive(run: &mut Run) -> Verdict {
+pub(crate) fn exp_adaptive(run: &mut Run) -> Verdict {
     let duration = if run.quick { 3_000 } else { 6_000 };
     run.header(
         "Adaptive re-planning vs a static plan per selectivity regime",

@@ -166,7 +166,7 @@ fn budgeted(budget: usize) -> EngineConfig {
 ///    never sheds, never marks, and matches the control in every firing.
 ///
 /// `--quick` runs the drop-oldest cell only.
-pub fn exp_overload(run: &mut Run) -> Verdict {
+pub(crate) fn exp_overload(run: &mut Run) -> Verdict {
     let w = run.ls_workload(", 2 nodes");
     let (from, until) = (w.duration / 3, w.duration / 2);
     let timeline = spiked_timeline(&w, from, until);

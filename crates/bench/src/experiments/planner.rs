@@ -103,7 +103,7 @@ impl GraphAccess for ConstOracle {
 /// cost-based greedy plan and (b) the worst same-shape plan (pattern
 /// order reversed, anchors chosen without estimates), showing how much
 /// early pruning matters even without a system boundary.
-pub fn exp_planner(run: &mut Run) -> Verdict {
+pub(crate) fn exp_planner(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     let runs = run.scale.runs().min(30);
     let engine = w.engine(EngineConfig::single_node());

@@ -56,7 +56,7 @@ pub fn table6_injection(run: &mut Run) -> Verdict {
 /// streaming data (9.5% overall; up to ~46% for low-rate streams whose
 /// per-batch key overhead amortises worse, and none at all for the
 /// timing-only GPS stream).
-pub fn table7_memory(run: &mut Run) -> Verdict {
+pub(crate) fn table7_memory(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     let minutes = w.duration as f64 / 60_000.0;
     let engine = w.engine(EngineConfig::cluster(8));
@@ -112,7 +112,7 @@ pub fn table7_memory(run: &mut Run) -> Verdict {
 /// insertion per snapshot and leave one-shot results up to that many
 /// batches stale. This experiment sweeps the bound and reports the
 /// snapshot cadence and the resulting one-shot staleness.
-pub fn exp_staleness(run: &mut Run) -> Verdict {
+pub(crate) fn exp_staleness(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     run.header(
         "§4.3 ablation: snapshot staleness bound",
@@ -168,7 +168,7 @@ pub fn exp_staleness(run: &mut Run) -> Verdict {
 /// vector-timestamp tagging the strawman design needs (§4.3): every
 /// appended neighbour carries one timestamp per registered stream plus a
 /// version pointer, computed from the engine's append counters.
-pub fn exp_snapshot_memory(run: &mut Run) -> Verdict {
+pub(crate) fn exp_snapshot_memory(run: &mut Run) -> Verdict {
     let w = run.ls_workload("");
     run.header(
         "§6.7: store footprint (MB) with bounded snapshot scalarization",

@@ -111,7 +111,7 @@ pub fn record(runs: usize, mut once: impl FnMut() -> f64) -> LatencyRecorder {
 }
 
 /// Samples a registered Wukong+S query `runs` times.
-pub fn sample_continuous(engine: &WukongS, id: usize, runs: usize) -> LatencyRecorder {
+pub(crate) fn sample_continuous(engine: &WukongS, id: usize, runs: usize) -> LatencyRecorder {
     // One warm-up execution populates the plan cache, as the paper's
     // repeated-run methodology does.
     let _ = engine.execute_registered(id);
@@ -120,7 +120,7 @@ pub fn sample_continuous(engine: &WukongS, id: usize, runs: usize) -> LatencyRec
 
 /// Samples a composite query `runs` times; returns latencies and the mean
 /// breakdown.
-pub fn sample_composite(
+pub(crate) fn sample_composite(
     c: &Composite,
     id: usize,
     now: Timestamp,
@@ -174,7 +174,7 @@ impl<'a> Arm<'a> {
     }
 
     /// This arm, also recorded in the JSON report as series `name`.
-    pub fn recorded_as(self, name: &str) -> Self {
+    pub(crate) fn recorded_as(self, name: &str) -> Self {
         Arm {
             series: Some(name.to_string()),
             ..self
@@ -182,7 +182,7 @@ impl<'a> Arm<'a> {
     }
 
     /// This arm with the composite breakdown sub-columns.
-    pub fn with_parts(self, stream_side: &'a str, store_side: &'a str) -> Self {
+    pub(crate) fn with_parts(self, stream_side: &'a str, store_side: &'a str) -> Self {
         Arm {
             parts: Some([stream_side, store_side]),
             ..self
@@ -218,7 +218,7 @@ impl<'a> Grid<'a> {
     }
 
     /// This table with a last column `arm[slower] / arm[faster]`.
-    pub fn with_ratio(self, header: &'a str, slower: usize, faster: usize) -> Self {
+    pub(crate) fn with_ratio(self, header: &'a str, slower: usize, faster: usize) -> Self {
         Grid {
             ratio: Some((header, slower, faster)),
             ..self
@@ -226,7 +226,7 @@ impl<'a> Grid<'a> {
     }
 
     /// This table closed by a geometric-mean row.
-    pub fn with_geo_mean(self) -> Self {
+    pub(crate) fn with_geo_mean(self) -> Self {
         Grid {
             geo_mean: true,
             ..self
@@ -241,7 +241,7 @@ pub struct GridCells(pub Vec<Vec<Option<Sample>>>);
 impl GridCells {
     /// Geometric mean of arm `arm`'s medians; `None` if the arm could not
     /// run every class.
-    pub fn geo_mean(&self, arm: usize) -> Option<f64> {
+    pub(crate) fn geo_mean(&self, arm: usize) -> Option<f64> {
         let medians: Option<Vec<f64>> = self
             .0
             .iter()
@@ -261,7 +261,7 @@ fn ratio_cell(slower: Option<f64>, faster: Option<f64>) -> String {
 /// Registers every class on every arm, samples each arm × class cell,
 /// prints the medians table and records the series and counters of the
 /// arms that ask for it.
-pub fn latency_grid(run: &mut Run, grid: &Grid<'_>, arms: &mut [Arm<'_>]) -> GridCells {
+pub(crate) fn latency_grid(run: &mut Run, grid: &Grid<'_>, arms: &mut [Arm<'_>]) -> GridCells {
     // Arm-major registration: on every system, query ids follow class order.
     let ids: Vec<Vec<Option<usize>>> = arms
         .iter_mut()
@@ -338,7 +338,7 @@ pub fn latency_grid(run: &mut Run, grid: &Grid<'_>, arms: &mut [Arm<'_>]) -> Gri
 
 /// The `(label, text)` class list of LSBench's continuous classes
 /// `classes` (variant 0).
-pub fn ls_classes(
+pub(crate) fn ls_classes(
     w: &LsWorkload,
     classes: impl IntoIterator<Item = usize>,
 ) -> Vec<(String, String)> {
@@ -362,7 +362,7 @@ const WORKERS_PER_NODE: f64 = 16.0;
 /// variants whose home nodes spread across the cluster. The class mix
 /// follows the paper: proportions are the reciprocal of each class's
 /// average latency.
-pub fn throughput_mix(
+pub(crate) fn throughput_mix(
     run: &mut Run,
     fig: &str,
     classes: &[usize],

@@ -34,7 +34,7 @@ pub mod trace_view;
 pub mod workload;
 
 pub use modes::{assert_budget_engaged, assert_mode_engaged, modes, recompute_modes};
-pub use report::{fmt_ms, BenchJson, JSON_SCHEMA_VERSION};
+pub use report::{BenchJson, JSON_SCHEMA_VERSION};
 pub use run::{Run, Verdict};
 pub use workload::{
     city_workload_seeded, ls_workload_seeded, CityWorkload, LsWorkload, Scale, Workload,

@@ -100,7 +100,7 @@ impl FiringDigest {
     }
 
     /// Folds bare result rows in (one-shot results).
-    pub fn push_rows(&mut self, rows: &[Vec<Vid>]) {
+    pub(crate) fn push_rows(&mut self, rows: &[Vec<Vid>]) {
         for row in rows {
             self.rows += 1;
             for v in row {
@@ -168,7 +168,7 @@ pub fn collect(firings: Vec<Firing>, into: &mut FiringMap) -> Refires {
 }
 
 /// Whether two maps hold the same windows with the same rows.
-pub fn same_rows(a: &FiringMap, b: &FiringMap) -> bool {
+pub(crate) fn same_rows(a: &FiringMap, b: &FiringMap) -> bool {
     a.len() == b.len()
         && a.iter()
             .zip(b)
@@ -176,7 +176,7 @@ pub fn same_rows(a: &FiringMap, b: &FiringMap) -> bool {
 }
 
 /// FNV-1a fingerprint of a firing map (keys and rows).
-pub fn fingerprint(map: &FiringMap) -> u64 {
+pub(crate) fn fingerprint(map: &FiringMap) -> u64 {
     let mut h = Fnv64::new();
     for ((query, end), c) in map {
         h.push(*query as u64);
@@ -192,7 +192,7 @@ pub fn fingerprint(map: &FiringMap) -> u64 {
 /// (measured time is noisy almost entirely upward, so the minimum is the
 /// stable estimator). Also reports whether every repetition agreed on
 /// `same` — the result hash, which must not depend on the repetition.
-pub fn best_of<T, K: PartialEq>(
+pub(crate) fn best_of<T, K: PartialEq>(
     reps: usize,
     mut once: impl FnMut() -> T,
     same: impl Fn(&T) -> K,

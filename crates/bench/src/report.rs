@@ -484,7 +484,7 @@ mod bench_json_tests {
 /// Formats milliseconds the way the paper's tables do: two decimals below
 /// 10 ms, one decimal below 100, integral (with thousands separators)
 /// above.
-pub fn fmt_ms(ms: f64) -> String {
+pub(crate) fn fmt_ms(ms: f64) -> String {
     if ms < 0.1 {
         format!("{ms:.3}")
     } else if ms < 10.0 {

@@ -58,14 +58,14 @@ impl Run {
     /// Builds the LSBench workload at this run's scale and seed and
     /// prints its banner; `detail` names what else the experiment fixes
     /// (`", 8 nodes"`).
-    pub fn ls_workload(&mut self, detail: &str) -> LsWorkload {
+    pub(crate) fn ls_workload(&mut self, detail: &str) -> LsWorkload {
         let w = ls_workload_seeded(self.scale, self.seed);
         self.banner("LSBench", &w, detail);
         w
     }
 
     /// Prints a workload's banner line.
-    pub fn banner<G>(&mut self, name: &str, w: &Workload<G>, detail: &str) {
+    pub(crate) fn banner<G>(&mut self, name: &str, w: &Workload<G>, detail: &str) {
         let scale = self.scale;
         self.say(format_args!(
             "{name}: {} stored triples, {} stream tuples over {} ms{detail} (scale {scale:?})",
@@ -107,7 +107,7 @@ impl Verdict {
     }
 
     /// Records a gate on measured time.
-    pub fn timing_gate(&mut self, ok: bool, why: impl FnOnce() -> String) {
+    pub(crate) fn timing_gate(&mut self, ok: bool, why: impl FnOnce() -> String) {
         if !ok {
             self.timing.push(why());
         }

@@ -43,7 +43,7 @@ impl Scale {
     }
 
     /// Stream time to drive, ms.
-    pub fn ls_duration(self) -> Timestamp {
+    pub(crate) fn ls_duration(self) -> Timestamp {
         match self {
             Scale::Tiny => 1_500,
             Scale::Small => 3_000,

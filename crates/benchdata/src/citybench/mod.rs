@@ -303,7 +303,7 @@ impl CityBench {
     }
 
     /// A deterministic traffic-sensor name for query variants.
-    pub fn vt_sensor_name(&self, set: usize, variant: usize) -> String {
+    pub(crate) fn vt_sensor_name(&self, set: usize, variant: usize) -> String {
         format!(
             "vt{}s{}",
             set + 1,
@@ -312,12 +312,12 @@ impl CityBench {
     }
 
     /// A deterministic parking-lot name for query variants.
-    pub fn lot_name(&self, set: usize, variant: usize) -> String {
+    pub(crate) fn lot_name(&self, set: usize, variant: usize) -> String {
         format!("pk{}l{}", set + 1, (variant * 13) % self.cfg.parking_lots)
     }
 
     /// A deterministic user name for query variants.
-    pub fn user_name(&self, variant: usize) -> String {
+    pub(crate) fn user_name(&self, variant: usize) -> String {
         format!("cu{}", (variant * 17) % self.cfg.users)
     }
 }

@@ -358,12 +358,12 @@ impl LsBench {
     }
 
     /// A deterministic "random" user name for query variants.
-    pub fn user_name(&self, variant: usize) -> String {
+    pub(crate) fn user_name(&self, variant: usize) -> String {
         format!("u{}", (variant * 7_919) % self.cfg.users)
     }
 
     /// A deterministic post name for query variants.
-    pub fn post_name(&self, variant: usize) -> String {
+    pub(crate) fn post_name(&self, variant: usize) -> String {
         format!(
             "p{}",
             (variant * 104_729) % (self.cfg.users * self.cfg.posts_per_user)
@@ -371,7 +371,7 @@ impl LsBench {
     }
 
     /// A deterministic hashtag name for query variants.
-    pub fn tag_name(&self, variant: usize) -> String {
+    pub(crate) fn tag_name(&self, variant: usize) -> String {
         format!("#tag{}", variant % self.cfg.hashtags)
     }
 }

@@ -27,7 +27,7 @@ pub struct Prepared {
 
 impl Prepared {
     /// Whether this procedure registers a continuous query.
-    pub fn is_continuous(&self) -> bool {
+    pub(crate) fn is_continuous(&self) -> bool {
         self.query.kind == QueryKind::Continuous
     }
 
@@ -96,7 +96,7 @@ impl Client {
 
     /// Parses `text` into a stored procedure (client-side: strings are
     /// interned into IDs here, before anything reaches a server).
-    pub fn prepare(&self, text: &str) -> Result<Prepared, QueryError> {
+    pub(crate) fn prepare(&self, text: &str) -> Result<Prepared, QueryError> {
         let query = parse_query(self.pool.engine.strings(), text)?;
         Ok(Prepared {
             query,

@@ -22,7 +22,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 use wukong_net::{Fabric, NodeId, TaskTimer, WorkerPool};
 use wukong_rdf::{Key, StringServer, Timestamp, Triple, Vid};
-use wukong_store::{PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientStore};
+use wukong_store::{
+    key_updates, PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientStore,
+};
 use wukong_stream::StreamSchema;
 
 /// Per-stream cluster state.
@@ -225,25 +227,21 @@ impl Cluster {
     }
 
     /// Loads one triple of the initial dataset, routing each of its key
-    /// updates to the owning node's shard (no key is stored twice).
+    /// updates to the owning node's shard (no key is stored twice). Each
+    /// data key's index-vertex update lands right behind it, triple by
+    /// triple, so index lists keep the triples' order on any node count.
     pub fn load_base_triple(&self, t: Triple) {
-        use wukong_rdf::Dir;
-        use wukong_store::SnapshotId as SN;
-        let sn = SN::BASE;
-        let out_key = t.out_key();
-        let owner_out = self.shard_map.node_of_key(out_key) as usize;
-        self.shards[owner_out].count_triple();
-        let (_, first_out) = self.shards[owner_out].append_owned(out_key, t.o, sn, None);
-        if first_out {
-            let k = Key::index(t.p, Dir::Out);
-            self.shards[self.shard_map.node_of_key(k) as usize].append_owned(k, t.s, sn, None);
-        }
-        let in_key = t.in_key();
-        let (_, first_in) = self.shards[self.shard_map.node_of_key(in_key) as usize]
-            .append_owned(in_key, t.s, sn, None);
-        if first_in {
-            let k = Key::index(t.p, Dir::In);
-            self.shards[self.shard_map.node_of_key(k) as usize].append_owned(k, t.o, sn, None);
+        let sn = SnapshotId::BASE;
+        for u in key_updates(t) {
+            let shard = &self.shards[self.shard_map.node_of_key(u.key) as usize];
+            if u.counts_triple() {
+                shard.count_triple();
+            }
+            let (_, first) = shard.append_owned(u.key, u.neighbor, sn, None);
+            if first {
+                let owner = &self.shards[self.shard_map.node_of_key(u.index) as usize];
+                owner.append_owned(u.index, u.index_neighbor, sn, None);
+            }
         }
     }
 
@@ -270,7 +268,7 @@ impl Cluster {
     }
 
     /// Number of registered streams.
-    pub fn stream_count(&self) -> usize {
+    pub(crate) fn stream_count(&self) -> usize {
         self.streams.read().len()
     }
 
@@ -285,7 +283,7 @@ impl Cluster {
     ///
     /// The owner partition's read lock is taken and the key's cell looked
     /// up once; `visit` runs under that lock.
-    pub fn for_each_stored_slice(
+    pub(crate) fn for_each_stored_slice(
         &self,
         home: NodeId,
         key: Key,
@@ -355,7 +353,7 @@ impl Cluster {
     /// along with index metadata that is already replicated (or already
     /// paid for by that extra read), so they add no fabric traffic.
     #[allow(clippy::too_many_arguments)]
-    pub fn for_each_stream_slice(
+    pub(crate) fn for_each_stream_slice(
         &self,
         home: NodeId,
         stream: &StreamState,
@@ -430,7 +428,7 @@ impl Cluster {
     /// Reads the streaming-data neighbours of `key` in `stream` within
     /// `[lo, hi]` into `out` (see [`Cluster::for_each_stream_slice`]).
     #[allow(clippy::too_many_arguments)]
-    pub fn stream_neighbors(
+    pub(crate) fn stream_neighbors(
         &self,
         home: NodeId,
         stream: &StreamState,
@@ -453,7 +451,7 @@ impl Cluster {
     /// Index keys are not supported: the incremental executor enumerates
     /// index subjects untimed and tags only their expansion edges.
     #[allow(clippy::too_many_arguments)]
-    pub fn stream_neighbors_timed(
+    pub(crate) fn stream_neighbors_timed(
         &self,
         home: NodeId,
         stream: &StreamState,
@@ -473,7 +471,7 @@ impl Cluster {
     }
 
     /// Streaming-data cardinality estimate for the planner (uncharged).
-    pub fn stream_len(
+    pub(crate) fn stream_len(
         &self,
         stream: &StreamState,
         key: Key,
@@ -597,6 +595,8 @@ mod tests {
     #[test]
     fn lock_once_window_reads_match_the_store_layer_index() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
+        use std::collections::BTreeMap;
+        use wukong_store::base::AppendReceipt;
         use wukong_store::{BaseStore, IndexBatch};
         // The same batches go into a plain `BaseStore` + `StreamIndex`
         // (read pointer by pointer through `StreamIndex::neighbors_in`)
@@ -623,7 +623,16 @@ mod tests {
                 base.insert_at(t, SnapshotId(sn), &mut receipts);
             }
             let mirrored = c.shard(0).inject_batch(&triples, SnapshotId(sn));
-            assert_eq!(mirrored, receipts, "both stores append at the same offsets");
+            // Both stores append at the same offsets: every key's receipts,
+            // all `IndexBatch::from_receipts` reads of them, agree in order.
+            let per_key = |rs: &[AppendReceipt]| {
+                let mut keys: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+                for r in rs {
+                    keys.entry(r.key.raw()).or_default().push(r.offset);
+                }
+                keys
+            };
+            assert_eq!(per_key(&mirrored), per_key(&receipts));
             reference.push_batch(IndexBatch::from_receipts(ts, &receipts));
             stream.indexes[0]
                 .write()

@@ -89,7 +89,7 @@ impl WukongS {
     /// batch logged since the last drained checkpoint while leaving the
     /// internal log untouched. This is the durable state a crash sees —
     /// the about-to-die engine is never told anything happened.
-    pub fn tail_checkpoint(&self) -> Bytes {
+    pub(crate) fn tail_checkpoint(&self) -> Bytes {
         self.snapshot_checkpoint(false)
     }
 

@@ -1113,7 +1113,7 @@ mod tests {
     fn stats_epoch_advances_with_batch_processing() {
         let (engine, po) = engine_with_stream();
         let ss = engine.strings().clone();
-        assert_eq!(engine.stats_epoch(), 0);
+        assert_eq!(engine.stats_epoch.current(), 0);
         // One sealed batch per 100 ms interval; 32 batches bump once.
         for i in 0..STATS_EPOCH_BATCHES {
             let t = ntriples::parse_tuple(&ss, &format!("u{i} po T-{i} {}", i * 100 + 50), 1)
@@ -1121,7 +1121,7 @@ mod tests {
             engine.ingest(po, t.triple, t.timestamp);
         }
         engine.advance_time(STATS_EPOCH_BATCHES * 100);
-        assert_eq!(engine.stats_epoch(), 1);
+        assert_eq!(engine.stats_epoch.current(), 1);
     }
 
     /// Catch-up must not append behind a newer snapshot: a burst on one

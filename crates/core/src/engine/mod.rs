@@ -336,16 +336,6 @@ impl WukongS {
             .map(texts.to_vec(), |_, text| self.one_shot(text))
     }
 
-    /// The engine's plan cache (hit/miss counters, for tests/reports).
-    pub fn plan_cache(&self) -> &PlanCache {
-        &self.plan_cache
-    }
-
-    /// The current store-statistics epoch.
-    pub fn stats_epoch(&self) -> u64 {
-        self.stats_epoch.current()
-    }
-
     /// A consolidated operational snapshot of the deployment.
     pub fn stats(&self) -> DeploymentStats {
         let pl = self.pipeline.lock();
@@ -736,8 +726,8 @@ mod tests {
             .one_shot("SELECT ?X  WHERE  { Logan fo ?X }")
             .unwrap();
         assert_eq!(a.rows, b.rows);
-        assert_eq!(engine.plan_cache().misses(), 1);
-        assert_eq!(engine.plan_cache().hits(), 1);
+        assert_eq!(engine.plan_cache.misses(), 1);
+        assert_eq!(engine.plan_cache.hits(), 1);
         let snap = engine.handle().obs().plan().snapshot();
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.cache_misses, 1);
@@ -748,7 +738,7 @@ mod tests {
         control.load_base(ntriples::parse_document(ss, "Logan fo Erik\n").expect("parses"));
         let (c, _) = control.one_shot("SELECT ?X WHERE { Logan fo ?X }").unwrap();
         assert_eq!(a.rows, c.rows);
-        assert!(control.plan_cache().is_empty());
+        assert!(control.plan_cache.is_empty());
     }
 
     /// Drives the drifted-selectivity scenario: the plan is derived when

@@ -211,7 +211,11 @@ pub fn partitioned<'a>(
 
 /// Marks `results` degraded by the shards [`partitioned`] collected in
 /// `unreachable`; a complete answer is left alone.
-pub fn mark_unreachable(cluster: &Cluster, mut unreachable: Vec<u16>, results: &mut ResultSet) {
+pub(crate) fn mark_unreachable(
+    cluster: &Cluster,
+    mut unreachable: Vec<u16>,
+    results: &mut ResultSet,
+) {
     if unreachable.is_empty() {
         return;
     }

@@ -54,22 +54,6 @@ impl LatencyRecorder {
     pub fn samples(&self) -> &[f64] {
         &self.samples_ms
     }
-
-    /// CDF points `(latency_ms, fraction ≤)` at the given resolution.
-    pub fn cdf(&self, points: usize) -> Vec<(f64, f64)> {
-        if self.samples_ms.is_empty() || points == 0 {
-            return Vec::new();
-        }
-        let mut sorted = self.samples_ms.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-        (1..=points)
-            .map(|i| {
-                let frac = i as f64 / points as f64;
-                let idx = ((frac * sorted.len() as f64).ceil() as usize).max(1) - 1;
-                (sorted[idx.min(sorted.len() - 1)], frac)
-            })
-            .collect()
-    }
 }
 
 /// Geometric mean of a set of per-query medians (table footers).
@@ -107,21 +91,6 @@ mod tests {
         let r = LatencyRecorder::new();
         assert_eq!(r.median(), None);
         assert_eq!(r.mean(), None);
-        assert!(r.cdf(10).is_empty());
-    }
-
-    #[test]
-    fn cdf_is_monotonic() {
-        let mut r = LatencyRecorder::new();
-        for i in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            r.record(i);
-        }
-        let cdf = r.cdf(5);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 <= w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(cdf.last(), Some(&(5.0, 1.0)));
     }
 
     #[test]

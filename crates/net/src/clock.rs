@@ -60,7 +60,7 @@ impl TaskTimer {
 
     /// Real compute time elapsed so far, minus excluded spans, in
     /// nanoseconds.
-    pub fn real_ns(&self) -> u64 {
+    pub(crate) fn real_ns(&self) -> u64 {
         (self.start.elapsed().as_nanos() as u64).saturating_sub(self.excluded_ns)
     }
 

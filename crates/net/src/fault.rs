@@ -156,18 +156,6 @@ impl FaultPlan {
         self
     }
 
-    /// Makes the `from → to` link drop and duplicate messages.
-    pub fn lossy_link(mut self, from: NodeId, to: NodeId, drop_p: f64, dup_p: f64) -> Self {
-        self.links.push(LinkFault {
-            from: Some(from),
-            to: Some(to),
-            drop_p,
-            dup_p,
-            ..LinkFault::default()
-        });
-        self
-    }
-
     /// Makes every link drop and duplicate messages.
     pub fn lossy(mut self, drop_p: f64, dup_p: f64) -> Self {
         self.links.push(LinkFault {
@@ -180,7 +168,13 @@ impl FaultPlan {
 
     /// Makes every link drop and duplicate messages, but only while the
     /// simulated clock is inside `[from_ms, until_ms)`.
-    pub fn lossy_during(mut self, drop_p: f64, dup_p: f64, from_ms: u64, until_ms: u64) -> Self {
+    pub(crate) fn lossy_during(
+        mut self,
+        drop_p: f64,
+        dup_p: f64,
+        from_ms: u64,
+        until_ms: u64,
+    ) -> Self {
         self.links.push(LinkFault {
             drop_p,
             dup_p,
@@ -204,7 +198,7 @@ impl FaultPlan {
     /// Makes every link delay messages by `delay_ns` with probability
     /// `delay_p`, but only while the simulated clock is inside
     /// `[from_ms, until_ms)` — a delayed-but-not-dead episode.
-    pub fn delayed_during(
+    pub(crate) fn delayed_during(
         mut self,
         delay_p: f64,
         delay_ns: u64,
@@ -482,7 +476,7 @@ impl FaultState {
     /// The slowdown multiplier (×100) currently applying to `node`: the
     /// maximum over active [`SlowNode`] rules, or 100 when none match.
     /// Purely a function of the plan and the simulated clock.
-    pub fn slow_factor_x100(&self, node: NodeId) -> u64 {
+    pub(crate) fn slow_factor_x100(&self, node: NodeId) -> u64 {
         let now = self.clock_ms.load(Ordering::Relaxed);
         self.plan
             .slow_nodes
@@ -495,7 +489,7 @@ impl FaultState {
     /// Scales a charged duration for an operation between `from` and
     /// `to` by the worse of the two endpoints' slowdown factors, counting
     /// the operation as slowed when the factor bites.
-    pub fn scale_ns(&self, from: NodeId, to: NodeId, ns: u64) -> u64 {
+    pub(crate) fn scale_ns(&self, from: NodeId, to: NodeId, ns: u64) -> u64 {
         let factor = self.slow_factor_x100(from).max(self.slow_factor_x100(to));
         if factor <= 100 || ns == 0 {
             return ns;
@@ -547,7 +541,7 @@ impl FaultState {
     }
 
     /// Records a message lost on `from → to`.
-    pub fn record_drop(&self, from: NodeId, to: NodeId) {
+    pub(crate) fn record_drop(&self, from: NodeId, to: NodeId) {
         self.counters.inc_dropped();
         self.log.lock().push(FaultEvent::Dropped { from, to });
     }
@@ -597,9 +591,14 @@ mod tests {
 
     #[test]
     fn first_matching_rule_wins_and_rules_scope_links() {
-        let plan = FaultPlan::seeded(1)
-            .lossy_link(NodeId(0), NodeId(1), 1.0, 0.0)
-            .lossy(0.0, 0.0);
+        let mut plan = FaultPlan::seeded(1);
+        plan.links.push(LinkFault {
+            from: Some(NodeId(0)),
+            to: Some(NodeId(1)),
+            drop_p: 1.0,
+            ..LinkFault::default()
+        });
+        let plan = plan.lossy(0.0, 0.0);
         let s = state(plan);
         assert_eq!(s.decide(NodeId(0), NodeId(1)).copies, 0);
         assert_eq!(s.decide(NodeId(1), NodeId(0)), Delivery::CLEAN);

@@ -34,14 +34,14 @@ pub struct MetricsSnapshot {
 
 impl FabricMetrics {
     /// Records a one-sided read of `bytes` charged `ns`.
-    pub fn record_read(&self, bytes: usize, ns: u64) {
+    pub(crate) fn record_read(&self, bytes: usize, ns: u64) {
         self.one_sided_reads.fetch_add(1, Ordering::Relaxed);
         self.bytes_read.fetch_add(bytes as u64, Ordering::Relaxed);
         self.charged_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Records a two-sided message of `bytes` charged `ns`.
-    pub fn record_message(&self, bytes: usize, ns: u64) {
+    pub(crate) fn record_message(&self, bytes: usize, ns: u64) {
         self.messages.fetch_add(1, Ordering::Relaxed);
         self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
         self.charged_ns.fetch_add(ns, Ordering::Relaxed);

@@ -57,13 +57,6 @@ impl IntegrityCounters {
     }
 }
 
-impl IntegritySnapshot {
-    /// Total detected checksum failures across all sites.
-    pub fn checksum_failures(&self) -> u64 {
-        self.checksum_fail_batch + self.checksum_fail_message + self.checksum_fail_checkpoint
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +81,9 @@ mod tests {
         assert_eq!(d.checksum_fail_message, 0);
         assert_eq!(before.checksum_fail_message, 2);
         assert_eq!(before.quarantines, 1);
-        assert_eq!(c.snapshot().checksum_failures(), 4);
+        let s = c.snapshot();
+        let failures = s.checksum_fail_batch + s.checksum_fail_message + s.checksum_fail_checkpoint;
+        assert_eq!(failures, 4);
     }
 
     #[test]

@@ -79,7 +79,7 @@ impl Stage {
     }
 
     /// Decodes a [`Stage::index`] code.
-    pub fn from_index(i: u8) -> Option<Stage> {
+    pub(crate) fn from_index(i: u8) -> Option<Stage> {
         Stage::ALL.get(i as usize).copied()
     }
 

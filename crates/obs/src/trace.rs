@@ -526,7 +526,7 @@ impl TraceRecorder {
     }
 
     /// Whether recording is on.
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -762,7 +762,7 @@ impl TraceRecorder {
 
     /// The calling thread's current span nesting depth (for the
     /// per-firing depth-returns-to-zero assertion).
-    pub fn thread_depth(&self) -> i64 {
+    pub(crate) fn thread_depth(&self) -> i64 {
         if !self.is_enabled() {
             return 0;
         }

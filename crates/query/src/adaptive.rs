@@ -35,7 +35,7 @@ use crate::plan::Plan;
 /// textually identical queries hit the same [`PlanCache`] entry. Nothing
 /// else is rewritten — `#` introduces hashtag entities in this dialect,
 /// not comments, so the text is otherwise preserved byte for byte.
-pub fn normalize_query_text(text: &str) -> String {
+pub(crate) fn normalize_query_text(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_gap = true; // leading whitespace trims
     for ch in text.chars() {

@@ -225,11 +225,6 @@ impl Query {
             .any(|p| matches!(p.graph, GraphName::Stream(_)))
     }
 
-    /// Whether any pattern reads the stored graph.
-    pub fn touches_store(&self) -> bool {
-        self.patterns.iter().any(|p| p.graph == GraphName::Stored)
-    }
-
     /// The widest window range over all streams (drives GC horizons).
     pub fn max_range_ms(&self) -> u64 {
         self.streams

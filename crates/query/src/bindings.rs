@@ -89,7 +89,7 @@ impl BindingTable {
     /// # Panics
     ///
     /// Panics if `rows.len()` is not a multiple of the effective width.
-    pub fn from_flat(width: usize, rows: Vec<Vid>) -> Self {
+    pub(crate) fn from_flat(width: usize, rows: Vec<Vid>) -> Self {
         let width = width.max(1);
         assert_eq!(rows.len() % width, 0, "flat buffer is not width-strided");
         let tags = Vec::new();
@@ -116,7 +116,7 @@ impl BindingTable {
     /// *multiset* in different row orders; canonicalizing before
     /// projection makes row order, float-aggregation order, and
     /// `LIMIT` truncation identical across all of them.
-    pub fn sort_rows(&mut self) {
+    pub(crate) fn sort_rows(&mut self) {
         // Exploration from a sorted subject list over append-ordered
         // values very often arrives sorted already; one linear pass then
         // replaces the sort and the copy.

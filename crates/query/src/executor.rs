@@ -167,7 +167,7 @@ pub fn execute_step(
 /// read ([`EdgeReads`]). Untagged rows read exactly what they did before
 /// rows had tags; death-tagged rows read each key once per step, in the
 /// same key order, and come out in the same row order.
-pub fn execute_step_into<T: RowTag>(
+pub(crate) fn execute_step_into<T: RowTag>(
     step: &Step,
     input: &BindingTable<T>,
     ctx: &ExecContext,

@@ -43,7 +43,7 @@ fn is_ident_char(c: char) -> bool {
 /// Identifiers may contain `.` (IRIs, hashtags), so a `.` is a triple
 /// separator only when surrounded by whitespace or at clause boundaries —
 /// the common C-SPARQL formatting, and how all bundled queries are written.
-pub fn lex(input: &str) -> Result<Vec<Token>, QueryError> {
+pub(crate) fn lex(input: &str) -> Result<Vec<Token>, QueryError> {
     let mut tokens = Vec::new();
     let bytes: Vec<char> = input.chars().collect();
     let mut i = 0;

@@ -40,14 +40,14 @@ pub mod parser;
 pub mod plan;
 pub mod planner;
 
-pub use adaptive::{normalize_query_text, DriftPolicy, PlanCache, PlanFeedback};
+pub use adaptive::{DriftPolicy, PlanCache, PlanFeedback};
 pub use ast::{Aggregate, Filter, GraphName, Query, QueryKind, Term, TriplePattern, WindowSpec};
 pub use bindings::BindingTable;
 pub use error::QueryError;
 pub use exec::{GraphAccess, LiteralResolver, PatternSource, TimedGraphAccess};
 pub use executor::{
-    execute, execute_step, execute_step_into, execute_traced, execute_with_fanout, finalize,
-    Degraded, Fork, ResultSet, StepScratch,
+    execute, execute_step, execute_traced, execute_with_fanout, finalize, Degraded, Fork,
+    ResultSet, StepScratch,
 };
 pub use incremental::{incrementalizable, DeltaState, DeltaStats};
 pub use parser::parse_query;

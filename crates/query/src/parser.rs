@@ -739,7 +739,6 @@ mod tests {
         assert_eq!(q.var_count, 3);
         assert_eq!(q.max_range_ms(), 10_000);
         assert!(q.touches_stream());
-        assert!(q.touches_store());
     }
 
     #[test]

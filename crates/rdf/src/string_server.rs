@@ -167,11 +167,6 @@ impl StringServer {
         }
     }
 
-    /// Number of distinct entities interned so far.
-    pub fn entity_count(&self) -> usize {
-        self.entities.read().reverse.len()
-    }
-
     /// Number of distinct predicates interned so far.
     pub fn predicate_count(&self) -> usize {
         self.predicates.read().reverse.len()
@@ -189,7 +184,7 @@ mod tests {
         let b = ss.intern_entity("b").unwrap();
         assert_ne!(a, b);
         assert_eq!(ss.intern_entity("a").unwrap(), a);
-        assert_eq!(ss.entity_count(), 2);
+        assert_eq!(ss.entities.read().reverse.len(), 2);
     }
 
     #[test]
@@ -271,6 +266,6 @@ mod tests {
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
-        assert_eq!(ss.entity_count(), 100);
+        assert_eq!(ss.entities.read().reverse.len(), 100);
     }
 }

@@ -33,17 +33,6 @@ impl Triple {
     pub fn in_key(&self) -> Key {
         Key::new(self.o, self.p, Dir::In)
     }
-
-    /// The vertex found at the far end of the edge when keyed by `dir`.
-    ///
-    /// For [`Dir::Out`] keys the neighbour is the object; for [`Dir::In`]
-    /// keys it is the subject.
-    pub fn neighbor(&self, dir: Dir) -> Vid {
-        match dir {
-            Dir::Out => self.o,
-            Dir::In => self.s,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -55,12 +44,5 @@ mod tests {
         let t = Triple::new(Vid(1), Pid(4), Vid(7));
         assert_eq!(t.out_key(), Key::new(Vid(1), Pid(4), Dir::Out));
         assert_eq!(t.in_key(), Key::new(Vid(7), Pid(4), Dir::In));
-    }
-
-    #[test]
-    fn neighbor_by_direction() {
-        let t = Triple::new(Vid(1), Pid(4), Vid(7));
-        assert_eq!(t.neighbor(Dir::Out), Vid(7));
-        assert_eq!(t.neighbor(Dir::In), Vid(1));
     }
 }

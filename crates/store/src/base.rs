@@ -181,6 +181,52 @@ impl ValueCell {
     }
 }
 
+/// One data-key update of a triple, with the index-vertex update it
+/// causes when it is the data key's first edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyUpdate {
+    /// The data key: `[s | p | out]` or `[o | p | in]`.
+    pub key: Key,
+    /// The neighbour appended to `key`.
+    pub neighbor: Vid,
+    /// The index vertex `[0 | p | dir]` of `key`'s predicate and direction.
+    pub index: Key,
+    /// The vertex appended to `index`: `key`'s own vertex.
+    pub index_neighbor: Vid,
+}
+
+impl KeyUpdate {
+    /// Whether the triple counts where this update's key lives: a triple
+    /// counts once, on its out key's owner.
+    pub fn counts_triple(&self) -> bool {
+        self.key.dir() == Dir::Out
+    }
+}
+
+/// The one rule for writing a triple (§4.1, Fig. 6): `[s | p | out] += o`
+/// and `[o | p | in] += s`, and — only on a vertex's *first* edge with that
+/// predicate and direction — `[0 | p | out] += s` or `[0 | p | in] += o`.
+/// That keeps index lists duplicate-free without extra memory (Fig. 6's
+/// `⟨Logan, po, T-15⟩` injection). Every write path loops over these two
+/// updates; each decides for itself what "first" means (the key was
+/// empty, or first seen in a transient slice) and where a key lives.
+pub fn key_updates(t: Triple) -> [KeyUpdate; 2] {
+    [
+        KeyUpdate {
+            key: t.out_key(),
+            neighbor: t.o,
+            index: Key::index(t.p, Dir::Out),
+            index_neighbor: t.s,
+        },
+        KeyUpdate {
+            key: t.in_key(),
+            neighbor: t.s,
+            index: Key::index(t.p, Dir::In),
+            index_neighbor: t.o,
+        },
+    ]
+}
+
 /// Where an append landed: key plus logical offset range.
 ///
 /// Receipts feed the stream index: appends by one stream batch to one key
@@ -251,57 +297,31 @@ impl BaseStore {
         (off, off == 0)
     }
 
-    /// Bumps the triple counter (the shard layer counts a triple once even
-    /// though its key updates may span partitions).
-    pub fn note_triple(&mut self) {
-        self.note_triples(1);
-    }
-
-    /// Counts `n` triples at once (a whole sub-batch's worth).
-    pub fn note_triples(&mut self, n: u64) {
+    /// Counts `n` triples at once (the shard layer counts a triple once
+    /// although its key updates may span partitions).
+    pub(crate) fn note_triples(&mut self, n: u64) {
         self.triple_count += n;
     }
 
-    /// Inserts a triple under snapshot `sn`, pushing append receipts.
-    ///
-    /// Updates the out-edge key, the in-edge key, and — only on a vertex's
-    /// *first* edge with that predicate/direction — the two index-vertex
-    /// keys, which keeps index lists duplicate-free without extra memory
-    /// (Fig. 6's behaviour for the `⟨Logan, po, T-15⟩` injection).
+    /// Inserts a triple under snapshot `sn`, pushing append receipts: the
+    /// two data-key updates of [`key_updates`], then the index-vertex
+    /// update each first edge causes.
     pub fn insert_at(&mut self, t: Triple, sn: SnapshotId, receipts: &mut Vec<AppendReceipt>) {
         self.triple_count += 1;
-
-        // Subject side: `[s | p | out] += o`.
-        let (off, first_out) = self.append_edge(t.out_key(), t.o, sn);
-        receipts.push(AppendReceipt {
-            key: t.out_key(),
-            offset: off,
+        let updates = key_updates(t);
+        let firsts = updates.map(|u| {
+            let (offset, first) = self.append_edge(u.key, u.neighbor, sn);
+            receipts.push(AppendReceipt { key: u.key, offset });
+            first
         });
-
-        // Object side: `[o | p | in] += s`.
-        let (off, first_in) = self.append_edge(t.in_key(), t.s, sn);
-        receipts.push(AppendReceipt {
-            key: t.in_key(),
-            offset: off,
-        });
-
-        // Index vertex: `[0 | p | out] += s` on the subject's first p-out
-        // edge; `[0 | p | in] += o` on the object's first p-in edge.
-        if first_out {
-            let k = Key::index(t.p, Dir::Out);
-            let (off, _) = self.append_edge(k, t.s, sn);
-            receipts.push(AppendReceipt {
-                key: k,
-                offset: off,
-            });
-        }
-        if first_in {
-            let k = Key::index(t.p, Dir::In);
-            let (off, _) = self.append_edge(k, t.o, sn);
-            receipts.push(AppendReceipt {
-                key: k,
-                offset: off,
-            });
+        for (u, first) in updates.iter().zip(firsts) {
+            if first {
+                let (offset, _) = self.append_edge(u.index, u.index_neighbor, sn);
+                receipts.push(AppendReceipt {
+                    key: u.index,
+                    offset,
+                });
+            }
         }
     }
 

@@ -7,12 +7,16 @@
 //! keeping a vertex's `in` and `out` lists together — and index-vertex
 //! keys spread by raw key hash.
 //!
-//! Batches are injected one at a time per shard (the paper's per-node
-//! Injector drains Dispatcher output sequentially); within a batch,
-//! multiple threads may call [`PersistentShard::inject_triple`] on
-//! disjoint triples.
+//! Batches install one at a time per shard (the paper's per-node Injector
+//! drains Dispatcher output sequentially). [`PersistentShard::install_owned`]
+//! is the shard's one multi-key write: it applies the data-key updates of
+//! [`key_updates`] that the shard owns and hands their first-edge
+//! index-vertex updates back to the caller, which lands them on the index
+//! keys' owners. [`PersistentShard::append_owned`] is the one-key write
+//! under it, for callers that route every key themselves (the cluster's
+//! base load).
 
-use crate::base::{AppendReceipt, BaseStore, ValueCell};
+use crate::base::{key_updates, AppendReceipt, BaseStore, ValueCell};
 use crate::snapshot::SnapshotId;
 use parking_lot::{Mutex, RwLock};
 use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
@@ -57,10 +61,10 @@ impl PersistentShard {
         (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16) as usize % self.parts.len()
     }
 
-    /// Loads one triple of the initial dataset (snapshot 0).
+    /// Loads one triple of the initial dataset (snapshot 0): an
+    /// [`PersistentShard::inject_batch`] of one.
     pub fn load_base(&self, t: Triple) {
-        let mut receipts = Vec::new();
-        self.inject_triple(t, SnapshotId::BASE, &mut receipts);
+        self.inject_batch(std::slice::from_ref(&t), SnapshotId::BASE);
     }
 
     /// Appends one owned key update, for callers that route key updates
@@ -84,100 +88,36 @@ impl PersistentShard {
     /// Counts one triple against this shard (the distributed path counts
     /// a triple on its subject key's owner only).
     pub fn count_triple(&self) {
-        self.parts[0].write().note_triple();
+        self.parts[0].write().note_triples(1);
     }
 
-    /// Injects one triple under snapshot `sn`, appending receipts.
-    ///
-    /// The first-edge check and the data append happen atomically under
-    /// the data key's partition lock, so the index stays duplicate-free
-    /// under concurrent injection of disjoint triples.
-    pub fn inject_triple(&self, t: Triple, sn: SnapshotId, receipts: &mut Vec<AppendReceipt>) {
-        self.inject_triple_merging(t, sn, None, receipts)
-    }
-
-    /// Like [`PersistentShard::inject_triple`], consolidating each touched
-    /// cell's snapshots up to `merge_upto` along the way (injection-time
-    /// snapshot recycling, §4.3).
-    pub fn inject_triple_merging(
-        &self,
-        t: Triple,
-        sn: SnapshotId,
-        merge_upto: Option<SnapshotId>,
-        receipts: &mut Vec<AppendReceipt>,
-    ) {
-        let out_key = t.out_key();
-        let (off, first_out) = {
-            let mut p = self.parts[self.partition_of(out_key)].write();
-            p.note_triple();
-            p.append_edge_merging(out_key, t.o, sn, merge_upto)
-        };
-        receipts.push(AppendReceipt {
-            key: out_key,
-            offset: off,
-        });
-
-        let in_key = t.in_key();
-        let (off, first_in) = {
-            let mut p = self.parts[self.partition_of(in_key)].write();
-            p.append_edge_merging(in_key, t.s, sn, merge_upto)
-        };
-        receipts.push(AppendReceipt {
-            key: in_key,
-            offset: off,
-        });
-
-        if first_out {
-            let k = Key::index(t.p, Dir::Out);
-            let (off, _) = self.parts[self.partition_of(k)]
-                .write()
-                .append_edge_merging(k, t.s, sn, merge_upto);
-            receipts.push(AppendReceipt {
-                key: k,
-                offset: off,
-            });
-        }
-        if first_in {
-            let k = Key::index(t.p, Dir::In);
-            let (off, _) = self.parts[self.partition_of(k)]
-                .write()
-                .append_edge_merging(k, t.o, sn, merge_upto);
-            receipts.push(AppendReceipt {
-                key: k,
-                offset: off,
-            });
-        }
-    }
-
-    /// Injects a whole batch under snapshot `sn`, returning its receipts.
-    ///
-    /// Holds the shard's batch lock for the duration, which is what makes
-    /// every batch's per-key appends contiguous.
+    /// Installs a whole batch under snapshot `sn` with every key owned
+    /// here: [`PersistentShard::install_owned`], then the index-vertex
+    /// updates it hands back. Returns the receipts, data keys first.
     pub fn inject_batch(&self, triples: &[Triple], sn: SnapshotId) -> Vec<AppendReceipt> {
-        self.inject_batch_merging(triples, sn, None)
-    }
-
-    /// Like [`PersistentShard::inject_batch`] with injection-time snapshot
-    /// consolidation up to `merge_upto`.
-    pub fn inject_batch_merging(
-        &self,
-        triples: &[Triple],
-        sn: SnapshotId,
-        merge_upto: Option<SnapshotId>,
-    ) -> Vec<AppendReceipt> {
-        let _guard = self.batch_lock.lock();
         let mut receipts = Vec::with_capacity(triples.len() * 2);
-        for &t in triples {
-            self.inject_triple_merging(t, sn, merge_upto, &mut receipts);
+        let mut index_updates = Vec::new();
+        self.install_owned(
+            triples.iter().copied(),
+            |_| true,
+            sn,
+            None,
+            &mut receipts,
+            &mut index_updates,
+        );
+        for (key, v) in index_updates {
+            let (offset, _) = self.append_owned(key, v, sn, None);
+            receipts.push(AppendReceipt { key, offset });
         }
         receipts
     }
 
-    /// The batch-granular append path: applies the data-key updates of
-    /// `triples` that `owns` selects, pushing one receipt per append and
-    /// one `(index key, vertex)` pair per first-edge event for the caller
-    /// to route to the index key's owner. Returns the triples counted
-    /// here (a triple counts on its subject key's owner).
+    /// The shard's one multi-key write: applies the data-key updates of
+    /// [`key_updates`] for `triples` that `owns` selects, pushing one
+    /// receipt per append and one `(index key, vertex)` pair per
+    /// first-edge event for the caller to route to the index key's
+    /// owner. Returns the triples counted here (a triple counts on its
+    /// subject key's owner).
     ///
     /// Once per call instead of once per tuple: the batch lock (installs
     /// on one shard are serialised, so one call's appends to a key are
@@ -196,18 +136,15 @@ impl PersistentShard {
         let _batch = self.batch_lock.lock();
         let mut counted = 0;
         for t in triples {
-            for (key, v, idx_v, dir) in [
-                (t.out_key(), t.o, t.s, Dir::Out),
-                (t.in_key(), t.s, t.o, Dir::In),
-            ] {
-                if !owns(key) {
+            for u in key_updates(t) {
+                if !owns(u.key) {
                     continue;
                 }
-                counted += usize::from(dir == Dir::Out);
-                let (offset, first) = self.append_owned(key, v, sn, merge_upto);
-                receipts.push(AppendReceipt { key, offset });
+                counted += usize::from(u.counts_triple());
+                let (offset, first) = self.append_owned(u.key, u.neighbor, sn, merge_upto);
+                receipts.push(AppendReceipt { key: u.key, offset });
                 if first {
-                    index_updates.push((Key::index(t.p, dir), idx_v));
+                    index_updates.push((u.index, u.index_neighbor));
                 }
             }
         }
@@ -357,14 +294,27 @@ mod tests {
     fn concurrent_injection_keeps_index_duplicate_free() {
         use std::sync::Arc;
         let shard = Arc::new(PersistentShard::new(8));
-        // 4 threads × 100 triples, all sharing predicate 7 and object 500.
+        // 4 threads × 100 one-triple installs, all sharing predicate 7 and
+        // object 500, each landing its own index-vertex updates.
         let handles: Vec<_> = (0..4)
             .map(|th| {
                 let shard = Arc::clone(&shard);
                 std::thread::spawn(move || {
-                    let mut rc = Vec::new();
+                    let (mut rc, mut index_updates) = (Vec::new(), Vec::new());
                     for i in 0..100u64 {
-                        shard.inject_triple(t(th * 100 + i + 1, 7, 500), SnapshotId(1), &mut rc);
+                        let tr = t(th * 100 + i + 1, 7, 500);
+                        let sn = SnapshotId(1);
+                        shard.install_owned(
+                            [tr].into_iter(),
+                            |_| true,
+                            sn,
+                            None,
+                            &mut rc,
+                            &mut index_updates,
+                        );
+                        for (key, v) in index_updates.drain(..) {
+                            shard.append_owned(key, v, sn, None);
+                        }
                     }
                 })
             })

@@ -229,7 +229,7 @@ impl StreamIndex {
 
     /// Retires every batch older than `expiry` (exclusive), mirroring the
     /// transient store's GC. Returns the number retired.
-    pub fn retire_expired(&mut self, expiry: Timestamp) -> usize {
+    pub(crate) fn retire_expired(&mut self, expiry: Timestamp) -> usize {
         let mut n = 0;
         while let Some(front) = self.batches.front() {
             if front.timestamp >= expiry {

@@ -8,6 +8,7 @@
 //! slice carries a small per-batch adjacency index so window lookups are
 //! key-addressed rather than scans.
 
+use crate::base::key_updates;
 use std::collections::VecDeque;
 use wukong_rdf::{Key, KeyMap, KeySet, StreamTuple, Timestamp, Vid};
 
@@ -25,7 +26,8 @@ impl TransientSlice {
     /// Builds a slice from one batch of timing tuples.
     ///
     /// Besides the two data keys of each tuple, the slice maintains the
-    /// index-vertex keys (`[0|p|d]`, duplicate-free within the slice) so
+    /// index-vertex keys of [`key_updates`] (`[0|p|d]`, duplicate-free
+    /// within the slice: "first" is a data key's first edge in it) so
     /// unanchored patterns over timing streams can start from a predicate
     /// index exactly like they do on the persistent store.
     pub fn from_batch(timestamp: Timestamp, tuples: &[StreamTuple]) -> Self {
@@ -66,21 +68,13 @@ impl TransientSlice {
         for t in tuples {
             debug_assert!(!t.is_timeless(), "timeless tuple routed to transient store");
             self.tuples += 1;
-            let out_key = t.triple.out_key();
-            let in_key = t.triple.in_key();
-            if owns(out_key) {
-                adj.entry(out_key).or_default().push(t.triple.o);
-            }
-            if owns(in_key) {
-                adj.entry(in_key).or_default().push(t.triple.s);
-            }
-            let idx_out = Key::index(t.triple.p, wukong_rdf::Dir::Out);
-            if owns(idx_out) && seen.insert(out_key) {
-                adj.entry(idx_out).or_default().push(t.triple.s);
-            }
-            let idx_in = Key::index(t.triple.p, wukong_rdf::Dir::In);
-            if owns(idx_in) && seen.insert(in_key) {
-                adj.entry(idx_in).or_default().push(t.triple.o);
+            for u in key_updates(t.triple) {
+                if owns(u.key) {
+                    adj.entry(u.key).or_default().push(u.neighbor);
+                }
+                if owns(u.index) && seen.insert(u.key) {
+                    adj.entry(u.index).or_default().push(u.index_neighbor);
+                }
             }
         }
     }
@@ -154,7 +148,7 @@ impl TransientStore {
 
     /// Frees every slice older than `expiry` (exclusive). Returns the
     /// number of slices freed. This is the periodic background GC path.
-    pub fn collect_expired(&mut self, expiry: Timestamp) -> usize {
+    pub(crate) fn collect_expired(&mut self, expiry: Timestamp) -> usize {
         let mut freed = 0;
         while let Some(front) = self.slices.front() {
             if front.timestamp >= expiry {

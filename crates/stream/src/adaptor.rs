@@ -100,7 +100,7 @@ impl Batch {
 
     /// Recomputes the checksum after a legitimate in-engine mutation of
     /// `tuples` (load shedding).
-    pub fn reseal(&mut self) {
+    pub(crate) fn reseal(&mut self) {
         self.checksum = payload_checksum(&self.tuples);
     }
 
@@ -124,11 +124,6 @@ impl Batch {
     /// The timing tuples (for the transient store).
     pub fn timing(&self) -> impl Iterator<Item = &StreamTuple> {
         self.tuples.iter().filter(|t| !t.is_timeless())
-    }
-
-    /// Raw payload size in bytes (dispatch cost accounting).
-    pub fn wire_bytes(&self) -> usize {
-        self.tuples.len() * std::mem::size_of::<StreamTuple>()
     }
 }
 

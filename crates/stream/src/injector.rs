@@ -7,10 +7,12 @@
 //! kept separate because Table 6 reports them separately.
 //!
 //! There is one install path, in two phases (DESIGN.md §5, "The write
-//! path"). [`install_sub_batch`] applies the data-key updates one node
-//! owns; its first-edge events become index-vertex updates that
-//! [`apply_index_updates`] lands on the index keys' owners, because one
-//! triple's four key updates may live on three different nodes. The
+//! path"). [`install_sub_batch`] applies the data-key updates of
+//! [`wukong_store::key_updates`] that one node owns, through
+//! [`PersistentShard::install_owned`]; their first-edge events become
+//! the index-vertex updates that [`apply_index_updates`] lands on the
+//! index keys' owners, because one triple's four key updates may live on
+//! three different nodes. The
 //! distributed engine (`wukong-core`'s one install stage, shared by batch
 //! processing and catch-up replay) runs phase 1 per node and phase 2
 //! across nodes, once per sub-batch: a whole batch, or each piece of a

@@ -192,7 +192,7 @@ impl SnVtsPlanner {
     /// The engine additionally clamps this below every un-fired window's
     /// assigned snapshot (see [`SnVtsPlanner::snapshot_at`]) so delayed
     /// firings still read their exact historical snapshot.
-    pub fn consolidation_horizon(&self) -> Option<SnapshotId> {
+    pub(crate) fn consolidation_horizon(&self) -> Option<SnapshotId> {
         (self.stable_sn.0 > 0).then(|| SnapshotId(self.stable_sn.0 - 1))
     }
 

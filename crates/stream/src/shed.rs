@@ -236,11 +236,6 @@ impl Shedder {
         self.outstanding.values().sum()
     }
 
-    /// Whether any shed tuples await catch-up replay.
-    pub fn has_retained(&self) -> bool {
-        !self.retained.is_empty()
-    }
-
     /// The latest batch timestamp a shed touched, if any.
     pub fn last_shed_ts(&self) -> Option<Timestamp> {
         self.last_shed_ts
@@ -301,7 +296,7 @@ mod tests {
         assert_eq!(s.enforce(&mut q, &IngestBudget::tuples(10)), 0);
         assert_eq!(q[0].tuples.len(), 5);
         assert!(s.log().is_empty());
-        assert!(!s.has_retained());
+        assert!(s.retained.is_empty());
     }
 
     #[test]
@@ -360,7 +355,7 @@ mod tests {
         assert_eq!(retained.iter().map(|(_, _, t)| t.len()).sum::<usize>(), 12);
         assert_eq!(s.outstanding_total(), 0, "replay clears markers");
         assert_eq!(s.log().len(), 2, "the log is append-only history");
-        assert!(!s.has_retained());
+        assert!(s.retained.is_empty());
     }
 
     #[test]
