@@ -22,6 +22,8 @@ pub struct Sample {
     /// Fabric operations per execution, `(one-sided reads, messages)`,
     /// for systems that run on the simulated fabric.
     pub fabric_per_exec: Option<(f64, f64)>,
+    /// Stream-index hash probes per execution, for Wukong+S.
+    pub window_probes_per_exec: Option<f64>,
 }
 
 impl Sample {
@@ -31,6 +33,7 @@ impl Sample {
             rec,
             parts: None,
             fabric_per_exec: None,
+            window_probes_per_exec: None,
         }
     }
 
@@ -56,9 +59,11 @@ impl Contender for WukongS {
     }
 
     fn sample(&self, id: usize, _now: Timestamp, runs: usize) -> Sample {
-        let before = self.cluster().fabric().metrics();
+        let plan = self.cluster().obs().plan();
+        let before = (self.cluster().fabric().metrics(), plan.snapshot());
         let rec = sample_continuous(self, id, runs);
-        let ops = before.delta(&self.cluster().fabric().metrics());
+        let ops = before.0.delta(&self.cluster().fabric().metrics());
+        let probes = before.1.delta(&plan.snapshot()).window_probes;
         // The warm-up execution counts: it reads like every other one.
         let execs = (runs + 1) as f64;
         Sample {
@@ -66,6 +71,7 @@ impl Contender for WukongS {
                 ops.one_sided_reads as f64 / execs,
                 ops.messages as f64 / execs,
             )),
+            window_probes_per_exec: Some(probes as f64 / execs),
             ..Sample::of(rec)
         }
     }
@@ -153,7 +159,8 @@ pub struct Arm<'a> {
     pub runs: usize,
     /// `Some(name)` records every cell as the `{class}/{name}` latency
     /// series — and, for a system on the simulated fabric, the
-    /// `{class}/{name}/reads_per_exec` and `…/messages_per_exec` counters.
+    /// `{class}/{name}/reads_per_exec`, `…/messages_per_exec` and
+    /// `…/window_probes_per_exec` counters.
     pub series: Option<String>,
     /// Headers of the two sub-columns a composite system's breakdown
     /// adds: stream-processor side (with the crossing cost) and store
@@ -299,6 +306,10 @@ pub(crate) fn latency_grid(run: &mut Run, grid: &Grid<'_>, arms: &mut [Arm<'_>])
                     run.json.counter(&format!("{series}/reads_per_exec"), reads);
                     run.json
                         .counter(&format!("{series}/messages_per_exec"), messages);
+                }
+                if let Some(probes) = s.window_probes_per_exec {
+                    run.json
+                        .counter(&format!("{series}/window_probes_per_exec"), probes);
                 }
             }
             if arm.parts.is_some() {

@@ -62,7 +62,8 @@ pub const JSON_SCHEMA_VERSION: u64 = 9;
 ///                   "incremental_rebuilds" },
 ///   "plan":       { "cache_hits", "cache_misses", "feedback_firings",
 ///                   "drifted_firings", "replans", "delta_rebuilds",
-///                   "mode_inplace", "mode_forkjoin", "edges_traversed" },
+///                   "mode_inplace", "mode_forkjoin", "edges_traversed",
+///                   "window_probes" },
 ///   "integrity":  { "checksum_fail_batch", "checksum_fail_message",
 ///                   "checksum_fail_checkpoint", "scrub_violations",
 ///                   "quarantines", "rebuilds", "rebuild_ns" },
@@ -85,8 +86,9 @@ pub const JSON_SCHEMA_VERSION: u64 = 9;
 /// `EngineConfig::incremental`); `overload` carries the bounded-ingest
 /// counters (all zero unless the engine ran with
 /// `EngineConfig::ingest_budget`); `plan` carries the adaptive-planning
-/// counters (`edges_traversed` accumulates in every run; the rest stay
-/// zero unless the engine ran with `EngineConfig::adaptive`);
+/// counters (`edges_traversed` and `window_probes` accumulate in every
+/// run; the rest stay zero unless the engine ran with
+/// `EngineConfig::adaptive`);
 /// `integrity` carries the state-integrity counters (all zero unless
 /// corruption was detected, a shard was quarantined, or the scrubber
 /// found a violated invariant).
@@ -380,6 +382,7 @@ mod bench_json_tests {
             mode_inplace: 35,
             mode_forkjoin: 5,
             edges_traversed: 7_000,
+            window_probes: 900,
         };
         let j = section_round_trips("plan", snap.entries());
         // The serialized document parses back byte-identically.

@@ -35,6 +35,9 @@ counter_family! {
         /// Index edges traversed (sum of per-step output rows) across
         /// recompute firings — the modeled plan-quality metric.
         edges_traversed,
+        /// Hash probes the stream index made for window lookups of data
+        /// keys — what a window read costs before it touches any value.
+        window_probes,
     }
 }
 
@@ -82,6 +85,11 @@ impl PlanCounters {
     pub fn record_edges(&self, n: u64) {
         self.edges_traversed.fetch_add(n, Ordering::Relaxed);
     }
+
+    /// Adds `n` stream-index probes made by one window lookup.
+    pub fn record_window_probes(&self, n: u64) {
+        self.window_probes.fetch_add(n, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +111,7 @@ mod tests {
         c.record_delta_rebuild();
         c.record_edges(40);
         c.record_edges(2);
+        c.record_window_probes(5);
         let d = before.delta(&c.snapshot());
         assert_eq!(d.cache_hits, 2);
         assert_eq!(d.cache_misses, 0);
@@ -113,6 +122,7 @@ mod tests {
         assert_eq!(d.mode_inplace, 1);
         assert_eq!(d.mode_forkjoin, 1);
         assert_eq!(d.edges_traversed, 42);
+        assert_eq!(d.window_probes, 5);
         assert_eq!(before.cache_misses, 1);
         assert_eq!(before.replans, 1);
     }
@@ -128,7 +138,8 @@ mod tests {
         c.record_mode(true);
         c.record_mode(false);
         c.record_edges(3);
+        c.record_window_probes(1);
         let s = c.snapshot();
-        crate::family::assert_entries_cover_every_field::<9>(&s, s.entries());
+        crate::family::assert_entries_cover_every_field::<10>(&s, s.entries());
     }
 }
