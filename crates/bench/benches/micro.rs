@@ -225,15 +225,15 @@ fn bench_read_path(c: &mut Criterion) {
             .collect();
         let batch = Batch::sealed(StreamId(0), b * 100, tuples, 0);
         let subs = dispatch(&batch, cluster.shard_map());
-        let (ib, _) = Injector.apply(
+        Injector.apply(
             cluster.shard(0),
             &mut node_store,
             &subs[0],
             b * 100,
             SnapshotId(b),
         );
-        stream.indexes[0].write().push_batch(ib);
     }
+    *stream.indexes[0].write() = node_store.index;
     let probes: Vec<Vid> = (0..1_024).map(|_| Vid(rng.gen_range(1..=USERS))).collect();
     let access = NodeAccess::new(&cluster, NodeId(0));
 
@@ -426,6 +426,7 @@ fn bench_write_path(c: &mut Criterion) {
         let subs = dispatch(&batch, &map);
         let shards: Vec<PersistentShard> = (0..nodes).map(|_| PersistentShard::new(8)).collect();
         let delivered = vec![true; nodes as usize];
+        let mut indexes: Vec<StreamIndex> = (0..nodes).map(|_| StreamIndex::new()).collect();
         let mut sn = 0u64;
         g.bench_function(format!("{nodes}_nodes/1335"), |b| {
             b.iter(|| {
@@ -445,6 +446,7 @@ fn bench_write_path(c: &mut Criterion) {
                             ts,
                             SnapshotId(sn),
                             merge,
+                            &mut indexes[sub.node as usize],
                             &mut share,
                         );
                         share
@@ -453,11 +455,15 @@ fn bench_write_path(c: &mut Criterion) {
                 apply_index_updates(
                     &map,
                     |n| &shards[n as usize],
+                    &mut indexes.iter_mut().collect::<Vec<_>>(),
                     &mut installed,
                     &delivered,
                     SnapshotId(sn),
                     merge,
                 );
+                for index in &mut indexes {
+                    index.seal();
+                }
                 black_box(installed.len())
             })
         });

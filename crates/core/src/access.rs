@@ -257,8 +257,8 @@ mod tests {
         );
         let subs = dispatch(&batch, cluster.shard_map());
         let mut store = NodeStreamStore::new(1 << 20);
-        let (ib, _) = Injector.apply(cluster.shard(0), &mut store, &subs[0], 100, SnapshotId(1));
-        stream.indexes[0].write().push_batch(ib);
+        Injector.apply(cluster.shard(0), &mut store, &subs[0], 100, SnapshotId(1));
+        *stream.indexes[0].write() = store.index;
 
         let access = NodeAccess::new(&cluster, NodeId(0));
         let ctx = ExecContext {

@@ -15,6 +15,7 @@ use wukong_net::{NodeId, TaskTimer};
 use wukong_obs::trace::{self, BatchId, FiringId, Marker};
 use wukong_obs::{Stage, StageTrace};
 use wukong_rdf::{StreamId, StreamTuple, Timestamp, Triple};
+use wukong_store::stream_index::Sealed;
 use wukong_store::{gc, SnapshotId};
 use wukong_stream::{
     apply_index_updates, dispatch, install_sub_batch, Adaptor, Batch, Coordinator, InjectStats,
@@ -831,6 +832,8 @@ impl WukongS {
         let _inject_span = self
             .tracer()
             .span(Stage::Injection, FiringId::NONE, batch.id());
+        let stream = self.cluster.stream(batch.stream.0 as usize);
+        let indexes = &stream.indexes;
         let shares: Vec<(&SubBatch, &mut Installed)> = subs.iter().zip(open.iter_mut()).collect();
         self.cluster.pool(entry).map(shares, |_, (sub, share)| {
             let node = sub.node;
@@ -842,14 +845,17 @@ impl WukongS {
                     ts,
                     sn,
                     merge,
+                    &mut indexes[node as usize].write(),
                     share,
                 );
             }
         });
         // Phase 2: index-vertex updates land on their owners.
+        let mut owners: Vec<_> = indexes.iter().map(|i| i.write()).collect();
         apply_index_updates(
             self.cluster.shard_map(),
             |n| self.cluster.shard(n),
+            &mut owners,
             open,
             delivered,
             sn,
@@ -857,12 +863,13 @@ impl WukongS {
         )
     }
 
-    /// Publishes an installed batch's structures, once per batch: moves
-    /// each delivered node's index batch and transient slice into the
-    /// stream's rings (both insert in time order, so a replay at an
-    /// original timestamp slots in behind newer batches) and charges one
-    /// replication message per (origin, subscriber) pair for each
-    /// non-empty index batch (§4.2). Returns the batch's injection stats.
+    /// Publishes an installed batch's structures, once per batch: seals
+    /// each delivered node's open index batch and moves its transient
+    /// slice into the stream's ring (both insert in time order, so a
+    /// replay at an original timestamp slots in behind newer batches) and
+    /// charges one replication message per (origin, subscriber) pair for
+    /// each non-empty index batch (§4.2). Returns the batch's injection
+    /// stats.
     fn seal_batch(
         &self,
         s: usize,
@@ -876,13 +883,14 @@ impl WukongS {
         let mut total = InjectStats::default();
         let mut replicated = Vec::with_capacity(open.len());
         for (node, share) in open.into_iter().enumerate() {
-            let (index, slice, stats) = share.seal();
-            replicated.push((index.entry_count(), index.heap_bytes()));
+            let (slice, stats) = share.seal();
+            let mut sealed = Sealed::default();
             if delivered[node] {
                 total.add(&stats);
                 stream.transients[node].write().push_batch(slice);
-                stream.indexes[node].write().push_batch(index);
+                sealed = stream.indexes[node].write().seal();
             }
+            replicated.push((sealed.entries, sealed.wire_bytes));
         }
         total.index_ns += push_start.elapsed().as_nanos() as u64;
         drop(index_span);
@@ -1221,9 +1229,9 @@ mod tests {
                 });
             let batches: Vec<(Timestamp, usize)> = state.indexes[n]
                 .read()
-                .batches_in(0, Timestamp::MAX)
-                .filter(|b| b.entry_count() > 0)
-                .map(|b| (b.timestamp, b.entry_count()))
+                .batch_sizes()
+                .into_iter()
+                .filter(|&(_, keys)| keys > 0)
                 .collect();
             out.push(format!("node {n} slices {slices:?} index {batches:?}"));
         }
@@ -1405,8 +1413,9 @@ mod tests {
         let nonempty_at_200 = |n: usize| {
             stream.indexes[n]
                 .read()
-                .batches_in(200, 200)
-                .filter(|b| b.entry_count() > 0)
+                .batch_sizes()
+                .into_iter()
+                .filter(|&(ts, keys)| ts == 200 && keys > 0)
                 .count() as u64
         };
         let before: Vec<u64> = (0..2).map(nonempty_at_200).collect();
@@ -1567,42 +1576,42 @@ mod tests {
             q3@100 430 c0478e6508cfa94e\n\
             q4@100 2142 96d2d5749ee56d34\n\
             round 0: 17 4758ee263dd3dde5 17 c5c5da963f0ca6fd 2 d44c07bbf8f476f9 \
-            store 82352 index 24928 transient 13632\n\
+            store 82352 index 31160 transient 13632\n\
             q0@200 12 45b56654a581eddc\n\
             q1@200 22 49e069bc41349c23\n\
             q2@200 21 6b1fa20ca1ac00df\n\
             q3@200 430 f003510c96a0efc5\n\
             q4@200 8567 eed14289270bc5b9\n\
             round 1: 34 49d81f806a4a944a 35 0d23b24f33aa703f 3 76b2f9cc6d8acb58 \
-            store 139024 index 49760 transient 27264\n\
+            store 139024 index 50520 transient 27264\n\
             q0@300 18 9e451b652ac57d5c\n\
             q1@300 33 673f948271d9869f\n\
             q2@300 21 303d265ac63b55d6\n\
             q3@300 430 c4f6f8577d912072\n\
             q4@300 8567 19bb285dfb5021ea\n\
             round 2: 51 aa030b0a69e495be 53 8b14899bc9840c21 3 76b2f9cc6d8acb58 \
-            store 166464 index 74528 transient 40896\n\
+            store 166464 index 69096 transient 40896\n\
             q0@400 18 5a2977b10a87dbe6\n\
             q1@400 33 fce313aec25ba159\n\
             q2@400 22 d99268c8e3a6cbc4\n\
             q3@400 430 2bc5f403aa78f60c\n\
             q4@400 8567 aa7cc4621c04f22e\n\
             round 3: 68 75f98027ce3b0826 71 c120a3cb0f679c26 4 4b6e050ecea15a1c \
-            store 177840 index 99296 transient 54528\n\
+            store 177840 index 87672 transient 54528\n\
             q0@500 18 53850f837cd953a3\n\
             q1@500 33 b1ce4d2a81cf4bbf\n\
             q2@500 21 77dfcf5b93d3ca97\n\
             q3@500 430 c644ac4741017777\n\
             q4@500 8567 1771db347d752a88\n\
             round 4: 85 405cb437ea519726 89 dbd780b041368d56 6 679da3a03471f208 \
-            store 197952 index 124064 transient 68160\n\
+            store 197952 index 106248 transient 68160\n\
             q0@600 18 b4ee28788f904114\n\
             q1@600 32 525639981ffcf963\n\
             q2@600 21 a0652fbdf6ebf719\n\
             q3@600 430 fd4aba88ddb7abe3\n\
             q4@600 8567 5f76c77bbe7c1388\n\
             round 5: 101 150623878d31d31d 106 58ae0284c9f2fe89 7 1d2c88c9abd963d1 \
-            store 236688 index 148832 transient 81792\n\
+            store 236688 index 124824 transient 81792\n\
             stream 0: 6 batches, 2760 timeless, 0 timing, 0 discarded, 0 anomalies\n\
             stream 1: 6 batches, 2580 timeless, 0 timing, 0 discarded, 0 anomalies\n\
             stream 2: 6 batches, 0 timeless, TIMING timing, 0 discarded, 0 anomalies";

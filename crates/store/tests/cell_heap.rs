@@ -1,6 +1,6 @@
-//! What a store's cells own on the heap, measured against what
-//! `heap_bytes` reports — `state_mb` is that report, so a buffer it
-//! leaves out is memory nobody sees.
+//! What a store's cells and the stream index own on the heap, measured
+//! against what `heap_bytes` reports — `state_mb` is that report, so a
+//! buffer it leaves out is memory nobody sees.
 //!
 //! The counters are per thread, so the tests of this file may run side by
 //! side.
@@ -8,9 +8,10 @@
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use wukong_rdf::{Dir, Key, KeyMap, Pid, Vid};
-use wukong_store::base::ValueCell;
-use wukong_store::{BaseStore, SnapshotId};
+use wukong_store::base::{AppendReceipt, ValueCell};
+use wukong_store::{gc, BaseStore, IndexBatch, SnapshotId, StreamIndex, TransientStore};
 
 thread_local! {
     /// Bytes and blocks this thread holds from the allocator.
@@ -146,4 +147,93 @@ fn a_cell_retaining_at_most_one_snapshot_is_one_block() {
     store.consolidate(SnapshotId(3));
     assert_eq!(cell_blocks(&store), (1, 0), "everything consolidated");
     assert_eq!(store.len_at(key, SnapshotId::BASE), 252);
+}
+
+#[test]
+fn stream_index_heap_bytes_tracks_the_allocator() {
+    /// Bytes of one key's map entry (a key and the place of its newest
+    /// run), which `heap_bytes` counts per live key.
+    const ENTRY: usize = 16;
+    let mut rng = StdRng::seed_from_u64(8);
+    let mut offsets: KeyMap<u32> = KeyMap::default();
+    let mut receipts = |n: usize, rng: &mut StdRng| -> Vec<AppendReceipt> {
+        (0..n)
+            .map(|_| {
+                // A few hot keys in most batches, a long tail in one.
+                let v = if rng.gen_range(0..3) == 0 {
+                    rng.gen_range(1..20)
+                } else {
+                    rng.gen_range(20..4_000)
+                };
+                let key = Key::new(Vid(v), Pid(1), Dir::Out);
+                let offset = offsets.entry(key).or_insert(0);
+                *offset += 1;
+                AppendReceipt {
+                    key,
+                    offset: *offset - 1,
+                }
+            })
+            .collect()
+    };
+    let batches: Vec<Vec<AppendReceipt>> = (0..30).map(|_| receipts(300, &mut rng)).collect();
+    let open = receipts(200, &mut rng);
+    let inserted = offsets.len();
+    let mut ring = TransientStore::new(1 << 10);
+
+    let before = live().0;
+    let mut index = StreamIndex::new();
+    // Even batches install in two pieces, odd ones arrive whole.
+    for (i, rc) in batches.iter().enumerate() {
+        let ts = 100 * (i as u64 + 1);
+        if i % 2 == 0 {
+            index.open(ts);
+            let (a, b) = rc.split_at(rc.len() / 2);
+            index.record_all(a);
+            index.record_all(b);
+            index.seal();
+        } else {
+            index.push_batch(IndexBatch::from_receipts(ts, rc));
+        }
+    }
+    index.open(3_100);
+    index.record_all(&open);
+    let expiry = 1_550;
+    gc::sweep(&mut ring, &mut index, expiry);
+    assert_eq!(index.retired(), 15);
+
+    // Every key ever inserted still owns its bucket: the map never
+    // shrinks, and nothing was inserted after the sweep removed keys.
+    let table = {
+        let before = live().0;
+        let mut twin: KeyMap<u64> = KeyMap::default();
+        let mut seen = KeyMap::default();
+        for r in batches.iter().flatten().chain(&open) {
+            if seen.insert(r.key, ()).is_none() {
+                twin.insert(r.key, 0);
+            }
+        }
+        drop(seen);
+        live().0 - before
+    };
+    let live_keys = batches[15..]
+        .iter()
+        .flatten()
+        .chain(&open)
+        .map(|r| r.key)
+        .collect::<BTreeSet<_>>()
+        .len();
+    assert!(live_keys < inserted, "the sweep must remove keys");
+    // The ring of batch headers (six words each), which `heap_bytes`
+    // leaves out: 31 batches opened, no push after the sweep's pops.
+    let headers = {
+        let before = live().0;
+        let mut twin: std::collections::VecDeque<[u64; 6]> = Default::default();
+        for _ in 0..31 {
+            twin.push_back([0; 6]);
+        }
+        live().0 - before
+    };
+    let owned = live().0 - before - table - headers;
+    let counted = (index.heap_bytes() - live_keys * ENTRY) as isize;
+    assert_eq!(counted, owned, "heap_bytes against live bytes");
 }

@@ -12,20 +12,24 @@
 //! [`PersistentShard::install_owned`]; their first-edge events become
 //! the index-vertex updates that [`apply_index_updates`] lands on the
 //! index keys' owners, because one triple's four key updates may live on
-//! three different nodes. The
+//! three different nodes. Both phases fold their append receipts straight
+//! into the node's [`StreamIndex`], under the batch it holds open until
+//! the seal. The
 //! distributed engine (`wukong-core`'s one install stage, shared by batch
 //! processing and catch-up replay) runs phase 1 per node and phase 2
 //! across nodes, once per sub-batch: a whole batch, or each piece of a
 //! batch installing while it fills, all folding into one [`Installed`]
-//! share per node until the batch seals; [`Injector::apply`] is the same
-//! two calls with every key owned locally, for tests and benchmarks.
+//! share and one open index batch per node until the batch seals;
+//! [`Injector::apply`] is the same two calls with every key owned
+//! locally, for tests and benchmarks.
 
 use crate::dispatcher::SubBatch;
 use std::time::Instant;
 use wukong_rdf::{Key, KeySet, StreamTuple, Timestamp, Vid};
 use wukong_store::base::AppendReceipt;
+use wukong_store::stream_index::Sealed;
 use wukong_store::{
-    IndexBatch, PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientSlice, TransientStore,
+    PersistentShard, ShardMap, SnapshotId, StreamIndex, TransientSlice, TransientStore,
 };
 
 /// Per-stream stores of one node (transient ring + stream index).
@@ -79,13 +83,11 @@ impl InjectStats {
 
 /// One node's share of a batch while it installs, one sub-batch (the
 /// whole batch, or a piece of it cut while it fills) at a time: the
-/// stream-index batch and transient slice the sub-batches fold into
-/// until the batch seals, and the volume and time they took.
+/// transient slice the sub-batches fold into until the batch seals, and
+/// the volume and time they took. (Their index entries fold into the
+/// node's stream index, in its open batch.)
 #[derive(Debug, Default)]
 pub struct Installed {
-    /// The node's open stream-index batch: its data-key appends, plus the
-    /// index-vertex appends [`apply_index_updates`] lands on it.
-    pub index: IndexBatch,
     /// The node's open transient slice.
     pub slice: TransientSlice,
     /// The slice's index-vertex dedup set (see
@@ -99,30 +101,30 @@ pub struct Installed {
     /// The latest sub-batch's append receipts (a buffer kept across the
     /// batch's sub-batches).
     receipts: Vec<AppendReceipt>,
-    /// Data-key receipts folded into `index` so far.
-    folded: usize,
 }
 
 impl Installed {
-    /// Seals the share: the finished stream-index batch and transient
-    /// slice, for the stream's rings, and the share's stats.
-    pub fn seal(self) -> (IndexBatch, TransientSlice, InjectStats) {
-        (self.index, self.slice, self.stats)
+    /// Seals the share: the finished transient slice, for the stream's
+    /// ring, and the share's stats.
+    pub fn seal(self) -> (TransientSlice, InjectStats) {
+        (self.slice, self.stats)
     }
 }
 
 /// Phase 1 of installing one sub-batch on one node: appends the timeless
 /// tuples' data keys that `owns` selects to `shard` under snapshot `sn`
 /// (consolidating touched cells up to `merge_upto`), folds the append
-/// receipts into the node's open stream-index batch and the timing
-/// tuples' owned entries into its open transient slice. A batch's
-/// sub-batches all go into one `open` share, so the batch keeps one index
-/// batch and one slice however many pieces it installed in.
+/// receipts into `index`'s open batch at `ts` and the timing tuples'
+/// owned entries into the share's open transient slice. A batch's
+/// sub-batches all go into one `open` share and one open index batch, so
+/// the batch keeps one index batch and one slice however many pieces it
+/// installed in.
 ///
 /// What costs once per sub-batch, not per tuple: the shard's batch lock
 /// and the triple count ([`PersistentShard::install_owned`]), one
 /// receipts buffer sized up front, and one clock read per timed phase
 /// (injection, then indexing — Table 6's columns).
+#[allow(clippy::too_many_arguments)]
 pub fn install_sub_batch(
     shard: &PersistentShard,
     owns: impl Fn(Key) -> bool,
@@ -130,10 +132,10 @@ pub fn install_sub_batch(
     ts: Timestamp,
     sn: SnapshotId,
     merge_upto: Option<SnapshotId>,
+    index: &mut StreamIndex,
     open: &mut Installed,
 ) {
     let t0 = Instant::now();
-    open.index.timestamp = ts;
     open.slice.timestamp = ts;
     let timeless = tuples.iter().filter(|t| t.is_timeless());
     // Two data-key appends per timeless tuple at most — exact when this
@@ -155,42 +157,39 @@ pub fn install_sub_batch(
     let t1 = Instant::now();
     open.stats.inject_ns += (t1 - t0).as_nanos() as u64;
 
-    open.folded += open.receipts.len();
-    open.index.reserve_for(open.folded);
-    for &r in &open.receipts {
-        open.index.record(r);
-    }
+    index.open(ts);
+    index.record_all(&open.receipts);
     open.stats.index_ns += t1.elapsed().as_nanos() as u64;
 }
 
 /// Phase 2 of installing one sub-batch per node: lands every node's
 /// first-edge index-vertex updates on the index key's owner, in node
 /// order (the order fixes the index vertices' neighbour order), folding
-/// each append into the owner's open index batch. An owner with
+/// each append into the owner's open index batch (`indexes[n]` is node
+/// `n`'s stream index, its batch opened by phase 1). An owner with
 /// `delivered[node]` unset never received the sub-batch and misses the
 /// update too — recovery replays the whole batch, regenerating it.
 /// `installed[n]` is node `n`'s open share. Callers install one sub-batch
 /// at a time (the engine's pipeline lock), so each call's appends to an
 /// index key are one run. Returns the nanoseconds spent.
-pub fn apply_index_updates<'a>(
+pub fn apply_index_updates<'a, I: std::ops::DerefMut<Target = StreamIndex>>(
     shards: &ShardMap,
     shard_of: impl Fn(u16) -> &'a PersistentShard,
+    indexes: &mut [I],
     installed: &mut [Installed],
     delivered: &[bool],
     sn: SnapshotId,
     merge_upto: Option<SnapshotId>,
 ) -> u64 {
     let t0 = Instant::now();
-    for from in 0..installed.len() {
-        for (key, v) in std::mem::take(&mut installed[from].index_updates) {
+    for share in installed.iter_mut() {
+        for (key, v) in std::mem::take(&mut share.index_updates) {
             let owner = shards.node_of_key(key);
             if !delivered[owner as usize] {
                 continue;
             }
             let (offset, _) = shard_of(owner).append_owned(key, v, sn, merge_upto);
-            installed[owner as usize]
-                .index
-                .record(AppendReceipt { key, offset });
+            indexes[owner as usize].record(AppendReceipt { key, offset });
         }
     }
     t0.elapsed().as_nanos() as u64
@@ -202,13 +201,10 @@ pub struct Injector;
 
 impl Injector {
     /// Applies `sub` (a batch slice with timestamp `ts`) under snapshot
-    /// `sn` with every key owned locally, pushing the transient slice and
-    /// the stream-index batch into `store`; returns a copy of that index
-    /// batch plus cost accounting.
-    ///
-    /// The returned [`IndexBatch`] is what locality-aware partitioning
-    /// replicates to subscriber nodes (§4.2): a replica pushes it into
-    /// its own [`StreamIndex`].
+    /// `sn` with every key owned locally, sealing the batch into
+    /// `store`'s transient ring and stream index; returns what the seal
+    /// published — what locality-aware partitioning replicates to
+    /// subscriber nodes (§4.2) — plus cost accounting.
     pub fn apply(
         &self,
         shard: &PersistentShard,
@@ -216,27 +212,25 @@ impl Injector {
         sub: &SubBatch,
         ts: Timestamp,
         sn: SnapshotId,
-    ) -> (IndexBatch, InjectStats) {
+    ) -> (Sealed, InjectStats) {
         let mut inst = Installed::default();
-        install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, None, &mut inst);
+        let index = &mut store.index;
+        install_sub_batch(shard, |_| true, &sub.tuples, ts, sn, None, index, &mut inst);
         inst.stats.inject_ns += apply_index_updates(
             &ShardMap::new(1),
             |_| shard,
+            &mut [&mut *index],
             std::slice::from_mut(&mut inst),
             &[true],
             sn,
             None,
         );
-        let (index, slice, mut stats) = inst.seal();
+        let (slice, mut stats) = inst.seal();
         store.transient.push_batch(slice);
-
-        // The caller gets the batch back (it is what replication ships),
-        // so this convenience path pays the one copy the engine avoids.
         let t1 = Instant::now();
-        store.index.push_batch(index.clone());
+        let sealed = index.seal();
         stats.index_ns += t1.elapsed().as_nanos() as u64;
-
-        (index, stats)
+        (sealed, stats)
     }
 }
 
@@ -245,6 +239,7 @@ mod tests {
     use super::*;
     use wukong_obs::BatchId;
     use wukong_rdf::{Dir, Key, Pid, Triple, Vid};
+    use wukong_store::IndexBatch;
 
     fn timeless(s: u64, p: u64, o: u64, ts: Timestamp) -> StreamTuple {
         StreamTuple::timeless(Triple::new(Vid(s), Pid(p), Vid(o)), ts)
@@ -267,7 +262,7 @@ mod tests {
         let (batch, stats) = Injector.apply(&shard, &mut store, &sub, 100, SnapshotId(1));
         assert_eq!(stats.timeless, 1);
         assert_eq!(stats.timing, 1);
-        assert!(batch.entry_count() >= 2); // out, in and index keys
+        assert!(batch.entries >= 2); // out, in and index keys
 
         // Timeless landed in the persistent store…
         assert!(shard.exists_at(Vid(1), Pid(2), Vid(3), SnapshotId(1)));
@@ -282,7 +277,7 @@ mod tests {
     }
 
     /// The install path against the per-tuple primitives it replaced:
-    /// one `BaseStore::insert_at` per timeless tuple,
+    /// one `BaseStore::insert_at` per timeless tuple, one
     /// `IndexBatch::from_receipts` over all of a batch's receipts and one
     /// owner-filtered `TransientSlice` per node — with the batch
     /// installed whole and in pieces.
@@ -328,12 +323,15 @@ mod tests {
                     for t in batch.timeless() {
                         oracle.insert_at(t.triple, sn, &mut receipts);
                     }
-                    let want_index = IndexBatch::from_receipts(ts, &receipts);
+                    let mut want_index = StreamIndex::new();
+                    want_index.push_batch(IndexBatch::from_receipts(ts, &receipts));
                     let timing: Vec<StreamTuple> = batch.timing().copied().collect();
 
                     // Every piece runs both phases before the next one.
                     let mut installed: Vec<Installed> =
                         (0..nodes).map(|_| Installed::default()).collect();
+                    let mut indexes: Vec<StreamIndex> =
+                        (0..nodes).map(|_| StreamIndex::new()).collect();
                     for chunk in batch.tuples.chunks(piece.min(batch.tuples.len()).max(1)) {
                         let part = Batch::sealed(StreamId(0), ts, chunk.to_vec(), 0);
                         for sub in dispatch(&part, &map) {
@@ -344,12 +342,14 @@ mod tests {
                                 ts,
                                 sn,
                                 merge,
+                                &mut indexes[sub.node as usize],
                                 &mut installed[sub.node as usize],
                             );
                         }
                         apply_index_updates(
                             &map,
                             |n| &shards[n as usize],
+                            &mut indexes.iter_mut().collect::<Vec<_>>(),
                             &mut installed,
                             &vec![true; nodes as usize],
                             sn,
@@ -357,15 +357,17 @@ mod tests {
                         );
                     }
 
-                    // Same fat pointers, each on its key's owner only.
-                    let got_entries: usize = installed.iter().map(|i| i.index.entry_count()).sum();
-                    assert_eq!(got_entries, want_index.entry_count());
-                    want_index.for_each_key(|k| {
-                        let owner = map.node_of_key(k) as usize;
-                        let runs = |b: &IndexBatch| b.runs(k).collect::<Vec<_>>();
-                        assert_eq!(runs(&installed[owner].index), runs(&want_index), "{k:?}");
-                        keys.push(k);
-                    });
+                    // Same fat pointers once sealed, each on its key's
+                    // owner only.
+                    let sealed: usize = indexes.iter_mut().map(|i| i.seal().entries).sum();
+                    let want_entries: usize = want_index.batch_sizes().iter().map(|(_, n)| n).sum();
+                    assert_eq!(sealed, want_entries);
+                    for r in &receipts {
+                        let owner = map.node_of_key(r.key) as usize;
+                        let runs = |i: &StreamIndex| i.pointers_in(r.key, ts, ts);
+                        assert_eq!(runs(&indexes[owner]), runs(&want_index), "{:?}", r.key);
+                        keys.push(r.key);
+                    }
                     // Same volume, every tuple counted on exactly one node.
                     let timeless: usize = installed.iter().map(|i| i.stats.timeless).sum();
                     assert_eq!(timeless, batch.timeless().count());
@@ -440,21 +442,21 @@ mod tests {
     }
 
     #[test]
-    fn replica_replay_matches_source() {
+    fn apply_seals_what_replication_ships() {
         let shard = PersistentShard::new(4);
         let mut src = NodeStreamStore::new(1 << 20);
-        let mut dst = NodeStreamStore::new(1 << 20);
         let sub = SubBatch {
             batch: BatchId::mint(0, 100),
             node: 0,
             tuples: vec![timeless(1, 2, 3, 90)],
             checksum: 0,
         };
-        let (batch, _) = Injector.apply(&shard, &mut src, &sub, 100, SnapshotId(1));
-        dst.index.push_batch(batch);
-        assert_eq!(dst.index.batch_count(), 1);
+        let (sealed, _) = Injector.apply(&shard, &mut src, &sub, 100, SnapshotId(1));
+        // Out-key, in-key and both index vertices: four keys, one run each.
+        assert_eq!((sealed.entries, sealed.wire_bytes), (4, 4 * 32));
+        assert_eq!(src.index.batch_count(), 1);
         let key = Key::new(Vid(1), Pid(2), Dir::Out);
-        assert_eq!(dst.index.count_in(key, 100, 100), 1);
+        assert_eq!(src.index.count_in(key, 100, 100), 1);
     }
 
     #[test]
