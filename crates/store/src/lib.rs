@@ -14,12 +14,11 @@
 //!   garbage collector ([`gc`]) once every window that could observe them
 //!   has passed (§4.1, Fig. 7).
 //! - The [`stream_index`] module implements the *stream index* (§4.2,
-//!   Fig. 8): a time-ordered fast path from `[vid|pid|dir]` to the exact
-//!   range of a persistent value that one stream batch appended.
+//!   Fig. 8): a fast path from `[vid|pid|dir]` to the exact ranges of a
+//!   persistent value that a window's stream batches appended.
 //! - The [`sharding`] module assigns vertices (and therefore keys) to
 //!   cluster nodes.
-//! - The [`stats`] module maintains the cardinality statistics the query
-//!   planner uses for pattern ordering.
+//! - The [`stats`] module holds the statistics epoch plan caches key on.
 
 pub mod base;
 pub mod gc;
@@ -35,6 +34,6 @@ pub use gc::GcStats;
 pub use persistent::PersistentShard;
 pub use sharding::ShardMap;
 pub use snapshot::SnapshotId;
-pub use stats::{StatsEpoch, StoreStats};
+pub use stats::StatsEpoch;
 pub use stream_index::{FatPointer, IndexBatch, StreamIndex};
 pub use transient::{TransientSlice, TransientStore};
