@@ -28,8 +28,8 @@ pub struct PersistentShard {
     /// batch installing while it fills, appends at a time, so each
     /// install's appends to a key are contiguous. A batch installed in
     /// pieces may still leave several runs on a key when another
-    /// stream's piece lands between two of its own (`IndexBatch` keeps
-    /// them all).
+    /// stream's piece lands between two of its own (the stream index
+    /// keeps them all).
     batch_lock: Mutex<()>,
 }
 
