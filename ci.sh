@@ -80,6 +80,9 @@ if awk 'FNR == 1 { inside = 0 }
         !inside && /(install_sub_batch|apply_index_updates)\(/ { print FILENAME ":" FNR ": " $0; found = 1 }
         END { exit !found }' $(find crates/core/src -name '*.rs'); then exit 1; fi
 
+echo "== one write path: the ingest pipeline never reads the fault plan (pieces are cut under faults too)"
+if grep -nE '\.fault_plan\b' crates/core/src/engine/ingest.rs; then exit 1; fi
+
 echo "== the docs cite live code: path.rs:NN, \`Type::item\` and open ROADMAP items"
 # Prints every stale citation, then fails if there was one.
 # (1) Each `path.rs:NN` or `path.rs:NN-MM` in DESIGN.md, README.md and

@@ -233,6 +233,9 @@ impl Composite {
                 .ok_or_else(|| QueryError::Unresolved(format!("stream {name}")))?;
             stream_map.push(idx);
         }
+        for (&idx, (_, spec)) in stream_map.iter().zip(&query.streams) {
+            self.windows[idx].widen(spec.range_ms);
+        }
         self.registered.push(RegisteredQuery { query, stream_map });
         Ok(self.registered.len() - 1)
     }
@@ -518,6 +521,63 @@ mod tests {
          WHERE { GRAPH PO { ?X po ?Z } \
                  GRAPH X-Lab { ?X fo ?Y } \
                  GRAPH PO-L { ?Y li ?Z } }";
+
+    /// Over four times the widest RANGE of each stream, a window buffer
+    /// holds one RANGE of tuples at most, and every window's rows equal
+    /// those of a run that evicted nothing (QC registered after the whole
+    /// feed).
+    #[test]
+    fn window_buffers_hold_the_widest_window() {
+        let boot = || {
+            let c = fig1_setup(CompositeProfile::storm_wukong(1));
+            let e = |n: String| c.strings.intern_entity(&n).unwrap();
+            let p = |n: &str| c.strings.intern_predicate(n).unwrap();
+            let feed: Vec<(StreamId, Timestamp, Triple)> = (1..=400u64)
+                .map(|i| {
+                    let (s, u, pred) = match i % 2 {
+                        0 => (0, ["Logan", "Erik"][(i / 2 % 2) as usize], "po"),
+                        _ => (1, ["Erik", "Logan"][(i / 2 % 2) as usize], "li"),
+                    };
+                    let t = Triple::new(e(u.into()), p(pred), e(format!("T-{}", i % 37)));
+                    (StreamId(s), 1_000 + i * 100, t)
+                })
+                .collect();
+            (c, feed)
+        };
+        let (mut live, feed) = boot();
+        let id = live.register_continuous(QC).unwrap();
+        let (mut whole, _) = boot();
+        for &(s, ts, t) in &feed {
+            whole.ingest(s, t, ts);
+        }
+        assert_eq!(whole.register_continuous(QC).unwrap(), id);
+        let sorted = |mut r: Relation| {
+            r.rows.sort();
+            r.rows
+        };
+        let mut answered = 0;
+        for (i, &(s, ts, t)) in feed.iter().enumerate() {
+            live.ingest(s, t, ts);
+            for (w, range) in live.windows.iter().zip([10_000, 5_000]) {
+                let newest = w.iter().last().map_or(0, |&(ts, _)| ts);
+                assert!(w.iter().all(|&(held, _)| held + range > newest));
+            }
+            if i % 10 == 9 {
+                let rows = sorted(live.execute(id, ts, CompositePlan::Interleaved).0);
+                let want = sorted(whole.execute(id, ts, CompositePlan::Interleaved).0);
+                assert_eq!(rows, want, "at {ts}");
+                answered += usize::from(!rows.is_empty());
+            }
+        }
+        assert!(answered > 20, "{answered} non-empty windows");
+        assert_eq!(
+            live.windows
+                .iter()
+                .map(WindowBuffer::len)
+                .collect::<Vec<_>>(),
+            [50, 25]
+        );
+    }
 
     #[test]
     fn fig2_qc_on_storm_wukong() {

@@ -62,10 +62,13 @@ impl ProcessorProfile {
     }
 }
 
-/// A sliding-window tuple buffer for one stream.
+/// A sliding-window tuple buffer for one stream: it holds the widest
+/// window read from it, once one is ([`WindowBuffer::widen`]), and
+/// everything until then.
 #[derive(Debug, Default)]
 pub struct WindowBuffer {
     tuples: VecDeque<(Timestamp, Triple)>,
+    widest_range: Option<u64>,
 }
 
 impl WindowBuffer {
@@ -74,13 +77,27 @@ impl WindowBuffer {
         Self::default()
     }
 
-    /// Appends a tuple (timestamps non-decreasing).
+    /// Widens the buffer to hold windows of `range_ms` (a query reading
+    /// the stream registered).
+    pub(crate) fn widen(&mut self, range_ms: u64) {
+        self.widest_range = Some(self.widest_range.map_or(range_ms, |w| w.max(range_ms)));
+    }
+
+    /// Appends a tuple (timestamps non-decreasing) and evicts those no
+    /// window ending at `ts` or later can hold: older than the widest
+    /// range.
     pub fn push(&mut self, ts: Timestamp, t: Triple) {
         debug_assert!(
             self.tuples.back().map(|(b, _)| *b <= ts).unwrap_or(true),
             "stream tuples must arrive in time order"
         );
         self.tuples.push_back((ts, t));
+        if let Some(range) = self.widest_range {
+            let lo = (ts + 1).saturating_sub(range);
+            while self.tuples.front().is_some_and(|&(t, _)| t < lo) {
+                self.tuples.pop_front();
+            }
+        }
     }
 
     /// Number of buffered tuples.
@@ -91,6 +108,11 @@ impl WindowBuffer {
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
+    }
+
+    /// Every held tuple, oldest first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &(Timestamp, Triple)> {
+        self.tuples.iter()
     }
 
     /// Visits tuples with timestamps in `[lo, hi]`.

@@ -6,9 +6,9 @@
 //! - [`SparkMode::MicroBatch`] (Spark Streaming): each query execution
 //!   scans the full stored relation per stored pattern and the window per
 //!   stream pattern, then hash-joins — "costly join operations for all of
-//!   the streaming and stored data". Nothing trims the stream buffers
-//!   yet, so finding the window walks the whole history as in the
-//!   structured mode.
+//!   the streaming and stored data". A stream holds only its widest
+//!   registered window: ingest evicts older tuples, so finding the window
+//!   walks at most that much.
 //! - [`SparkMode::Structured`] (Structured Streaming): streams are
 //!   *unbounded tables* — history is never evicted, so stream scans grow
 //!   with time; and, as in the 2017 release, queries that join two
@@ -20,7 +20,7 @@
 //! micro-batch floor that keeps these engines at hundreds of
 //! milliseconds regardless of data size.
 
-use crate::relational::{hash_join, scan_pattern, Relation};
+use crate::relational::{hash_join, scan_pattern, Relation, WindowBuffer};
 use std::sync::Arc;
 use std::time::Instant;
 use wukong_query::exec::StringLiteralResolver;
@@ -43,17 +43,13 @@ pub enum SparkMode {
     Structured,
 }
 
-struct SparkStream {
-    tuples: Vec<(Timestamp, Triple)>,
-}
-
 /// A Spark-like deployment.
 pub struct SparkLike {
     mode: SparkMode,
     strings: Arc<StringServer>,
     stored: Vec<Triple>,
     stream_names: Vec<String>,
-    streams: Vec<SparkStream>,
+    streams: Vec<WindowBuffer>,
     registered: Vec<(Query, Vec<usize>)>,
 }
 
@@ -83,13 +79,16 @@ impl SparkLike {
     /// Registers a stream.
     pub fn register_stream(&mut self, name: impl Into<String>) -> StreamId {
         self.stream_names.push(name.into());
-        self.streams.push(SparkStream { tuples: Vec::new() });
+        self.streams.push(WindowBuffer::new());
         StreamId((self.stream_names.len() - 1) as u16)
     }
 
-    /// Feeds a stream tuple.
+    /// Feeds a stream tuple (timestamps non-decreasing per stream). In
+    /// micro-batch mode a stream holds the widest window registered over
+    /// it, so this evicts what no later window can read; the structured
+    /// mode's unbounded table never evicts.
     pub fn ingest(&mut self, stream: StreamId, triple: Triple, ts: Timestamp) {
-        self.streams[stream.0 as usize].tuples.push((ts, triple));
+        self.streams[stream.0 as usize].push(ts, triple);
     }
 
     /// Whether this engine supports `query` (Structured Streaming rejects
@@ -140,6 +139,11 @@ impl SparkLike {
                 .ok_or_else(|| QueryError::Unresolved(format!("stream {name}")))?;
             stream_map.push(idx);
         }
+        if self.mode == SparkMode::MicroBatch {
+            for (&idx, (_, spec)) in stream_map.iter().zip(&query.streams) {
+                self.streams[idx].widen(spec.range_ms);
+            }
+        }
         self.registered.push((query, stream_map));
         Ok(self.registered.len() - 1)
     }
@@ -168,16 +172,11 @@ impl SparkLike {
                 GraphName::Stream(qidx) => {
                     let (_, spec) = &query.streams[qidx];
                     let s = &self.streams[stream_map[qidx]];
-                    let lo = match self.mode {
-                        // Windowed scan vs unbounded-table scan: the
-                        // structured mode still *filters* by the window
-                        // but must walk its entire history to do so.
-                        SparkMode::MicroBatch | SparkMode::Structured => {
-                            now.saturating_sub(spec.range_ms) + 1
-                        }
-                    };
+                    // Both modes filter by the window, walking every tuple
+                    // the stream holds: the widest window in micro-batch
+                    // mode, the whole history in the structured one.
+                    let lo = now.saturating_sub(spec.range_ms) + 1;
                     let in_window: Vec<Triple> = s
-                        .tuples
                         .iter()
                         .filter(|(ts, _)| *ts >= lo && *ts <= now)
                         .map(|(_, t)| *t)
@@ -318,6 +317,65 @@ mod tests {
         ));
         // Single stream pattern is fine.
         assert!(s.register_continuous(Q).is_ok());
+    }
+
+    /// Over four times the widest RANGE of stream, a micro-batch stream
+    /// holds one RANGE of tuples at most, and every window's rows equal
+    /// those of a run that evicted nothing (its queries registered after
+    /// the whole feed); the structured mode keeps all of it.
+    #[test]
+    fn microbatch_holds_the_widest_window() {
+        let strings = Arc::new(StringServer::new());
+        let e = |n: String| strings.intern_entity(&n).unwrap();
+        let (po, fo) = (
+            strings.intern_predicate("po").unwrap(),
+            strings.intern_predicate("fo").unwrap(),
+        );
+        let feed: Vec<(Timestamp, Triple)> = (0..400u64)
+            .map(|i| {
+                (
+                    i * 10 + 5,
+                    Triple::new(e(format!("u{}", i % 7)), po, e(format!("T-{i}"))),
+                )
+            })
+            .collect();
+        let narrow = "REGISTER QUERY n SELECT ?Z FROM PO [RANGE 300ms STEP 100ms] \
+             WHERE { GRAPH PO { ?X po ?Z } }";
+        let boot = |mode, queries: &[&str]| {
+            let mut s = SparkLike::new(mode, Arc::clone(&strings));
+            s.load_base((0..7).map(|u| Triple::new(e("Logan".into()), fo, e(format!("u{u}")))));
+            s.register_stream("PO");
+            for q in queries {
+                s.register_continuous(q).unwrap();
+            }
+            s
+        };
+        let mut live = boot(SparkMode::MicroBatch, &[Q, narrow]);
+        let mut structured = boot(SparkMode::Structured, &[Q, narrow]);
+        let mut whole = boot(SparkMode::MicroBatch, &[]);
+        for &(ts, t) in &feed {
+            whole.ingest(StreamId(0), t, ts);
+        }
+        whole.register_continuous(Q).unwrap();
+        whole.register_continuous(narrow).unwrap();
+        let sorted = |mut r: Relation| {
+            r.rows.sort();
+            r.rows
+        };
+        for (i, &(ts, t)) in feed.iter().enumerate() {
+            live.ingest(StreamId(0), t, ts);
+            structured.ingest(StreamId(0), t, ts);
+            assert!(live.streams[0].iter().all(|&(held, _)| held + 1_000 > ts));
+            if i % 10 == 9 {
+                for id in 0..2 {
+                    let rows = sorted(live.execute(id, ts).0);
+                    assert_eq!(rows, sorted(whole.execute(id, ts).0), "query {id} at {ts}");
+                    assert!(!rows.is_empty());
+                }
+            }
+        }
+        assert_eq!(live.streams[0].len(), 100);
+        assert_eq!(structured.streams[0].len(), 400);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! (DESIGN.md §13).
 
 use super::durability::register_mix;
-use crate::modes::modes;
+use crate::modes::{cut_pieces, modes};
 use crate::replay::{collect, fingerprint, replay, Fire, FiringMap};
 use crate::run::{Run, Verdict};
 use crate::say;
-use crate::workload::LsWorkload;
+use crate::workload::{ls_workload_with, LsWorkload};
 use wukong_benchdata::TimedTuple;
 use wukong_core::{EngineConfig, OverloadPolicy, RecoveryManager, RecoveryReport, WukongS};
 use wukong_net::{shrink_schedule, ChaosSchedule};
@@ -17,6 +17,10 @@ use wukong_stream::IngestBudget;
 const NODES: usize = 4;
 /// Timeline tuples between firing/scrub rounds.
 const FIRE_EVERY: usize = 250;
+/// The lowest LSBench rate scale a chaos workload runs at: the densest
+/// stream then fills 172 tuples a batch, more than one 128-tuple piece,
+/// so every unbudgeted cell installs batches in pieces.
+const MIN_RATE_SCALE: f64 = 0.02;
 
 /// The schedule's timeline: the shared workload plus, for schedules
 /// with a clock anomaly, one far-future tuple (bad source clock). The
@@ -149,7 +153,9 @@ fn run_cell(
     // an explicit marker when it fired; every injected message corruption
     // was detected at the install site (detection before emission); a
     // bit-rotted checkpoint chain was rejected and routed to the backup;
-    // and the scrubber found no violated invariant.
+    // the scrubber found no violated invariant; and an unbudgeted cell
+    // installed its batches in pieces, the write path every fault-free
+    // engine runs.
     let mut failures = Vec::new();
     if conflicts > 0 {
         failures.push(format!("{conflicts} unmarked re-fires changed rows"));
@@ -173,6 +179,9 @@ fn run_cell(
             "message corruption: injected {} detected {detected_msg}",
             faults.msgs_corrupted
         ));
+    }
+    if schedule.ingest_budget().is_none() && !cut_pieces(&engine) {
+        failures.push("an unbudgeted cell installed no batch in pieces".into());
     }
     if faults.msgs_corrupted > 0 && integrity.quarantines == 0 {
         failures.push("corrupted sub-batch quarantined no shard".into());
@@ -228,7 +237,14 @@ fn control_run(w: &LsWorkload, anomaly: bool) -> FiringMap {
 /// `--quick` runs one schedule.
 pub fn exp_chaos(run: &mut Run) -> Verdict {
     let schedules = if run.quick { 1 } else { 64 };
-    let w = run.ls_workload(&format!(", {NODES} nodes, {schedules} schedules"));
+    let mut cfg = run.scale.ls_config().with_seed(run.seed);
+    cfg.rate_scale = cfg.rate_scale.max(MIN_RATE_SCALE);
+    let w = ls_workload_with(cfg, run.scale.ls_duration());
+    run.banner(
+        "LSBench",
+        &w,
+        &format!(", {NODES} nodes, {schedules} schedules"),
+    );
 
     // Controls are per-workload, not per-mode: worker count, incremental
     // maintenance, adaptive planning and the flight recorder are all

@@ -33,7 +33,7 @@ pub mod run;
 pub mod trace_view;
 pub mod workload;
 
-pub use modes::{assert_budget_engaged, assert_mode_engaged, modes, recompute_modes};
+pub use modes::{assert_budget_engaged, assert_mode_engaged, cut_pieces, modes, recompute_modes};
 pub use report::{BenchJson, JSON_SCHEMA_VERSION};
 pub use run::{Run, Verdict};
 pub use workload::{

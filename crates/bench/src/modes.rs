@@ -104,6 +104,19 @@ pub fn assert_budget_engaged(leg: &str, engine: &WukongS, stream: StreamId) {
     );
 }
 
+/// Whether `engine` installed some batch while it filled: its streams'
+/// batches came in more pieces than there are batches. Every engine
+/// without an ingest budget cuts a batch into pieces once it outgrows
+/// one, fault plan or not, so a run whose batches do must show it.
+pub fn cut_pieces(engine: &WukongS) -> bool {
+    let (pieces, batches) = (0..engine.cluster().streams().len())
+        .map(|s| engine.injection_stats(StreamId(s as u16)))
+        .fold((0, 0), |(p, b), (stats, n)| {
+            (p + stats.pieces as u64, b + n)
+        });
+    pieces > batches
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

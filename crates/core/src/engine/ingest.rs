@@ -26,9 +26,9 @@ use wukong_stream::{
 /// ≈ 0.3 ms per batch on the paper's testbed).
 const LOGGING_DELAY_NS: u64 = 300_000;
 
-/// Tuples per piece. An engine without an ingest budget or a fault plan
-/// installs each open batch a piece at a time while it fills, so sealing
-/// installs at most `PIECE_TUPLES - 1` tuples per stream (DESIGN.md §5).
+/// Tuples per piece. An engine without an ingest budget installs each
+/// open batch a piece at a time while it fills, so sealing installs at
+/// most `PIECE_TUPLES - 1` tuples per stream (DESIGN.md §5).
 const PIECE_TUPLES: usize = 128;
 
 /// How many processed batches of one stream advance the statistics epoch
@@ -96,11 +96,15 @@ pub(super) struct Pipeline {
 
 /// What one stream's batch has installed so far: each node's open
 /// stream-index batch and transient slice, which the batch's seal moves
-/// into the stream's rings, and the per-piece times Table 6 reports once
-/// for the batch, as their sums.
+/// into the stream's rings, which nodes received every piece so far, and
+/// the per-piece times Table 6 reports once for the batch, as their sums.
 #[derive(Default)]
 struct OpenBatch {
     nodes: Vec<Installed>,
+    /// Per node, whether it received, passed the checksum of and
+    /// installed every piece so far: the AND over the pieces. A node that
+    /// misses one installs no later piece, and the seal drops its share.
+    delivered: Vec<bool>,
     dispatch_ns: u64,
     /// Phase 2's time (part of injection).
     phase2_ns: u64,
@@ -110,6 +114,7 @@ impl OpenBatch {
     fn new(nodes: usize) -> Self {
         OpenBatch {
             nodes: (0..nodes).map(|_| Installed::default()).collect(),
+            delivered: vec![true; nodes],
             dispatch_ns: 0,
             phase2_ns: 0,
         }
@@ -250,9 +255,11 @@ impl WukongS {
     /// The open batch installs while it fills: every `PIECE_TUPLES`-th
     /// tuple hands the pipeline a piece, which installs at the batch's
     /// announced snapshot and stays invisible until the batch seals
-    /// (DESIGN.md §5). An engine with an ingest budget or a fault plan
-    /// cuts no pieces, so shedding, delivery, dedup and quarantine see
-    /// whole batches.
+    /// (DESIGN.md §5). Under a fault plan each piece is delivered,
+    /// checked and deduplicated on its own, and a node reports the batch
+    /// only if it installed every piece. An engine with an ingest budget
+    /// cuts no pieces: the shedder sees whole, uninstalled batches
+    /// (DESIGN.md §11).
     pub fn ingest(&self, stream: StreamId, triple: Triple, ts: Timestamp) {
         // Observed time drives the fault schedule: kills/restarts planned
         // at or before `ts` apply before this tuple's batches dispatch.
@@ -266,7 +273,7 @@ impl WukongS {
                 sealed.extend(a.advance_to(horizon));
             }
         }
-        if self.cfg.ingest_budget.is_none() && self.cfg.fault_plan.is_none() {
+        if self.cfg.ingest_budget.is_none() {
             sealed.extend(pl.adaptors[s].take_piece(PIECE_TUPLES));
         }
         self.pump(&mut pl, sealed);
@@ -603,6 +610,11 @@ impl WukongS {
         progressed
     }
 
+    /// Processes one batch or piece at its announced snapshot `sn`: the
+    /// batch checksum, the at-least-once suppression, then delivery and
+    /// install into the stream's open batch (`deliver_piece`). The
+    /// batch's last piece seals the open batch and reports it on every
+    /// node that installed all of its pieces.
     fn process_batch(&self, pl: &mut Pipeline, batch: Batch, sn: SnapshotId) {
         let s = batch.stream.0 as usize;
         let bid = batch.id();
@@ -615,25 +627,93 @@ impl WukongS {
         // side counts before any early return (scrubber invariant,
         // DESIGN.md §13).
         pl.ledger_installed += batch.tuples.len() as u64;
-        // Batch-site integrity: a payload that no longer matches its
-        // sealed checksum must never install anywhere. Dropping it stalls
-        // the stream's VTS at the previous batch — detection before
-        // emission — and recovery replays the pristine logged copy.
         if !batch.verify() {
+            // Batch-site integrity: a payload that no longer matches its
+            // sealed checksum must never install anywhere. The whole batch
+            // is lost on every node — its earlier pieces too — which
+            // stalls the stream's VTS at the previous batch (detection
+            // before emission), and recovery replays the pristine logged
+            // copy.
             self.cluster.obs().integrity().inc_checksum_fail_batch();
             tracer.anomaly(Marker::ChecksumFail, FiringId::NONE, bid, 0);
-            return;
-        }
-        // At-least-once suppression: a batch at or below the stream's
-        // stable timestamp is already inserted on every node, so a
-        // redelivery (upstream retry, log replay into a live engine)
-        // must be a no-op.
-        if batch.timestamp > 0 && pl.coordinator.stable_vts().get(s) >= batch.timestamp {
+            pl.open[s].delivered.fill(false);
+        } else if batch.timestamp > 0 && pl.coordinator.stable_vts().get(s) >= batch.timestamp {
+            // At-least-once suppression: a batch at or below the stream's
+            // stable timestamp is already inserted on every node, so a
+            // redelivery (upstream retry, log replay into a live engine)
+            // must be a no-op.
             self.cluster.obs().faults().inc_dedup_suppressed();
             return;
+        } else {
+            self.deliver_piece(pl, &batch, sn);
         }
+        pl.inject_stats[s].pieces += 1;
+        if !batch.last {
+            return;
+        }
+        let nodes = self.cluster.nodes();
+        let OpenBatch {
+            nodes: shares,
+            delivered,
+            dispatch_ns,
+            phase2_ns,
+        } = std::mem::replace(&mut pl.open[s], OpenBatch::new(nodes));
+        let mut total = self.seal_batch(s, bid, shares, &delivered);
+        total.inject_ns += phase2_ns;
+
+        // Record this batch's staged breakdown under its stream's series.
+        // Injection includes the fault-tolerance logging delay (it is
+        // part of the injection path's latency, §6.8).
+        let mut batch_trace = StageTrace::new();
+        batch_trace.add(Stage::Dispatch, dispatch_ns);
+        let logged_ns = if self.cfg.fault_tolerance {
+            LOGGING_DELAY_NS
+        } else {
+            0
+        };
+        batch_trace.add(Stage::Injection, logged_ns + total.inject_ns);
+        batch_trace.add(Stage::StreamIndex, total.index_ns);
         let stream = self.cluster.stream(s);
-        *stream.raw_bytes.write() += self.textual_bytes(&batch);
+        self.cluster
+            .obs()
+            .record_stream(&stream.schema.name, &batch_trace);
+
+        // Coordinator bookkeeping: per-node insertion reports. A node
+        // that missed any piece of the batch reports nothing — its local
+        // VTS stalls, the stable VTS (elementwise min) stalls with it,
+        // and visibility correctly excludes the partial insertion.
+        pl.inject_stats[s].add(&total);
+        for node in (0..nodes).filter(|&n| delivered[n]) {
+            let ev = pl.coordinator.on_batch_inserted(node, s, batch.timestamp);
+            if let Some(upto) = ev.consolidate_upto {
+                pl.merge_upto = Some(upto);
+            }
+        }
+
+        // Periodic GC of this stream's transient slices and index batches.
+        pl.batches_done[s] += 1;
+        if pl.batches_done[s].is_multiple_of(self.cfg.gc_every_batches) {
+            self.collect_garbage(pl, s);
+        }
+        // Advance the statistics epoch on the same deterministic cadence:
+        // enough batches have landed that cached plans may be stale.
+        if pl.batches_done[s].is_multiple_of(STATS_EPOCH_BATCHES) {
+            self.stats_epoch.bump();
+        }
+    }
+
+    /// Dispatches one verified batch or piece and installs it into the
+    /// stream's open batch on every node that has received all of the
+    /// batch's pieces so far and receives this one whole: a node missing
+    /// from the open batch's mask, quarantined, dead, failing the
+    /// install-site checksum or already holding the batch installs
+    /// nothing and leaves the mask.
+    fn deliver_piece(&self, pl: &mut Pipeline, batch: &Batch, sn: SnapshotId) {
+        let s = batch.stream.0 as usize;
+        let bid = batch.id();
+        let tracer = self.tracer();
+        let stream = self.cluster.stream(s);
+        *stream.raw_bytes.write() += self.textual_bytes(batch);
         pl.inject_stats[s].discarded += batch.discarded;
 
         // Dispatch: the stream enters at one node; each non-empty remote
@@ -645,7 +725,7 @@ impl WukongS {
         // for dead nodes are lost until recovery replays the log.
         let dispatch_start = std::time::Instant::now();
         let dispatch_span = tracer.span(Stage::Dispatch, FiringId::NONE, bid);
-        let mut subs = dispatch(&batch, self.cluster.shard_map());
+        let mut subs = dispatch(batch, self.cluster.shard_map());
         let fabric = self.cluster.fabric();
         let nodes = self.cluster.nodes();
         let mut entry_idx = s % nodes;
@@ -661,8 +741,10 @@ impl WukongS {
         let mut scratch = TaskTimer::start();
         // Which nodes actually receive (and therefore insert and report)
         // this batch. An empty sub-batch "arrives" implicitly — no
-        // message — but still only on live nodes.
-        let mut delivered = vec![true; nodes];
+        // message — but still only on live nodes that received the
+        // batch's earlier pieces.
+        let mut open = std::mem::take(&mut pl.open[s]);
+        let (shares, delivered) = (&mut open.nodes, &mut open.delivered);
         for (node, q) in pl.quarantined.iter().enumerate() {
             if *q {
                 delivered[node] = false;
@@ -671,8 +753,9 @@ impl WukongS {
         for sub in &subs {
             let to = NodeId(sub.node);
             if !delivered[sub.node as usize] {
-                // Quarantined destination: treated exactly like a dead
-                // node — no send, no install, no report (DESIGN.md §13).
+                // Quarantined destination, or one that missed an earlier
+                // piece: treated exactly like a dead node — no send, no
+                // install, no report (DESIGN.md §13).
                 continue;
             }
             delivered[sub.node as usize] = fabric.is_up(to);
@@ -732,71 +815,18 @@ impl WukongS {
 
         // Dedup against each node's local VTS reads coordinator state, so
         // it stays here, ahead of the shared install stage.
-        let ts = batch.timestamp;
         for sub in &subs {
             let node = sub.node as usize;
-            if delivered[node] && pl.coordinator.already_inserted(node, s, ts) {
+            if delivered[node] && pl.coordinator.already_inserted(node, s, batch.timestamp) {
                 // Redelivered while another node's outage stalls the
                 // stable VTS: this node already holds the batch.
                 self.cluster.obs().faults().inc_dedup_suppressed();
                 delivered[node] = false;
             }
         }
-        // A piece folds into its batch's open structures; the batch's last
-        // piece seals them and publishes the batch, once. Only an engine
-        // without a fault plan cuts pieces, so a batch of several pieces
-        // reaches every node with each of them, and the last piece's
-        // delivery is the batch's.
-        let mut open = std::mem::take(&mut pl.open[s]);
-        open.phase2_ns +=
-            self.install_batch(pl, &batch, &subs, &delivered, entry, sn, &mut open.nodes);
+        open.phase2_ns += self.install_batch(pl, batch, &subs, delivered, entry, sn, shares);
         open.dispatch_ns += dispatch_ns;
-        if !batch.last {
-            pl.open[s] = open;
-            return;
-        }
-        pl.open[s] = OpenBatch::new(nodes);
-        let mut total = self.seal_batch(s, bid, open.nodes, &delivered);
-        total.inject_ns += open.phase2_ns;
-
-        // Record this batch's staged breakdown under its stream's series.
-        // Injection includes the fault-tolerance logging delay (it is
-        // part of the injection path's latency, §6.8).
-        let mut batch_trace = StageTrace::new();
-        batch_trace.add(Stage::Dispatch, open.dispatch_ns);
-        let logged_ns = if self.cfg.fault_tolerance {
-            LOGGING_DELAY_NS
-        } else {
-            0
-        };
-        batch_trace.add(Stage::Injection, logged_ns + total.inject_ns);
-        batch_trace.add(Stage::StreamIndex, total.index_ns);
-        self.cluster
-            .obs()
-            .record_stream(&stream.schema.name, &batch_trace);
-
-        // Coordinator bookkeeping: per-node insertion reports. A node
-        // that never received the batch reports nothing — its local VTS
-        // stalls, the stable VTS (elementwise min) stalls with it, and
-        // visibility correctly excludes the partial insertion.
-        pl.inject_stats[s].add(&total);
-        for node in (0..nodes).filter(|&n| delivered[n]) {
-            let ev = pl.coordinator.on_batch_inserted(node, s, ts);
-            if let Some(upto) = ev.consolidate_upto {
-                pl.merge_upto = Some(upto);
-            }
-        }
-
-        // Periodic GC of this stream's transient slices and index batches.
-        pl.batches_done[s] += 1;
-        if pl.batches_done[s].is_multiple_of(self.cfg.gc_every_batches) {
-            self.collect_garbage(pl, s);
-        }
-        // Advance the statistics epoch on the same deterministic cadence:
-        // enough batches have landed that cached plans may be stale.
-        if pl.batches_done[s].is_multiple_of(STATS_EPOCH_BATCHES) {
-            self.stats_epoch.bump();
-        }
+        pl.open[s] = open;
     }
 
     /// The install stage of one sub-batch set — a whole batch, or one
@@ -868,8 +898,10 @@ impl WukongS {
     /// slice into the stream's ring (both insert in time order, so a
     /// replay at an original timestamp slots in behind newer batches) and
     /// charges one replication message per (origin, subscriber) pair for
-    /// each non-empty index batch (§4.2). Returns the batch's injection
-    /// stats.
+    /// each non-empty index batch (§4.2). A node not `delivered` drops
+    /// its share: its open index batch is discarded and its slice
+    /// dropped, so no read ever sees what its earlier pieces installed.
+    /// Returns the delivered shares' injection stats.
     fn seal_batch(
         &self,
         s: usize,
@@ -889,6 +921,8 @@ impl WukongS {
                 total.add(&stats);
                 stream.transients[node].write().push_batch(slice);
                 sealed = stream.indexes[node].write().seal();
+            } else {
+                stream.indexes[node].write().discard();
             }
             replicated.push((sealed.entries, sealed.wire_bytes));
         }
@@ -1433,6 +1467,159 @@ mod tests {
         assert!(dispatched > 0 && replicated > 0);
         assert_eq!(messages, dispatched + replicated);
         assert_eq!(engine.shed_outstanding(), 0);
+    }
+
+    /// A two-node engine under `plan` with one timeless stream and a
+    /// standing query over it. `users[n]` and `posts[n]` live on node `n`
+    /// and the post predicate's index vertices on node 0, so a tuple
+    /// among node-0 names sends node 1 nothing. The batch ending at 100
+    /// posts the first 20 posts of each node, later batches the rest.
+    struct TwoNodes {
+        engine: WukongS,
+        stream: StreamId,
+        po: wukong_rdf::Pid,
+        users: [Vec<wukong_rdf::Vid>; 2],
+        posts: [Vec<wukong_rdf::Vid>; 2],
+    }
+
+    impl TwoNodes {
+        fn new(plan: wukong_net::FaultPlan) -> Self {
+            let engine = WukongS::new(EngineConfig {
+                fault_plan: Some(plan),
+                ..EngineConfig::cluster(2)
+            });
+            let ss = engine.strings().clone();
+            let stream = engine.register_stream(StreamSchema::timeless(StreamId(0), "PO", 100));
+            let cluster = engine.cluster();
+            let po = (0..)
+                .map(|j| ss.intern_predicate(&format!("po{j}")).expect("interns"))
+                .find(|&p| {
+                    [Dir::Out, Dir::In]
+                        .iter()
+                        .all(|&d| cluster.owner(Key::index(p, d)).0 == 0)
+                })
+                .expect("a predicate on node 0");
+            let names = |prefix: &str, node: u16| -> Vec<wukong_rdf::Vid> {
+                (0..)
+                    .map(|i| ss.intern_entity(&format!("{prefix}{i}")).expect("interns"))
+                    .filter(|&v| cluster.owner(Key::new(v, po, Dir::Out)).0 == node)
+                    .take(40)
+                    .collect()
+            };
+            let users = [names("u", 0), names("u", 1)];
+            let posts = [names("t", 0), names("t", 1)];
+            let text = format!(
+                "REGISTER QUERY posts SELECT ?X ?Z FROM PO [RANGE 100ms STEP 100ms] \
+                 WHERE {{ GRAPH PO {{ ?X {} ?Z }} }}",
+                ss.predicate_name(po).expect("interned")
+            );
+            engine.register_continuous(&text).expect("register");
+            TwoNodes {
+                engine,
+                stream,
+                po,
+                users,
+                posts,
+            }
+        }
+
+        /// Feeds `n` posts into the interval ending at `end`, spread over
+        /// it; from the `mixed_from`-th on, every other one is between
+        /// node-1 names.
+        fn feed(&self, end: Timestamp, n: u64, mixed_from: u64) {
+            for i in 0..n {
+                let node = usize::from(i >= mixed_from && i % 2 == 0);
+                let u = self.users[node][(i % 20) as usize];
+                let o = self.posts[node][(i * 7 % 20) as usize + if end == 100 { 0 } else { 20 }];
+                let ts = end - 99 + i * 99 / n;
+                self.engine
+                    .ingest(self.stream, Triple::new(u, self.po, o), ts);
+            }
+            self.engine.advance_time(end);
+        }
+
+        /// A 400-tuple batch ending at 200 installed in pieces, of which
+        /// node 1 missed one: node 0 reported the batch and node 1 did
+        /// not, the stable VTS stalls at 100 through two more batches, no
+        /// firing over the batch is emitted unmarked, and no read returns
+        /// what the batch installed on node 1 (its index holds no batch at
+        /// 200, and no row names a post of a later batch) while a read at
+        /// the stable snapshot returns batch 100's `batch_100` posts, all
+        /// of them unless a node is unreachable.
+        fn assert_batch_200_dropped_on_node_1(&self, batch_100: usize) {
+            let engine = &self.engine;
+            let (stats, batches) = engine.injection_stats(self.stream);
+            assert_eq!(
+                (stats.pieces, batches),
+                (1 + 4, 2),
+                "batch 200 in four pieces"
+            );
+            let local = |n| engine.pipeline.lock().coordinator.local_vts(n).get(0);
+            assert_eq!((local(0), local(1)), (200, 100));
+            self.feed(300, 10, 0);
+            self.feed(400, 10, 0);
+            assert_eq!(engine.stable_ts(self.stream), 100);
+            for f in engine.fire_ready() {
+                let r = &f.results;
+                let marked = !r.unreachable_shards.is_empty() || !r.quarantined_shards.is_empty();
+                assert!(
+                    f.window_end < 200 || marked,
+                    "unmarked firing at {}",
+                    f.window_end
+                );
+            }
+            let index = &engine.cluster().stream(0).indexes;
+            assert!(index[0]
+                .read()
+                .batch_sizes()
+                .iter()
+                .any(|&(ts, _)| ts == 200));
+            assert!(index[1]
+                .read()
+                .batch_sizes()
+                .iter()
+                .all(|&(ts, _)| ts != 200));
+            let later: Vec<_> = self.posts.iter().flat_map(|p| &p[20..]).collect();
+            let po = engine.strings().predicate_name(self.po).expect("interned");
+            let (seen, _) = engine
+                .one_shot(&format!("SELECT ?X ?Z WHERE {{ ?X {po} ?Z }}"))
+                .expect("one-shot");
+            for (read, _) in [engine.execute_registered(0), (seen, 0.0)] {
+                assert!(read.rows.len() == batch_100 || !read.unreachable_shards.is_empty());
+                assert!(read.rows.iter().all(|row| !later.contains(&&row[1])));
+            }
+            assert_eq!(engine.scrub(), Vec::new());
+        }
+    }
+
+    /// Node 1 dies between the pieces of a batch it had started to
+    /// install: it drops its share at the seal and does not report it.
+    #[test]
+    fn a_node_killed_between_pieces_does_not_report_the_batch() {
+        let t = TwoNodes::new(wukong_net::FaultPlan::seeded(1).kill_at(NodeId(1), 150));
+        t.feed(100, 10, 0);
+        assert_eq!(t.engine.fire_ready().len(), 1);
+        t.feed(200, 400, 0);
+        // Node 1 installed the first piece before it died.
+        let user = Key::new(t.users[1][0], t.po, Dir::Out);
+        assert!(t.engine.cluster().shard(1).with_cell(user, |c| c.is_some()));
+        t.assert_batch_200_dropped_on_node_1(10);
+        assert_eq!(t.engine.handle().fault_counters().node_kills, 1);
+    }
+
+    /// The middle piece of a batch arrives corrupted on node 1 (its first
+    /// piece sent node 1 nothing): node 1 is quarantined, drops its share
+    /// and does not report the batch.
+    #[test]
+    fn a_corrupted_middle_piece_quarantines_and_drops_the_share() {
+        let t = TwoNodes::new(wukong_net::FaultPlan::seeded(1).corrupt_messages(1.0));
+        t.feed(100, 10, 400);
+        assert_eq!(t.engine.fire_ready().len(), 1);
+        t.feed(200, 400, 200);
+        assert_eq!(t.engine.quarantined_nodes(), vec![1]);
+        let integrity = t.engine.handle().obs().integrity().snapshot();
+        assert_eq!(integrity.checksum_fail_message, 1);
+        t.assert_batch_200_dropped_on_node_1(10);
     }
 
     /// FNV-1a over a result's rows, row by row.

@@ -31,14 +31,10 @@ use crate::fabric::NodeId;
 /// probability 1.0 — real lossy links repair far earlier).
 pub const MAX_RETRANSMITS: u32 = 16;
 
-/// One lossy-link rule. `from`/`to` of `None` match any node; the first
-/// matching rule in the plan wins.
+/// One lossy-link rule, applying to every link while it is active; the
+/// first active rule in the plan wins.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LinkFault {
-    /// Source node the rule applies to (`None` = any).
-    pub from: Option<NodeId>,
-    /// Destination node the rule applies to (`None` = any).
-    pub to: Option<NodeId>,
     /// Probability a message on this link is silently dropped.
     pub drop_p: f64,
     /// Probability a (non-dropped) message is delivered twice.
@@ -55,11 +51,9 @@ pub struct LinkFault {
 }
 
 impl LinkFault {
-    fn matches(&self, from: NodeId, to: NodeId, now_ms: u64) -> bool {
+    fn active(&self, now_ms: u64) -> bool {
         self.window
             .is_none_or(|(lo, hi)| now_ms >= lo && now_ms < hi)
-            && self.from.is_none_or(|f| f == from)
-            && self.to.is_none_or(|t| t == to)
     }
 }
 
@@ -443,7 +437,7 @@ impl FaultState {
             return DROPPED;
         }
         let now = self.clock_ms.load(Ordering::Relaxed);
-        let Some(rule) = self.plan.links.iter().find(|r| r.matches(from, to, now)) else {
+        let Some(rule) = self.plan.links.iter().find(|r| r.active(now)) else {
             return Delivery::CLEAN;
         };
         let mut rng = self.rng.lock();
@@ -590,18 +584,19 @@ mod tests {
     }
 
     #[test]
-    fn first_matching_rule_wins_and_rules_scope_links() {
-        let mut plan = FaultPlan::seeded(1);
-        plan.links.push(LinkFault {
-            from: Some(NodeId(0)),
-            to: Some(NodeId(1)),
-            drop_p: 1.0,
-            ..LinkFault::default()
-        });
-        let plan = plan.lossy(0.0, 0.0);
+    fn first_active_rule_wins() {
+        // A dropping rule over [0, 100) ahead of a duplicating one over
+        // [0, 200): the first decides while both are active, the second
+        // once the first has ended, neither after both.
+        let plan = FaultPlan::seeded(1)
+            .lossy_during(1.0, 0.0, 0, 100)
+            .lossy_during(0.0, 1.0, 0, 200);
         let s = state(plan);
+        s.advance_clock(50);
         assert_eq!(s.decide(NodeId(0), NodeId(1)).copies, 0);
-        assert_eq!(s.decide(NodeId(1), NodeId(0)), Delivery::CLEAN);
+        s.advance_clock(150);
+        assert_eq!(s.decide(NodeId(1), NodeId(0)).copies, 2);
+        s.advance_clock(250);
         assert_eq!(s.decide(NodeId(0), NodeId(2)), Delivery::CLEAN);
     }
 

@@ -254,6 +254,46 @@ impl StreamIndex {
         }
     }
 
+    /// Drops the open batch unpublished, as if none of its receipts had
+    /// been recorded: each of its runs, newest first, leaves its key's
+    /// chain (a key left without runs leaves the map), and the batch stays
+    /// behind as a tombstone. Nothing if no batch is open. A node that
+    /// missed a piece of its batch discards what the other pieces
+    /// indexed.
+    pub fn discard(&mut self) {
+        let Some(seq) = self.open.take() else {
+            return;
+        };
+        let batch = self.batch_mut(seq);
+        batch.live = false;
+        let runs = std::mem::take(&mut batch.runs);
+        for (entry, run) in (0..runs.len() as u32).zip(&runs).rev() {
+            let gone = Link { batch: seq, entry };
+            let Entry::Occupied(mut slot) = self.newest.entry(run.key) else {
+                unreachable!("a recorded key has a newest run");
+            };
+            if *slot.get() == gone {
+                if run.prev == NONE {
+                    slot.remove();
+                } else {
+                    slot.insert(run.prev);
+                }
+                continue;
+            }
+            // A newer batch's run links back to this one.
+            let mut at = *slot.get();
+            loop {
+                let b = &mut self.batches[at.batch.wrapping_sub(self.first) as usize];
+                let newer = &mut b.runs[at.entry as usize];
+                if newer.prev == gone {
+                    newer.prev = run.prev;
+                    break;
+                }
+                at = newer.prev;
+            }
+        }
+    }
+
     /// Installs a whole batch as [`Self::open`], [`Self::record_all`] and
     /// [`Self::seal`] would, beside the open batch if there is one (which
     /// must be at another timestamp): a catch-up replay at an old
@@ -824,6 +864,59 @@ mod tests {
             idx.neighbors_in(&store, Key::index(Pid(2), Dir::In), 1, 100, &mut objects);
             assert_eq!(&objects, want, "first-edge index appends, per batch");
         }
+    }
+
+    /// A discarded open batch leaves the index as if it had never opened,
+    /// even where whole batches pushed beside it, one newer and one
+    /// older, chain through its runs: every key's runs, the key map and
+    /// the live batches equal those of an index that saw only the other
+    /// batches, and the next batch opens.
+    #[test]
+    fn discarded_open_batch_leaves_no_trace() {
+        let mut store = BaseStore::new();
+        let mut appends = |triples: &[Triple]| {
+            let mut rc = Vec::new();
+            for &tr in triples {
+                store.insert_at(tr, SnapshotId(1), &mut rc);
+            }
+            rc
+        };
+        let (mut idx, mut clean) = (StreamIndex::new(), StreamIndex::new());
+        let push = |both: [&mut StreamIndex; 2], ts, rc: &[AppendReceipt]| {
+            for i in both {
+                i.push_batch(IndexBatch::from_receipts(ts, rc));
+            }
+        };
+        push(
+            [&mut idx, &mut clean],
+            100,
+            &appends(&[t(1, 2, 10), t(3, 2, 11)]),
+        );
+        let piece = appends(&[t(1, 2, 20), t(4, 2, 21)]);
+        idx.open(200);
+        idx.record_all(&piece);
+        push([&mut idx, &mut clean], 300, &appends(&[t(1, 2, 30)]));
+        push([&mut idx, &mut clean], 150, &appends(&[t(1, 2, 15)]));
+        let piece = appends(&[t(1, 2, 22), t(5, 2, 23)]);
+        idx.record_all(&piece);
+        idx.discard();
+
+        let mut keys: Vec<Key> = [1, 3, 4, 5, 10, 11, 20, 30]
+            .iter()
+            .flat_map(|&v| [Dir::Out, Dir::In].map(|d| Key::new(Vid(v), Pid(2), d)))
+            .collect();
+        keys.extend([Dir::Out, Dir::In].map(|d| Key::index(Pid(2), d)));
+        for key in keys {
+            assert_eq!(
+                idx.pointers_in(key, 0, 999),
+                clean.pointers_in(key, 0, 999),
+                "{key:?}"
+            );
+        }
+        assert_eq!(idx.newest.len(), clean.newest.len());
+        assert_eq!(idx.batch_sizes(), clean.batch_sizes());
+        idx.open(400);
+        assert_eq!(idx.seal(), Sealed::default());
     }
 
     #[test]

@@ -67,6 +67,9 @@ pub struct InjectStats {
     pub inject_ns: u64,
     /// Nanoseconds spent building and appending the stream index.
     pub index_ns: u64,
+    /// Pieces the batches installed in: one per batch sealed whole, more
+    /// for a batch installed while it filled.
+    pub pieces: usize,
 }
 
 impl InjectStats {
@@ -78,6 +81,7 @@ impl InjectStats {
         self.clock_anomalies += other.clock_anomalies;
         self.inject_ns += other.inject_ns;
         self.index_ns += other.index_ns;
+        self.pieces += other.pieces;
     }
 }
 
@@ -468,6 +472,7 @@ mod tests {
             clock_anomalies: 0,
             inject_ns: 10,
             index_ns: 20,
+            pieces: 1,
         };
         a.add(&InjectStats {
             timeless: 3,
@@ -476,6 +481,7 @@ mod tests {
             clock_anomalies: 1,
             inject_ns: 30,
             index_ns: 40,
+            pieces: 3,
         });
         assert_eq!(a.timeless, 4);
         assert_eq!(a.timing, 6);
@@ -483,5 +489,6 @@ mod tests {
         assert_eq!(a.clock_anomalies, 1);
         assert_eq!(a.inject_ns, 40);
         assert_eq!(a.index_ns, 60);
+        assert_eq!(a.pieces, 4);
     }
 }
